@@ -13,8 +13,10 @@
 // Every method of an elastic interface must have the canonical remote
 // signature `Method(arg ArgType) (ReplyType, error)`. Codec structs may use
 // scalars, strings, []byte (decoded as zero-copy views), time.Duration,
-// named local scalar types, nested annotated structs, and slices/maps of
-// those; anything else keeps the gob fallback.
+// time.Time, named local scalar types, nested annotated structs (local, or
+// pkg.T from another package), and slices/maps of those; anything else is
+// rejected. Every payload type must be annotated: the generated codec is
+// the only payload encoding.
 package main
 
 import (

@@ -118,11 +118,11 @@ func run() error {
 	wg.Wait()
 	fmt.Printf("after contention: pool=%d members (growth suppressed while lock-bound)\n", pool.Size())
 
-	n, err := core.Call[struct{}, int64](stub, cache.MethodLen, struct{}{})
+	n, err := core.Call[core.Empty, cache.LenReply](stub, cache.MethodLen, core.Empty{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cache holds %d entries\n", n)
+	fmt.Printf("cache holds %d entries\n", n.N)
 
 	// The session cache at work: the first read leases the key, repeats
 	// are local lookups, and a write pushes an invalidation before its ack

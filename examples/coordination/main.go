@@ -133,7 +133,7 @@ func run() error {
 	}
 	fmt.Printf("consensus: slot %d decided %q\n", decided.Slot, decided.Value)
 
-	syncRep, err := core.Call[struct{}, dcs.SyncReply](dcsStub, dcs.MethodSync, struct{}{})
+	syncRep, err := core.Call[core.Empty, dcs.SyncReply](dcsStub, dcs.MethodSync, core.Empty{})
 	if err != nil {
 		return err
 	}

@@ -5,8 +5,8 @@ import "elasticrmi/internal/core"
 //go:generate go run elasticrmi/cmd/ermi-gen -in service.go
 
 // Argument and reply types of the elastic interface; the //ermi:codec mark
-// makes the preprocessor emit binary payload codecs for them, so they
-// travel through the generated stub without gob.
+// makes the preprocessor emit the binary payload codecs the generated stub
+// marshals them with.
 //
 //ermi:codec
 type (

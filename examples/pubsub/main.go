@@ -67,7 +67,7 @@ func run() error {
 	// Subscribers come first (Hedwig delivers messages published after the
 	// subscription).
 	for _, sub := range []string{"alice", "bob"} {
-		if _, err := core.Call[hedwig.SubArgs, bool](stub, hedwig.MethodSubscribe,
+		if _, err := core.Call[hedwig.SubArgs, hedwig.SubReply](stub, hedwig.MethodSubscribe,
 			hedwig.SubArgs{Topic: "market-data", Subscriber: sub}); err != nil {
 			return err
 		}
@@ -111,7 +111,7 @@ func run() error {
 		fmt.Printf("%s consumed again: %d messages (at-most-once)\n", sub, len(again.Messages))
 	}
 
-	bl, err := core.Call[struct{}, hedwig.BacklogReply](stub, hedwig.MethodBacklog, struct{}{})
+	bl, err := core.Call[core.Empty, hedwig.BacklogReply](stub, hedwig.MethodBacklog, core.Empty{})
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,13 @@ import (
 	"elasticrmi/internal/kvstore"
 )
 
-// The remote method argument/reply types travel gob-encoded.
+//go:generate go run elasticrmi/cmd/ermi-gen -in main.go -out main_ermi.go
+
+// The remote method argument/reply types travel through the codec ermi-gen
+// generates for them (main_ermi.go); an un-annotated type would not compile
+// against core.Handle and core.Call.
+//
+//ermi:codec
 type (
 	addArgs  struct{ N int64 }
 	addReply struct{ Total int64 }
@@ -64,7 +70,7 @@ func run() error {
 			total, err := ctx.State.AddInt("total", a.N)
 			return addReply{Total: total}, err
 		})
-		core.Handle(mux, "Total", func(struct{}) (addReply, error) {
+		core.Handle(mux, "Total", func(core.Empty) (addReply, error) {
 			total, err := ctx.State.GetInt("total")
 			return addReply{Total: total}, err
 		})
@@ -99,7 +105,7 @@ func run() error {
 		}
 		fmt.Printf("Add(%d) -> total %d\n", i, rep.Total)
 	}
-	rep, err := core.Call[struct{}, addReply](stub, "Total", struct{}{})
+	rep, err := core.Call[core.Empty, addReply](stub, "Total", core.Empty{})
 	if err != nil {
 		return err
 	}

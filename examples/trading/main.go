@@ -74,7 +74,7 @@ func run() error {
 		{Name: "IEX"}, // accepts anything
 	}
 	for _, v := range venues {
-		if _, err := core.Call[marketcetera.Venue, bool](stub, marketcetera.MethodAddVenue, v); err != nil {
+		if _, err := core.Call[marketcetera.Venue, marketcetera.AddVenueReply](stub, marketcetera.MethodAddVenue, v); err != nil {
 			return err
 		}
 	}
@@ -102,7 +102,7 @@ func run() error {
 	}
 	fmt.Println("  ... 16 more orders ...")
 
-	st, err := core.Call[struct{}, marketcetera.Status](stub, marketcetera.MethodStatus, struct{}{})
+	st, err := core.Call[core.Empty, marketcetera.Status](stub, marketcetera.MethodStatus, core.Empty{})
 	if err != nil {
 		return err
 	}

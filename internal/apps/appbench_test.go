@@ -30,7 +30,7 @@ func benchPool(b *testing.B, name string, factory core.Factory) *core.Stub {
 // BenchmarkMarketceteraRoute: one order routed and persisted on two nodes.
 func BenchmarkMarketceteraRoute(b *testing.B) {
 	stub := benchPool(b, "bench-routing", marketcetera.New(marketcetera.Config{}))
-	if _, err := core.Call[marketcetera.Venue, bool](stub, marketcetera.MethodAddVenue,
+	if _, err := core.Call[marketcetera.Venue, marketcetera.AddVenueReply](stub, marketcetera.MethodAddVenue,
 		marketcetera.Venue{Name: "X"}); err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func BenchmarkHedwigPublish(b *testing.B) {
 // subscriber (at-most-once cursor advance included).
 func BenchmarkHedwigPublishConsume(b *testing.B) {
 	stub := benchPool(b, "bench-hedwig2", hedwig.New(hedwig.Config{}))
-	if _, err := core.Call[hedwig.SubArgs, bool](stub, hedwig.MethodSubscribe,
+	if _, err := core.Call[hedwig.SubArgs, hedwig.SubReply](stub, hedwig.MethodSubscribe,
 		hedwig.SubArgs{Topic: "t", Subscriber: "s"}); err != nil {
 		b.Fatal(err)
 	}

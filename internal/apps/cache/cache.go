@@ -29,13 +29,17 @@ const (
 	MethodGet = "get"
 	// MethodPut writes a key: (PutArgs) -> PutReply.
 	MethodPut = "put"
-	// MethodDelete removes a key: (GetArgs) -> bool.
+	// MethodDelete removes a key: (GetArgs) -> DelReply.
 	MethodDelete = "del"
-	// MethodLen reports entry count: (struct{}) -> int64.
+	// MethodLen reports entry count: (core.Empty) -> LenReply.
 	MethodLen = "len"
 )
 
+//go:generate go run elasticrmi/cmd/ermi-gen -in cache.go -out cache_ermi.go
+
 // Argument/reply structs.
+//
+//ermi:codec
 type (
 	// GetArgs names a key.
 	GetArgs struct{ Key string }
@@ -51,6 +55,10 @@ type (
 	}
 	// PutReply acknowledges the write.
 	PutReply struct{ Stored bool }
+	// DelReply acknowledges the delete.
+	DelReply struct{ Deleted bool }
+	// LenReply carries the entry count.
+	LenReply struct{ N int64 }
 )
 
 // Mode selects the elasticity flavour of the cache object.
@@ -123,7 +131,7 @@ var (
 // per-pool entry budget, in percent. It is the memory-utilization signal
 // the CacheExplicit1 example of Fig. 4b scales on.
 func (c *Cache) RAMUsage() float64 {
-	n, err := c.length(struct{}{})
+	rep, err := c.length(core.Empty{})
 	if err != nil {
 		return 0
 	}
@@ -132,7 +140,7 @@ func (c *Cache) RAMUsage() float64 {
 		size = 1
 	}
 	budget := c.cfg.CapacityEntries * int64(size)
-	return 100 * float64(n) / float64(budget)
+	return 100 * float64(rep.N) / float64(budget)
 }
 
 // fineCache adds the ChangePoolSize override; a separate type so the
@@ -218,17 +226,17 @@ func (c *Cache) put(a PutArgs) (PutReply, error) {
 	return PutReply{Stored: true}, nil
 }
 
-func (c *Cache) del(a GetArgs) (bool, error) {
+func (c *Cache) del(a GetArgs) (DelReply, error) {
 	if err := c.ctx.State.Delete("entry/" + a.Key); err != nil {
-		return false, err
+		return DelReply{}, err
 	}
-	return true, nil
+	return DelReply{Deleted: true}, nil
 }
 
-func (c *Cache) length(struct{}) (int64, error) {
+func (c *Cache) length(core.Empty) (LenReply, error) {
 	fields, err := c.ctx.State.Fields()
 	if err != nil {
-		return 0, err
+		return LenReply{}, err
 	}
 	var n int64
 	for _, f := range fields {
@@ -236,7 +244,7 @@ func (c *Cache) length(struct{}) (int64, error) {
 			n++
 		}
 	}
-	return n, nil
+	return LenReply{N: n}, nil
 }
 
 // ChangePoolSize is a direct transcription of Fig. 5's CacheExplicit2

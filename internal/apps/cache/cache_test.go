@@ -36,7 +36,7 @@ func TestCachePutGetDelete(t *testing.T) {
 	if err != nil || miss.Hit {
 		t.Fatalf("miss = %+v, %v", miss, err)
 	}
-	if _, err := core.Call[cache.GetArgs, bool](stub, cache.MethodDelete, cache.GetArgs{Key: "k"}); err != nil {
+	if _, err := core.Call[cache.GetArgs, cache.DelReply](stub, cache.MethodDelete, cache.GetArgs{Key: "k"}); err != nil {
 		t.Fatalf("del: %v", err)
 	}
 	got, _ = core.Call[cache.GetArgs, cache.GetReply](stub, cache.MethodGet, cache.GetArgs{Key: "k"})
@@ -63,9 +63,9 @@ func TestCacheSingleObjectIllusion(t *testing.T) {
 			t.Fatalf("get(%s) = %+v, %v", key, got, err)
 		}
 	}
-	n, err := core.Call[struct{}, int64](stub, cache.MethodLen, struct{}{})
-	if err != nil || n != int64(3*pool.Size()) {
-		t.Fatalf("len = %d, %v", n, err)
+	n, err := core.Call[core.Empty, cache.LenReply](stub, cache.MethodLen, core.Empty{})
+	if err != nil || n.N != int64(3*pool.Size()) {
+		t.Fatalf("len = %d, %v", n.N, err)
 	}
 }
 

@@ -39,7 +39,11 @@ var (
 	ErrBadPath = errors.New("dcs: bad path")
 )
 
+//go:generate go run elasticrmi/cmd/ermi-gen -in dcs.go -out dcs_ermi.go
+
 // Stat is znode metadata, in the spirit of the ZooKeeper Stat.
+//
+//ermi:codec
 type Stat struct {
 	Czxid       int64 // zxid of the create
 	Mzxid       int64 // zxid of the last update
@@ -57,11 +61,11 @@ const (
 	MethodGetData = "GetData"
 	// MethodSetData updates a znode: (SetDataArgs) -> SetDataReply.
 	MethodSetData = "SetData"
-	// MethodDelete removes a znode: (DeleteArgs) -> bool.
+	// MethodDelete removes a znode: (DeleteArgs) -> DeleteReply.
 	MethodDelete = "Delete"
 	// MethodGetChildren lists children: (PathArgs) -> ChildrenReply.
 	MethodGetChildren = "GetChildren"
-	// MethodSync returns the latest zxid: (struct{}) -> SyncReply.
+	// MethodSync returns the latest zxid: (core.Empty) -> SyncReply.
 	MethodSync = "Sync"
 	// MethodAwait long-polls for a change: (AwaitArgs) -> AwaitReply. It is
 	// the pull analogue of ZooKeeper watches: the call returns when the
@@ -71,6 +75,8 @@ const (
 )
 
 // Argument/reply structs.
+//
+//ermi:codec
 type (
 	// CreateArgs creates Path with Data; Sequential appends a total-order
 	// suffix to the final path component.
@@ -110,6 +116,8 @@ type (
 		Path          string
 		ExpectVersion int64
 	}
+	// DeleteReply acknowledges the delete.
+	DeleteReply struct{ Deleted bool }
 	// ChildrenReply lists child names (not full paths), sorted.
 	ChildrenReply struct{ Children []string }
 	// SyncReply reports the latest issued zxid.
@@ -493,12 +501,12 @@ func (s *Server) setData(a SetDataArgs) (SetDataReply, error) {
 	return reply, nil
 }
 
-func (s *Server) deleteNode(a DeleteArgs) (bool, error) {
+func (s *Server) deleteNode(a DeleteArgs) (DeleteReply, error) {
 	if err := validatePath(a.Path); err != nil {
-		return false, err
+		return DeleteReply{}, err
 	}
 	if a.Path == "/" {
-		return false, fmt.Errorf("delete /: %w", ErrBadPath)
+		return DeleteReply{}, fmt.Errorf("delete /: %w", ErrBadPath)
 	}
 	parent := parentOf(a.Path)
 	err := s.withPathLock(parent, func() error {
@@ -548,9 +556,9 @@ func (s *Server) deleteNode(a DeleteArgs) (bool, error) {
 		})
 	})
 	if err != nil {
-		return false, err
+		return DeleteReply{}, err
 	}
-	return true, nil
+	return DeleteReply{Deleted: true}, nil
 }
 
 func (s *Server) getChildren(a PathArgs) (ChildrenReply, error) {
@@ -571,7 +579,7 @@ func (s *Server) getChildren(a PathArgs) (ChildrenReply, error) {
 	return ChildrenReply{Children: kids}, nil
 }
 
-func (s *Server) sync(struct{}) (SyncReply, error) {
+func (s *Server) sync(core.Empty) (SyncReply, error) {
 	z, err := s.ctx.State.GetInt("zxid")
 	if err != nil {
 		return SyncReply{}, err

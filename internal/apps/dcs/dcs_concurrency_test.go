@@ -30,7 +30,7 @@ func TestConcurrentCreateDeleteNoDeadlock(t *testing.T) {
 					t.Errorf("create: %v", err)
 					return
 				}
-				if _, err := core.Call[dcs.DeleteArgs, bool](stub, dcs.MethodDelete,
+				if _, err := core.Call[dcs.DeleteArgs, dcs.DeleteReply](stub, dcs.MethodDelete,
 					dcs.DeleteArgs{Path: path, ExpectVersion: -1}); err != nil && !isApp(err) {
 					t.Errorf("delete: %v", err)
 					return
@@ -92,7 +92,7 @@ func TestDeepTree(t *testing.T) {
 		t.Fatalf("deep get = %q, %v", got.Data, err)
 	}
 	// Delete must proceed leaf-first.
-	if _, err := core.Call[dcs.DeleteArgs, bool](stub, dcs.MethodDelete,
+	if _, err := core.Call[dcs.DeleteArgs, dcs.DeleteReply](stub, dcs.MethodDelete,
 		dcs.DeleteArgs{Path: "/l0", ExpectVersion: -1}); err == nil {
 		t.Fatal("deleted a non-empty root of the chain")
 	}

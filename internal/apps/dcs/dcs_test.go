@@ -64,9 +64,9 @@ func TestCreateGetSetDelete(t *testing.T) {
 		t.Fatal("stale SetData succeeded, want version mismatch")
 	}
 
-	ok, err := core.Call[dcs.DeleteArgs, bool](stub, dcs.MethodDelete, dcs.DeleteArgs{Path: "/app", ExpectVersion: -1})
-	if err != nil || !ok {
-		t.Fatalf("Delete: ok=%v err=%v", ok, err)
+	del, err := core.Call[dcs.DeleteArgs, dcs.DeleteReply](stub, dcs.MethodDelete, dcs.DeleteArgs{Path: "/app", ExpectVersion: -1})
+	if err != nil || !del.Deleted {
+		t.Fatalf("Delete: ok=%v err=%v", del.Deleted, err)
 	}
 	ex, err := core.Call[dcs.PathArgs, dcs.ExistsReply](stub, dcs.MethodExists, dcs.PathArgs{Path: "/app"})
 	if err != nil {
@@ -97,7 +97,7 @@ func TestHierarchy(t *testing.T) {
 		t.Fatal("create under missing parent succeeded")
 	}
 	// Non-empty delete must fail.
-	if _, err := core.Call[dcs.DeleteArgs, bool](stub, dcs.MethodDelete,
+	if _, err := core.Call[dcs.DeleteArgs, dcs.DeleteReply](stub, dcs.MethodDelete,
 		dcs.DeleteArgs{Path: "/a", ExpectVersion: -1}); err == nil {
 		t.Fatal("delete of non-empty znode succeeded")
 	}
@@ -184,7 +184,7 @@ func TestUpdatesTotallyOrdered(t *testing.T) {
 		t.Fatalf("got %d versions, want %d", len(versions), workers*perWorker)
 	}
 
-	sync1, err := core.Call[struct{}, dcs.SyncReply](stub, dcs.MethodSync, struct{}{})
+	sync1, err := core.Call[core.Empty, dcs.SyncReply](stub, dcs.MethodSync, core.Empty{})
 	if err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestAwaitObservesDeletion(t *testing.T) {
 		}
 	}()
 	time.Sleep(30 * time.Millisecond)
-	if _, err := core.Call[dcs.DeleteArgs, bool](stub, dcs.MethodDelete,
+	if _, err := core.Call[dcs.DeleteArgs, dcs.DeleteReply](stub, dcs.MethodDelete,
 		dcs.DeleteArgs{Path: "/doomed", ExpectVersion: -1}); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}

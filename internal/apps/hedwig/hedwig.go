@@ -40,20 +40,20 @@ type Message struct {
 const (
 	// MethodPublish publishes to a topic: (PublishArgs) -> PublishReply.
 	MethodPublish = "Publish"
-	// MethodSubscribe registers a subscriber: (SubArgs) -> bool.
+	// MethodSubscribe registers a subscriber: (SubArgs) -> SubReply.
 	MethodSubscribe = "Subscribe"
-	// MethodUnsubscribe removes a subscriber: (SubArgs) -> bool.
+	// MethodUnsubscribe removes a subscriber: (SubArgs) -> SubReply.
 	MethodUnsubscribe = "Unsubscribe"
 	// MethodConsume pulls undelivered messages: (ConsumeArgs) -> ConsumeReply.
 	MethodConsume = "Consume"
-	// MethodBacklog reports undelivered counts: (struct{}) -> BacklogReply.
+	// MethodBacklog reports undelivered counts: (core.Empty) -> BacklogReply.
 	MethodBacklog = "Backlog"
 	// MethodOwner reports which hub owns a topic: (TopicArgs) -> OwnerReply.
 	MethodOwner = "Owner"
 )
 
 // Argument/reply structs for the remote methods; the //ermi:codec mark
-// gives them generated binary codecs, so publishes and consumes avoid gob.
+// gives them generated binary payload codecs.
 //
 //ermi:codec
 type (
@@ -72,6 +72,8 @@ type (
 		Topic      string
 		Subscriber string
 	}
+	// SubReply acknowledges a subscribe or unsubscribe.
+	SubReply struct{ OK bool }
 	// ConsumeArgs pulls up to Max undelivered messages for a subscriber.
 	ConsumeArgs struct {
 		Topic      string
@@ -237,31 +239,31 @@ func (h *Hub) registerTopic(topic string) error {
 	return nil
 }
 
-func (h *Hub) subscribe(a SubArgs) (bool, error) {
+func (h *Hub) subscribe(a SubArgs) (SubReply, error) {
 	if a.Topic == "" || a.Subscriber == "" {
-		return false, errors.New("hedwig: empty topic or subscriber")
+		return SubReply{}, errors.New("hedwig: empty topic or subscriber")
 	}
 	// A new subscriber starts at the current head: it receives messages
 	// published after its subscription (Hedwig semantics).
 	head, err := h.ctx.State.GetInt("topic/" + a.Topic + "/seq")
 	if err != nil {
-		return false, err
+		return SubReply{}, err
 	}
 	if err := h.ctx.State.PutInt(cursorKey(a.Topic, a.Subscriber), head); err != nil {
-		return false, err
+		return SubReply{}, err
 	}
 	if err := h.registerTopic(a.Topic); err != nil {
-		return false, err
+		return SubReply{}, err
 	}
 	if err := h.addSubscriber(a.Topic, a.Subscriber); err != nil {
-		return false, err
+		return SubReply{}, err
 	}
-	return true, nil
+	return SubReply{OK: true}, nil
 }
 
-func (h *Hub) unsubscribe(a SubArgs) (bool, error) {
+func (h *Hub) unsubscribe(a SubArgs) (SubReply, error) {
 	if err := h.ctx.State.Delete(cursorKey(a.Topic, a.Subscriber)); err != nil {
-		return false, err
+		return SubReply{}, err
 	}
 	err := h.ctx.State.Synchronized(func() error {
 		subs, err := h.ctx.State.GetString("subs/" + a.Topic)
@@ -277,9 +279,9 @@ func (h *Hub) unsubscribe(a SubArgs) (bool, error) {
 		return h.ctx.State.PutString("subs/"+a.Topic, strings.Join(keep, ","))
 	})
 	if err != nil {
-		return false, err
+		return SubReply{}, err
 	}
-	return true, nil
+	return SubReply{OK: true}, nil
 }
 
 func (h *Hub) addSubscriber(topic, sub string) error {
@@ -344,7 +346,7 @@ func (h *Hub) consume(a ConsumeArgs) (ConsumeReply, error) {
 }
 
 // backlog sums undelivered messages over all topics and subscribers.
-func (h *Hub) backlog(struct{}) (BacklogReply, error) {
+func (h *Hub) backlog(core.Empty) (BacklogReply, error) {
 	topics, err := h.topicList()
 	if err != nil {
 		return BacklogReply{}, err
@@ -410,7 +412,7 @@ func PublishOneWay(s *core.Stub, a PublishArgs) error {
 func (h *Hub) ChangePoolSize() int {
 	stats := h.ctx.MethodCallStats()
 	pub := stats[MethodPublish]
-	bl, err := h.backlog(struct{}{})
+	bl, err := h.backlog(core.Empty{})
 	if err != nil {
 		return 0
 	}

@@ -220,6 +220,45 @@ func (v *SubArgs) consumeERMI(b []byte) ([]byte, error) {
 }
 
 // SizeERMI returns the exact encoded size of v (transport.Marshaler).
+func (v *SubReply) SizeERMI() int {
+	n := 0
+	n++
+	return n
+}
+
+// MarshalERMI appends v's encoding to b (transport.Marshaler).
+func (v *SubReply) MarshalERMI(b []byte) []byte {
+	b = ermic.AppendBool(b, bool(v.OK))
+	return b
+}
+
+// UnmarshalERMI decodes an encoding produced by MarshalERMI
+// (transport.Unmarshaler). It is total on arbitrary input.
+func (v *SubReply) UnmarshalERMI(b []byte) error {
+	rest, err := v.consumeERMI(b)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return ermic.ErrMalformed
+	}
+	return nil
+}
+
+// consumeERMI decodes v from the front of b, returning the remainder
+// (shared by UnmarshalERMI and codecs that nest SubReply).
+func (v *SubReply) consumeERMI(b []byte) ([]byte, error) {
+	{
+		x, rest, err := ermic.ConsumeBool(b)
+		if err != nil {
+			return nil, err
+		}
+		v.OK, b = bool(x), rest
+	}
+	return b, nil
+}
+
+// SizeERMI returns the exact encoded size of v (transport.Marshaler).
 func (v *ConsumeArgs) SizeERMI() int {
 	n := 0
 	n += ermic.SizeBytes(len(v.Topic))

@@ -34,10 +34,10 @@ func publish(t *testing.T, stub *core.Stub, topic, body string) hedwig.PublishRe
 
 func subscribe(t *testing.T, stub *core.Stub, topic, sub string) {
 	t.Helper()
-	ok, err := core.Call[hedwig.SubArgs, bool](stub, hedwig.MethodSubscribe,
+	ok, err := core.Call[hedwig.SubArgs, hedwig.SubReply](stub, hedwig.MethodSubscribe,
 		hedwig.SubArgs{Topic: topic, Subscriber: sub})
-	if err != nil || !ok {
-		t.Fatalf("Subscribe(%s,%s): ok=%v err=%v", topic, sub, ok, err)
+	if err != nil || !ok.OK {
+		t.Fatalf("Subscribe(%s,%s): ok=%v err=%v", topic, sub, ok.OK, err)
 	}
 }
 
@@ -131,13 +131,13 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	if got := consume(t, stub, "y", "dan", 10); len(got) != 1 {
 		t.Fatalf("got %d messages, want 1", len(got))
 	}
-	ok, err := core.Call[hedwig.SubArgs, bool](stub, hedwig.MethodUnsubscribe,
+	ok, err := core.Call[hedwig.SubArgs, hedwig.SubReply](stub, hedwig.MethodUnsubscribe,
 		hedwig.SubArgs{Topic: "y", Subscriber: "dan"})
-	if err != nil || !ok {
-		t.Fatalf("Unsubscribe: ok=%v err=%v", ok, err)
+	if err != nil || !ok.OK {
+		t.Fatalf("Unsubscribe: ok=%v err=%v", ok.OK, err)
 	}
 	publish(t, stub, "y", "m2")
-	bl, err := core.Call[struct{}, hedwig.BacklogReply](stub, hedwig.MethodBacklog, struct{}{})
+	bl, err := core.Call[core.Empty, hedwig.BacklogReply](stub, hedwig.MethodBacklog, core.Empty{})
 	if err != nil {
 		t.Fatalf("Backlog: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestBacklogTracksUndelivered(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		publish(t, stub, "b", "m")
 	}
-	bl, err := core.Call[struct{}, hedwig.BacklogReply](stub, hedwig.MethodBacklog, struct{}{})
+	bl, err := core.Call[core.Empty, hedwig.BacklogReply](stub, hedwig.MethodBacklog, core.Empty{})
 	if err != nil {
 		t.Fatalf("Backlog: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestBacklogTracksUndelivered(t *testing.T) {
 		t.Fatalf("backlog = %d, want 8", bl.Undelivered)
 	}
 	consume(t, stub, "b", "eve", 10)
-	bl, err = core.Call[struct{}, hedwig.BacklogReply](stub, hedwig.MethodBacklog, struct{}{})
+	bl, err = core.Call[core.Empty, hedwig.BacklogReply](stub, hedwig.MethodBacklog, core.Empty{})
 	if err != nil {
 		t.Fatalf("Backlog: %v", err)
 	}

@@ -50,7 +50,7 @@ func (s Side) String() string {
 
 // Order is a trading order submitted by a trader or strategy engine. It is
 // //ermi:codec-marked, so orders travel (and persist) in the generated
-// binary encoding rather than gob.
+// binary encoding.
 //
 //ermi:codec
 type Order struct {
@@ -103,12 +103,23 @@ type Venue struct {
 const (
 	// MethodRoute routes one order: "Route" (Order) -> Receipt.
 	MethodRoute = "Route"
-	// MethodAddVenue registers a destination: "AddVenue" (Venue) -> bool.
+	// MethodAddVenue registers a destination: "AddVenue" (Venue) ->
+	// AddVenueReply.
 	MethodAddVenue = "AddVenue"
-	// MethodVenues lists destinations: "Venues" (struct{}) -> []Venue.
+	// MethodVenues lists destinations: "Venues" (core.Empty) -> VenuesReply.
 	MethodVenues = "Venues"
-	// MethodStatus reports routing counters: "Status" (struct{}) -> Status.
+	// MethodStatus reports routing counters: "Status" (core.Empty) -> Status.
 	MethodStatus = "Status"
+)
+
+// Replies of AddVenue and Venues.
+//
+//ermi:codec
+type (
+	// AddVenueReply acknowledges the registration.
+	AddVenueReply struct{ Added bool }
+	// VenuesReply lists the registered destinations.
+	VenuesReply struct{ Venues []Venue }
 )
 
 // Status aggregates routing counters from the shared state.
@@ -201,10 +212,7 @@ func (r *Router) route(o Order) (Receipt, error) {
 	}
 	// Persist the order on two nodes for fault tolerance (§5.2): primary
 	// and backup records hash to different store shards.
-	rec, err := transport.Encode(&o)
-	if err != nil {
-		return Receipt{}, err
-	}
+	rec := transport.Encode(&o)
 	if err := r.ctx.State.PutBytes("order/"+o.ID+"/primary", rec); err != nil {
 		return Receipt{}, fmt.Errorf("persist primary: %w", err)
 	}
@@ -252,9 +260,9 @@ func (r *Router) pickVenue(symbol string) (string, error) {
 	return defaults[int(h.Sum32())%len(defaults)], nil
 }
 
-func (r *Router) addVenue(v Venue) (bool, error) {
+func (r *Router) addVenue(v Venue) (AddVenueReply, error) {
 	if v.Name == "" {
-		return false, errors.New("venue: empty name")
+		return AddVenueReply{}, errors.New("venue: empty name")
 	}
 	// The venue table is shared state: all routers must see it.
 	err := r.ctx.State.Synchronized(func() error {
@@ -272,9 +280,9 @@ func (r *Router) addVenue(v Venue) (bool, error) {
 		return r.ctx.State.PutString("venue-symbols/"+v.Name, joinList(v.Symbols))
 	})
 	if err != nil {
-		return false, err
+		return AddVenueReply{}, err
 	}
-	return true, nil
+	return AddVenueReply{Added: true}, nil
 }
 
 func (r *Router) loadVenues() ([]Venue, error) {
@@ -293,11 +301,12 @@ func (r *Router) loadVenues() ([]Venue, error) {
 	return out, nil
 }
 
-func (r *Router) listVenues(struct{}) ([]Venue, error) {
-	return r.loadVenues()
+func (r *Router) listVenues(core.Empty) (VenuesReply, error) {
+	venues, err := r.loadVenues()
+	return VenuesReply{Venues: venues}, err
 }
 
-func (r *Router) status(struct{}) (Status, error) {
+func (r *Router) status(core.Empty) (Status, error) {
 	routed, err := r.ctx.State.GetInt("routed")
 	if err != nil {
 		return Status{}, err

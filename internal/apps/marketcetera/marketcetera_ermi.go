@@ -219,6 +219,103 @@ func (v *Venue) consumeERMI(b []byte) ([]byte, error) {
 }
 
 // SizeERMI returns the exact encoded size of v (transport.Marshaler).
+func (v *AddVenueReply) SizeERMI() int {
+	n := 0
+	n++
+	return n
+}
+
+// MarshalERMI appends v's encoding to b (transport.Marshaler).
+func (v *AddVenueReply) MarshalERMI(b []byte) []byte {
+	b = ermic.AppendBool(b, bool(v.Added))
+	return b
+}
+
+// UnmarshalERMI decodes an encoding produced by MarshalERMI
+// (transport.Unmarshaler). It is total on arbitrary input.
+func (v *AddVenueReply) UnmarshalERMI(b []byte) error {
+	rest, err := v.consumeERMI(b)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return ermic.ErrMalformed
+	}
+	return nil
+}
+
+// consumeERMI decodes v from the front of b, returning the remainder
+// (shared by UnmarshalERMI and codecs that nest AddVenueReply).
+func (v *AddVenueReply) consumeERMI(b []byte) ([]byte, error) {
+	{
+		x, rest, err := ermic.ConsumeBool(b)
+		if err != nil {
+			return nil, err
+		}
+		v.Added, b = bool(x), rest
+	}
+	return b, nil
+}
+
+// SizeERMI returns the exact encoded size of v (transport.Marshaler).
+func (v *VenuesReply) SizeERMI() int {
+	n := 0
+	n += ermic.SizeUvarint(uint64(len(v.Venues)))
+	for i1 := range v.Venues {
+		n += v.Venues[i1].SizeERMI()
+	}
+	return n
+}
+
+// MarshalERMI appends v's encoding to b (transport.Marshaler).
+func (v *VenuesReply) MarshalERMI(b []byte) []byte {
+	b = ermic.AppendUvarint(b, uint64(len(v.Venues)))
+	for i1 := range v.Venues {
+		b = v.Venues[i1].MarshalERMI(b)
+	}
+	return b
+}
+
+// UnmarshalERMI decodes an encoding produced by MarshalERMI
+// (transport.Unmarshaler). It is total on arbitrary input.
+func (v *VenuesReply) UnmarshalERMI(b []byte) error {
+	rest, err := v.consumeERMI(b)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return ermic.ErrMalformed
+	}
+	return nil
+}
+
+// consumeERMI decodes v from the front of b, returning the remainder
+// (shared by UnmarshalERMI and codecs that nest VenuesReply).
+func (v *VenuesReply) consumeERMI(b []byte) ([]byte, error) {
+	{
+		cnt, rest, err := ermic.ConsumeCount(b)
+		if err != nil {
+			return nil, err
+		}
+		b = rest
+		v.Venues = nil
+		if cnt > 0 {
+			v.Venues = make([]Venue, cnt)
+			for i1 := 0; i1 < cnt; i1++ {
+				{
+					rest, err := v.Venues[i1].consumeERMI(b)
+					if err != nil {
+						return nil, err
+					}
+					b = rest
+				}
+			}
+		}
+	}
+	return b, nil
+}
+
+// SizeERMI returns the exact encoded size of v (transport.Marshaler).
 func (v *Status) SizeERMI() int {
 	n := 0
 	n += ermic.SizeVarint(int64(v.Routed))

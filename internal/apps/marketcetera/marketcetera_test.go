@@ -26,9 +26,9 @@ func startRouting(t *testing.T) (*core.Pool, *core.Stub) {
 
 func addVenue(t *testing.T, stub *core.Stub, v marketcetera.Venue) {
 	t.Helper()
-	ok, err := core.Call[marketcetera.Venue, bool](stub, marketcetera.MethodAddVenue, v)
-	if err != nil || !ok {
-		t.Fatalf("AddVenue(%s): ok=%v err=%v", v.Name, ok, err)
+	ok, err := core.Call[marketcetera.Venue, marketcetera.AddVenueReply](stub, marketcetera.MethodAddVenue, v)
+	if err != nil || !ok.Added {
+		t.Fatalf("AddVenue(%s): ok=%v err=%v", v.Name, ok.Added, err)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestRouteValidation(t *testing.T) {
 			t.Errorf("Route(%+v): expected validation error", o)
 		}
 	}
-	st, err := core.Call[struct{}, marketcetera.Status](stub, marketcetera.MethodStatus, struct{}{})
+	st, err := core.Call[core.Empty, marketcetera.Status](stub, marketcetera.MethodStatus, core.Empty{})
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestStatusCountsByVenue(t *testing.T) {
 			t.Fatalf("Route: %v", err)
 		}
 	}
-	st, err := core.Call[struct{}, marketcetera.Status](stub, marketcetera.MethodStatus, struct{}{})
+	st, err := core.Call[core.Empty, marketcetera.Status](stub, marketcetera.MethodStatus, core.Empty{})
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestConcurrentRouting(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("concurrent route: %v", err)
 	}
-	st, err := core.Call[struct{}, marketcetera.Status](stub, marketcetera.MethodStatus, struct{}{})
+	st, err := core.Call[core.Empty, marketcetera.Status](stub, marketcetera.MethodStatus, core.Empty{})
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestRouteAsyncPipelinesOrderFlow(t *testing.T) {
 			t.Fatalf("order %d receipt = %+v", i, rec)
 		}
 	}
-	st, err := core.Call[struct{}, marketcetera.Status](stub, marketcetera.MethodStatus, struct{}{})
+	st, err := core.Call[core.Empty, marketcetera.Status](stub, marketcetera.MethodStatus, core.Empty{})
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
@@ -246,7 +246,7 @@ func TestRouteAsyncRejectsBadOrderThroughFuture(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "empty ID") {
 		t.Fatalf("err = %v, want validation error through future", err)
 	}
-	st, err := core.Call[struct{}, marketcetera.Status](stub, marketcetera.MethodStatus, struct{}{})
+	st, err := core.Call[core.Empty, marketcetera.Status](stub, marketcetera.MethodStatus, core.Empty{})
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}

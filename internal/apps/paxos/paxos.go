@@ -42,11 +42,15 @@ const (
 	MethodPropose = "Propose"
 	// MethodGet reads a decided slot: (GetArgs) -> GetReply.
 	MethodGet = "Get"
-	// MethodStatus reports progress: (struct{}) -> StatusReply.
+	// MethodStatus reports progress: (core.Empty) -> StatusReply.
 	MethodStatus = "Status"
 )
 
+//go:generate go run elasticrmi/cmd/ermi-gen -in paxos.go -out paxos_ermi.go
+
 // Argument/reply structs.
+//
+//ermi:codec
 type (
 	// ProposeArgs carries the client value.
 	ProposeArgs struct{ Value []byte }
@@ -79,7 +83,11 @@ const (
 	msgDecide
 )
 
-// wire is every Paxos message; unused fields are zero.
+// wire is every Paxos message; unused fields are zero. A decoded wire's
+// byte fields are views into the peer message, which the group layer hands
+// over as an owned copy.
+//
+//ermi:codec
 type wire struct {
 	Kind    msgKind
 	Slot    int64
@@ -331,10 +339,7 @@ func (r *Replica) tryBallot(slot, ballot int64, value []byte) (bool, []byte, err
 
 // fanout sends m to every target (self-delivery included).
 func (r *Replica) fanout(targets []string, m wire) {
-	payload, err := transport.Encode(m)
-	if err != nil {
-		return
-	}
+	payload := transport.Encode(&m)
 	for _, t := range targets {
 		_ = r.ctx.SendPeer(t, peerTopic, payload)
 	}
@@ -430,11 +435,7 @@ func (r *Replica) acceptor(slot int64) *acceptorState {
 }
 
 func (r *Replica) reply(to string, m wire) {
-	payload, err := transport.Encode(m)
-	if err != nil {
-		return
-	}
-	_ = r.ctx.SendPeer(to, peerTopic, payload)
+	_ = r.ctx.SendPeer(to, peerTopic, transport.Encode(&m))
 }
 
 func (r *Replica) recordDecision(slot int64, value []byte) {
@@ -470,7 +471,7 @@ func (r *Replica) get(a GetArgs) (GetReply, error) {
 	return GetReply{Value: v}, nil
 }
 
-func (r *Replica) status(struct{}) (StatusReply, error) {
+func (r *Replica) status(core.Empty) (StatusReply, error) {
 	count, err := r.ctx.State.GetInt("decided-count")
 	if err != nil {
 		return StatusReply{}, err

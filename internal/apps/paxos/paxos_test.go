@@ -72,7 +72,7 @@ func TestSequentialProposalsFillLog(t *testing.T) {
 		}
 		slots[rep.Slot] = val
 	}
-	st, err := core.Call[struct{}, paxos.StatusReply](stub, paxos.MethodStatus, struct{}{})
+	st, err := core.Call[core.Empty, paxos.StatusReply](stub, paxos.MethodStatus, core.Empty{})
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}

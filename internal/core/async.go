@@ -26,12 +26,6 @@ type AsyncCall struct {
 	err  error
 }
 
-func newCompletedAsync(err error) *AsyncCall {
-	ac := &AsyncCall{done: make(chan struct{}), err: err}
-	close(ac.done)
-	return ac
-}
-
 // Done returns a channel closed when the invocation completes.
 func (ac *AsyncCall) Done() <-chan struct{} { return ac.done }
 
@@ -47,9 +41,9 @@ func (ac *AsyncCall) Result() ([]byte, error) {
 	return ac.out, ac.err
 }
 
-// Decode blocks until completion and gob-decodes the response payload into
+// Decode blocks until completion and decodes the response payload into
 // reply. A nil reply discards the payload.
-func (ac *AsyncCall) Decode(reply interface{}) error {
+func (ac *AsyncCall) Decode(reply transport.Unmarshaler) error {
 	out, err := ac.Result()
 	if err != nil {
 		return err
@@ -186,11 +180,13 @@ func (s *Stub) InvokeOneWay(method string, payload []byte) error {
 }
 
 // Future is the typed stub-level future the generated async stub variants
-// return (the counterpart of Call for the asynchronous pipeline).
+// return (the counterpart of Call for the asynchronous pipeline). Only
+// GoCall builds one, so Reply is always a codec type.
 type Future[Reply any] struct {
 	ac   *AsyncCall
 	once sync.Once
 	rep  Reply
+	into transport.Unmarshaler // &rep, through the codec GoCall was given
 	err  error
 }
 
@@ -201,7 +197,7 @@ func (f *Future[Reply]) Done() <-chan struct{} { return f.ac.Done() }
 // return the same result without re-decoding.
 func (f *Future[Reply]) Get() (Reply, error) {
 	f.once.Do(func() {
-		f.err = f.ac.Decode(&f.rep)
+		f.err = f.ac.Decode(f.into)
 	})
 	return f.rep, f.err
 }
@@ -210,19 +206,13 @@ func (f *Future[Reply]) Get() (Reply, error) {
 // argument, starts the invocation and returns the typed future. The request
 // buffer is not recycled — an abandoned future (Wait timeout) can leave the
 // invocation queued past GoCall's lifetime, so the GC reclaims it instead.
-func GoCall[Arg, Reply any](s *Stub, method string, arg Arg) *Future[Reply] {
-	payload, err := transport.Encode(&arg)
-	if err != nil {
-		return &Future[Reply]{ac: newCompletedAsync(err)}
-	}
-	return &Future[Reply]{ac: s.InvokeAsync(method, payload)}
+func GoCall[Arg, Reply any, PA Payload[Arg], PR Payload[Reply]](s *Stub, method string, arg Arg) *Future[Reply] {
+	f := &Future[Reply]{ac: s.InvokeAsync(method, transport.Encode(PA(&arg)))}
+	f.into = PR(&f.rep)
+	return f
 }
 
 // OneWayCall is the typed fire-and-forget counterpart of Call.
-func OneWayCall[Arg any](s *Stub, method string, arg Arg) error {
-	payload, err := transport.Encode(&arg)
-	if err != nil {
-		return err
-	}
-	return s.InvokeOneWay(method, payload)
+func OneWayCall[Arg any, PA Payload[Arg]](s *Stub, method string, arg Arg) error {
+	return s.InvokeOneWay(method, transport.Encode(PA(&arg)))
 }

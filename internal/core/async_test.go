@@ -35,7 +35,7 @@ func TestInvokeAsyncRoundTrip(t *testing.T) {
 			t.Fatalf("future %d: %v", i, err)
 		}
 	}
-	rep, err := Call[struct{}, addReply](stub, "Get", struct{}{})
+	rep, err := Call[Empty, addReply](stub, "Get", Empty{})
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestInvokeOneWayReachesPool(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		rep, err := Call[struct{}, addReply](stub, "Get", struct{}{})
+		rep, err := Call[Empty, addReply](stub, "Get", Empty{})
 		if err != nil {
 			t.Fatalf("Get: %v", err)
 		}
@@ -117,7 +117,7 @@ func TestInvokeOneWayReachesPool(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	rep, _ := Call[struct{}, addReply](stub, "Get", struct{}{})
+	rep, _ := Call[Empty, addReply](stub, "Get", Empty{})
 	t.Fatalf("one-way invocations observed = %d, want %d", rep.Total, n)
 }
 
@@ -130,9 +130,9 @@ func TestSentinelSeesAsyncPendingWork(t *testing.T) {
 	var once sync.Once
 	factory := func(ctx *MemberContext) (Object, error) {
 		mux := NewMux()
-		Handle(mux, "Block", func(struct{}) (struct{}, error) {
+		Handle(mux, "Block", func(Empty) (Empty, error) {
 			<-release
-			return struct{}{}, nil
+			return Empty{}, nil
 		})
 		return mux, nil
 	}
@@ -154,7 +154,7 @@ func TestSentinelSeesAsyncPendingWork(t *testing.T) {
 	defer stub.Close()
 
 	const n = 8
-	arg := transport.MustEncode(struct{}{})
+	arg := transport.Encode(&Empty{})
 	futures := make([]*AsyncCall, n)
 	for i := 0; i < n; i++ {
 		futures[i] = stub.InvokeAsync("Block", arg)
@@ -228,7 +228,7 @@ func TestBatchedStubPipelines(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Call[struct{}, addReply](stub, "Get", struct{}{})
+	rep, err := Call[Empty, addReply](stub, "Get", Empty{})
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -248,9 +248,9 @@ func TestInvocationsExecuteOnDrainingMember(t *testing.T) {
 	var hits atomic.Int64
 	factory := func(ctx *MemberContext) (Object, error) {
 		mux := NewMux()
-		Handle(mux, "Tick", func(struct{}) (struct{}, error) {
+		Handle(mux, "Tick", func(Empty) (Empty, error) {
 			hits.Add(1)
-			return struct{}{}, nil
+			return Empty{}, nil
 		})
 		return mux, nil
 	}
@@ -284,14 +284,14 @@ func TestInvocationsExecuteOnDrainingMember(t *testing.T) {
 	// Two-way invocations that reach a draining member are served (the
 	// stub's table still lists both members; only a fresh epoch would
 	// exclude them)...
-	if _, err := stub.Invoke("Tick", transport.MustEncode(struct{}{})); err != nil {
+	if _, err := stub.Invoke("Tick", transport.Encode(&Empty{})); err != nil {
 		t.Fatalf("two-way invocation refused by draining member: %v", err)
 	}
 	hits.Store(0)
 	// ...and one-way invocations must execute rather than vanish.
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := stub.InvokeOneWay("Tick", transport.MustEncode(struct{}{})); err != nil {
+		if err := stub.InvokeOneWay("Tick", transport.Encode(&Empty{})); err != nil {
 			t.Fatalf("InvokeOneWay %d during drain: %v", i, err)
 		}
 	}

@@ -71,7 +71,7 @@ func TestChaosResizeUnderLoad(t *testing.T) {
 	if f := failures.Load(); f != 0 {
 		t.Fatalf("%d invocations failed during resizing", f)
 	}
-	rep, err := Call[struct{}, addReply](stub, "Get", struct{}{})
+	rep, err := Call[Empty, addReply](stub, "Get", Empty{})
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}

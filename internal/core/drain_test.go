@@ -59,7 +59,7 @@ func TestDrainingSkeletonServesAndSteersDirectCalls(t *testing.T) {
 			}
 			return true
 		}
-		payload := transport.MustEncode(addArgs{N: 1})
+		payload := transport.Encode(&addArgs{N: 1})
 		corrected, severed := false, false
 		deadline := time.Now().Add(2 * time.Second)
 		for time.Now().Before(deadline) && !corrected && !severed {

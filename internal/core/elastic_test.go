@@ -98,7 +98,7 @@ func TestStoreScalesWithPool(t *testing.T) {
 		t.Fatalf("store nodes = %d after growth to 7 members, want 3", got)
 	}
 	// Shared state survived the shard migrations.
-	rep, err := Call[struct{}, addReply](stub, "Get", struct{}{})
+	rep, err := Call[Empty, addReply](stub, "Get", Empty{})
 	if err != nil || rep.Total != 20 {
 		t.Fatalf("total after store scaling = %d, %v, want 20", rep.Total, err)
 	}
@@ -162,7 +162,7 @@ func TestRebalancePlansReachSkeletons(t *testing.T) {
 			pool.BroadcastNow()
 		}
 	}
-	rep, err := Call[struct{}, addReply](stub, "Get", struct{}{})
+	rep, err := Call[Empty, addReply](stub, "Get", Empty{})
 	if err != nil || rep.Total != 30 {
 		t.Fatalf("total = %d, %v", rep.Total, err)
 	}
@@ -182,11 +182,11 @@ func TestStubRandomBalancing(t *testing.T) {
 	defer stub.Close()
 	seen := make(map[int64]int)
 	for i := 0; i < 60; i++ {
-		uid, err := Call[struct{}, int64](stub, "WhoAmI", struct{}{})
+		rep, err := Call[Empty, uidReply](stub, "WhoAmI", Empty{})
 		if err != nil {
 			t.Fatalf("WhoAmI: %v", err)
 		}
-		seen[uid]++
+		seen[rep.UID]++
 	}
 	if len(seen) < 2 {
 		t.Fatalf("random balancing hit %d members over 60 calls", len(seen))
@@ -253,7 +253,7 @@ func TestSharedStateVisibleToFreshMember(t *testing.T) {
 		t.Fatalf("Refresh: %v", err)
 	}
 	for i := 0; i < 8; i++ {
-		rep, err := Call[struct{}, addReply](stub, "Get", struct{}{})
+		rep, err := Call[Empty, addReply](stub, "Get", Empty{})
 		if err != nil || rep.Total != 42 {
 			t.Fatalf("Get via member %d = %d, %v", i, rep.Total, err)
 		}

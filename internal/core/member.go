@@ -31,6 +31,8 @@ const (
 
 // StatsReply answers MethodStats with the member's last completed burst
 // interval.
+//
+//ermi:codec
 type StatsReply struct {
 	Pool     string
 	UID      int64
@@ -56,6 +58,8 @@ const (
 
 // MemberInfo describes one pool member as seen in pool-state broadcasts and
 // discovery replies.
+//
+//ermi:codec
 type MemberInfo struct {
 	Addr     string // skeleton (invocation) address
 	Group    string // group-communication address
@@ -65,6 +69,8 @@ type MemberInfo struct {
 }
 
 // DiscoverReply answers MethodDiscover.
+//
+//ermi:codec
 type DiscoverReply struct {
 	Pool    string
 	Epoch   uint64
@@ -74,6 +80,8 @@ type DiscoverReply struct {
 // poolStateMsg is the sentinel's periodic pool-state broadcast: the roster
 // for discovery answers plus the epoch-stamped routing table members serve
 // to stale clients.
+//
+//ermi:codec
 type poolStateMsg struct {
 	Table   route.Table
 	Members []MemberInfo
@@ -144,7 +152,7 @@ func (m *member) handle(req *transport.Request) ([]byte, error) {
 	case MethodDiscover:
 		t := m.currentTable()
 		req.ReleaseReply = true
-		return transport.Encode(DiscoverReply{Pool: m.pool.cfg.Name, Epoch: t.Epoch, Members: m.rosterCopy()})
+		return transport.Encode(&DiscoverReply{Pool: m.pool.cfg.Name, Epoch: t.Epoch, Members: m.rosterCopy()}), nil
 	case MethodPing:
 		return nil, nil
 	case MethodStats:
@@ -157,7 +165,7 @@ func (m *member) handle(req *transport.Request) ([]byte, error) {
 		sort.Slice(methods, func(i, j int) bool { return methods[i].Method < methods[j].Method })
 		srvStats := m.srv.Stats()
 		req.ReleaseReply = true
-		return transport.Encode(StatsReply{
+		return transport.Encode(&StatsReply{
 			Pool:     m.pool.cfg.Name,
 			UID:      m.uid,
 			Pending:  m.meter.InFlight(),
@@ -167,7 +175,7 @@ func (m *member) handle(req *transport.Request) ([]byte, error) {
 			Shed:     srvStats.Shed,
 			Expired:  srvStats.Expired,
 			Methods:  methods,
-		})
+		}), nil
 	}
 	// A draining member still serves every invocation that reaches it
 	// (§2.5's pending work, plus arrivals from stale clients): the client

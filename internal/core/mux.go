@@ -6,6 +6,26 @@ import (
 	"elasticrmi/internal/transport"
 )
 
+//go:generate go run elasticrmi/cmd/ermi-gen -in mux.go,member.go,registry.go -out core_ermi.go
+
+// Payload constrains the argument and reply types of the typed call
+// helpers (Call, CallKeyed, GoCall, OneWayCall, Handle): the pointer form
+// must carry the generated codec of an `//ermi:codec` struct, so an
+// un-annotated payload type is a compile error. Callers name only the
+// payload types — core.Call[Args, Reply](...) — and the pointer parameters
+// are inferred.
+type Payload[T any] interface {
+	*T
+	transport.Marshaler
+	transport.Unmarshaler
+}
+
+// Empty is the shared argument or reply of a remote method that carries
+// nothing.
+//
+//ermi:codec
+type Empty struct{}
+
 // Mux dispatches remote method invocations by name to typed handlers. It is
 // the Go counterpart of the stub/skeleton method tables that the ElasticRMI
 // preprocessor generates from an elastic interface in the paper: the
@@ -59,18 +79,17 @@ func (m *Mux) HandleRaw(name string, fn func(arg []byte) ([]byte, error)) {
 }
 
 // Handle registers a typed remote method on the mux. Argument and reply
-// travel through transport.Encode/Decode: generated binary codecs when the
-// types carry them, gob otherwise. Whether the decoded argument may alias
-// the request frame (zero-copy []byte views) is determined once here, so
-// the per-call path only pays a Retain for types that need one.
-func Handle[Arg, Reply any](m *Mux, name string, fn func(Arg) (Reply, error)) {
-	// A type whose pointer form implements the ERMIViews marker decodes
-	// []byte fields as views into the payload buffer: the frame must outlive
-	// the handler, so the request is detached from arena recycling.
-	_, viewy := any((*Arg)(nil)).(interface{ ERMIViews() })
+// travel through their generated codecs. Whether the decoded argument may
+// alias the request frame (zero-copy []byte views) is determined once here,
+// so the per-call path only pays a Retain for types that need one.
+func Handle[Arg, Reply any, PA Payload[Arg], PR Payload[Reply]](m *Mux, name string, fn func(Arg) (Reply, error)) {
+	// An argument type carrying the ERMIViews marker decodes []byte fields
+	// as views into the payload buffer: the frame must outlive the handler,
+	// so the request is detached from arena recycling.
+	_, viewy := any(PA(nil)).(interface{ ERMIViews() })
 	m.handlers[name] = func(req *transport.Request) ([]byte, error) {
 		var arg Arg
-		if err := transport.Decode(req.Payload, &arg); err != nil {
+		if err := transport.Decode(req.Payload, PA(&arg)); err != nil {
 			return nil, fmt.Errorf("method %s: %w", name, err)
 		}
 		if viewy {
@@ -80,13 +99,9 @@ func Handle[Arg, Reply any](m *Mux, name string, fn func(Arg) (Reply, error)) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := transport.Encode(&reply)
-		if err != nil {
-			return nil, err
-		}
 		// The reply buffer is Encode output the handler hands over outright:
 		// the transport releases it to the arena after the write.
 		req.ReleaseReply = true
-		return out, nil
+		return transport.Encode(PR(&reply)), nil
 	}
 }

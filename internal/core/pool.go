@@ -612,9 +612,7 @@ func (p *Pool) broadcastState() {
 	p.mu.Unlock()
 
 	publish(members, roster, table)
-	if payload, err := transport.Encode(poolStateMsg{Table: table, Members: roster}); err == nil {
-		_ = sentinel.gm.Broadcast(topicPoolState, payload)
-	}
+	_ = sentinel.gm.Broadcast(topicPoolState, transport.Encode(&poolStateMsg{Table: table, Members: roster}))
 }
 
 // BroadcastNow triggers one immediate pool-state broadcast (testing hook).

@@ -55,9 +55,6 @@ type counterObject struct {
 	mux *Mux
 }
 
-type addArgs struct{ N int64 }
-type addReply struct{ Total int64 }
-
 func newCounterFactory() Factory {
 	return func(ctx *MemberContext) (Object, error) {
 		o := &counterObject{ctx: ctx, mux: NewMux()}
@@ -68,15 +65,15 @@ func newCounterFactory() Factory {
 			}
 			return addReply{Total: total}, nil
 		})
-		Handle(o.mux, "Get", func(struct{}) (addReply, error) {
+		Handle(o.mux, "Get", func(Empty) (addReply, error) {
 			total, err := ctx.State.GetInt("total")
 			if err != nil {
 				return addReply{}, err
 			}
 			return addReply{Total: total}, nil
 		})
-		Handle(o.mux, "WhoAmI", func(struct{}) (int64, error) {
-			return ctx.UID, nil
+		Handle(o.mux, "WhoAmI", func(Empty) (uidReply, error) {
+			return uidReply{UID: ctx.UID}, nil
 		})
 		return o, nil
 	}
@@ -150,7 +147,7 @@ func TestStubInvokeAndSharedState(t *testing.T) {
 		}
 	}
 	// Shared state must be visible regardless of which member executes.
-	rep, err := Call[struct{}, addReply](stub, "Get", struct{}{})
+	rep, err := Call[Empty, addReply](stub, "Get", Empty{})
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -174,11 +171,11 @@ func TestStubBalancesAcrossMembers(t *testing.T) {
 
 	seen := make(map[int64]int)
 	for i := 0; i < 30; i++ {
-		uid, err := Call[struct{}, int64](stub, "WhoAmI", struct{}{})
+		rep, err := Call[Empty, uidReply](stub, "WhoAmI", Empty{})
 		if err != nil {
 			t.Fatalf("WhoAmI: %v", err)
 		}
-		seen[uid]++
+		seen[rep.UID]++
 	}
 	if len(seen) != 3 {
 		t.Fatalf("round-robin hit %d members, want 3: %v", len(seen), seen)

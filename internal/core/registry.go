@@ -17,17 +17,18 @@ import (
 // registryService is the transport service name.
 const registryService = "registry"
 
+// Registry wire messages. Bind and Unbind reply with an Empty, and List
+// takes one.
+//
+//ermi:codec
 type (
 	bindReq struct {
 		Name      string
 		Endpoints []string
 	}
-	bindReply   struct{}
 	lookupReq   struct{ Name string }
 	lookupReply struct{ Endpoints []string }
 	unbindReq   struct{ Name string }
-	unbindReply struct{}
-	listReq     struct{}
 	listReply   struct{ Names []string }
 )
 
@@ -76,7 +77,7 @@ func (r *RegistryServer) handle(req *transport.Request) ([]byte, error) {
 		r.mu.Lock()
 		r.bindings[b.Name] = append([]string(nil), b.Endpoints...)
 		r.mu.Unlock()
-		return transport.Encode(bindReply{})
+		return transport.Encode(&Empty{}), nil
 	case "Lookup":
 		var l lookupReq
 		if err := transport.Decode(req.Payload, &l); err != nil {
@@ -89,7 +90,7 @@ func (r *RegistryServer) handle(req *transport.Request) ([]byte, error) {
 		if !ok {
 			return nil, errors.New(codeNotBound)
 		}
-		return transport.Encode(lookupReply{Endpoints: out})
+		return transport.Encode(&lookupReply{Endpoints: out}), nil
 	case "Unbind":
 		var u unbindReq
 		if err := transport.Decode(req.Payload, &u); err != nil {
@@ -98,7 +99,7 @@ func (r *RegistryServer) handle(req *transport.Request) ([]byte, error) {
 		r.mu.Lock()
 		delete(r.bindings, u.Name)
 		r.mu.Unlock()
-		return transport.Encode(unbindReply{})
+		return transport.Encode(&Empty{}), nil
 	case "List":
 		r.mu.Lock()
 		names := make([]string, 0, len(r.bindings))
@@ -106,7 +107,7 @@ func (r *RegistryServer) handle(req *transport.Request) ([]byte, error) {
 			names = append(names, n)
 		}
 		r.mu.Unlock()
-		return transport.Encode(listReply{Names: names})
+		return transport.Encode(&listReply{Names: names}), nil
 	default:
 		return nil, fmt.Errorf("unknown method %q", req.Method)
 	}
@@ -127,7 +128,7 @@ func DialRegistry(addr string) (*RegistryClient, error) {
 	return &RegistryClient{conn: conn}, nil
 }
 
-func (c *RegistryClient) call(method string, req, reply interface{}) error {
+func (c *RegistryClient) call(method string, req transport.Marshaler, reply transport.Unmarshaler) error {
 	c.mu.Lock()
 	conn := c.conn
 	c.mu.Unlock()
@@ -143,14 +144,13 @@ func (c *RegistryClient) call(method string, req, reply interface{}) error {
 
 // Bind associates name with the pool endpoints (sentinel first).
 func (c *RegistryClient) Bind(name string, endpoints []string) error {
-	var rep bindReply
-	return c.call("Bind", bindReq{Name: name, Endpoints: endpoints}, &rep)
+	return c.call("Bind", &bindReq{Name: name, Endpoints: endpoints}, &Empty{})
 }
 
 // Lookup resolves name to the pool endpoints.
 func (c *RegistryClient) Lookup(name string) ([]string, error) {
 	var rep lookupReply
-	if err := c.call("Lookup", lookupReq{Name: name}, &rep); err != nil {
+	if err := c.call("Lookup", &lookupReq{Name: name}, &rep); err != nil {
 		return nil, err
 	}
 	return rep.Endpoints, nil
@@ -158,14 +158,13 @@ func (c *RegistryClient) Lookup(name string) ([]string, error) {
 
 // Unbind removes a binding.
 func (c *RegistryClient) Unbind(name string) error {
-	var rep unbindReply
-	return c.call("Unbind", unbindReq{Name: name}, &rep)
+	return c.call("Unbind", &unbindReq{Name: name}, &Empty{})
 }
 
 // List returns all bound names.
 func (c *RegistryClient) List() ([]string, error) {
 	var rep listReply
-	if err := c.call("List", listReq{}, &rep); err != nil {
+	if err := c.call("List", &Empty{}, &rep); err != nil {
 		return nil, err
 	}
 	return rep.Names, nil

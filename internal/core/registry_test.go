@@ -58,26 +58,24 @@ func TestRegistryBindLookupUnbind(t *testing.T) {
 
 func TestMuxDispatch(t *testing.T) {
 	m := NewMux()
-	Handle(m, "Double", func(n int) (int, error) {
-		return 2 * n, nil
+	Handle(m, "Double", func(a addArgs) (addReply, error) {
+		return addReply{Total: 2 * a.N}, nil
 	})
-	Handle(m, "Fail", func(struct{}) (struct{}, error) {
-		return struct{}{}, errors.New("app error")
+	Handle(m, "Fail", func(Empty) (Empty, error) {
+		return Empty{}, errors.New("app error")
 	})
-	arg, _ := transport.Encode(21)
-	out, err := m.HandleCall("Double", arg)
+	out, err := m.HandleCall("Double", transport.Encode(&addArgs{N: 21}))
 	if err != nil {
 		t.Fatalf("Double: %v", err)
 	}
-	var got int
-	if err := transport.Decode(out, &got); err != nil || got != 42 {
-		t.Fatalf("Double = %d, %v", got, err)
+	var got addReply
+	if err := transport.Decode(out, &got); err != nil || got.Total != 42 {
+		t.Fatalf("Double = %d, %v", got.Total, err)
 	}
 	if _, err := m.HandleCall("Missing", nil); err == nil {
 		t.Fatal("unknown method succeeded")
 	}
-	none, _ := transport.Encode(struct{}{})
-	if _, err := m.HandleCall("Fail", none); err == nil || err.Error() != "app error" {
+	if _, err := m.HandleCall("Fail", transport.Encode(&Empty{})); err == nil || err.Error() != "app error" {
 		t.Fatalf("Fail err = %v", err)
 	}
 	if got := len(m.Methods()); got != 2 {

@@ -316,62 +316,42 @@ func (s *Stub) Close() error {
 }
 
 // Call is the typed convenience wrapper around Stub.Invoke: it encodes the
-// argument (generated binary codec when the type carries one, gob
-// otherwise) and decodes the reply, mirroring the static typing a generated
-// RMI stub provides. Payloads travel through the transport arena: the
-// request buffer is recycled once Invoke returns, and the reply buffer is
-// recycled after decoding unless the reply type keeps zero-copy views into
-// it.
-func Call[Arg, Reply any](s *Stub, method string, arg Arg) (Reply, error) {
-	var zero Reply
-	payload, err := transport.Encode(&arg)
-	if err != nil {
-		return zero, err
-	}
+// argument and decodes the reply through their generated codecs, mirroring
+// the static typing a generated RMI stub provides. Payloads travel through
+// the transport arena: the request buffer is recycled once Invoke returns,
+// and the reply buffer is recycled after decoding unless the reply type
+// keeps zero-copy views into it.
+func Call[Arg, Reply any, PA Payload[Arg], PR Payload[Reply]](s *Stub, method string, arg Arg) (Reply, error) {
+	payload := transport.Encode(PA(&arg))
 	out, err := s.Invoke(method, payload)
 	transport.ReleasePayload(payload)
-	if err != nil {
-		return zero, err
-	}
-	var reply Reply
-	err = transport.Decode(out, &reply)
-	if !replyHoldsViews[Reply]() {
-		transport.ReleasePayload(out)
-	}
-	if err != nil {
-		return zero, err
-	}
-	return reply, nil
+	return decodeReply[Reply, PR](out, err)
 }
 
 // CallKeyed is Call routed by consistent-hash key affinity (see
 // InvokeKeyed): same-key invocations land on the same member.
-func CallKeyed[Arg, Reply any](s *Stub, method, key string, arg Arg) (Reply, error) {
-	var zero Reply
-	payload, err := transport.Encode(&arg)
-	if err != nil {
-		return zero, err
-	}
+func CallKeyed[Arg, Reply any, PA Payload[Arg], PR Payload[Reply]](s *Stub, method, key string, arg Arg) (Reply, error) {
+	payload := transport.Encode(PA(&arg))
 	out, err := s.InvokeKeyed(method, key, payload)
 	transport.ReleasePayload(payload)
-	if err != nil {
-		return zero, err
-	}
+	return decodeReply[Reply, PR](out, err)
+}
+
+// decodeReply decodes an invocation's reply payload and recycles it,
+// unless the reply type keeps zero-copy views into it (the generated codec
+// marks such types with an ERMIViews method).
+func decodeReply[Reply any, PR Payload[Reply]](out []byte, err error) (Reply, error) {
 	var reply Reply
-	err = transport.Decode(out, &reply)
-	if !replyHoldsViews[Reply]() {
+	if err != nil {
+		return reply, err
+	}
+	err = transport.Decode(out, PR(&reply))
+	if _, viewy := any(PR(nil)).(interface{ ERMIViews() }); !viewy {
 		transport.ReleasePayload(out)
 	}
 	if err != nil {
+		var zero Reply
 		return zero, err
 	}
 	return reply, nil
-}
-
-// replyHoldsViews reports whether decoding into Reply may leave []byte
-// fields aliasing the response buffer (the generated codec marks such types
-// with an ERMIViews method); if so the buffer must stay out of the arena.
-func replyHoldsViews[Reply any]() bool {
-	_, viewy := any((*Reply)(nil)).(interface{ ERMIViews() })
-	return viewy
 }

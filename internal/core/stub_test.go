@@ -100,9 +100,9 @@ func TestStubAppErrorsNotRetried(t *testing.T) {
 	calls := 0
 	factory := func(ctx *MemberContext) (Object, error) {
 		mux := NewMux()
-		Handle(mux, "Fail", func(struct{}) (struct{}, error) {
+		Handle(mux, "Fail", func(Empty) (Empty, error) {
 			calls++
-			return struct{}{}, errors.New("app boom")
+			return Empty{}, errors.New("app boom")
 		})
 		return mux, nil
 	}
@@ -119,7 +119,7 @@ func TestStubAppErrorsNotRetried(t *testing.T) {
 		t.Fatalf("stub: %v", err)
 	}
 	defer stub.Close()
-	_, err = Call[struct{}, struct{}](stub, "Fail", struct{}{})
+	_, err = Call[Empty, Empty](stub, "Fail", Empty{})
 	if err == nil || errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want application error", err)
 	}
@@ -166,10 +166,10 @@ func TestStubOversizePayloadNotRetried(t *testing.T) {
 func napFactory() Factory {
 	return func(ctx *MemberContext) (Object, error) {
 		mux := NewMux()
-		Handle(mux, "Echo", func(n int64) (int64, error) { return n, nil })
-		Handle(mux, "Nap", func(d time.Duration) (struct{}, error) {
-			time.Sleep(d)
-			return struct{}{}, nil
+		Handle(mux, "Echo", func(a addArgs) (addArgs, error) { return a, nil })
+		Handle(mux, "Nap", func(a napArgs) (Empty, error) {
+			time.Sleep(a.D)
+			return Empty{}, nil
 		})
 		return mux, nil
 	}
@@ -198,7 +198,7 @@ func TestTimeoutKeepsConnectionAndMember(t *testing.T) {
 	}
 	defer stub.Close()
 	// Prime the routing table (and learn the member set) with one call.
-	if _, err := Call[int64, int64](stub, "Echo", 1); err != nil {
+	if _, err := Call[addArgs, addArgs](stub, "Echo", addArgs{N: 1}); err != nil {
 		t.Fatalf("prime: %v", err)
 	}
 	members := len(stub.Members())
@@ -209,12 +209,12 @@ func TestTimeoutKeepsConnectionAndMember(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Same key => same member => same cached connection as the fast call.
-		_, slowErr = CallKeyed[time.Duration, struct{}](stub, "Nap", "k", 1500*time.Millisecond)
+		_, slowErr = CallKeyed[napArgs, Empty](stub, "Nap", "k", napArgs{D: 1500 * time.Millisecond})
 	}()
 	go func() {
 		defer wg.Done()
 		time.Sleep(400 * time.Millisecond) // in flight when the slow call times out at ~800ms
-		_, fastErr = CallKeyed[time.Duration, struct{}](stub, "Nap", "k", 600*time.Millisecond)
+		_, fastErr = CallKeyed[napArgs, Empty](stub, "Nap", "k", napArgs{D: 600 * time.Millisecond})
 	}()
 	wg.Wait()
 	if slowErr == nil || !errors.Is(slowErr, ErrUnavailable) {
@@ -250,7 +250,7 @@ func TestInvokeWallTimeBoundedByBudget(t *testing.T) {
 	defer stub.Close()
 
 	start := time.Now()
-	_, err = Call[time.Duration, struct{}](stub, "Nap", 2500*time.Millisecond)
+	_, err = Call[napArgs, Empty](stub, "Nap", napArgs{D: 2500 * time.Millisecond})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("invoke against an all-slow pool succeeded")

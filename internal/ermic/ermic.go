@@ -11,7 +11,9 @@
 //   - floats:            fixed 4/8-byte little-endian IEEE 754 bit patterns
 //   - bool:              one byte, 0 or 1
 //   - string, []byte:    uvarint length prefix + raw bytes
+//   - time.Time:         zero flag byte, then zigzag UnixNano unless zero
 //   - slices, maps:      uvarint element count + elements
+//   - foreign structs:   uvarint length prefix + the struct's own encoding
 //
 // Every Consume helper is total on arbitrary input: truncated or hostile
 // bytes return ErrMalformed, never panic, and never allocate proportionally
@@ -23,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"time"
 )
 
 // ErrMalformed is returned for any input a generated codec cannot decode:
@@ -167,4 +170,41 @@ func ConsumeCount(b []byte) (int, []byte, error) {
 		return 0, nil, ErrMalformed
 	}
 	return int(n), rest, nil
+}
+
+// SizeTime returns the encoded size of t (see AppendTime).
+func SizeTime(t time.Time) int {
+	if t.IsZero() {
+		return 1
+	}
+	return 1 + SizeVarint(t.UnixNano())
+}
+
+// AppendTime appends t as an explicit zero flag followed, for a non-zero
+// instant, by its zigzag-mapped UnixNano. The flag matters: a simulated
+// clock near the epoch yields real instants whose UnixNano is 0, so the
+// zero value needs its own bit. Instants must lie within UnixNano's range
+// (years 1678 to 2262); location and monotonic reading are not encoded.
+func AppendTime(b []byte, t time.Time) []byte {
+	b = AppendBool(b, t.IsZero())
+	if !t.IsZero() {
+		b = AppendVarint(b, t.UnixNano())
+	}
+	return b
+}
+
+// ConsumeTime consumes an instant encoded by AppendTime from b.
+func ConsumeTime(b []byte) (time.Time, []byte, error) {
+	zero, b, err := ConsumeBool(b)
+	if err != nil {
+		return time.Time{}, nil, err
+	}
+	if zero {
+		return time.Time{}, b, nil
+	}
+	ns, b, err := ConsumeVarint(b)
+	if err != nil {
+		return time.Time{}, nil, err
+	}
+	return time.Unix(0, ns), b, nil
 }

@@ -23,17 +23,17 @@ type overloadObject struct {
 func newOverloadFactory(serviceTime time.Duration, gate chan struct{}, probes *atomic.Int64) core.Factory {
 	return func(ctx *core.MemberContext) (core.Object, error) {
 		mux := core.NewMux()
-		core.Handle(mux, "Work", func(struct{}) (struct{}, error) {
+		core.Handle(mux, "Work", func(core.Empty) (core.Empty, error) {
 			time.Sleep(serviceTime)
-			return struct{}{}, nil
+			return core.Empty{}, nil
 		})
-		core.Handle(mux, "Hold", func(struct{}) (struct{}, error) {
+		core.Handle(mux, "Hold", func(core.Empty) (core.Empty, error) {
 			<-gate
-			return struct{}{}, nil
+			return core.Empty{}, nil
 		})
-		core.Handle(mux, "Probe", func(struct{}) (struct{}, error) {
+		core.Handle(mux, "Probe", func(core.Empty) (core.Empty, error) {
 			probes.Add(1)
-			return struct{}{}, nil
+			return core.Empty{}, nil
 		})
 		return &overloadObject{mux: mux}, nil
 	}
@@ -53,7 +53,7 @@ func poolShedExpired(t *testing.T, pool *core.Pool) (shed, expired uint64) {
 			t.Fatalf("dial %s: %v", ep, err)
 		}
 		var rep core.StatsReply
-		err = c.CallDecode("overload", core.MethodStats, struct{}{}, &rep, 5*time.Second)
+		err = c.CallDecode("overload", core.MethodStats, &core.Empty{}, &rep, 5*time.Second)
 		c.Close()
 		if err != nil {
 			t.Fatalf("__stats %s: %v", ep, err)
@@ -106,7 +106,7 @@ func TestOverloadSustainedGoodputAndNoExpiredWork(t *testing.T) {
 		hold.Add(1)
 		go func() {
 			defer hold.Done()
-			_, _ = core.Call[struct{}, struct{}](holders, "Hold", struct{}{})
+			_, _ = core.Call[core.Empty, core.Empty](holders, "Hold", core.Empty{})
 		}()
 	}
 	// Wait until all slots are provably occupied: further work gets queued,
@@ -124,7 +124,7 @@ func TestOverloadSustainedGoodputAndNoExpiredWork(t *testing.T) {
 	// gone long before a slot frees — so not one of them may ever execute.
 	probeStub := env.Stub(t, "overload", core.WithCallTimeout(60*time.Millisecond))
 	for i := 0; i < 2*members*slots; i++ {
-		if _, err := core.Call[struct{}, struct{}](probeStub, "Probe", struct{}{}); err == nil {
+		if _, err := core.Call[core.Empty, core.Empty](probeStub, "Probe", core.Empty{}); err == nil {
 			t.Fatal("probe succeeded against a fully parked pool")
 		}
 	}
@@ -164,7 +164,7 @@ func TestOverloadSustainedGoodputAndNoExpiredWork(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := core.Call[struct{}, struct{}](s, "Work", struct{}{}); err != nil {
+				if _, err := core.Call[core.Empty, core.Empty](s, "Work", core.Empty{}); err != nil {
 					if !errors.Is(err, core.ErrUnavailable) {
 						t.Errorf("unexpected invoke error under overload: %v", err)
 						return

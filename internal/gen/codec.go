@@ -4,21 +4,25 @@ package gen
 // which the preprocessor emits a binary payload codec — the transport.Marshaler
 // and transport.Unmarshaler methods (SizeERMI / MarshalERMI / UnmarshalERMI)
 // plus the ERMIViews marker for types whose decoded form aliases the payload
-// buffer. Annotated argument/reply structs then skip gob entirely: the
-// transport marshals them into exactly-sized arena slabs and decodes them
-// with zero copies for []byte fields.
+// buffer. The generated codec is the only payload encoding: the transport
+// marshals annotated structs into exactly-sized arena slabs and decodes them
+// with zero copies for []byte fields, and an un-annotated payload type does
+// not compile against the typed call helpers.
 //
 // The supported field shapes are the ones remote payloads actually use:
 // fixed-width integers (zigzag varints on the wire), floats, bools, strings
 // (copied on decode — they outlive the frame), []byte (zero-copy views),
-// time.Duration, locally-declared named scalar types, nested annotated
-// structs, and slices/maps of any of those. Pointers, interfaces, channels,
-// fixed arrays and foreign struct types (time.Time included) are rejected:
-// such types keep the gob fallback.
+// time.Duration, time.Time (ermic.AppendTime), locally-declared named scalar
+// types, nested annotated structs — local, or `pkg.T` from another package
+// whose T is itself annotated — and slices/maps of any of those. The
+// generator sees only the AST, not a foreign T's fields, so a type nesting
+// one is conservatively marked ERMIViews. Pointers, interfaces, channels,
+// fixed arrays and embedded fields are rejected.
 
 import (
 	"fmt"
 	"go/ast"
+	"sort"
 	"strings"
 )
 
@@ -36,7 +40,9 @@ const (
 	wireFloat64          // fixed 8 bytes
 	wireString           // length prefix + bytes, copied on decode
 	wireBytes            // length prefix + bytes, zero-copy view on decode
-	wireStruct           // nested annotated struct
+	wireTime             // zero flag + zigzag UnixNano (ermic.AppendTime)
+	wireStruct           // nested annotated struct of this package
+	wireForeign          // length prefix + nested annotated struct of another package
 	wireSlice            // count + elements
 	wireMap              // count + key/value pairs
 )
@@ -52,6 +58,9 @@ type wireType struct {
 	key    *wireType // wireMap key
 	val    *wireType // wireMap value
 	viewy  bool      // decoded form may alias the input buffer
+	// pkg is the import path of a package-qualified goType ("" otherwise),
+	// so the generated file imports exactly what it references.
+	pkg string
 }
 
 // codecField is one struct field of a codec type.
@@ -71,6 +80,23 @@ type Codec struct {
 // resolution can chase locally-declared named types (annotated structs and
 // named scalars like `type Side int`).
 type typeDecls map[string]*ast.TypeSpec
+
+// importPaths maps the package names the parsed files import to their
+// import paths, for cross-package codec fields.
+type importPaths map[string]string
+
+// collectImports records f's imports under the name they are referenced by
+// (the explicit alias, or the path's last element).
+func collectImports(f *ast.File, imports importPaths) {
+	for _, spec := range f.Imports {
+		path := strings.Trim(spec.Path.Value, `"`)
+		name := path[strings.LastIndex(path, "/")+1:]
+		if spec.Name != nil {
+			name = spec.Name.Name
+		}
+		imports[name] = path
+	}
+}
 
 // collectCodecs walks the declarations of one parsed file, recording every
 // named type and the names marked //ermi:codec.
@@ -107,8 +133,8 @@ func hasMarker(marker string, cg *ast.CommentGroup) bool {
 
 // resolveCodecs turns the marked names into fully-resolved Codec values, in
 // the order the names were declared (declOrder).
-func resolveCodecs(decls typeDecls, marked map[string]bool, declOrder []string) ([]Codec, error) {
-	r := &codecResolver{decls: decls, marked: marked, resolving: map[string]bool{}}
+func resolveCodecs(decls typeDecls, imports importPaths, marked map[string]bool, declOrder []string) ([]Codec, error) {
+	r := &codecResolver{decls: decls, imports: imports, marked: marked, resolving: map[string]bool{}}
 	var out []Codec
 	for _, name := range declOrder {
 		if !marked[name] {
@@ -125,6 +151,7 @@ func resolveCodecs(decls typeDecls, marked map[string]bool, declOrder []string) 
 
 type codecResolver struct {
 	decls     typeDecls
+	imports   importPaths
 	marked    map[string]bool
 	resolving map[string]bool // cycle guard
 	done      map[string]*Codec
@@ -191,7 +218,7 @@ func (r *codecResolver) resolve(e ast.Expr) (*wireType, error) {
 		// (nested codec) or a named scalar (`type Side int`).
 		ts, ok := r.decls[t.Name]
 		if !ok {
-			return nil, fmt.Errorf("type %s is not declared in the parsed files (external types keep the gob fallback)", t.Name)
+			return nil, fmt.Errorf("type %s is not declared in the parsed files", t.Name)
 		}
 		if _, isStruct := ts.Type.(*ast.StructType); isStruct {
 			if !r.marked[t.Name] {
@@ -213,10 +240,27 @@ func (r *codecResolver) resolve(e ast.Expr) (*wireType, error) {
 		}
 		return &wireType{kind: k, goType: t.Name}, nil
 	case *ast.SelectorExpr:
-		if base, ok := t.X.(*ast.Ident); ok && base.Name == "time" && t.Sel.Name == "Duration" {
-			return &wireType{kind: wireInt, goType: "time.Duration"}, nil
+		base, ok := t.X.(*ast.Ident)
+		if !ok {
+			return nil, fmt.Errorf("unsupported type expression %s", exprString(t))
 		}
-		return nil, fmt.Errorf("foreign type %s is not supported (gob fallback applies)", exprString(t))
+		path, ok := r.imports[base.Name]
+		if !ok {
+			return nil, fmt.Errorf("type %s: package %s is not imported", exprString(t), base.Name)
+		}
+		goType := base.Name + "." + t.Sel.Name
+		switch {
+		case path == "time" && t.Sel.Name == "Duration":
+			return &wireType{kind: wireInt, goType: goType, pkg: path}, nil
+		case path == "time" && t.Sel.Name == "Time":
+			return &wireType{kind: wireTime, goType: goType, pkg: path}, nil
+		case path == "time":
+			return nil, fmt.Errorf("type %s is not supported", goType)
+		}
+		// Another package's annotated struct: its fields are invisible
+		// here, so it may hold views (and if T is not annotated, the
+		// generated code fails to compile — that is the diagnostic).
+		return &wireType{kind: wireForeign, goType: goType, pkg: path, viewy: true}, nil
 	case *ast.ArrayType:
 		if t.Len != nil {
 			return nil, fmt.Errorf("fixed-size arrays are not supported")
@@ -235,7 +279,7 @@ func (r *codecResolver) resolve(e ast.Expr) (*wireType, error) {
 			return nil, err
 		}
 		switch key.kind {
-		case wireSlice, wireMap, wireBytes, wireStruct:
+		case wireSlice, wireMap, wireBytes, wireStruct, wireForeign:
 			return nil, fmt.Errorf("map key type %s is not comparable-scalar", key.goType)
 		}
 		val, err := r.resolve(t.Value)
@@ -262,25 +306,35 @@ func exprString(e ast.Expr) string {
 	}
 }
 
-// usesDuration reports whether any codec field (recursively) names
-// time.Duration, so the generated file imports "time" only when needed.
-func usesDuration(codecs []Codec) bool {
-	var walk func(*wireType) bool
-	walk = func(wt *wireType) bool {
+// codecImports returns the import paths the generated code names, sorted.
+// A package is named by a scalar cast (time.Duration(x)) and by the make or
+// var of a slice or map holding its type; a foreign struct field on its own
+// is reached only through its methods and names nothing.
+func codecImports(codecs []Codec) []string {
+	seen := map[string]bool{}
+	var walk func(wt *wireType, nested bool)
+	walk = func(wt *wireType, nested bool) {
 		if wt == nil {
-			return false
+			return
 		}
-		return wt.goType == "time.Duration" || strings.Contains(wt.goType, "time.Duration") ||
-			walk(wt.elem) || walk(wt.key) || walk(wt.val)
+		if wt.pkg != "" && (nested || wt.kind != wireForeign) {
+			seen[wt.pkg] = true
+		}
+		walk(wt.elem, true)
+		walk(wt.key, true)
+		walk(wt.val, true)
 	}
 	for _, c := range codecs {
 		for _, f := range c.fields {
-			if walk(f.typ) {
-				return true
-			}
+			walk(f.typ, false)
 		}
 	}
-	return false
+	out := make([]string, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // emitCodecs renders the codec methods for every annotated type as Go source
@@ -359,8 +413,12 @@ func (e *codecEmitter) size(expr string, wt *wireType, depth int) {
 		e.pf(depth, "n += 8")
 	case wireString, wireBytes:
 		e.pf(depth, "n += ermic.SizeBytes(len(%s))", expr)
+	case wireTime:
+		e.pf(depth, "n += ermic.SizeTime(%s)", expr)
 	case wireStruct:
 		e.pf(depth, "n += %s.SizeERMI()", expr)
+	case wireForeign:
+		e.pf(depth, "n += ermic.SizeBytes(%s.SizeERMI())", expr)
 	case wireSlice:
 		i := fmt.Sprintf("i%d", depth)
 		e.pf(depth, "n += ermic.SizeUvarint(uint64(len(%s)))", expr)
@@ -427,7 +485,14 @@ func (e *codecEmitter) marshal(expr string, wt *wireType, depth int) {
 		e.pf(depth, "b = ermic.AppendString(b, string(%s))", expr)
 	case wireBytes:
 		e.pf(depth, "b = ermic.AppendBytes(b, %s)", expr)
+	case wireTime:
+		e.pf(depth, "b = ermic.AppendTime(b, %s)", expr)
 	case wireStruct:
+		e.pf(depth, "b = %s.MarshalERMI(b)", expr)
+	case wireForeign:
+		// A foreign codec's consumeERMI is unexported, so the nested
+		// encoding is length-prefixed and decoded with UnmarshalERMI.
+		e.pf(depth, "b = ermic.AppendUvarint(b, uint64(%s.SizeERMI()))", expr)
 		e.pf(depth, "b = %s.MarshalERMI(b)", expr)
 	case wireSlice:
 		i := fmt.Sprintf("i%d", depth)
@@ -473,6 +538,8 @@ func (e *codecEmitter) consume(expr string, wt *wireType, depth int) {
 		scalar("ConsumeFloat64")
 	case wireString:
 		scalar("ConsumeString")
+	case wireTime:
+		scalar("ConsumeTime")
 	case wireBytes:
 		e.pf(depth, "{")
 		e.pf(depth+1, "x, rest, err := ermic.ConsumeBytesView(b)")
@@ -485,6 +552,17 @@ func (e *codecEmitter) consume(expr string, wt *wireType, depth int) {
 		e.pf(depth, "{")
 		e.pf(depth+1, "rest, err := %s.consumeERMI(b)", expr)
 		e.pf(depth+1, "if err != nil {")
+		e.pf(depth+2, "return nil, err")
+		e.pf(depth+1, "}")
+		e.pf(depth+1, "b = rest")
+		e.pf(depth, "}")
+	case wireForeign:
+		e.pf(depth, "{")
+		e.pf(depth+1, "x, rest, err := ermic.ConsumeBytesView(b)")
+		e.pf(depth+1, "if err != nil {")
+		e.pf(depth+2, "return nil, err")
+		e.pf(depth+1, "}")
+		e.pf(depth+1, "if err := %s.UnmarshalERMI(x); err != nil {", expr)
 		e.pf(depth+2, "return nil, err")
 		e.pf(depth+1, "}")
 		e.pf(depth+1, "b = rest")

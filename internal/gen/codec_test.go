@@ -9,15 +9,23 @@ import (
 
 const codecSample = `package demo
 
+import (
+	"time"
+
+	"elasticrmi/internal/route"
+)
+
 //ermi:codec
 type Payload struct {
 	N     int64
 	Name  string
 	Data  []byte
 	When  time.Duration
+	At    time.Time
 	Tags  map[string]int
 	Sides []Side
 	Inner Nested
+	Table route.Table
 }
 
 //ermi:codec
@@ -50,6 +58,12 @@ func TestParseExtractsCodecs(t *testing.T) {
 func TestCodecViewyPropagation(t *testing.T) {
 	src := `package p
 
+import (
+	"time"
+
+	"elasticrmi/internal/route"
+)
+
 //ermi:codec
 type Outer struct{ In Inner }
 
@@ -64,6 +78,12 @@ type ViaMap struct{ M map[string][]byte }
 
 //ermi:codec
 type Clean struct{ S []string }
+
+//ermi:codec
+type Foreign struct{ T route.Table }
+
+//ermi:codec
+type Stamped struct{ At time.Time }
 `
 	f, err := Parse("v.go", []byte(src))
 	if err != nil {
@@ -75,6 +95,9 @@ type Clean struct{ S []string }
 	}
 	for name, want := range map[string]bool{
 		"Outer": true, "Inner": true, "ViaSlice": true, "ViaMap": true, "Clean": false,
+		// A foreign struct's fields are invisible to the generator, so a
+		// type nesting one is conservatively viewy.
+		"Foreign": true, "Stamped": false,
 	} {
 		if viewy[name] != want {
 			t.Errorf("%s viewy = %v, want %v", name, viewy[name], want)
@@ -94,9 +117,13 @@ type T struct{ Next []T }`},
 //ermi:codec
 type T struct{ U }
 type U struct{ N int }`},
+		{"unsupported time type", `package p
+import "time"
+//ermi:codec
+type T struct{ M time.Month }`},
 		{"foreign struct", `package p
 //ermi:codec
-type T struct{ At time.Time }`},
+type T struct{ X other.T }`},
 		{"fixed array", `package p
 //ermi:codec
 type T struct{ Sum [32]byte }`},
@@ -198,6 +225,10 @@ func TestGenerateCodecsCompilesAndIsDeterministic(t *testing.T) {
 		"func (*Payload) ERMIViews() {}",
 		"func (v *Nested) SizeERMI() int",
 		`"time"`,
+		"ermic.AppendTime(b, v.At)",
+		"time.Time(x)",
+		"b = ermic.AppendUvarint(b, uint64(v.Table.SizeERMI()))",
+		"v.Table.UnmarshalERMI(x)",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated code missing %q", want)
@@ -206,6 +237,11 @@ func TestGenerateCodecsCompilesAndIsDeterministic(t *testing.T) {
 	// Nested has no view fields: no marker method.
 	if strings.Contains(src, "func (*Nested) ERMIViews()") {
 		t.Error("Nested grew a spurious ERMIViews marker")
+	}
+	// route.Table is reached only through its methods: importing route
+	// would not compile.
+	if strings.Contains(src, `"elasticrmi/internal/route"`) {
+		t.Error("generated code imports a package it never names")
 	}
 	fset := token.NewFileSet()
 	if _, err := parser.ParseFile(fset, "gen.go", out, 0); err != nil {

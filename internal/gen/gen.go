@@ -25,6 +25,7 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"text/template"
 )
@@ -88,6 +89,7 @@ func ParseFiles(inputs []Source) (*File, error) {
 	}
 	out := &File{}
 	decls := typeDecls{}
+	imports := importPaths{}
 	codecMarked := map[string]bool{}
 	var declOrder []string
 	fset := token.NewFileSet()
@@ -102,6 +104,7 @@ func ParseFiles(inputs []Source) (*File, error) {
 			return nil, fmt.Errorf("gen: %s is package %s, want %s", in.Name, f.Name.Name, out.Package)
 		}
 		collectCodecs(f, decls, codecMarked)
+		collectImports(f, imports)
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {
@@ -128,7 +131,7 @@ func ParseFiles(inputs []Source) (*File, error) {
 			}
 		}
 	}
-	codecs, err := resolveCodecs(decls, codecMarked, declOrder)
+	codecs, err := resolveCodecs(decls, imports, codecMarked, declOrder)
 	if err != nil {
 		return nil, err
 	}
@@ -397,8 +400,10 @@ func Generate(f *File, sourceName string) ([]byte, error) {
 	}
 	if len(f.Codecs) > 0 {
 		imports = append(imports, "elasticrmi/internal/ermic")
-		if usesDuration(f.Codecs) {
-			imports = append(imports, "time")
+		for _, p := range codecImports(f.Codecs) {
+			if !slices.Contains(imports, p) {
+				imports = append(imports, p)
+			}
 		}
 	}
 	var buf bytes.Buffer

@@ -1,15 +1,18 @@
 package gentest
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"elasticrmi/internal/transport"
 )
 
-// gobBlob mirrors BlobArgs but carries no generated codec, so
-// transport.Encode/Decode take the gob fallback path for it. The pair
-// measures exactly what the `//ermi:codec` annotation buys at each payload
-// size: same struct shape, same transport entry points, different encoding.
+// gobBlob mirrors BlobArgs for the gob reference: the same struct shape
+// pushed through encoding/gob the way the transport once did for payloads
+// without a generated codec (a fresh encoder and decoder per payload, so
+// every round trip carries gob's type description). The pair measures what
+// the generated codec buys at each payload size.
 type gobBlob struct{ Data []byte }
 
 // benchmarkCodecRoundTrip measures one Encode+Decode cycle of a
@@ -23,10 +26,7 @@ func benchmarkCodecRoundTrip(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err := transport.Encode(&arg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		buf := transport.Encode(&arg)
 		var out BlobArgs
 		if err := transport.Decode(buf, &out); err != nil {
 			b.Fatal(err)
@@ -37,7 +37,7 @@ func benchmarkCodecRoundTrip(b *testing.B, n int) {
 	}
 }
 
-// benchmarkGobRoundTrip is the same cycle through the gob fallback.
+// benchmarkGobRoundTrip is the same cycle through the gob reference.
 func benchmarkGobRoundTrip(b *testing.B, n int) {
 	arg := gobBlob{Data: make([]byte, n)}
 	for i := range arg.Data {
@@ -45,17 +45,17 @@ func benchmarkGobRoundTrip(b *testing.B, n int) {
 	}
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
+	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err := transport.Encode(&arg)
-		if err != nil {
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(&arg); err != nil {
 			b.Fatal(err)
 		}
 		var out gobBlob
-		if err := transport.Decode(buf, &out); err != nil {
+		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
-		transport.ReleasePayload(buf)
 	}
 }
 

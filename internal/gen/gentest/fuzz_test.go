@@ -5,7 +5,10 @@ import (
 	"encoding/gob"
 	"reflect"
 	"testing"
+	"time"
 
+	"elasticrmi/internal/metrics"
+	"elasticrmi/internal/route"
 	"elasticrmi/internal/transport"
 )
 
@@ -47,6 +50,43 @@ func codecRoundTrip[T any](t *testing.T, orig *T) {
 	}
 }
 
+// stampRoundTrip is codecRoundTrip for StampArgs, whose instant compares
+// with time.Equal: neither the codec nor gob keeps the monotonic reading,
+// and only gob keeps the location.
+func stampRoundTrip(t *testing.T, orig *StampArgs) {
+	t.Helper()
+	out := orig.MarshalERMI(make([]byte, 0, orig.SizeERMI()))
+	if len(out) != orig.SizeERMI() {
+		t.Fatalf("StampArgs: SizeERMI = %d but MarshalERMI produced %d bytes", orig.SizeERMI(), len(out))
+	}
+	var got StampArgs
+	if err := got.UnmarshalERMI(out); err != nil {
+		t.Fatalf("StampArgs: UnmarshalERMI of own encoding: %v", err)
+	}
+	sameStamp(t, "round trip", &got, orig)
+	buf := new(bytes.Buffer)
+	if err := gob.NewEncoder(buf).Encode(orig); err != nil {
+		t.Fatalf("StampArgs: gob baseline encode: %v", err)
+	}
+	var viaGob StampArgs
+	if err := gob.NewDecoder(buf).Decode(&viaGob); err != nil {
+		t.Fatalf("StampArgs: gob baseline decode: %v", err)
+	}
+	sameStamp(t, "gob baseline", &got, &viaGob)
+}
+
+func sameStamp(t *testing.T, what string, got, want *StampArgs) {
+	t.Helper()
+	if !got.At.Equal(want.At) || got.At.IsZero() != want.At.IsZero() {
+		t.Fatalf("StampArgs %s: At = %v, want %v", what, got.At, want.At)
+	}
+	g, w := *got, *want
+	g.At, w.At = time.Time{}, time.Time{}
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("StampArgs %s mismatch:\n got %+v\nwant %+v", what, g, w)
+	}
+}
+
 // FuzzCodecRoundTrip drives every generated gentest codec with fuzzed field
 // values (marshal → unmarshal must be the identity and agree with the gob
 // baseline) and with hostile raw bytes (UnmarshalERMI must be total: error
@@ -66,6 +106,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			first = blob[0]
 		}
 		codecRoundTrip(t, &BlobReply{Len: int64(len(blob)), First: first})
+
+		// The zero time, the epoch (UnixNano == 0: a real instant the zero
+		// flag keeps apart from the zero value) and an arbitrary instant.
+		stat := metrics.MethodStat{Method: key, Calls: n, RatePerSec: float64(n) / 3, AvgLatency: time.Duration(n)}
+		peers := []route.Member{{Addr: val, UID: n, Weight: int32(n), Load: int32(n >> 32), Draining: n%2 == 0}}
+		for _, at := range []time.Time{{}, time.Unix(0, 0), time.Unix(0, n)} {
+			stampRoundTrip(t, &StampArgs{At: at})
+			stampRoundTrip(t, &StampArgs{At: at, Stat: stat, Peers: peers})
+		}
 
 		// BlobArgs decodes Data as a zero-copy view, so nil/empty identity is
 		// not preserved — compare contents and assert the view really does
@@ -93,7 +142,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// Hostile input: arbitrary bytes must decode or error, never panic.
 		for _, u := range []transport.Unmarshaler{
 			&BumpArgs{}, &BumpReply{}, &PeekArgs{}, &TagArgs{},
-			&TagReply{}, &BlobArgs{}, &BlobReply{},
+			&TagReply{}, &BlobArgs{}, &BlobReply{}, &StampArgs{},
 		} {
 			_ = u.UnmarshalERMI(hostile)
 		}

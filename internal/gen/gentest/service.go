@@ -9,15 +9,18 @@ package gentest
 
 import (
 	"sync/atomic"
+	"time"
 
 	"elasticrmi/internal/core"
+	"elasticrmi/internal/metrics"
+	"elasticrmi/internal/route"
 )
 
 //go:generate go run elasticrmi/cmd/ermi-gen -in service.go
 
 // Argument/reply types of the fixture service. The group is marked
 // //ermi:codec, so the generator emits binary payload codecs alongside the
-// stubs: these types travel on the wire without gob.
+// stubs: the codecs these types travel on the wire with.
 //
 //ermi:codec
 type (
@@ -38,6 +41,14 @@ type (
 	BlobReply struct {
 		Len   int64
 		First byte
+	}
+	// StampArgs carries the two field shapes that name other packages: an
+	// absolute instant, and annotated structs of another package, alone
+	// and in a slice.
+	StampArgs struct {
+		At    time.Time
+		Stat  metrics.MethodStat
+		Peers []route.Member
 	}
 )
 

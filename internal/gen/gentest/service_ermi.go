@@ -9,7 +9,9 @@ package gentest
 import (
 	"elasticrmi/internal/core"
 	"elasticrmi/internal/ermic"
+	"elasticrmi/internal/route"
 	"elasticrmi/internal/transport"
+	"time"
 )
 
 // CounterStub is the generated client stub for Counter: the client's
@@ -447,3 +449,91 @@ func (v *BlobReply) consumeERMI(b []byte) ([]byte, error) {
 	}
 	return b, nil
 }
+
+// SizeERMI returns the exact encoded size of v (transport.Marshaler).
+func (v *StampArgs) SizeERMI() int {
+	n := 0
+	n += ermic.SizeTime(v.At)
+	n += ermic.SizeBytes(v.Stat.SizeERMI())
+	n += ermic.SizeUvarint(uint64(len(v.Peers)))
+	for i1 := range v.Peers {
+		n += ermic.SizeBytes(v.Peers[i1].SizeERMI())
+	}
+	return n
+}
+
+// MarshalERMI appends v's encoding to b (transport.Marshaler).
+func (v *StampArgs) MarshalERMI(b []byte) []byte {
+	b = ermic.AppendTime(b, v.At)
+	b = ermic.AppendUvarint(b, uint64(v.Stat.SizeERMI()))
+	b = v.Stat.MarshalERMI(b)
+	b = ermic.AppendUvarint(b, uint64(len(v.Peers)))
+	for i1 := range v.Peers {
+		b = ermic.AppendUvarint(b, uint64(v.Peers[i1].SizeERMI()))
+		b = v.Peers[i1].MarshalERMI(b)
+	}
+	return b
+}
+
+// UnmarshalERMI decodes an encoding produced by MarshalERMI
+// (transport.Unmarshaler). It is total on arbitrary input.
+func (v *StampArgs) UnmarshalERMI(b []byte) error {
+	rest, err := v.consumeERMI(b)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return ermic.ErrMalformed
+	}
+	return nil
+}
+
+// consumeERMI decodes v from the front of b, returning the remainder
+// (shared by UnmarshalERMI and codecs that nest StampArgs).
+func (v *StampArgs) consumeERMI(b []byte) ([]byte, error) {
+	{
+		x, rest, err := ermic.ConsumeTime(b)
+		if err != nil {
+			return nil, err
+		}
+		v.At, b = time.Time(x), rest
+	}
+	{
+		x, rest, err := ermic.ConsumeBytesView(b)
+		if err != nil {
+			return nil, err
+		}
+		if err := v.Stat.UnmarshalERMI(x); err != nil {
+			return nil, err
+		}
+		b = rest
+	}
+	{
+		cnt, rest, err := ermic.ConsumeCount(b)
+		if err != nil {
+			return nil, err
+		}
+		b = rest
+		v.Peers = nil
+		if cnt > 0 {
+			v.Peers = make([]route.Member, cnt)
+			for i1 := 0; i1 < cnt; i1++ {
+				{
+					x, rest, err := ermic.ConsumeBytesView(b)
+					if err != nil {
+						return nil, err
+					}
+					if err := v.Peers[i1].UnmarshalERMI(x); err != nil {
+						return nil, err
+					}
+					b = rest
+				}
+			}
+		}
+	}
+	return b, nil
+}
+
+// ERMIViews marks StampArgs as aliasing its decode buffer: []byte fields
+// are zero-copy views into the payload it was decoded from.
+func (*StampArgs) ERMIViews() {}

@@ -33,7 +33,11 @@ type Message struct {
 	ViewID  uint64
 }
 
+//go:generate go run elasticrmi/cmd/ermi-gen -in group.go -out group_ermi.go
+
 // View is an installed membership view.
+//
+//ermi:codec
 type View struct {
 	ID      uint64
 	Members []string // transport addresses, coordinator first
@@ -63,16 +67,21 @@ type Config struct {
 	Clock simclock.Clock
 }
 
-type wireMsg struct {
-	From    string
-	Topic   string
-	Payload []byte
-	ViewID  uint64
-}
-
-type wireView struct {
-	View View
-}
+// Wire messages of the group service. A decoded wireMsg's Payload is a
+// zero-copy view into the request frame.
+//
+//ermi:codec
+type (
+	wireMsg struct {
+		From    string
+		Topic   string
+		Payload []byte
+		ViewID  uint64
+	}
+	wireView struct {
+		View View
+	}
+)
 
 // Member is one endpoint of the group.
 type Member struct {
@@ -199,10 +208,7 @@ func (m *Member) InstallView(v View) error {
 	if !coordinator {
 		return nil
 	}
-	payload, err := transport.Encode(wireView{View: v})
-	if err != nil {
-		return err
-	}
+	payload := transport.Encode(&wireView{View: v})
 	var firstErr error
 	for _, peer := range peers {
 		if peer == m.addr {
@@ -228,10 +234,7 @@ func (m *Member) Broadcast(topic string, payload []byte) error {
 	peers := append([]string(nil), v.Members...)
 	m.mu.Unlock()
 
-	wire, err := transport.Encode(wireMsg{From: m.addr, Topic: topic, Payload: payload, ViewID: v.ID})
-	if err != nil {
-		return err
-	}
+	wire := transport.Encode(&wireMsg{From: m.addr, Topic: topic, Payload: payload, ViewID: v.ID})
 	var firstErr error
 	for _, peer := range peers {
 		if peer == m.addr {
@@ -258,11 +261,7 @@ func (m *Member) Send(to, topic string, payload []byte) error {
 		m.deliver(Message{From: m.addr, Topic: topic, Payload: payload, ViewID: viewID})
 		return nil
 	}
-	wire, err := transport.Encode(wireMsg{From: m.addr, Topic: topic, Payload: payload, ViewID: viewID})
-	if err != nil {
-		return err
-	}
-	return m.send(to, "Deliver", wire)
+	return m.send(to, "Deliver", transport.Encode(&wireMsg{From: m.addr, Topic: topic, Payload: payload, ViewID: viewID}))
 }
 
 func (m *Member) deliver(msg Message) {
@@ -309,7 +308,10 @@ func (m *Member) handle(req *transport.Request) ([]byte, error) {
 		m.mu.Lock()
 		m.lastSeen[w.From] = m.clock.Now()
 		m.mu.Unlock()
-		m.deliver(Message{From: w.From, Topic: w.Topic, Payload: w.Payload, ViewID: w.ViewID})
+		// w.Payload aliases the request frame, which is recycled when this
+		// handler returns; the message is consumed later, so it gets a copy.
+		payload := append([]byte(nil), w.Payload...)
+		m.deliver(Message{From: w.From, Topic: w.Topic, Payload: payload, ViewID: w.ViewID})
 		return nil, nil
 	case "View":
 		var w wireView
@@ -342,7 +344,7 @@ func (m *Member) handle(req *transport.Request) ([]byte, error) {
 
 func (m *Member) heartbeatLoop() {
 	defer close(m.done)
-	ping := transport.MustEncode(wireMsg{From: m.addr})
+	ping := transport.Encode(&wireMsg{From: m.addr})
 	for {
 		select {
 		case <-m.stop:

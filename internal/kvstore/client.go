@@ -70,7 +70,7 @@ func callShedRetry(sleep func(time.Duration), do func() error) error {
 	}
 }
 
-func (c *Client) call(method string, req, reply interface{}) error {
+func (c *Client) call(method string, req transport.Marshaler, reply transport.Unmarshaler) error {
 	c.mu.Lock()
 	conn := c.conn
 	c.mu.Unlock()
@@ -125,7 +125,7 @@ func (c *Client) GoPut(key string, value []byte) *AsyncPut {
 	c.mu.Lock()
 	conn := c.conn
 	c.mu.Unlock()
-	call := conn.GoDecode(ServiceName, "Put", &putReq{Key: key, Val: value})
+	call := conn.Go(ServiceName, "Put", transport.Encode(&putReq{Key: key, Val: value}))
 	return &AsyncPut{call: call, done: call.Done()}
 }
 
@@ -195,7 +195,7 @@ func (c *Client) Unlock(name, owner string) error {
 // Export snapshots entries with the prefix (used by shard migration).
 func (c *Client) Export(prefix string) (map[string]Versioned, error) {
 	var rep exportReply
-	if err := c.call("Export", exportReq{Prefix: prefix}, &rep); err != nil {
+	if err := c.call("Export", &exportReq{Prefix: prefix}, &rep); err != nil {
 		return nil, err
 	}
 	return rep.Entries, nil
@@ -204,7 +204,7 @@ func (c *Client) Export(prefix string) (map[string]Versioned, error) {
 // Import installs entries preserving versions (used by shard migration).
 func (c *Client) Import(entries map[string]Versioned) error {
 	var rep importReply
-	return c.call("Import", importReq{Entries: entries}, &rep)
+	return c.call("Import", &importReq{Entries: entries}, &rep)
 }
 
 // ExportLocks snapshots unexpired lock leases with the prefix (owner,
@@ -212,7 +212,7 @@ func (c *Client) Import(entries map[string]Versioned) error {
 // Export, used by shard migration.
 func (c *Client) ExportLocks(prefix string) (map[string]LockInfo, error) {
 	var rep exportLocksReply
-	if err := c.call("ExportLocks", exportLocksReq{Prefix: prefix}, &rep); err != nil {
+	if err := c.call("ExportLocks", &exportLocksReq{Prefix: prefix}, &rep); err != nil {
 		return nil, err
 	}
 	return rep.Locks, nil
@@ -221,7 +221,7 @@ func (c *Client) ExportLocks(prefix string) (map[string]LockInfo, error) {
 // ImportLocks installs lock leases (used by shard migration).
 func (c *Client) ImportLocks(locks map[string]LockInfo) error {
 	var rep importLocksReply
-	return c.call("ImportLocks", importLocksReq{Locks: locks}, &rep)
+	return c.call("ImportLocks", &importLocksReq{Locks: locks}, &rep)
 }
 
 // replicate forwards one write's resulting state to a backup. It uses a
@@ -232,7 +232,7 @@ func (c *Client) replicate(r replReq) error {
 	conn := c.conn
 	c.mu.Unlock()
 	var rep replReply
-	if err := conn.CallDecode(ServiceName, "Replicate", r, &rep, replicateTimeout); err != nil {
+	if err := conn.CallDecode(ServiceName, "Replicate", &r, &rep, replicateTimeout); err != nil {
 		return unwireError(err)
 	}
 	return nil

@@ -237,31 +237,6 @@ func (s *Store) snapshotNow() error {
 
 // --- record and image encoding (internal/ermic primitives) ---
 
-func appendTime(b []byte, t time.Time) []byte {
-	// An explicit zero flag: with a simulated clock UnixNano can be 0 for
-	// a real instant, so the zero value needs its own bit.
-	b = ermic.AppendBool(b, t.IsZero())
-	if !t.IsZero() {
-		b = ermic.AppendVarint(b, t.UnixNano())
-	}
-	return b
-}
-
-func consumeTime(b []byte) (time.Time, []byte, error) {
-	zero, b, err := ermic.ConsumeBool(b)
-	if err != nil {
-		return time.Time{}, nil, err
-	}
-	if zero {
-		return time.Time{}, b, nil
-	}
-	ns, b, err := ermic.ConsumeVarint(b)
-	if err != nil {
-		return time.Time{}, nil, err
-	}
-	return time.Unix(0, ns), b, nil
-}
-
 // entryRecLocked encodes one data entry's post-state; nil when the store
 // is not durable. Caller holds s.mu.
 func (s *Store) entryRecLocked(key string, e entry) []byte {
@@ -286,7 +261,7 @@ func (s *Store) lockRecLocked(name string, st lockState) []byte {
 	b = ermic.AppendUvarint(b, durLock)
 	b = ermic.AppendString(b, name)
 	b = ermic.AppendString(b, st.owner)
-	b = appendTime(b, st.expires)
+	b = ermic.AppendTime(b, st.expires)
 	b = ermic.AppendUvarint(b, st.seq)
 	return b
 }
@@ -347,7 +322,7 @@ func (s *Store) applyRecord(rec []byte, now time.Time) error {
 		if err != nil {
 			return fmt.Errorf("kvstore: wal lock record: %w", err)
 		}
-		expires, rec, err := consumeTime(rec)
+		expires, rec, err := ermic.ConsumeTime(rec)
 		if err != nil {
 			return fmt.Errorf("kvstore: wal lock record: %w", err)
 		}
@@ -401,7 +376,7 @@ func (s *Store) encodeImage() []byte {
 	for name, info := range locks {
 		b = ermic.AppendString(b, name)
 		b = ermic.AppendString(b, info.Owner)
-		b = appendTime(b, info.Expires)
+		b = ermic.AppendTime(b, info.Expires)
 		b = ermic.AppendUvarint(b, info.Seq)
 	}
 	return b
@@ -454,7 +429,7 @@ func (s *Store) installImage(img []byte) error {
 			owner, img, err = ermic.ConsumeString(img)
 		}
 		if err == nil {
-			expires, img, err = consumeTime(img)
+			expires, img, err = ermic.ConsumeTime(img)
 		}
 		if err == nil {
 			seq, img, err = ermic.ConsumeUvarint(img)

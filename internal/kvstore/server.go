@@ -66,9 +66,12 @@ type (
 	unlockReply struct{}
 )
 
-// Bulk migration/replication messages stay on the gob fallback: they carry
-// LockInfo (absolute time.Time expiries), which the binary codec does not
-// encode, and they are off the per-operation hot path.
+// Bulk migration/replication messages. replReq rides every replicated
+// write (R >= 2); LockInfo's absolute expiries travel as ermic times.
+// Entries' values decode as views into the frame, and Store.Import copies
+// them before the handler returns.
+//
+//ermi:codec
 type (
 	exportReq   struct{ Prefix string }
 	exportReply struct{ Entries map[string]Versioned }
@@ -506,7 +509,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		if err != nil {
 			return nil, wireError(err)
 		}
-		return transport.Encode(&getReply{Val: v})
+		return transport.Encode(&getReply{Val: v}), nil
 	case "Put":
 		var r putReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -521,7 +524,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		// respect any write fence, before the ack below can escape.
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return transport.Encode(&putReply{Version: ver})
+		return transport.Encode(&putReply{Version: ver}), nil
 	case "Delete":
 		var r delReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -535,7 +538,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		unlock()
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return transport.Encode(&delReply{})
+		return transport.Encode(&delReply{}), nil
 	case "CAS":
 		var r casReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -553,7 +556,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		}
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return transport.Encode(&casReply{Version: ver})
+		return transport.Encode(&casReply{Version: ver}), nil
 	case "Add":
 		var r addReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -573,13 +576,13 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		}
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return transport.Encode(&addReply{Value: v})
+		return transport.Encode(&addReply{Value: v}), nil
 	case "Keys":
 		var r keysReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
-		return transport.Encode(&keysReply{Keys: s.store.Keys(r.Prefix)})
+		return transport.Encode(&keysReply{Keys: s.store.Keys(r.Prefix)}), nil
 	case "TryLock":
 		var r lockReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -599,7 +602,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		}
 		s.sessions.notify(lockWatchTopic(r.Name))
 		s.sessions.barrier()
-		return transport.Encode(&lockReply{})
+		return transport.Encode(&lockReply{}), nil
 	case "Unlock":
 		var r unlockReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -619,7 +622,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		}
 		s.sessions.notify(lockWatchTopic(r.Name))
 		s.sessions.barrier()
-		return transport.Encode(&unlockReply{})
+		return transport.Encode(&unlockReply{}), nil
 	case "SessOpen":
 		var r sessOpenReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -630,7 +633,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 			return nil, errors.New("sessions require a pushable connection")
 		}
 		id, ttl := s.sessions.open(p)
-		return transport.Encode(&sessOpenReply{ID: id, TTL: ttl})
+		return transport.Encode(&sessOpenReply{ID: id, TTL: ttl}), nil
 	case "SessKeep":
 		var r sessKeepReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -640,14 +643,14 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		if err != nil {
 			return nil, wireError(err)
 		}
-		return transport.Encode(&sessKeepReply{EventSeq: seq, TTL: ttl})
+		return transport.Encode(&sessKeepReply{EventSeq: seq, TTL: ttl}), nil
 	case "SessClose":
 		var r sessCloseReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
 		s.sessions.close(r.ID)
-		return transport.Encode(&sessCloseReply{})
+		return transport.Encode(&sessCloseReply{}), nil
 	case "GetLease":
 		var r leaseReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -672,21 +675,21 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 			}
 			return nil, wireError(err)
 		}
-		return transport.Encode(&leaseReply{Val: v, Snapshot: snap, NoCache: noCache})
+		return transport.Encode(&leaseReply{Val: v, Snapshot: snap, NoCache: noCache}), nil
 	case "SessAck":
 		var r sessAckReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
 		s.sessions.ack(r.ID, r.Seq)
-		return transport.Encode(&sessAckReply{})
+		return transport.Encode(&sessAckReply{}), nil
 	case "SessForget":
 		var r sessForgetReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
 		s.sessions.forget(r.ID, r.Key)
-		return transport.Encode(&sessForgetReply{})
+		return transport.Encode(&sessForgetReply{}), nil
 	case "SessWatch", "SessUnwatch":
 		var r sessWatchReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -695,7 +698,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		if err := s.sessions.watch(r.ID, r.Topic, req.Method == "SessWatch"); err != nil {
 			return nil, wireError(err)
 		}
-		return transport.Encode(&sessWatchReply{})
+		return transport.Encode(&sessWatchReply{}), nil
 	case "Export":
 		var r exportReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -704,7 +707,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		entries := s.store.Export(func(k string) bool {
 			return r.Prefix == "" || len(k) >= len(r.Prefix) && k[:len(r.Prefix)] == r.Prefix
 		})
-		return transport.Encode(&exportReply{Entries: entries})
+		return transport.Encode(&exportReply{Entries: entries}), nil
 	case "Import":
 		// Bulk install during migration/repair. Applied directly, never
 		// re-forwarded: membership changes run under the cluster's write
@@ -714,7 +717,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 			return nil, err
 		}
 		s.store.Import(r.Entries)
-		return transport.Encode(&importReply{})
+		return transport.Encode(&importReply{}), nil
 	case "ExportLocks":
 		var r exportLocksReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -723,14 +726,14 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		locks := s.store.ExportLocks(func(name string) bool {
 			return r.Prefix == "" || len(name) >= len(r.Prefix) && name[:len(r.Prefix)] == r.Prefix
 		})
-		return transport.Encode(&exportLocksReply{Locks: locks})
+		return transport.Encode(&exportLocksReply{Locks: locks}), nil
 	case "ImportLocks":
 		var r importLocksReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
 		s.store.ImportLocks(r.Locks)
-		return transport.Encode(&importLocksReply{})
+		return transport.Encode(&importLocksReply{}), nil
 	case "Replicate":
 		// Primary→backup delta. Applied directly, never re-forwarded.
 		var r replReq
@@ -741,7 +744,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		s.store.Drop(r.Dels)
 		s.store.ImportLocks(r.Locks)
 		s.store.DropLocks(r.LockDrops)
-		return transport.Encode(&replReply{})
+		return transport.Encode(&replReply{}), nil
 	default:
 		return nil, fmt.Errorf("unknown method %q", req.Method)
 	}

@@ -143,7 +143,7 @@ func (s *Session) Live() bool {
 	return !s.dead
 }
 
-func (s *Session) call(method string, req, reply interface{}) error {
+func (s *Session) call(method string, req transport.Marshaler, reply transport.Unmarshaler) error {
 	err := callShedRetry(time.Sleep, func() error {
 		return s.conn.CallDecode(ServiceName, method, req, reply, defaultCallTimeout)
 	})
@@ -357,7 +357,7 @@ func (s *Session) Get(key string) (Versioned, error) {
 	if evicted != "" {
 		// Fire-and-forget: a lost forget leaves a harmless stale interest
 		// (the next write pushes one spurious, immediately-acked inval).
-		_ = s.conn.OneWayDecode(ServiceName, "SessForget", &sessForgetReq{ID: s.id, Key: evicted})
+		_ = s.conn.OneWay(ServiceName, "SessForget", transport.Encode(&sessForgetReq{ID: s.id, Key: evicted}))
 	}
 	return rep.Val, nil
 }

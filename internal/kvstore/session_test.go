@@ -500,7 +500,7 @@ func TestClientRidesOutShed(t *testing.T) {
 			<-release
 			return nil, nil
 		case "Get":
-			return transport.Encode(&getReply{Val: Versioned{Value: []byte("ok"), Version: 7}})
+			return transport.Encode(&getReply{Val: Versioned{Value: []byte("ok"), Version: 7}}), nil
 		}
 		return nil, errors.New("unknown method")
 	}, transport.ServerOptions{MaxConcurrent: 1, MaxQueue: 1})

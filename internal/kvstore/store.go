@@ -159,6 +159,8 @@ type Versioned struct {
 // only if it is newer than what it already holds), so a delayed
 // re-delivery can never resurrect a released or superseded lease. An empty
 // Owner is a release tombstone.
+//
+//ermi:codec
 type LockInfo struct {
 	Owner   string
 	Expires time.Time

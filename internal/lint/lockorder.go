@@ -121,7 +121,7 @@ func blockingCall(pkgBase, recv, name string) (string, bool) {
 	case strings.HasPrefix(name, "Dial") && (pkgBase == "transport" || pkgBase == "net" || pkgBase == "kvstore"):
 		return pkgBase + "." + name + " (connection setup)", true
 	case pkgBase == "transport" && recv == "Client" &&
-		(name == "Call" || name == "CallDecode" || name == "OneWay" || name == "OneWayDecode"):
+		(name == "Call" || name == "CallDecode" || name == "OneWay"):
 		return "transport call " + name, true
 	case pkgBase == "transport" && recv == "Call" &&
 		(name == "Wait" || name == "Payload" || name == "Decode"):

@@ -205,18 +205,11 @@ func (ck *payloadCheck) assign(a *ast.AssignStmt) {
 		}
 		return
 	}
-	// x, err := f(...): track Encode results, clear anything else.
-	if len(a.Rhs) == 1 {
-		call, _ := ast.Unparen(a.Rhs[0]).(*ast.CallExpr)
-		enc := call != nil && isEncodeCall(ck.pass.TypesInfo, call)
-		for i, lhs := range a.Lhs {
-			if v := ck.localVar(lhs); v != nil {
-				delete(ck.tracked, v)
-				delete(ck.encoded, v)
-				if enc && i == 0 {
-					ck.encoded[v] = true
-				}
-			}
+	// x, err := f(...): Encode returns one value, so clear the targets.
+	for _, lhs := range a.Lhs {
+		if v := ck.localVar(lhs); v != nil {
+			delete(ck.tracked, v)
+			delete(ck.encoded, v)
 		}
 	}
 }
@@ -380,11 +373,10 @@ func (ck *payloadCheck) ret(r *ast.ReturnStmt) {
 	}
 }
 
-// isEncodeCall reports whether call is transport.Encode or
-// transport.MustEncode.
+// isEncodeCall reports whether call is transport.Encode.
 func isEncodeCall(info *types.Info, call *ast.CallExpr) bool {
 	pkgBase, recv, name, ok := calleeName(info, call)
-	return ok && pkgBase == "transport" && recv == "" && (name == "Encode" || name == "MustEncode")
+	return ok && pkgBase == "transport" && recv == "" && name == "Encode"
 }
 
 // trackedExpr reports whether e evaluates to memory aliasing the request

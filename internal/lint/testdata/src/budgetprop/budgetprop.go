@@ -26,7 +26,7 @@ func relay(req *transport.Request, c *transport.Client) ([]byte, error) {
 	_ = c.OneWay("kv", "Evict", nil)
 
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(nil), nil
 }
 
 // notHandler takes no request: constant timeouts are its own business.

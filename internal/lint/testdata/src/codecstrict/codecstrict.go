@@ -1,11 +1,8 @@
-// Codec-strictness fixtures: marker/generator drift and view-escape
-// cases.
+// Codec-strictness fixtures: decoded views stored into long-lived memory.
 package codecstrict
 
-import "time"
-
-// goodReq resolves cleanly and has its "generated" methods present (a
-// stand-in for the real *_ermi.go siblings).
+// goodReq stands in for a generated viewy codec type (the real *_ermi.go
+// siblings carry the same methods).
 //
 //ermi:codec
 type goodReq struct {
@@ -17,35 +14,6 @@ func (v *goodReq) SizeERMI() int                { return 0 }
 func (v *goodReq) MarshalERMI(b []byte) []byte  { return b }
 func (v *goodReq) UnmarshalERMI(b []byte) error { return nil }
 func (*goodReq) ERMIViews()                     {}
-
-type inner struct {
-	N int
-}
-
-// badEmbed would be rejected by the generator: the marker is a lie.
-//
-//ermi:codec
-type badEmbed struct { // want `marked //ermi:codec but the generator would reject it: .*embedded fields are not supported`
-	inner
-}
-
-//ermi:codec
-type badArray struct { // want `generator would reject it: .*fixed-size arrays are not supported`
-	Buf [8]byte
-}
-
-//ermi:codec
-type badForeign struct { // want `generator would reject it: .*foreign type time\.Time is not supported`
-	When time.Time
-}
-
-// stale resolves fine but the generated methods are missing: the marker
-// (or a field) was added without re-running the generator.
-//
-//ermi:codec
-type stale struct { // want `marked //ermi:codec but has no generated SizeERMI method`
-	N int
-}
 
 type cache struct {
 	vals map[string][]byte

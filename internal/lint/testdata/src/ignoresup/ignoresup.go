@@ -25,5 +25,5 @@ func probe(req *transport.Request, c *transport.Client) ([]byte, error) {
 	_, _ = c.Call("kv", "Ping", nil, time.Second) // want `does not propagate the request budget`
 
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(nil), nil
 }

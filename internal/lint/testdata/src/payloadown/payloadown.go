@@ -12,7 +12,14 @@ type wireReq struct {
 	Val []byte
 }
 
-func (*wireReq) ERMIViews() {}
+func (*wireReq) ERMIViews()                   {}
+func (*wireReq) UnmarshalERMI(b []byte) error { return nil }
+
+// ack stands in for a generated reply codec.
+type ack struct{}
+
+func (*ack) SizeERMI() int               { return 0 }
+func (*ack) MarshalERMI(b []byte) []byte { return b }
 
 type server struct {
 	cache map[string][]byte
@@ -32,7 +39,7 @@ func (s *server) storeNoRetain(req *transport.Request) ([]byte, error) {
 	}
 	s.cache[r.Key] = r.Val // want `escapes the handler .* without req\.Retain`
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(&ack{}), nil
 }
 
 // storeRetain is the fixed form: Retain before the escape.
@@ -44,7 +51,7 @@ func (s *server) storeRetain(req *transport.Request) ([]byte, error) {
 	req.Retain()
 	s.cache[r.Key] = r.Val
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(&ack{}), nil
 }
 
 // retainInBranch guards only one path: the escape below the if is not
@@ -59,7 +66,7 @@ func (s *server) retainInBranch(req *transport.Request) ([]byte, error) {
 	}
 	s.cache[r.Key] = r.Val // want `escapes the handler .* without req\.Retain`
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(&ack{}), nil
 }
 
 // storeCopy copies the view out of the frame — the sanctioned idiom — so
@@ -71,7 +78,7 @@ func (s *server) storeCopy(req *transport.Request) ([]byte, error) {
 	}
 	s.cache[r.Key] = append([]byte(nil), r.Val...)
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(&ack{}), nil
 }
 
 // droppedRelease is the registry mutant: every successful reply is
@@ -82,7 +89,7 @@ func droppedRelease(req *transport.Request) ([]byte, error) {
 	if err := transport.Decode(req.Payload, &r); err != nil {
 		return nil, err
 	}
-	return transport.Encode(struct{}{}) // want `without setting req\.ReleaseReply = true`
+	return transport.Encode(&ack{}), nil // want `without setting req\.ReleaseReply = true`
 }
 
 // properRelease is the fixed form.
@@ -92,16 +99,13 @@ func properRelease(req *transport.Request) ([]byte, error) {
 		return nil, err
 	}
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(&ack{}), nil
 }
 
 // releasedEncodedLocal returns Encode output through a local; the release
 // mark still covers it.
 func releasedEncodedLocal(req *transport.Request) ([]byte, error) {
-	out, err := transport.Encode(struct{}{})
-	if err != nil {
-		return nil, err
-	}
+	out := transport.Encode(&ack{})
 	req.ReleaseReply = true
 	return out, nil
 }
@@ -129,7 +133,7 @@ func goroutineCapture(req *transport.Request) ([]byte, error) {
 		sink(r.Val) // want `captured by a spawned goroutine`
 	}()
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(&ack{}), nil
 }
 
 // goroutineRetained is the fixed form of the same shape.
@@ -143,14 +147,14 @@ func goroutineRetained(req *transport.Request) ([]byte, error) {
 		sink(r.Val)
 	}()
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(&ack{}), nil
 }
 
 // channelSend publishes the raw payload to another goroutine.
 func channelSend(req *transport.Request) ([]byte, error) {
 	updates <- req.Payload // want `sent on a channel`
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(&ack{}), nil
 }
 
 // syncUse passes views to ordinary synchronous calls: the callee finishes
@@ -162,5 +166,5 @@ func syncUse(req *transport.Request) ([]byte, error) {
 	}
 	sink(r.Val)
 	req.ReleaseReply = true
-	return transport.Encode(struct{}{})
+	return transport.Encode(&ack{}), nil
 }

@@ -26,9 +26,18 @@ func (r *Request) Retain() { r.retained = true }
 // Handler mirrors the server dispatch signature.
 type Handler func(req *Request) ([]byte, error)
 
-func Encode(v interface{}) ([]byte, error) { return nil, nil }
-func MustEncode(v interface{}) []byte      { return nil }
-func Decode(b []byte, v interface{}) error { return nil }
+// Marshaler and Unmarshaler mirror the generated payload codec halves.
+type Marshaler interface {
+	SizeERMI() int
+	MarshalERMI(b []byte) []byte
+}
+
+type Unmarshaler interface {
+	UnmarshalERMI(b []byte) error
+}
+
+func Encode(v Marshaler) []byte            { return nil }
+func Decode(b []byte, v Unmarshaler) error { return nil }
 
 // Call is a pending invocation.
 type Call struct {
@@ -48,7 +57,7 @@ func (c *Client) Call(service, method string, payload []byte, timeout time.Durat
 	return nil, nil
 }
 
-func (c *Client) CallDecode(service, method string, arg, reply interface{}, timeout time.Duration) error {
+func (c *Client) CallDecode(service, method string, arg Marshaler, reply Unmarshaler, timeout time.Duration) error {
 	return nil
 }
 
@@ -58,9 +67,8 @@ func (c *Client) GoBudget(service, method string, payload []byte, budget time.Du
 	return &Call{}
 }
 
-func (c *Client) OneWay(service, method string, payload []byte) error        { return nil }
-func (c *Client) OneWayDecode(service, method string, arg interface{}) error { return nil }
-func (c *Client) Close() error                                               { return nil }
+func (c *Client) OneWay(service, method string, payload []byte) error { return nil }
+func (c *Client) Close() error                                        { return nil }
 
 // Server mirrors the listener side (its mu is a flagged mutex).
 type Server struct {

@@ -20,7 +20,12 @@ import (
 	"elasticrmi/internal/simclock"
 )
 
-// MethodStat aggregates invocations of one remote method over a window.
+//go:generate go run elasticrmi/cmd/ermi-gen -in metrics.go -out metrics_ermi.go
+
+// MethodStat aggregates invocations of one remote method over a window. It
+// travels in the skeleton's stats reply.
+//
+//ermi:codec
 type MethodStat struct {
 	Method string
 	// Calls is the number of invocations observed in the window.

@@ -25,7 +25,11 @@ import (
 // decides the member should shed load.
 const DefaultWeight = 100
 
+//go:generate go run elasticrmi/cmd/ermi-gen -in route.go -out route_ermi.go
+
 // Member is one routable pool member as published in a Table.
+//
+//ermi:codec
 type Member struct {
 	Addr string // skeleton (invocation) address
 	UID  int64  // pool-unique member identity; stable across tables
@@ -44,7 +48,10 @@ type Member struct {
 
 // Table is one epoch-versioned routing view. Tables are immutable once
 // published; a newer epoch always supersedes an older one, and equal
-// epochs are identical by construction (one publisher per pool).
+// epochs are identical by construction (one publisher per pool). Tables
+// travel in the sentinel's pool-state broadcast.
+//
+//ermi:codec
 type Table struct {
 	Epoch   uint64
 	Members []Member

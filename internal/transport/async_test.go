@@ -16,7 +16,7 @@ func TestGoFutureRoundTrip(t *testing.T) {
 	srv := startEcho(t)
 	c := dial(t, srv.Addr())
 
-	payload, _ := Encode(echoArgs{Text: "future", N: 9})
+	payload := Encode(&echoArgs{Text: "future", N: 9})
 	ca := c.Go("svc", "Echo", payload)
 	select {
 	case <-ca.Done():

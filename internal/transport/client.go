@@ -141,11 +141,11 @@ func (ca *Call) Payload() ([]byte, error) {
 }
 
 // Decode blocks until the call completes and decodes the response payload
-// into reply (generated codec or gob; see transport.Decode). A nil reply
+// into reply (see transport.Decode). A nil reply
 // discards the payload. Unless reply's type holds zero-copy views into the
 // buffer (ERMIViews), the payload is released back to the transport arena —
 // the caller must not touch it (or call Payload) afterwards.
-func (ca *Call) Decode(reply interface{}) error {
+func (ca *Call) Decode(reply Unmarshaler) error {
 	out, err := ca.Payload()
 	if err != nil {
 		return err
@@ -553,20 +553,15 @@ func (c *Client) Call(service, method string, payload []byte, timeout time.Durat
 }
 
 // CallDecode is the typed convenience around Call: it encodes arg, invokes
-// service.method and decodes the response payload into reply (generated
-// codec or gob; see transport.Encode). A nil arg sends an empty payload; a
-// nil reply discards the response payload. CallDecode manages the payload
-// arena end to end: the request buffer is released once the call completes
-// and the response buffer after decoding (unless reply's type holds
-// zero-copy views into it).
-func (c *Client) CallDecode(service, method string, arg, reply interface{}, timeout time.Duration) error {
+// service.method and decodes the response payload into reply. A nil arg
+// sends an empty payload; a nil reply discards the response payload.
+// CallDecode manages the payload arena end to end: the request buffer is
+// released once the call completes and the response buffer after decoding
+// (unless reply's type holds zero-copy views into it).
+func (c *Client) CallDecode(service, method string, arg Marshaler, reply Unmarshaler, timeout time.Duration) error {
 	var payload []byte
 	if arg != nil {
-		var err error
-		payload, err = Encode(arg)
-		if err != nil {
-			return err
-		}
+		payload = Encode(arg)
 	}
 	out, err := c.Call(service, method, payload, timeout)
 	// Call returned, so the request bytes are written (or the entry was
@@ -584,36 +579,6 @@ func (c *Client) CallDecode(service, method string, arg, reply interface{}, time
 		arenaPut(out)
 	}
 	return err
-}
-
-// GoDecode is the typed convenience around Go: it gob-encodes arg and
-// starts the asynchronous invocation. Encoding failures are delivered
-// through the returned future.
-func (c *Client) GoDecode(service, method string, arg interface{}) *Call {
-	var payload []byte
-	if arg != nil {
-		var err error
-		payload, err = Encode(arg)
-		if err != nil {
-			ca := newCall(c, service, method, 0)
-			ca.deliver(callResult{err: err})
-			return ca
-		}
-	}
-	return c.Go(service, method, payload)
-}
-
-// OneWayDecode is the typed convenience around OneWay.
-func (c *Client) OneWayDecode(service, method string, arg interface{}) error {
-	var payload []byte
-	if arg != nil {
-		var err error
-		payload, err = Encode(arg)
-		if err != nil {
-			return err
-		}
-	}
-	return c.OneWay(service, method, payload)
 }
 
 // Close tears down the connection. Outstanding calls fail.

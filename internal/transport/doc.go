@@ -9,9 +9,8 @@
 //
 // Framing is a hand-rolled binary codec: no reflection runs on the hot path.
 // Application payloads — the opaque []byte a Request or Response carries —
-// are produced by Encode and consumed by Decode, which dispatch to generated
-// per-type binary codecs where available and fall back to gob otherwise (see
-// "Payload encoding" below).
+// are produced by Encode and consumed by Decode through the generated
+// per-type binary codecs (see "Payload encoding" below).
 //
 // A connection starts with a 5-byte preamble sent by the dialing side:
 //
@@ -211,14 +210,14 @@
 // # Payload encoding
 //
 // Encode and Decode turn application argument/reply values into the opaque
-// payload section and back. Types annotated //ermi:codec in their source
-// carry generated binary codecs (the ermi-gen preprocessor emits SizeERMI /
-// MarshalERMI / UnmarshalERMI — the Marshaler and Unmarshaler interfaces
-// here): Encode sizes the value exactly, draws a slab of that size from the
+// payload section and back. Every payload type is annotated //ermi:codec in
+// its source and carries a generated binary codec (the ermi-gen
+// preprocessor emits SizeERMI / MarshalERMI / UnmarshalERMI — the Marshaler
+// and Unmarshaler interfaces here); there is no other encoding, so Encode
+// takes a Marshaler and cannot fail, and an un-annotated type is a compile
+// error. Encode sizes the value exactly, draws a slab of that size from the
 // payload arena and marshals straight into it, with no reflection and no
-// intermediate buffer. Unannotated types fall back to gob through a pooled
-// encode buffer (buffers grown past 64 KiB are not pooled again, so one
-// large payload cannot inflate the steady state).
+// intermediate buffer.
 //
 // Payload memory is recycled through a size-classed arena (arena.go):
 // fixed classes from 512 B to 8 MiB backed by bounded freelists, shared by

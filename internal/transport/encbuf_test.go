@@ -1,70 +1,31 @@
 package transport
 
 import (
-	"bytes"
+	"strings"
 	"testing"
 )
 
-// gobSmallPayload and gobLargePayload have no generated codec, so Encode
-// takes the gob fallback path through encBufPool.
-type gobSmallPayload struct {
-	A, B int
-	S    string
-}
-
-type gobLargePayload struct {
-	Data []byte
-}
-
-// TestEncBufPoolDropsOversizeBuffers pins the pool-poisoning fix: an encode
-// buffer grown past maxPooledEncBuf must go to the GC, not back into
-// encBufPool, or one large payload would permanently inflate the buffer
-// handed to every later small encode.
-func TestEncBufPoolDropsOversizeBuffers(t *testing.T) {
-	big := new(bytes.Buffer)
-	big.Grow(maxPooledEncBuf + 1)
-	putEncBuf(big)
-	if got := encBufPool.Get().(*bytes.Buffer); got == big {
-		t.Fatalf("encode buffer with cap %d (> maxPooledEncBuf %d) was returned to the pool", big.Cap(), maxPooledEncBuf)
-	}
-
-	// At or under the cap the buffer is eligible for reuse (the pool may
-	// still drop it on a GC cycle; only the oversize rejection is
-	// contractual).
-	ok := new(bytes.Buffer)
-	ok.Grow(maxPooledEncBuf / 2)
-	putEncBuf(ok)
-}
-
 // TestEncodeSteadyStateAfterLargeBurst checks that a burst of large
-// gob-fallback payloads leaves the small-encode steady state intact: the
-// per-op allocation cost afterwards reflects the small working set, not the
-// largest payload ever seen.
+// payloads leaves the small-encode steady state intact: the large slabs
+// land in their own arena classes, so the per-op allocation cost afterwards
+// reflects the small working set, not the largest payload ever seen.
 func TestEncodeSteadyStateAfterLargeBurst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping inner benchmark in -short mode")
 	}
+	big := strings.Repeat("x", 256<<10)
 	for i := 0; i < 8; i++ {
-		out, err := Encode(gobLargePayload{Data: make([]byte, 4*maxPooledEncBuf)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ReleasePayload(out)
+		ReleasePayload(Encode(&echoArgs{Text: big}))
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := Encode(gobSmallPayload{A: i, B: -i, S: "steady"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ReleasePayload(out)
+			ReleasePayload(Encode(&echoArgs{Text: "steady", N: i}))
 		}
 	})
-	// A small gob encode costs a few hundred bytes (encoder state + type
-	// info). The bound has headroom for that but is far below what any
-	// burst-sized buffer churn would show.
-	if bpo := res.AllocedBytesPerOp(); bpo > 4096 {
-		t.Fatalf("small Encode allocates %d B/op after large-payload burst; want <= 4096", bpo)
+	// A small encode draws a recycled 512 B slab: nothing per op. The bound
+	// leaves headroom for a pool refill, far below any burst-sized churn.
+	if bpo := res.AllocedBytesPerOp(); bpo > 64 {
+		t.Fatalf("small Encode allocates %d B/op after large-payload burst; want <= 64", bpo)
 	}
 }

@@ -12,13 +12,9 @@ import (
 	"time"
 
 	"elasticrmi/internal/ermitest"
+	"elasticrmi/internal/gen/gentest"
 	"elasticrmi/internal/transport"
 )
-
-type echoArgs struct {
-	Text string
-	N    int
-}
 
 func echoHandler(req *transport.Request) ([]byte, error) {
 	return req.Payload, nil
@@ -31,20 +27,17 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 	srv := ermitest.ServeFaulty(t, echoHandler, ermitest.NewFault())
 	c := ermitest.DialServer(t, srv)
 	big := bytes.Repeat([]byte{0xAB}, 4<<20)
-	payload, err := transport.Encode(echoArgs{Text: string(big)})
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
+	payload := transport.Encode(&gentest.TagArgs{Value: string(big)})
 	out, err := c.Call("svc", "Echo", payload, 30*time.Second)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	var got echoArgs
+	var got gentest.TagArgs
 	if err := transport.Decode(out, &got); err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if len(got.Text) != len(big) {
-		t.Fatalf("round trip %d bytes, want %d", len(got.Text), len(big))
+	if len(got.Value) != len(big) {
+		t.Fatalf("round trip %d bytes, want %d", len(got.Value), len(big))
 	}
 }
 
@@ -53,7 +46,7 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 func TestSequentialCallsReuseConnection(t *testing.T) {
 	srv := ermitest.ServeFaulty(t, echoHandler, ermitest.NewFault())
 	c := ermitest.DialServer(t, srv)
-	payload, _ := transport.Encode(echoArgs{N: 1})
+	payload := transport.Encode(&gentest.BumpArgs{N: 1})
 	for i := 0; i < 500; i++ {
 		if _, err := c.Call("svc", "Echo", payload, 5*time.Second); err != nil {
 			t.Fatalf("call %d: %v", i, err)

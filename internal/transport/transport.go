@@ -1,11 +1,8 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"time"
 
@@ -190,19 +187,18 @@ type Handler func(req *Request) ([]byte, error)
 
 // Marshaler is the encode half of a generated payload codec (ermi-gen's
 // `//ermi:codec` output): SizeERMI returns the exact encoded size and
-// MarshalERMI appends the encoding to b. Encode dispatches to it instead of
-// gob, marshalling straight into an exactly-sized arena slab.
+// MarshalERMI appends the encoding to b. Every payload type is annotated;
+// there is no other encoding.
 type Marshaler interface {
 	SizeERMI() int
 	MarshalERMI(b []byte) []byte
 }
 
-// Unmarshaler is the decode half of a generated payload codec. Decode
-// dispatches to it instead of gob. Implementations must be total on
-// arbitrary input (returning an error, never panicking) and may alias b in
-// []byte fields (zero-copy views) — such types also implement the
-// ERMIViews marker so the transport's decode paths know the buffer
-// escapes.
+// Unmarshaler is the decode half of a generated payload codec.
+// Implementations must be total on arbitrary input (returning an error,
+// never panicking) and may alias b in []byte fields (zero-copy views) —
+// such types also implement the ERMIViews marker so the transport's decode
+// paths know the buffer escapes.
 type Unmarshaler interface {
 	UnmarshalERMI(b []byte) error
 }
@@ -213,109 +209,25 @@ type viewer interface{ ERMIViews() }
 
 // holdsViews reports whether v's decoded form may alias the payload buffer
 // it was decoded from (so the buffer must not be released after decode).
-func holdsViews(v interface{}) bool {
+func holdsViews(v Unmarshaler) bool {
 	_, ok := v.(viewer)
 	return ok
 }
 
-// encBufPool recycles gob encode buffers (the codec fallback path of
-// Encode).
-var encBufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-// maxPooledEncBuf caps the capacity an encode buffer may carry back into
-// encBufPool. Without the cap one large encode poisons the pool: a buffer
-// grown to 256 KB is retained forever and handed to every later 100-byte
-// encode, so steady-state memory tracks the largest payload ever seen
-// rather than the working set. Oversized buffers go to the GC instead.
-const maxPooledEncBuf = 64 << 10
-
-func putEncBuf(buf *bytes.Buffer) {
-	if buf.Cap() > maxPooledEncBuf {
-		return
-	}
-	encBufPool.Put(buf)
+// Encode marshals v into an exactly-sized payload buffer drawn from the
+// transport's arena. It cannot fail. The buffer may be handed back with
+// ReleasePayload after its last use (transport call paths that own the
+// buffer do so themselves).
+func Encode(v Marshaler) []byte {
+	return v.MarshalERMI(arenaGet(v.SizeERMI())[:0])
 }
 
-// marshalerByValue caches, per concrete type, whether the *addressable*
-// form of the type implements Marshaler even though the value passed to
-// Encode does not (codec methods have pointer receivers; a caller passing
-// the struct by value would otherwise silently fall back to gob while the
-// receiving side decodes with the codec — asymmetric corruption). The
-// cached value is true when Encode must promote the value to a pointer.
-var marshalerByValue sync.Map // reflect.Type → bool
-
-var marshalerType = reflect.TypeOf((*Marshaler)(nil)).Elem()
-
-// promoteMarshaler returns v's Marshaler when the pointer form of v's type
-// implements it (via an addressable copy), or nil.
-func promoteMarshaler(v interface{}) Marshaler {
-	t := reflect.TypeOf(v)
-	if t == nil {
-		return nil
-	}
-	cached, ok := marshalerByValue.Load(t)
-	if !ok {
-		cached = t.Kind() != reflect.Pointer && reflect.PointerTo(t).Implements(marshalerType)
-		marshalerByValue.Store(t, cached)
-	}
-	if !cached.(bool) {
-		return nil
-	}
-	p := reflect.New(t)
-	p.Elem().Set(reflect.ValueOf(v))
-	return p.Interface().(Marshaler)
-}
-
-// Encode serializes v into a payload buffer drawn from the transport's
-// arena. Values whose type carries a generated codec (Marshaler) are
-// marshalled directly into an exactly-sized slab; everything else falls
-// back to gob. The buffer may be handed back with ReleasePayload after its
-// last use (transport call paths that own the buffer do so themselves).
-func Encode(v interface{}) ([]byte, error) {
-	m, ok := v.(Marshaler)
-	if !ok {
-		m = promoteMarshaler(v)
-	}
-	if m != nil {
-		buf := arenaGet(m.SizeERMI())
-		out := m.MarshalERMI(buf[:0])
-		return out, nil
-	}
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		putEncBuf(buf)
-		return nil, fmt.Errorf("encode payload: %w", err)
-	}
-	out := arenaGet(buf.Len())
-	copy(out, buf.Bytes())
-	putEncBuf(buf)
-	return out, nil
-}
-
-// Decode deserializes a payload produced by Encode into v. Values whose
-// type carries a generated codec (Unmarshaler) decode through it;
-// everything else falls back to gob. Codec types with []byte fields alias
-// data (zero-copy views) — see ReleasePayload for the lifetime rules.
-func Decode(data []byte, v interface{}) error {
-	if u, ok := v.(Unmarshaler); ok {
-		if err := u.UnmarshalERMI(data); err != nil {
-			return fmt.Errorf("decode payload: %w", err)
-		}
-		return nil
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+// Decode unmarshals a payload produced by Encode into v. Codec types with
+// []byte fields alias data (zero-copy views) — see ReleasePayload for the
+// lifetime rules.
+func Decode(data []byte, v Unmarshaler) error {
+	if err := v.UnmarshalERMI(data); err != nil {
 		return fmt.Errorf("decode payload: %w", err)
 	}
 	return nil
-}
-
-// MustEncode is Encode for values known to be encodable (internal message
-// structs); it panics only on programmer error.
-func MustEncode(v interface{}) []byte {
-	b, err := Encode(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

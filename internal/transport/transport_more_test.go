@@ -24,7 +24,7 @@ func TestServerSurvivesGarbage(t *testing.T) {
 
 	// The server still serves fresh clients.
 	c := dial(t, srv.Addr())
-	payload, _ := Encode(echoArgs{N: 7})
+	payload := Encode(&echoArgs{N: 7})
 	out, err := c.Call("svc", "Echo", payload, 5*time.Second)
 	if err != nil {
 		t.Fatalf("call after garbage: %v", err)
@@ -45,7 +45,7 @@ func TestResponseAfterTimeoutIsDropped(t *testing.T) {
 	}
 	// Wait for the late response to arrive and be discarded.
 	time.Sleep(250 * time.Millisecond)
-	payload, _ := Encode(echoArgs{N: 9})
+	payload := Encode(&echoArgs{N: 9})
 	out, err := c.Call("svc", "Echo", payload, 5*time.Second)
 	if err != nil {
 		t.Fatalf("call after timeout: %v", err)

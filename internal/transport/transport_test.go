@@ -7,12 +7,40 @@ import (
 	"testing"
 	"time"
 
+	"elasticrmi/internal/ermic"
 	"elasticrmi/internal/route"
 )
 
+// echoArgs is the payload of this package's tests. A generated package
+// cannot be imported here (it would import transport back), so its codec
+// is written out in the shape ermi-gen emits.
 type echoArgs struct {
 	Text string
 	N    int
+}
+
+func (v *echoArgs) SizeERMI() int {
+	return ermic.SizeBytes(len(v.Text)) + ermic.SizeVarint(int64(v.N))
+}
+
+func (v *echoArgs) MarshalERMI(b []byte) []byte {
+	return ermic.AppendVarint(ermic.AppendString(b, v.Text), int64(v.N))
+}
+
+func (v *echoArgs) UnmarshalERMI(b []byte) error {
+	text, b, err := ermic.ConsumeString(b)
+	if err != nil {
+		return err
+	}
+	n, b, err := ermic.ConsumeVarint(b)
+	if err != nil {
+		return err
+	}
+	if len(b) != 0 {
+		return ermic.ErrMalformed
+	}
+	v.Text, v.N = text, int(n)
+	return nil
 }
 
 func startEcho(t *testing.T) *Server {
@@ -50,10 +78,7 @@ func dial(t *testing.T, addr string) *Client {
 func TestRoundTrip(t *testing.T) {
 	srv := startEcho(t)
 	c := dial(t, srv.Addr())
-	payload, err := Encode(echoArgs{Text: "hello", N: 42})
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
+	payload := Encode(&echoArgs{Text: "hello", N: 42})
 	out, err := c.Call("svc", "Echo", payload, time.Second)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
@@ -154,7 +179,7 @@ func TestConcurrentCallsMultiplexed(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			payload, _ := Encode(echoArgs{N: i})
+			payload := Encode(&echoArgs{N: i})
 			out, err := c.Call("svc", "Echo", payload, 2*time.Second)
 			if err != nil {
 				errCh <- err
@@ -224,23 +249,27 @@ func TestServeNilHandler(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeTypes pins the payload codec contract: Encode produces
+// exactly SizeERMI bytes, Decode inverts it, and malformed input surfaces
+// as an error wrapping ermic.ErrMalformed.
 func TestEncodeDecodeTypes(t *testing.T) {
-	type nested struct {
-		M map[string]int
-		S []string
-		B []byte
+	in := echoArgs{Text: "päyload", N: -3}
+	raw := Encode(&in)
+	if len(raw) != in.SizeERMI() {
+		t.Fatalf("Encode produced %d bytes, SizeERMI = %d", len(raw), in.SizeERMI())
 	}
-	in := nested{M: map[string]int{"a": 1}, S: []string{"x", "y"}, B: []byte{1, 2, 3}}
-	raw, err := Encode(in)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	var out nested
+	var out echoArgs
 	if err := Decode(raw, &out); err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if out.M["a"] != 1 || len(out.S) != 2 || len(out.B) != 3 {
-		t.Fatalf("decode mismatch: %+v", out)
+	if out != in {
+		t.Fatalf("decode mismatch: %+v, want %+v", out, in)
+	}
+	if err := Decode(append(raw, 0), &out); !errors.Is(err, ermic.ErrMalformed) {
+		t.Fatalf("Decode with trailing byte = %v, want ErrMalformed", err)
+	}
+	if err := Decode(raw[:1], &out); !errors.Is(err, ermic.ErrMalformed) {
+		t.Fatalf("Decode of truncated payload = %v, want ErrMalformed", err)
 	}
 }
 
@@ -257,7 +286,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 		b.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	payload, _ := Encode(echoArgs{Text: "bench", N: 1})
+	payload := Encode(&echoArgs{Text: "bench", N: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Call("svc", "Echo", payload, 5*time.Second); err != nil {

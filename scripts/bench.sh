@@ -68,7 +68,7 @@ echo "wrote BENCH_transport.json"
 
 # BENCH_codec.json: the generated-payload-codec figure. Round-trip
 # Encode+Decode of the same []byte-carrying struct through the generated
-# binary codec vs the gob fallback at 64B/4KB/256KB (the speedup the
+# binary codec vs the gob reference at 64B/4KB/256KB (the speedup the
 # //ermi:codec annotation buys), plus the 256KB echo with and without the
 # scatter-gather write path (what writev-style vectored writes buy on large
 # frames — both rows come from the transport sweep above).
@@ -89,7 +89,7 @@ printf '%s\n' "$CODEC"
     printf "{\n"
     printf "  \"generated\": \"%s\",\n", gen
     printf "  \"workload\": \"Encode+Decode round trip of a []byte-carrying struct (internal/gen/gentest/codec_bench_test.go); echo rows from internal/transport/bench_test.go\",\n"
-    printf "  \"note\": \"codec = generated //ermi:codec binary marshaller into arena slabs; gob = the fallback encoding; no_sg = scatter-gather write path disabled on the 256KB echo\",\n"
+    printf "  \"note\": \"codec = generated //ermi:codec binary marshaller into arena slabs; gob = the gob reference (fresh encoder and decoder per payload); no_sg = scatter-gather write path disabled on the 256KB echo\",\n"
     n = split("64B 4KB 256KB", sizes, " ")
     printf "  \"roundtrip\": {\n"
     for (i = 1; i <= n; i++) {
