@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test race bench ci fuzz-smoke kv-chaos kv-restart kv-sessions generate-check
+.PHONY: all build vet lint fmt-check test race bench ci fuzz-smoke kv-chaos kv-restart kv-sessions generate-check loc
 
 all: vet test
 
@@ -65,14 +65,16 @@ fmt-check:
 
 # fuzz-smoke runs each fuzz target briefly; `go test -fuzz` accepts exactly
 # one target per invocation, hence the loop. Entries are pkg:Target pairs:
-# the wire codec (frame/request/response/batch parsers) plus the generated
-# payload codec round trip in gentest.
+# the wire codec (frame/request/response/batch parsers), the kvstore
+# dispatch table fed arbitrary payloads, the generated payload codec round
+# trip in gentest, and WAL replay.
 FUZZ_TARGETS := \
 	./internal/transport/:FuzzReadFrame \
 	./internal/transport/:FuzzParseRequest \
 	./internal/transport/:FuzzParseResponse \
 	./internal/transport/:FuzzParseBatch \
 	./internal/transport/:FuzzEventFrame \
+	./internal/kvstore/:FuzzKVDispatch \
 	./internal/gen/gentest/:FuzzCodecRoundTrip \
 	./internal/wal/:FuzzWALReplay
 FUZZTIME ?= 10s
@@ -85,6 +87,14 @@ fuzz-smoke:
 
 build:
 	$(GO) build ./...
+
+# loc prints hand-written non-test Go lines (wc -l) per package and in
+# total: tracked and untracked-but-not-ignored files, excluding *_test.go,
+# generated *_ermi.go, testdata/ and the benchmark module.
+loc:
+	@git ls-files -co --exclude-standard -- '*.go' ':!:*_test.go' ':!:*_ermi.go' ':!:*testdata/*' ':!:benchmark/*' | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 vet:
 	$(GO) vet ./...

@@ -127,19 +127,19 @@ func run() error {
 	// The session cache at work: the first read leases the key, repeats
 	// are local lookups, and a write pushes an invalidation before its ack
 	// so the next read re-fetches the new value.
-	if err := session.PutString("banner", "v1"); err != nil {
+	if _, err := session.Put("banner", []byte("v1")); err != nil {
 		return err
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := session.GetString("banner"); err != nil {
+		if _, err := session.Get("banner"); err != nil {
 			return err
 		}
 	}
-	if err := session.PutString("banner", "v2"); err != nil {
+	if _, err := session.Put("banner", []byte("v2")); err != nil {
 		return err
 	}
-	if s, err := session.GetString("banner"); err != nil || s != "v2" {
-		return fmt.Errorf("cached read after write: %q, %v", s, err)
+	if v, err := session.Get("banner"); err != nil || string(v.Value) != "v2" {
+		return fmt.Errorf("cached read after write: %q, %v", v.Value, err)
 	}
 	st := session.Stats()
 	fmt.Printf("store session cache: %d hits, %d misses, %d invalidations pushed\n",

@@ -11,10 +11,10 @@ import (
 // This file is the stub half of the asynchronous invocation pipeline: the
 // synchronous Invoke of stub.go decouples into submission (InvokeAsync,
 // InvokeOneWay) and completion (AsyncCall), so one caller can keep many
-// invocations in flight against the elastic pool. The first attempt rides
-// the transport's pipelined Go path — and its adaptive batcher when the
-// stub was built WithBatching — while failures fall back to the full
-// synchronous failover loop (redirects, member retry, refresh), keeping
+// invocations in flight against the elastic pool. An asynchronous
+// invocation runs Invoke's failover loop (redirects, member retry, refresh)
+// on its own goroutine — each attempt rides the transport's pipelined path,
+// and its adaptive batcher when the stub was built WithBatching — keeping
 // the paper's "error surfaces only when the whole pool is unreachable"
 // contract.
 
@@ -71,57 +71,9 @@ func (s *Stub) InvokeAsync(method string, payload []byte) *AsyncCall {
 	go func() {
 		defer s.pendingN.Add(-1)
 		defer close(ac.done)
-		ac.out, ac.err = s.invokePipelined(method, payload)
+		ac.out, ac.err = s.invoke(method, "", payload)
 	}()
 	return ac
-}
-
-// invokePipelined makes the first attempt over the pipelined (and, when
-// enabled, batched) transport path, then hands anything retryable to the
-// synchronous failover loop. First attempt and failover share one
-// per-invocation deadline budget: an async invocation is never granted more
-// total time than a synchronous one.
-func (s *Stub) invokePipelined(method string, payload []byte) ([]byte, error) {
-	if s.closed.Load() {
-		return nil, ErrPoolClosed
-	}
-	deadline := s.invocationDeadline()
-	addr, ok := s.pickFor("")
-	if !ok {
-		return nil, ErrUnavailable
-	}
-	c, err := s.conn(addr)
-	if err == nil {
-		release := s.routes.Acquire(addr)
-		out, cerr := c.GoBudget(s.name, method, payload, s.timeout).Wait(s.timeout)
-		release()
-		switch {
-		case cerr == nil:
-			s.routes.Readmit(addr)
-			return out, nil
-		case isRemoteAppError(cerr), errors.Is(cerr, transport.ErrFrameTooLarge):
-			// The method executed and failed, or the request cannot be
-			// framed anywhere: retrying elsewhere would be wrong.
-			return nil, cerr
-		case errors.Is(cerr, transport.ErrTimeout):
-			// Slow, not dead: keep the shared connection and the member (see
-			// invokeDeadline); the exhausted budget stops the failover loop.
-			return s.invokeDeadline(method, "", payload, deadline)
-		case errors.Is(cerr, transport.ErrOverloaded), errors.Is(cerr, transport.ErrExpired):
-			// Saturated, not gone: bias the balancer away and retry on a
-			// less-loaded member under what remains of the budget.
-			s.routes.MarkLoaded(addr)
-			return s.invokeDeadline(method, "", payload, deadline)
-		}
-		// Transport failure: exclude and hand off to the failover loop.
-		s.routes.Exclude(addr)
-		s.conns.Drop(addr)
-	} else if errors.Is(err, ErrPoolClosed) {
-		return nil, err
-	} else {
-		s.routes.Exclude(addr)
-	}
-	return s.invokeDeadline(method, "", payload, deadline)
 }
 
 // InvokeOneWay submits a fire-and-forget invocation: the member executes

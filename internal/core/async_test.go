@@ -70,6 +70,35 @@ func TestInvokeAsyncFailsOver(t *testing.T) {
 	}
 }
 
+// TestInvokeAsyncCountsFailoverLikeInvoke: an asynchronous invocation runs
+// the synchronous failover loop, so failing over from a dead first member
+// costs the same StaleRetries() either way.
+func TestInvokeAsyncCountsFailoverLikeInvoke(t *testing.T) {
+	env := newTestEnv(t, 8)
+	pool := newTestPool(t, env, Config{
+		Name: "async-stale", MinPoolSize: 2, MaxPoolSize: 2,
+		BurstInterval: time.Hour, DisableBroadcast: true,
+	})
+	live := pool.Endpoints()[1]
+	retries := func(invoke func(*Stub) error) uint64 {
+		stub, err := NewStub("async-stale", []string{"127.0.0.1:1", live})
+		if err != nil {
+			t.Fatalf("NewStub: %v", err)
+		}
+		defer stub.Close()
+		before := stub.StaleRetries()
+		if err := invoke(stub); err != nil {
+			t.Fatalf("invoke with dead seed: %v", err)
+		}
+		return stub.StaleRetries() - before
+	}
+	sync := retries(func(s *Stub) error { _, err := s.Invoke(MethodPing, nil); return err })
+	async := retries(func(s *Stub) error { return s.InvokeAsync(MethodPing, nil).Err() })
+	if sync == 0 || async != sync {
+		t.Fatalf("stale retries: Invoke %d, InvokeAsync %d; want equal and nonzero", sync, async)
+	}
+}
+
 // TestInvokeAsyncAllDeadPropagates: only when the whole pool is unreachable
 // does the future surface an error (§4.3 contract, async edition).
 func TestInvokeAsyncAllDeadPropagates(t *testing.T) {

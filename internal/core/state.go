@@ -82,20 +82,31 @@ func (s *State) Key(field string) string {
 	return s.class + "$" + field
 }
 
+// The typed accessors below are the preprocessor-generated Store.get and
+// Store.put calls of Fig. 6 in the paper. Each is one Get or Put of the
+// field's bytes: strings as-is, integers in decimal; a missing field reads
+// as the zero value.
+
 // GetBytes reads a field's raw value; missing fields return nil.
 func (s *State) GetBytes(field string) ([]byte, error) {
+	v, _, err := s.get(field)
+	return v, err
+}
+
+// get reads a field; ok is false when the field is missing.
+func (s *State) get(field string) (value []byte, ok bool, err error) {
 	var v kvstore.Versioned
-	err := s.withRetry(func() (err error) {
+	err = s.withRetry(func() (err error) {
 		v, err = s.store.Get(s.Key(field))
 		return err
 	})
 	if err != nil {
 		if isNotFound(err) {
-			return nil, nil
+			return nil, false, nil
 		}
-		return nil, fmt.Errorf("state get %s: %w", field, err)
+		return nil, false, fmt.Errorf("state get %s: %w", field, err)
 	}
-	return v.Value, nil
+	return v.Value, true, nil
 }
 
 // PutBytes writes a field's raw value.
@@ -111,17 +122,21 @@ func (s *State) PutBytes(field string, value []byte) error {
 }
 
 // GetInt reads an integer field (0 when missing).
-func (s *State) GetInt(field string) (v int64, err error) {
-	err = s.withRetry(func() (err error) {
-		v, err = s.store.GetInt64(s.Key(field))
-		return err
-	})
-	return v, err
+func (s *State) GetInt(field string) (int64, error) {
+	v, ok, err := s.get(field)
+	if err != nil || !ok {
+		return 0, err
+	}
+	n, err := strconv.ParseInt(string(v), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("key %q is not an integer: %w", s.Key(field), err)
+	}
+	return n, nil
 }
 
 // PutInt writes an integer field.
 func (s *State) PutInt(field string, value int64) error {
-	return s.withRetry(func() error { return s.store.PutInt64(s.Key(field), value) })
+	return s.PutBytes(field, strconv.AppendInt(nil, value, 10))
 }
 
 // AddInt atomically adds delta to an integer field and returns the result.
@@ -137,17 +152,14 @@ func (s *State) AddInt(field string, delta int64) (v int64, err error) {
 }
 
 // GetString reads a string field ("" when missing).
-func (s *State) GetString(field string) (v string, err error) {
-	err = s.withRetry(func() (err error) {
-		v, err = s.store.GetString(s.Key(field))
-		return err
-	})
-	return v, err
+func (s *State) GetString(field string) (string, error) {
+	v, err := s.GetBytes(field)
+	return string(v), err
 }
 
 // PutString writes a string field.
 func (s *State) PutString(field, value string) error {
-	return s.withRetry(func() error { return s.store.PutString(s.Key(field), value) })
+	return s.PutBytes(field, []byte(value))
 }
 
 // GetFloat reads a float field (0 when missing).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -27,9 +28,9 @@ func TestStateKeyNamespacing(t *testing.T) {
 		t.Fatalf("PutInt: %v", err)
 	}
 	// The raw store sees the namespaced key.
-	raw, err := store.GetInt64("C1$x")
-	if err != nil || raw != 5 {
-		t.Fatalf("raw = %d, %v", raw, err)
+	raw, err := store.Get("C1$x")
+	if err != nil || string(raw.Value) != "5" {
+		t.Fatalf("raw = %q, %v, want decimal \"5\"", raw.Value, err)
 	}
 	// A different class does not see it.
 	other := NewState("C2", "m1", store, nil)
@@ -46,6 +47,18 @@ func TestStateTypedAccessors(t *testing.T) {
 	}
 	if got, _ := s.GetString("s"); got != "hello" {
 		t.Fatalf("string = %q", got)
+	}
+	if got, err := s.GetString("missing"); err != nil || got != "" {
+		t.Fatalf("missing string = %q, %v, want \"\"", got, err)
+	}
+	if err := s.PutInt("neg", -3); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.GetInt("neg"); err != nil || got != -3 {
+		t.Fatalf("int = %d, %v", got, err)
+	}
+	if _, err := s.GetInt("s"); err == nil || !strings.Contains(err.Error(), `key "C$s" is not an integer`) {
+		t.Fatalf("GetInt(non-integer) = %v, want a not-an-integer error", err)
 	}
 	if err := s.PutFloat("f", 3.5); err != nil {
 		t.Fatal(err)

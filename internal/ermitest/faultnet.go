@@ -188,7 +188,7 @@ func ServeFaulty(t testing.TB, handler transport.Handler, f *Fault) *transport.S
 	if err != nil {
 		t.Fatalf("ermitest: listen: %v", err)
 	}
-	srv, err := transport.ServeListener(WrapListener(lis, f), handler)
+	srv, err := transport.ServeListener(WrapListener(lis, f), handler, transport.ServerOptions{})
 	if err != nil {
 		t.Fatalf("ermitest: serve: %v", err)
 	}

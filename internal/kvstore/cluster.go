@@ -445,28 +445,6 @@ func (c *Cluster) AddInt64(key string, delta int64) (v int64, err error) {
 	return v, err
 }
 
-// GetString fetches key as a string ("" when missing).
-func (c *Cluster) GetString(key string) (s string, err error) {
-	err = c.run(key, func(cli *Client) error { s, err = cli.GetString(key); return err })
-	return s, err
-}
-
-// PutString stores a string.
-func (c *Cluster) PutString(key, value string) error {
-	return c.run(key, func(cli *Client) error { return cli.PutString(key, value) })
-}
-
-// GetInt64 fetches key as an int64 (0 when missing).
-func (c *Cluster) GetInt64(key string) (v int64, err error) {
-	err = c.run(key, func(cli *Client) error { v, err = cli.GetInt64(key); return err })
-	return v, err
-}
-
-// PutInt64 stores an int64.
-func (c *Cluster) PutInt64(key string, value int64) error {
-	return c.run(key, func(cli *Client) error { return cli.PutInt64(key, value) })
-}
-
 // TryLock acquires the named lock on the shard owning the name.
 func (c *Cluster) TryLock(name, owner string, lease time.Duration) error {
 	return c.run(lockRouteKey(name), func(cli *Client) error {
@@ -968,18 +946,17 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Shared is the narrow interface the ElasticRMI core needs from the shared
-// state store. Both *Client (single node) and *Cluster implement it.
+// Shared is the store surface the ElasticRMI core needs: keyed reads and
+// writes, compare-and-swap, atomic add, leased locks and prefix scans.
+// *Client (one node), *Cluster (sharded, replicated) and *ClusterSession
+// (a Cluster read through session caches) implement it. Typed field access
+// (strings, integers) is core.State's job, over Get and Put.
 type Shared interface {
 	Get(key string) (Versioned, error)
 	Put(key string, value []byte) (uint64, error)
 	Delete(key string) error
 	CompareAndSwap(key string, value []byte, expectVersion uint64) (uint64, error)
 	AddInt64(key string, delta int64) (int64, error)
-	GetString(key string) (string, error)
-	PutString(key, value string) error
-	GetInt64(key string) (int64, error)
-	PutInt64(key string, value int64) error
 	TryLock(name, owner string, lease time.Duration) error
 	Unlock(name, owner string) error
 	Keys(prefix string) ([]string, error)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,56 +101,46 @@ type (
 // replicate) over the same ring as data, under a reserved prefix.
 func lockRouteKey(name string) string { return "lock/" + name }
 
-// Error codes used on the wire.
-const (
-	codeNotFound     = "NOT_FOUND"
-	codeCASMismatch  = "CAS_MISMATCH"
-	codeLockHeld     = "LOCK_HELD"
-	codeNotLockOwner = "NOT_LOCK_OWNER"
-	codeNoSession    = "NO_SESSION"
-	codeWrongOwner   = "WRONG_OWNER"
-)
-
-func wireError(err error) error {
-	switch {
-	case errors.Is(err, ErrNotFound):
-		return errors.New(codeNotFound)
-	case errors.Is(err, ErrCASMismatch):
-		return errors.New(codeCASMismatch)
-	case errors.Is(err, ErrLockHeld):
-		return errors.New(codeLockHeld)
-	case errors.Is(err, ErrNotLockOwner):
-		return errors.New(codeNotLockOwner)
-	case errors.Is(err, ErrNoSession):
-		return errors.New(codeNoSession)
-	case errors.Is(err, ErrWrongOwner):
-		return errors.New(codeWrongOwner)
-	default:
-		return err
-	}
+// wireErrors is the one sentinel<->code table. A handler error matching a
+// sentinel travels as its code (a remote error carries only a message),
+// and clients map the code back, so errors.Is works across the wire.
+var wireErrors = [...]struct {
+	err  error
+	code string
+}{
+	{ErrNotFound, "NOT_FOUND"},
+	{ErrCASMismatch, "CAS_MISMATCH"},
+	{ErrLockHeld, "LOCK_HELD"},
+	{ErrNotLockOwner, "NOT_LOCK_OWNER"},
+	{ErrNoSession, "NO_SESSION"},
+	{ErrWrongOwner, "WRONG_OWNER"},
 }
 
+// wireError replaces a sentinel error by its wire code.
+func wireError(err error) error {
+	for _, w := range wireErrors {
+		if errors.Is(err, w.err) {
+			return errors.New(w.code)
+		}
+	}
+	return err
+}
+
+// unwireError maps a remote error carrying a wire code back to its
+// sentinel; any other error passes through.
 func unwireError(err error) error {
+	if err == nil {
+		return nil // before declaring remote, which escapes: a nil error must not allocate
+	}
 	var remote *transport.RemoteError
-	if !errors.As(err, &remote) {
-		return err
+	if errors.As(err, &remote) {
+		for _, w := range wireErrors {
+			if remote.Msg == w.code {
+				return w.err
+			}
+		}
 	}
-	switch remote.Msg {
-	case codeNotFound:
-		return ErrNotFound
-	case codeCASMismatch:
-		return ErrCASMismatch
-	case codeLockHeld:
-		return ErrLockHeld
-	case codeNotLockOwner:
-		return ErrNotLockOwner
-	case codeNoSession:
-		return ErrNoSession
-	case codeWrongOwner:
-		return ErrWrongOwner
-	default:
-		return err
-	}
+	return err
 }
 
 // replStripes is the number of per-key ordering stripes. A stripe mutex is
@@ -227,24 +218,10 @@ func NewServerDur(addr string, clock simclock.Clock, opts DurOptions) (*Server, 
 	return s, nil
 }
 
-// sessionControlExpress puts the session control plane (keepalives,
-// invalidation acks, interest drops, teardown) on the transport's express
-// lane, outside the bounded worker pool. Write handlers park IN that pool
-// waiting for exactly these calls: admitted through the same pool, a burst
-// of writes blocked in invalidate could occupy every worker and shed the
-// acks that would release them — each write would then degrade to a full
-// lease-deadline wait, and keepalives shed past their retry budget would
-// kill healthy sessions. All four handlers are sub-microsecond map updates
-// that never block, as the lane requires.
+// sessionControlExpress puts the methods the dispatch table marks express
+// on the transport's express lane, outside the bounded worker pool.
 func sessionControlExpress(service, method string) bool {
-	if service != ServiceName {
-		return false
-	}
-	switch method {
-	case "SessKeep", "SessAck", "SessForget", "SessClose":
-		return true
-	}
-	return false
+	return service == ServiceName && methods[method].express
 }
 
 // Addr returns the server's listen address.
@@ -494,42 +471,69 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 	if req.Service != ServiceName {
 		return nil, fmt.Errorf("unknown service %q", req.Service)
 	}
-	// Every successful reply below is transport.Encode output the handler
-	// hands over outright: the server returns it to the payload arena once
-	// the response frame is written. (Error returns carry a nil payload, for
-	// which the release is a no-op.)
-	req.ReleaseReply = true
-	switch req.Method {
-	case "Get":
-		var r getReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
+	m, ok := methods[req.Method]
+	if !ok {
+		return nil, fmt.Errorf("unknown method %q", req.Method)
+	}
+	return m.serve(s, req)
+}
+
+// method is one entry of the dispatch table.
+type method struct {
+	serve func(*Server, *transport.Request) ([]byte, error)
+	// express routes the method around the admission pool (see
+	// sessionControlExpress); only handlers that never block may set it.
+	express bool
+}
+
+// rpc adapts a typed handler to the dispatch table: decode the request,
+// call, map a sentinel error to its wire code, encode the reply. Request
+// values decode as views into the frame and are not retained: the store
+// copies what it keeps (Put, CompareAndSwap, Import).
+func rpc[Q any, PQ interface {
+	*Q
+	transport.Unmarshaler
+}, R transport.Marshaler](fn func(*Server, *transport.Request, PQ) (R, error)) func(*Server, *transport.Request) ([]byte, error) {
+	return func(s *Server, req *transport.Request) ([]byte, error) {
+		r := PQ(new(Q))
+		if err := transport.Decode(req.Payload, r); err != nil {
 			return nil, err
 		}
-		v, err := s.store.Get(r.Key)
+		rep, err := fn(s, req, r)
 		if err != nil {
 			return nil, wireError(err)
 		}
-		return transport.Encode(&getReply{Val: v}), nil
-	case "Put":
-		var r putReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
+		// The reply is Encode output handed over outright: the server
+		// returns it to the payload arena once the response frame is
+		// written.
+		req.ReleaseReply = true
+		return transport.Encode(rep), nil
+	}
+}
+
+// methods is the store's dispatch table. Every write applies locally and
+// forwards to the backups under the key's stripe, then revokes cached
+// copies (waiting for the acks) and respects any write fence before its
+// ack can escape.
+var methods = map[string]method{
+	"Get": {serve: rpc(func(s *Server, _ *transport.Request, r *getReq) (*getReply, error) {
+		v, err := s.store.Get(r.Key)
+		if err != nil {
 			return nil, err
 		}
+		return &getReply{Val: v}, nil
+	})},
+	"Put": {serve: rpc(func(s *Server, _ *transport.Request, r *putReq) (*putReply, error) {
 		unlock := s.stripeFor(r.Key)
 		ver := s.store.Put(r.Key, r.Val)
 		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
 		s.forward(r.Key, map[string]Versioned{r.Key: {Value: r.Val, Version: ver}}, nil)
 		unlock()
-		// Coherence: revoke cached copies (and wait for the acks), then
-		// respect any write fence, before the ack below can escape.
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return transport.Encode(&putReply{Version: ver}), nil
-	case "Delete":
-		var r delReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &putReply{Version: ver}, nil
+	})},
+	"Delete": {serve: rpc(func(s *Server, _ *transport.Request, r *delReq) (*delReply, error) {
 		unlock := s.stripeFor(r.Key)
 		if tomb, ok := s.store.DeleteV(r.Key); ok {
 			//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
@@ -538,12 +542,9 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		unlock()
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return transport.Encode(&delReply{}), nil
-	case "CAS":
-		var r casReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &delReply{}, nil
+	})},
+	"CAS": {serve: rpc(func(s *Server, _ *transport.Request, r *casReq) (*casReply, error) {
 		unlock := s.stripeFor(r.Key)
 		ver, _, err := s.store.CompareAndSwap(r.Key, r.Val, r.ExpectVersion)
 		if err == nil {
@@ -552,16 +553,13 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		}
 		unlock()
 		if err != nil {
-			return nil, wireError(err)
+			return nil, err
 		}
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return transport.Encode(&casReply{Version: ver}), nil
-	case "Add":
-		var r addReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &casReply{Version: ver}, nil
+	})},
+	"Add": {serve: rpc(func(s *Server, _ *transport.Request, r *addReq) (*addReply, error) {
 		unlock := s.stripeFor(r.Key)
 		v, err := s.store.AddInt64(r.Key, r.Delta)
 		if err == nil {
@@ -572,22 +570,16 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		}
 		unlock()
 		if err != nil {
-			return nil, wireError(err)
+			return nil, err
 		}
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return transport.Encode(&addReply{Value: v}), nil
-	case "Keys":
-		var r keysReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		return transport.Encode(&keysReply{Keys: s.store.Keys(r.Prefix)}), nil
-	case "TryLock":
-		var r lockReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &addReply{Value: v}, nil
+	})},
+	"Keys": {serve: rpc(func(s *Server, _ *transport.Request, r *keysReq) (*keysReply, error) {
+		return &keysReply{Keys: s.store.Keys(r.Prefix)}, nil
+	})},
+	"TryLock": {serve: rpc(func(s *Server, _ *transport.Request, r *lockReq) (*lockReply, error) {
 		unlock := s.stripeFor(lockRouteKey(r.Name))
 		err := s.store.TryLock(r.Name, r.Owner, r.Lease)
 		if err == nil {
@@ -598,16 +590,13 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		}
 		unlock()
 		if err != nil {
-			return nil, wireError(err)
+			return nil, err
 		}
 		s.sessions.notify(lockWatchTopic(r.Name))
 		s.sessions.barrier()
-		return transport.Encode(&lockReply{}), nil
-	case "Unlock":
-		var r unlockReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &lockReply{}, nil
+	})},
+	"Unlock": {serve: rpc(func(s *Server, _ *transport.Request, r *unlockReq) (*unlockReply, error) {
 		unlock := s.stripeFor(lockRouteKey(r.Name))
 		err := s.store.Unlock(r.Name, r.Owner)
 		if err == nil {
@@ -618,46 +607,23 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		}
 		unlock()
 		if err != nil {
-			return nil, wireError(err)
+			return nil, err
 		}
 		s.sessions.notify(lockWatchTopic(r.Name))
 		s.sessions.barrier()
-		return transport.Encode(&unlockReply{}), nil
-	case "SessOpen":
-		var r sessOpenReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &unlockReply{}, nil
+	})},
+	"SessOpen": {serve: rpc(func(s *Server, req *transport.Request, _ *sessOpenReq) (*sessOpenReply, error) {
 		p := req.Pusher()
 		if p == nil {
 			return nil, errors.New("sessions require a pushable connection")
 		}
 		id, ttl := s.sessions.open(p)
-		return transport.Encode(&sessOpenReply{ID: id, TTL: ttl}), nil
-	case "SessKeep":
-		var r sessKeepReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		seq, ttl, err := s.sessions.keepalive(r.ID, r.Processed)
-		if err != nil {
-			return nil, wireError(err)
-		}
-		return transport.Encode(&sessKeepReply{EventSeq: seq, TTL: ttl}), nil
-	case "SessClose":
-		var r sessCloseReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		s.sessions.close(r.ID)
-		return transport.Encode(&sessCloseReply{}), nil
-	case "GetLease":
-		var r leaseReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &sessOpenReply{ID: id, TTL: ttl}, nil
+	})},
+	"GetLease": {serve: rpc(func(s *Server, _ *transport.Request, r *leaseReq) (*leaseReply, error) {
 		if !s.isPrimary(r.Key) {
-			return nil, wireError(ErrWrongOwner)
+			return nil, ErrWrongOwner
 		}
 		// Interest registration (and its sequence snapshot) precedes the
 		// read: a write applied after the read is then guaranteed to find
@@ -666,86 +632,76 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		// from "revokes this value".
 		snap, noCache, err := s.sessions.lease(r.ID, r.Key)
 		if err != nil {
-			return nil, wireError(err)
+			return nil, err
 		}
 		v, err := s.store.Get(r.Key)
 		if err != nil {
 			if !noCache {
 				s.sessions.forget(r.ID, r.Key)
 			}
-			return nil, wireError(err)
-		}
-		return transport.Encode(&leaseReply{Val: v, Snapshot: snap, NoCache: noCache}), nil
-	case "SessAck":
-		var r sessAckReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
+		return &leaseReply{Val: v, Snapshot: snap, NoCache: noCache}, nil
+	})},
+	"SessWatch":   {serve: rpc(sessWatch(true))},
+	"SessUnwatch": {serve: rpc(sessWatch(false))},
+	// The session control plane — keepalives, invalidation acks, interest
+	// drops, teardown — rides the express lane. Write handlers park in the
+	// admission pool waiting for exactly these calls: admitted through the
+	// same pool, a burst of writes blocked in invalidate could occupy every
+	// worker and shed the acks that would release them — each write would
+	// then degrade to a full lease-deadline wait, and keepalives shed past
+	// their retry budget would kill healthy sessions. All four handlers are
+	// sub-microsecond map updates that never block, as the lane requires.
+	"SessKeep": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessKeepReq) (*sessKeepReply, error) {
+		seq, ttl, err := s.sessions.keepalive(r.ID, r.Processed)
+		if err != nil {
+			return nil, err
+		}
+		return &sessKeepReply{EventSeq: seq, TTL: ttl}, nil
+	})},
+	"SessAck": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessAckReq) (*sessAckReply, error) {
 		s.sessions.ack(r.ID, r.Seq)
-		return transport.Encode(&sessAckReply{}), nil
-	case "SessForget":
-		var r sessForgetReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &sessAckReply{}, nil
+	})},
+	"SessForget": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessForgetReq) (*sessForgetReply, error) {
 		s.sessions.forget(r.ID, r.Key)
-		return transport.Encode(&sessForgetReply{}), nil
-	case "SessWatch", "SessUnwatch":
-		var r sessWatchReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		if err := s.sessions.watch(r.ID, r.Topic, req.Method == "SessWatch"); err != nil {
-			return nil, wireError(err)
-		}
-		return transport.Encode(&sessWatchReply{}), nil
-	case "Export":
-		var r exportReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		entries := s.store.Export(func(k string) bool {
-			return r.Prefix == "" || len(k) >= len(r.Prefix) && k[:len(r.Prefix)] == r.Prefix
-		})
-		return transport.Encode(&exportReply{Entries: entries}), nil
-	case "Import":
-		// Bulk install during migration/repair. Applied directly, never
-		// re-forwarded: membership changes run under the cluster's write
-		// gate and the router writes every replica itself.
-		var r importReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &sessForgetReply{}, nil
+	})},
+	"SessClose": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessCloseReq) (*sessCloseReply, error) {
+		s.sessions.close(r.ID)
+		return &sessCloseReply{}, nil
+	})},
+	// Migration and replication installs are applied directly, never
+	// re-forwarded: membership changes run under the cluster's write gate
+	// and the router writes every replica itself, and a Replicate is
+	// already the primary's forward.
+	"Export": {serve: rpc(func(s *Server, _ *transport.Request, r *exportReq) (*exportReply, error) {
+		return &exportReply{Entries: s.store.Export(func(k string) bool { return strings.HasPrefix(k, r.Prefix) })}, nil
+	})},
+	"Import": {serve: rpc(func(s *Server, _ *transport.Request, r *importReq) (*importReply, error) {
 		s.store.Import(r.Entries)
-		return transport.Encode(&importReply{}), nil
-	case "ExportLocks":
-		var r exportLocksReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		locks := s.store.ExportLocks(func(name string) bool {
-			return r.Prefix == "" || len(name) >= len(r.Prefix) && name[:len(r.Prefix)] == r.Prefix
-		})
-		return transport.Encode(&exportLocksReply{Locks: locks}), nil
-	case "ImportLocks":
-		var r importLocksReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &importReply{}, nil
+	})},
+	"ExportLocks": {serve: rpc(func(s *Server, _ *transport.Request, r *exportLocksReq) (*exportLocksReply, error) {
+		return &exportLocksReply{Locks: s.store.ExportLocks(func(k string) bool { return strings.HasPrefix(k, r.Prefix) })}, nil
+	})},
+	"ImportLocks": {serve: rpc(func(s *Server, _ *transport.Request, r *importLocksReq) (*importLocksReply, error) {
 		s.store.ImportLocks(r.Locks)
-		return transport.Encode(&importLocksReply{}), nil
-	case "Replicate":
-		// Primary→backup delta. Applied directly, never re-forwarded.
-		var r replReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
+		return &importLocksReply{}, nil
+	})},
+	"Replicate": {serve: rpc(func(s *Server, _ *transport.Request, r *replReq) (*replReply, error) {
 		s.store.Import(r.Entries)
 		s.store.Drop(r.Dels)
 		s.store.ImportLocks(r.Locks)
 		s.store.DropLocks(r.LockDrops)
-		return transport.Encode(&replReply{}), nil
-	default:
-		return nil, fmt.Errorf("unknown method %q", req.Method)
+		return &replReply{}, nil
+	})},
+}
+
+// sessWatch is the SessWatch (on) or SessUnwatch (off) handler.
+func sessWatch(on bool) func(*Server, *transport.Request, *sessWatchReq) (*sessWatchReply, error) {
+	return func(s *Server, _ *transport.Request, r *sessWatchReq) (*sessWatchReply, error) {
+		return &sessWatchReply{}, s.sessions.watch(r.ID, r.Topic, on)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,7 +120,7 @@ func NewSession(addr string, opts SessionOptions) (*Session, error) {
 	s.conn = conn
 	t0 := clock.Now()
 	var rep sessOpenReply
-	if err := s.call("SessOpen", &sessOpenReq{}, &rep); err != nil {
+	if err := call(s.conn, "SessOpen", &sessOpenReq{}, &rep); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("kvstore session: open: %w", err)
 	}
@@ -141,16 +140,6 @@ func (s *Session) Live() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return !s.dead
-}
-
-func (s *Session) call(method string, req transport.Marshaler, reply transport.Unmarshaler) error {
-	err := callShedRetry(time.Sleep, func() error {
-		return s.conn.CallDecode(ServiceName, method, req, reply, defaultCallTimeout)
-	})
-	if err != nil {
-		return unwireError(err)
-	}
-	return nil
 }
 
 func (s *Session) markDead() {
@@ -238,7 +227,7 @@ func (s *Session) acker() {
 			}
 		}
 		var rep sessAckReply
-		if err := s.call("SessAck", &sessAckReq{ID: s.id, Seq: seq}, &rep); err != nil {
+		if err := call(s.conn, "SessAck", &sessAckReq{ID: s.id, Seq: seq}, &rep); err != nil {
 			s.markDead()
 			return
 		}
@@ -275,7 +264,7 @@ func (s *Session) keepaliveLoop() {
 		processed := s.processedSeq
 		s.mu.Unlock()
 		var rep sessKeepReply
-		if err := s.call("SessKeep", &sessKeepReq{ID: s.id, Processed: processed}, &rep); err != nil {
+		if err := call(s.conn, "SessKeep", &sessKeepReq{ID: s.id, Processed: processed}, &rep); err != nil {
 			s.markDead()
 			return
 		}
@@ -344,7 +333,7 @@ func (s *Session) Get(key string) (Versioned, error) {
 	s.mu.Unlock()
 	s.misses.Add(1)
 	var rep leaseReply
-	if err := s.call("GetLease", &leaseReq{ID: s.id, Key: key}, &rep); err != nil {
+	if err := call(s.conn, "GetLease", &leaseReq{ID: s.id, Key: key}, &rep); err != nil {
 		return Versioned{}, err
 	}
 	var evicted string
@@ -407,14 +396,14 @@ func (s *Session) watch(topic string) (<-chan string, func(), error) {
 	s.watchers[topic] = append(s.watchers[topic], ch)
 	s.mu.Unlock()
 	var rep sessWatchReply
-	if err := s.call("SessWatch", &sessWatchReq{ID: s.id, Topic: topic}, &rep); err != nil {
+	if err := call(s.conn, "SessWatch", &sessWatchReq{ID: s.id, Topic: topic}, &rep); err != nil {
 		s.unsubscribe(topic, ch)
 		return nil, nil, err
 	}
 	cancel := func() {
 		if s.unsubscribe(topic, ch) {
 			var rep sessWatchReply
-			_ = s.call("SessUnwatch", &sessWatchReq{ID: s.id, Topic: topic}, &rep)
+			_ = call(s.conn, "SessUnwatch", &sessWatchReq{ID: s.id, Topic: topic}, &rep)
 		}
 	}
 	return ch, cancel, nil
@@ -475,7 +464,7 @@ func (s *Session) Close() error {
 	s.mu.Unlock()
 	close(s.done)
 	var rep sessCloseReply
-	_ = s.call("SessClose", &sessCloseReq{ID: s.id}, &rep)
+	_ = call(s.conn, "SessClose", &sessCloseReq{ID: s.id}, &rep)
 	err := s.conn.Close()
 	s.wg.Wait()
 	return err
@@ -488,6 +477,10 @@ func (s *Session) Close() error {
 // invalidate the caches before acknowledging. It implements Shared, so it
 // drops into core.State wherever a Cluster does.
 type ClusterSession struct {
+	// Shared is the cluster: every method but Get takes the routed path.
+	// The cache layer needs no write-through logic of its own, since a
+	// shard primary invalidates every caching session before it acks.
+	Shared
 	c    *Cluster
 	opts SessionOptions
 
@@ -502,7 +495,7 @@ func (c *Cluster) NewSession(opts SessionOptions) *ClusterSession {
 	if opts.Clock == nil {
 		opts.Clock = c.clock
 	}
-	cs := &ClusterSession{c: c, opts: opts, sessions: make(map[string]*Session)}
+	cs := &ClusterSession{Shared: c, c: c, opts: opts, sessions: make(map[string]*Session)}
 	c.registerSession(cs)
 	return cs
 }
@@ -606,56 +599,6 @@ func (cs *ClusterSession) Get(key string) (Versioned, error) {
 	}
 	return cs.c.Get(key)
 }
-
-// GetString fetches key as a string through the cache ("" when missing).
-func (cs *ClusterSession) GetString(key string) (string, error) {
-	v, err := cs.Get(key)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return "", nil
-		}
-		return "", err
-	}
-	return string(v.Value), nil
-}
-
-// GetInt64 fetches key as an int64 through the cache (0 when missing).
-func (cs *ClusterSession) GetInt64(key string) (int64, error) {
-	v, err := cs.Get(key)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	n, perr := strconv.ParseInt(string(v.Value), 10, 64)
-	if perr != nil {
-		return 0, fmt.Errorf("key %q is not an integer: %w", key, perr)
-	}
-	return n, nil
-}
-
-// Writes (and scans, and locks) take the routed path: the shard primary
-// invalidates every caching session before the ack comes back, so the
-// cache layer needs no write-through logic of its own.
-
-func (cs *ClusterSession) Put(key string, value []byte) (uint64, error) { return cs.c.Put(key, value) }
-func (cs *ClusterSession) Delete(key string) error                      { return cs.c.Delete(key) }
-func (cs *ClusterSession) CompareAndSwap(key string, value []byte, expectVersion uint64) (uint64, error) {
-	return cs.c.CompareAndSwap(key, value, expectVersion)
-}
-func (cs *ClusterSession) AddInt64(key string, delta int64) (int64, error) {
-	return cs.c.AddInt64(key, delta)
-}
-func (cs *ClusterSession) PutString(key, value string) error { return cs.c.PutString(key, value) }
-func (cs *ClusterSession) PutInt64(key string, value int64) error {
-	return cs.c.PutInt64(key, value)
-}
-func (cs *ClusterSession) TryLock(name, owner string, lease time.Duration) error {
-	return cs.c.TryLock(name, owner, lease)
-}
-func (cs *ClusterSession) Unlock(name, owner string) error      { return cs.c.Unlock(name, owner) }
-func (cs *ClusterSession) Keys(prefix string) ([]string, error) { return cs.c.Keys(prefix) }
 
 // Watch subscribes to change notifications for a data key on its current
 // primary. The subscription lives as long as that session: after a

@@ -359,23 +359,23 @@ func TestClusterSessionCoherence(t *testing.T) {
 	cs := c.NewSession(SessionOptions{})
 	defer cs.Close()
 
-	if err := cs.PutString("greeting", "hello"); err != nil {
-		t.Fatalf("PutString: %v", err)
+	if _, err := cs.Put("greeting", []byte("hello")); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		s, err := cs.GetString("greeting")
-		if err != nil || s != "hello" {
-			t.Fatalf("GetString (%d): %q, %v", i, s, err)
+		v, err := cs.Get("greeting")
+		if err != nil || string(v.Value) != "hello" {
+			t.Fatalf("Get (%d): %q, %v", i, v.Value, err)
 		}
 	}
 	if st := cs.Stats(); st.Hits == 0 {
 		t.Fatalf("repeated reads never hit the cache: %+v", st)
 	}
-	if err := cs.PutString("greeting", "goodbye"); err != nil {
-		t.Fatalf("PutString: %v", err)
+	if _, err := cs.Put("greeting", []byte("goodbye")); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
-	if s, err := cs.GetString("greeting"); err != nil || s != "goodbye" {
-		t.Fatalf("read after write: %q, %v", s, err)
+	if v, err := cs.Get("greeting"); err != nil || string(v.Value) != "goodbye" {
+		t.Fatalf("read after write: %q, %v", v.Value, err)
 	}
 
 	// A membership change flushes every cache before completing: no
@@ -383,14 +383,14 @@ func TestClusterSessionCoherence(t *testing.T) {
 	if err := c.AddNode(); err != nil {
 		t.Fatalf("AddNode: %v", err)
 	}
-	if s, err := cs.GetString("greeting"); err != nil || s != "goodbye" {
-		t.Fatalf("read after view change: %q, %v", s, err)
+	if v, err := cs.Get("greeting"); err != nil || string(v.Value) != "goodbye" {
+		t.Fatalf("read after view change: %q, %v", v.Value, err)
 	}
 	if n, err := cs.AddInt64("counter", 41); err != nil || n != 41 {
 		t.Fatalf("AddInt64: %d, %v", n, err)
 	}
-	if n, err := cs.GetInt64("counter"); err != nil || n != 41 {
-		t.Fatalf("GetInt64: %d, %v", n, err)
+	if v, err := cs.Get("counter"); err != nil || string(v.Value) != "41" {
+		t.Fatalf("Get(counter): %q, %v", v.Value, err)
 	}
 }
 
@@ -410,10 +410,10 @@ func TestClusterSessionFailover(t *testing.T) {
 	keys := make([]string, 8)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("fo/%d", i)
-		if err := cs.PutString(keys[i], "v1"); err != nil {
+		if _, err := cs.Put(keys[i], []byte("v1")); err != nil {
 			t.Fatalf("seed %s: %v", keys[i], err)
 		}
-		if _, err := cs.GetString(keys[i]); err != nil {
+		if _, err := cs.Get(keys[i]); err != nil {
 			t.Fatalf("prime %s: %v", keys[i], err)
 		}
 	}
@@ -424,11 +424,11 @@ func TestClusterSessionFailover(t *testing.T) {
 	// visible through the session layer despite dead sessions and the
 	// post-failover fence.
 	for _, k := range keys {
-		if err := cs.PutString(k, "v2"); err != nil {
+		if _, err := cs.Put(k, []byte("v2")); err != nil {
 			t.Fatalf("write across failover (%s): %v", k, err)
 		}
-		if s, err := cs.GetString(k); err != nil || s != "v2" {
-			t.Fatalf("stale read across failover (%s): %q, %v", k, s, err)
+		if v, err := cs.Get(k); err != nil || string(v.Value) != "v2" {
+			t.Fatalf("stale read across failover (%s): %q, %v", k, v.Value, err)
 		}
 	}
 	if st := cs.Stats(); st.LiveSessions == 0 {
@@ -786,8 +786,8 @@ func TestClusterSessionDialStallIsolation(t *testing.T) {
 	}
 	stalled, healthy := addrs[0], addrs[1]
 	kStall, kOK := keyFor(stalled), keyFor(healthy)
-	if err := c.PutString(kOK, "v"); err != nil {
-		t.Fatalf("PutString: %v", err)
+	if _, err := c.Put(kOK, []byte("v")); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
 
 	gate := make(chan struct{})
@@ -812,9 +812,9 @@ func TestClusterSessionDialStallIsolation(t *testing.T) {
 
 	got := make(chan error, 1)
 	go func() {
-		s, err := cs.GetString(kOK)
-		if err == nil && s != "v" {
-			err = fmt.Errorf("wrong value %q", s)
+		v, err := cs.Get(kOK)
+		if err == nil && string(v.Value) != "v" {
+			err = fmt.Errorf("wrong value %q", v.Value)
 		}
 		got <- err
 	}()

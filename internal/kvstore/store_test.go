@@ -259,15 +259,6 @@ func TestClientServer(t *testing.T) {
 	if err != nil || n != 7 {
 		t.Fatalf("AddInt64 = %d, %v", n, err)
 	}
-	if s, err := c.GetString("nope"); err != nil || s != "" {
-		t.Fatalf("GetString(missing) = %q, %v", s, err)
-	}
-	if err := c.PutInt64("i", -3); err != nil {
-		t.Fatalf("PutInt64: %v", err)
-	}
-	if i, err := c.GetInt64("i"); err != nil || i != -3 {
-		t.Fatalf("GetInt64 = %d, %v", i, err)
-	}
 }
 
 func TestClusterShardingAndMigration(t *testing.T) {
@@ -422,48 +413,6 @@ func TestClusterLocksRouteByName(t *testing.T) {
 	}
 	if err := cl.Unlock("L", "a"); err != nil {
 		t.Fatalf("Unlock: %v", err)
-	}
-}
-
-func TestGoPutPipelines(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	defer srv.Close()
-	c, err := NewClient(srv.Addr())
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	defer c.Close()
-
-	// Submit a whole window of puts before collecting a single version:
-	// throughput bounded by the store, not by per-put round trips.
-	const n = 100
-	puts := make([]*AsyncPut, n)
-	for i := 0; i < n; i++ {
-		puts[i] = c.GoPut(fmt.Sprintf("pipe/%03d", i), []byte{byte(i)})
-	}
-	for i, p := range puts {
-		v, err := p.Version()
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-		if v == 0 {
-			t.Fatalf("put %d: version 0", i)
-		}
-		if v2, err2 := p.Version(); v2 != v || err2 != nil {
-			t.Fatalf("put %d: repeated Version drifted: %d/%v vs %d", i, v2, err2, v)
-		}
-	}
-	for i := 0; i < n; i++ {
-		got, err := c.Get(fmt.Sprintf("pipe/%03d", i))
-		if err != nil {
-			t.Fatalf("get %d: %v", i, err)
-		}
-		if len(got.Value) != 1 || got.Value[0] != byte(i) {
-			t.Fatalf("get %d = %v", i, got.Value)
-		}
 	}
 }
 

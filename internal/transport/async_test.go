@@ -92,7 +92,7 @@ func TestFuturesCompleteUnderConcurrentClose(t *testing.T) {
 			if batched {
 				bo = BatchOptions{MaxDelay: 200 * time.Microsecond}
 			}
-			c, err := DialBatched(srv.Addr(), 2*time.Second, bo)
+			c, err := DialOpts(srv.Addr(), DialOptions{Timeout: 2 * time.Second, Batch: bo})
 			if err != nil {
 				t.Fatalf("dial: %v", err)
 			}
@@ -222,9 +222,9 @@ func TestBatchedClientEndToEnd(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	c, err := DialBatched(srv.Addr(), 2*time.Second, BatchOptions{MaxDelay: 500 * time.Microsecond})
+	c, err := DialOpts(srv.Addr(), DialOptions{Timeout: 2 * time.Second, Batch: BatchOptions{MaxDelay: 500 * time.Microsecond}})
 	if err != nil {
-		t.Fatalf("DialBatched: %v", err)
+		t.Fatalf("DialOpts: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
 

@@ -272,9 +272,9 @@ func TestWaitFlushesQueuedEntry(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	// An hour-long latency bound: only flush-on-wait can complete the call
 	// within the test's lifetime.
-	c, err := DialBatched(srv.Addr(), 2*time.Second, BatchOptions{MaxDelay: time.Hour})
+	c, err := DialOpts(srv.Addr(), DialOptions{Timeout: 2 * time.Second, Batch: BatchOptions{MaxDelay: time.Hour}})
 	if err != nil {
-		t.Fatalf("DialBatched: %v", err)
+		t.Fatalf("DialOpts: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
 	c.batch.setTarget(64)

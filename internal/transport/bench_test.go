@@ -111,7 +111,7 @@ func BenchmarkCallConcurrent64(b *testing.B) { benchmarkEcho(b, 64, 64) }
 // strictly sequentially.
 func benchmarkEchoPipelined(b *testing.B, payloadSize, window int, bo BatchOptions) {
 	srv := startBenchServer(b)
-	c, err := DialBatched(srv.Addr(), 5*time.Second, bo)
+	c, err := DialOpts(srv.Addr(), DialOptions{Timeout: 5 * time.Second, Batch: bo})
 	if err != nil {
 		b.Fatalf("Dial: %v", err)
 	}

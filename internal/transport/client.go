@@ -247,20 +247,9 @@ func (ca *Call) Wait(timeout time.Duration) ([]byte, error) {
 
 var timerPool sync.Pool // *time.Timer, stopped
 
-// Dial connects to a Server at addr.
+// Dial connects to a Server at addr with default options.
 func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, 5*time.Second)
-}
-
-// DialTimeout connects with a bounded dial time.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	return DialBatched(addr, timeout, BatchOptions{})
-}
-
-// DialBatched connects with a bounded dial time and, when bo.MaxDelay > 0,
-// enables adaptive client-side batching (see BatchOptions).
-func DialBatched(addr string, timeout time.Duration, bo BatchOptions) (*Client, error) {
-	return DialOpts(addr, DialOptions{Timeout: timeout, Batch: bo})
+	return DialOpts(addr, DialOptions{})
 }
 
 // DialOptions configures a client connection.

@@ -11,7 +11,7 @@ func TestOversizeLengthRejectedBeforeFullHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeListener(ln, func(req *Request) ([]byte, error) { return req.Payload, nil })
+	srv, err := ServeListener(ln, func(req *Request) ([]byte, error) { return req.Payload, nil }, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

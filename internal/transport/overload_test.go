@@ -220,9 +220,9 @@ func TestBudgetReachesHandler(t *testing.T) {
 	}
 	plain := dial(t, srv.Addr())
 	check(plain, "plain")
-	batched, err := DialBatched(srv.Addr(), 2*time.Second, BatchOptions{MaxDelay: 200 * time.Microsecond})
+	batched, err := DialOpts(srv.Addr(), DialOptions{Timeout: 2 * time.Second, Batch: BatchOptions{MaxDelay: 200 * time.Microsecond}})
 	if err != nil {
-		t.Fatalf("DialBatched: %v", err)
+		t.Fatalf("DialOpts: %v", err)
 	}
 	t.Cleanup(func() { batched.Close() })
 	check(batched, "batched")

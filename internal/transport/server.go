@@ -158,19 +158,14 @@ func ServeOpts(addr string, handler Handler, opts ServerOptions) (*Server, error
 	if err != nil {
 		return nil, fmt.Errorf("listen %s: %w", addr, err)
 	}
-	return ServeListenerOpts(lis, handler, opts)
+	return ServeListener(lis, handler, opts)
 }
 
 // ServeListener serves on an already-created listener. It lets tests wrap
 // the listener (e.g. ermitest's fault-injecting listener) and production
 // callers bring their own socket configuration. The server owns lis and
 // closes it on Close.
-func ServeListener(lis net.Listener, handler Handler) (*Server, error) {
-	return ServeListenerOpts(lis, handler, ServerOptions{})
-}
-
-// ServeListenerOpts is ServeListener with explicit admission bounds.
-func ServeListenerOpts(lis net.Listener, handler Handler, opts ServerOptions) (*Server, error) {
+func ServeListener(lis net.Listener, handler Handler, opts ServerOptions) (*Server, error) {
 	if handler == nil {
 		lis.Close()
 		return nil, errors.New("transport: nil handler")

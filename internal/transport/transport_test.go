@@ -238,7 +238,7 @@ func TestCallAfterClientClose(t *testing.T) {
 }
 
 func TestDialUnreachable(t *testing.T) {
-	if _, err := DialTimeout("127.0.0.1:1", 200*time.Millisecond); err == nil {
+	if _, err := DialOpts("127.0.0.1:1", DialOptions{Timeout: 200 * time.Millisecond}); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
