@@ -65,14 +65,13 @@ fmt-check:
 
 # fuzz-smoke runs each fuzz target briefly; `go test -fuzz` accepts exactly
 # one target per invocation, hence the loop. Entries are pkg:Target pairs:
-# the wire codec (frame/request/response/batch parsers), the kvstore
+# the wire codec (frame/request/response/event parsers), the kvstore
 # dispatch table fed arbitrary payloads, the generated payload codec round
 # trip in gentest, and WAL replay.
 FUZZ_TARGETS := \
 	./internal/transport/:FuzzReadFrame \
 	./internal/transport/:FuzzParseRequest \
 	./internal/transport/:FuzzParseResponse \
-	./internal/transport/:FuzzParseBatch \
 	./internal/transport/:FuzzEventFrame \
 	./internal/kvstore/:FuzzKVDispatch \
 	./internal/gen/gentest/:FuzzCodecRoundTrip \

@@ -331,13 +331,12 @@ func BenchmarkInvokeParallel(b *testing.B) {
 }
 
 // BenchmarkInvokeAsyncPipelined measures the asynchronous invocation
-// pipeline end to end through the elastic pool: a batching stub keeps a
-// window of 64 typed futures in flight against the same workload
+// pipeline end to end through the elastic pool: a stub keeps a window of
+// 64 typed futures in flight against the same workload
 // BenchmarkInvokeGet drives one call at a time.
 func BenchmarkInvokeAsyncPipelined(b *testing.B) {
 	env := startLive(b, 2, 2)
-	stub, err := core.LookupStub("bench-cache", env.regCli,
-		core.WithBatching(200*time.Microsecond))
+	stub, err := core.LookupStub("bench-cache", env.regCli)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,6 +19,8 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
+	"sync"
+	"time"
 
 	"elasticrmi/internal/core"
 	"elasticrmi/internal/transport"
@@ -124,11 +126,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// pendingGrace bounds how long consume waits on a sequenced message whose
+// body is not yet stored. A publish stores its body right after taking its
+// sequence number, so a gap inside the retention window is normally a
+// publish still in flight; one that outlasts the grace belongs to a publish
+// that failed in between and is skipped.
+const pendingGrace = time.Second
+
 // Hub is one member of the elastic Hedwig region.
 type Hub struct {
 	ctx *core.MemberContext
 	cfg Config
 	mux *core.Mux
+
+	// gaps records when this hub's consume first stopped at each pending
+	// message (keyed by message key).
+	gapMu sync.Mutex
+	gaps  map[string]time.Time
 }
 
 var (
@@ -140,7 +154,7 @@ var (
 func New(cfg Config) core.Factory {
 	cfg = cfg.withDefaults()
 	return func(ctx *core.MemberContext) (core.Object, error) {
-		h := &Hub{ctx: ctx, cfg: cfg, mux: core.NewMux()}
+		h := &Hub{ctx: ctx, cfg: cfg, mux: core.NewMux(), gaps: make(map[string]time.Time)}
 		core.Handle(h.mux, MethodPublish, h.publish)
 		core.Handle(h.mux, MethodSubscribe, h.subscribe)
 		core.Handle(h.mux, MethodUnsubscribe, h.unsubscribe)
@@ -305,7 +319,9 @@ func (h *Hub) addSubscriber(topic, sub string) error {
 // consume claims up to Max undelivered messages for the subscriber. The
 // cursor advance is serialized per (topic, subscriber) with a lock, so a
 // message is delivered at most once even under concurrent consumes through
-// different hubs.
+// different hubs. Consume stops at a message that is sequenced but not yet
+// stored rather than skip past it (see pendingGrace), so publishes racing
+// a consume are delivered by a later one.
 func (h *Hub) consume(a ConsumeArgs) (ConsumeReply, error) {
 	if a.Max <= 0 {
 		a.Max = 16
@@ -322,13 +338,18 @@ func (h *Hub) consume(a ConsumeArgs) (ConsumeReply, error) {
 			return err
 		}
 		for seq := cursor + 1; seq <= head && len(out) < a.Max; seq++ {
-			body, err := h.ctx.State.GetBytes(msgKey(a.Topic, seq))
+			key := msgKey(a.Topic, seq)
+			body, err := h.ctx.State.GetBytes(key)
 			if err != nil {
 				return err
 			}
 			if body == nil {
-				continue // fell out of the retention window: skipped, not redelivered
+				if seq > head-h.cfg.RetainLimit && h.stillPending(key) {
+					break // publish in flight: deliver it, and what follows, next time
+				}
+				continue // fell out of the retention window, or its publish failed: skipped
 			}
+			h.clearGap(key)
 			out = append(out, Message{Topic: a.Topic, Seq: seq, Body: body})
 			cursor = seq
 		}
@@ -343,6 +364,32 @@ func (h *Hub) consume(a ConsumeArgs) (ConsumeReply, error) {
 		return ConsumeReply{}, err
 	}
 	return ConsumeReply{Messages: out}, nil
+}
+
+// stillPending reports whether consume should keep waiting on the missing
+// message at key: true until pendingGrace has passed since this hub first
+// found it missing.
+func (h *Hub) stillPending(key string) bool {
+	now := h.ctx.Clock.Now()
+	h.gapMu.Lock()
+	defer h.gapMu.Unlock()
+	first, ok := h.gaps[key]
+	if !ok {
+		h.gaps[key] = now
+		return true
+	}
+	if now.Sub(first) < pendingGrace {
+		return true
+	}
+	delete(h.gaps, key)
+	return false
+}
+
+// clearGap forgets a pending message once its body has been found.
+func (h *Hub) clearGap(key string) {
+	h.gapMu.Lock()
+	delete(h.gaps, key)
+	h.gapMu.Unlock()
 }
 
 // backlog sums undelivered messages over all topics and subscribers.
@@ -392,8 +439,8 @@ func (h *Hub) topicList() ([]string, error) {
 }
 
 // PublishAsync pipelines a publish through the stub: many publishes can be
-// in flight (and, on a batching stub, coalesced into batch frames) while
-// the publisher keeps producing. The future resolves to the receipt.
+// in flight while the publisher keeps producing. The future resolves to the
+// receipt.
 func PublishAsync(s *core.Stub, a PublishArgs) *core.Future[PublishReply] {
 	return core.GoCall[PublishArgs, PublishReply](s, MethodPublish, a)
 }

@@ -220,6 +220,61 @@ func TestRetentionWindowDropsOldMessages(t *testing.T) {
 	}
 }
 
+// TestConsumeWaitsForInFlightPublish: a message that has its sequence
+// number but not yet its stored body is a publish still in flight, so
+// consume stops in front of it instead of skipping it for good; only a gap
+// that outlasts the hub's grace period (a publish that failed between the
+// two steps) is skipped. The test plays the in-flight publish by hand
+// against the shared store, using the hub's "topic/<t>/seq" counter and
+// "msg/<t>/<seq>" body keys.
+func TestConsumeWaitsForInFlightPublish(t *testing.T) {
+	env := ermitest.New(t, 10)
+	env.StartPool(t, core.Config{
+		Name: "hedwig", MinPoolSize: 2, MaxPoolSize: 4,
+		BurstInterval: time.Hour, DisableBroadcast: true,
+	}, hedwig.New(hedwig.Config{}))
+	stub := env.Stub(t, "hedwig")
+	state := core.NewState("hedwig", "test", env.Store, nil)
+	seqs := func(msgs []hedwig.Message) []int64 {
+		out := make([]int64, len(msgs))
+		for i, m := range msgs {
+			out[i] = m.Seq
+		}
+		return out
+	}
+
+	subscribe(t, stub, "news", "alice")
+	publish(t, stub, "news", "m1")
+	if _, err := state.AddInt("topic/news/seq", 1); err != nil { // seq 2: sequenced, not stored
+		t.Fatalf("AddInt: %v", err)
+	}
+	publish(t, stub, "news", "m3")
+	if got := seqs(consume(t, stub, "news", "alice", 10)); fmt.Sprint(got) != "[1]" {
+		t.Fatalf("consume with seq 2 in flight = %v, want [1]", got)
+	}
+	if err := state.PutBytes("msg/news/2", []byte("m2")); err != nil {
+		t.Fatalf("PutBytes: %v", err)
+	}
+	if got := seqs(consume(t, stub, "news", "alice", 10)); fmt.Sprint(got) != "[2 3]" {
+		t.Fatalf("consume after seq 2 landed = %v, want [2 3]", got)
+	}
+
+	// Seq 4 never gets its body: consume holds back seq 5 until the gap
+	// outlasts the grace period, then skips seq 4.
+	if _, err := state.AddInt("topic/news/seq", 1); err != nil {
+		t.Fatalf("AddInt: %v", err)
+	}
+	publish(t, stub, "news", "m5")
+	var got []int64
+	ermitest.WaitUntil(t, "consume skips the failed publish", 10*time.Second, func() bool {
+		got = append(got, seqs(consume(t, stub, "news", "alice", 10))...)
+		return len(got) > 0
+	})
+	if fmt.Sprint(got) != "[5]" {
+		t.Fatalf("consume past a failed publish = %v, want [5]", got)
+	}
+}
+
 func TestDeliveryAcrossScaleUp(t *testing.T) {
 	pool, stub := startRegion(t, 2, 6)
 	subscribe(t, stub, "scale", "gina")
@@ -253,15 +308,14 @@ func TestDeliveryAcrossScaleUp(t *testing.T) {
 
 // TestPublishOneWayDelivers: fire-and-forget publishes still sequence,
 // retain and deliver exactly like acknowledged ones — the publisher just
-// stops paying round trips. Uses a batching stub so the one-way storm
-// coalesces into batch frames on the wire.
+// stops paying round trips.
 func TestPublishOneWayDelivers(t *testing.T) {
 	env := ermitest.New(t, 10)
 	env.StartPool(t, core.Config{
 		Name: "hedwig-oneway", MinPoolSize: 2, MaxPoolSize: 4,
 		BurstInterval: time.Hour, DisableBroadcast: true,
 	}, hedwig.New(hedwig.Config{}))
-	stub := env.Stub(t, "hedwig-oneway", core.WithBatching(300*time.Microsecond))
+	stub := env.Stub(t, "hedwig-oneway")
 
 	subscribe(t, stub, "news", "alice")
 	const n = 40

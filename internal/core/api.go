@@ -12,9 +12,9 @@
 //
 // Invocation is synchronous (Stub.Invoke, Call) or asynchronous: InvokeAsync
 // returns a future so one caller can pipeline many invocations against the
-// pool, InvokeOneWay submits fire-and-forget work, and WithBatching
-// coalesces concurrent invocations bound for the same member into batch
-// frames (see async.go and internal/transport).
+// pool, and InvokeOneWay submits fire-and-forget work (see async.go);
+// concurrent invocations bound for the same member coalesce in that
+// connection's write buffer (internal/transport).
 package core
 
 import (

@@ -13,10 +13,9 @@ import (
 // InvokeOneWay) and completion (AsyncCall), so one caller can keep many
 // invocations in flight against the elastic pool. An asynchronous
 // invocation runs Invoke's failover loop (redirects, member retry, refresh)
-// on its own goroutine — each attempt rides the transport's pipelined path,
-// and its adaptive batcher when the stub was built WithBatching — keeping
-// the paper's "error surfaces only when the whole pool is unreachable"
-// contract.
+// on its own goroutine — concurrent attempts on one member connection
+// coalesce in its write buffer — keeping the paper's "error surfaces only
+// when the whole pool is unreachable" contract.
 
 // AsyncCall is the stub-level future of one asynchronous invocation. It
 // always completes: retries and failovers happen behind it.
@@ -83,9 +82,7 @@ func (s *Stub) InvokeAsync(method string, payload []byte) *AsyncCall {
 // guarantee nothing was submitted (dial errors, connections already known
 // dead) are retried on other members. A write that fails mid-flight is
 // ambiguous — the member may have executed it — so it is never resubmitted;
-// the member is dropped and the error surfaced. On a batching stub
-// submission is asynchronous: a batch-write failure after InvokeOneWay
-// returned nil loses the invocation silently and surfaces on the next one.
+// the member is dropped and the error surfaced.
 func (s *Stub) InvokeOneWay(method string, payload []byte) error {
 	if s.closed.Load() {
 		return ErrPoolClosed

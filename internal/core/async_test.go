@@ -219,15 +219,15 @@ func TestSentinelSeesAsyncPendingWork(t *testing.T) {
 	}
 }
 
-// TestBatchedStubPipelines: a stub built WithBatching keeps full invocation
-// coherence under a concurrent pipelined workload.
-func TestBatchedStubPipelines(t *testing.T) {
+// TestStubPipelinesConcurrentFutures: a stub keeps full invocation
+// coherence when many goroutines each keep a window of futures in flight.
+func TestStubPipelinesConcurrentFutures(t *testing.T) {
 	env := newTestEnv(t, 8)
 	newTestPool(t, env, Config{
-		Name: "batched-counter", MinPoolSize: 2, MaxPoolSize: 4,
+		Name: "pipelined-counter", MinPoolSize: 2, MaxPoolSize: 4,
 		BurstInterval: time.Hour, DisableBroadcast: true,
 	})
-	stub, err := LookupStub("batched-counter", env.regCli, WithBatching(300*time.Microsecond))
+	stub, err := LookupStub("pipelined-counter", env.regCli)
 	if err != nil {
 		t.Fatalf("LookupStub: %v", err)
 	}

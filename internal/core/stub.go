@@ -25,7 +25,6 @@ type Stub struct {
 	name     string
 	timeout  time.Duration
 	strategy route.Strategy
-	batch    transport.BatchOptions // zero value: batching disabled
 
 	// routes is the epoch-versioned routing view, advanced exclusively by
 	// piggybacked updates arriving on this stub's connections.
@@ -78,15 +77,6 @@ func WithCallTimeout(d time.Duration) StubOption {
 	return func(s *Stub) { s.timeout = d }
 }
 
-// WithBatching coalesces concurrent invocations destined for the same
-// member into batch frames, waiting at most maxDelay for companions (the
-// adaptive flusher never delays sparse traffic; see transport.BatchOptions).
-// Worth enabling for pipelined async workloads; plain request/response
-// callers pay nothing when traffic is sparse.
-func WithBatching(maxDelay time.Duration) StubOption {
-	return func(s *Stub) { s.batch = transport.BatchOptions{MaxDelay: maxDelay} }
-}
-
 // NewStub creates a stub for the elastic class name from seed endpoints
 // (typically the registry binding, sentinel first). The seed is an
 // epoch-zero table; the first reply from any member piggybacks the pool's
@@ -106,11 +96,8 @@ func NewStub(name string, endpoints []string, opts ...StubOption) (*Stub, error)
 	for _, o := range opts {
 		o(s)
 	}
-	// The cache is built after options so WithBatching applies to every
-	// member connection it dials.
-	s.conns = transport.NewConnCacheOpts(transport.DialOptions{
+	s.conns = transport.NewConnCache(transport.DialOptions{
 		Timeout:       2 * time.Second,
-		Batch:         s.batch,
 		Epoch:         s.routes.Epoch,
 		OnRouteUpdate: func(t route.Table) { s.routes.Advance(t) },
 	})
@@ -274,18 +261,19 @@ func (s *Stub) invokeDeadline(method, key string, payload []byte, deadline time.
 			// member and the connection is still healthy. Fail just this
 			// call instead of dropping members.
 			return nil, err
+		case errors.Is(err, transport.ErrOverloaded), errors.Is(err, transport.ErrExpired):
+			// The member's admission controller refused the work: it is
+			// saturated, not gone. Feed the balancer's load signal instead of
+			// tombstoning the member, and try a less-loaded one. Checked
+			// before ErrTimeout, which an expired reply also matches.
+			s.routes.MarkLoaded(addr)
+			lastErr = err
 		case errors.Is(err, transport.ErrTimeout):
 			// Slow is not dead: the connection is healthy and multiplexes
 			// other callers' in-flight invocations, so dropping it would fail
 			// them all, and the member itself may answer everyone else
 			// promptly. Keep both; the shared budget (charged above) is what
 			// bounds how long this invocation keeps trying.
-			lastErr = err
-		case errors.Is(err, transport.ErrOverloaded), errors.Is(err, transport.ErrExpired):
-			// The member's admission controller refused the work: it is
-			// saturated, not gone. Feed the balancer's load signal instead of
-			// tombstoning the member, and try a less-loaded one.
-			s.routes.MarkLoaded(addr)
 			lastErr = err
 		default:
 			// Transport failure: exclude the member and fail over.

@@ -83,7 +83,7 @@ func TestGeneratedAsyncVariants(t *testing.T) {
 		BurstInterval: time.Hour, DisableBroadcast: true,
 	}, NewCounterFactory(NewImpl))
 
-	svc, err := LookupCounter("gen-async", env.RegCli, core.WithBatching(300*time.Microsecond))
+	svc, err := LookupCounter("gen-async", env.RegCli)
 	if err != nil {
 		t.Fatalf("LookupCounter: %v", err)
 	}

@@ -123,7 +123,7 @@ func NewMember(cfg Config) (*Member, error) {
 		clock:    cfg.Clock,
 		hbEvery:  cfg.HeartbeatInterval,
 		hbDead:   cfg.FailureTimeout,
-		conns:    transport.NewConnCache(2 * time.Second),
+		conns:    transport.NewConnCache(transport.DialOptions{Timeout: 2 * time.Second}),
 		lastSeen: make(map[string]time.Time),
 		msgs:     make(chan Message, 128),
 		fails:    make(chan string, 16),

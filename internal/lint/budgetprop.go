@@ -15,8 +15,7 @@ import (
 // Checked call shapes on transport.Client, inside request-taking
 // functions only:
 //
-//	Go(svc, m, payload)              — always reported: no budget slot; use GoBudget
-//	GoBudget(svc, m, payload, b)     — b must derive from the request
+//	Go(svc, m, payload)              — always reported: no budget slot; use Call
 //	Call(svc, m, payload, timeout)   — timeout doubles as the wire budget; must derive
 //	CallDecode(svc, m, a, r, timeout) — same
 //
@@ -42,7 +41,6 @@ var Budgetprop = &Analyzer{
 // budget-bearing argument (-1: the method has no budget slot at all).
 var budgetArg = map[string]int{
 	"Go":         -1,
-	"GoBudget":   3,
 	"Call":       3,
 	"CallDecode": 4,
 }
@@ -134,14 +132,14 @@ func checkBudgets(pass *Pass, body *ast.BlockStmt, req *types.Var) {
 				return true
 			}
 			if slot < 0 {
-				pass.Reportf(t.Pos(), "handler issues Client.Go without a budget: use GoBudget with the request's remaining budget so the caller's deadline bounds the chain")
+				pass.Reportf(t.Pos(), "handler issues Client.Go without a budget: use Call or CallDecode with the request's remaining budget so the caller's deadline bounds the chain")
 				return true
 			}
 			if slot >= len(t.Args) {
 				return true // malformed call; the compiler owns this
 			}
 			if !mentionsReq(t.Args[slot]) {
-				pass.Reportf(t.Pos(), "downstream %s does not propagate the request budget: derive the %s argument from req.Budget or req.Deadline", name, argNoun(name))
+				pass.Reportf(t.Pos(), "downstream %s does not propagate the request budget: derive the timeout argument from req.Budget or req.Deadline", name)
 			}
 		}
 		return true
@@ -173,11 +171,4 @@ func checkBudgetFacts(pass *Pass, call *ast.CallExpr, mentionsReq func(ast.Expr)
 			pass.Reportf(call.Pos(), "argument %d of %s flows into a downstream transport budget: derive it from req.Budget or req.Deadline", j+1, short)
 		}
 	}
-}
-
-func argNoun(method string) string {
-	if method == "GoBudget" {
-		return "budget"
-	}
-	return "timeout"
 }

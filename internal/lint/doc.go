@@ -44,7 +44,7 @@
 //
 // budgetprop checks that handlers thread the caller's budget through:
 // a function taking a *transport.Request that issues a downstream
-// Call/CallDecode/GoBudget must derive the budget or timeout argument
+// Call/CallDecode must derive the timeout argument (the wire budget)
 // from req.Budget or req.Deadline, and plain Go (no budget at all) is
 // reported outright. Without propagation a chain of hops can outlive
 // the deadline the original caller is still waiting on. OneWay sends

@@ -114,7 +114,7 @@ func mutexOp(info *types.Info, call *ast.CallExpr) (lockOp, bool) {
 }
 
 // blockingCall classifies a resolved callee as inherently blocking.
-// Asynchronous submission (Go, GoBudget, OneWay enqueue is a write but
+// Asynchronous submission (Go returns once its frame is buffered, while
 // Call-class methods wait for the reply) is not in the set.
 func blockingCall(pkgBase, recv, name string) (string, bool) {
 	switch {

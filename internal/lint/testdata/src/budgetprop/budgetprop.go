@@ -16,8 +16,6 @@ func relay(req *transport.Request, c *transport.Client) ([]byte, error) {
 	_, _ = c.Call("kv", "Get", nil, budget)
 
 	_ = c.Go("kv", "Prefetch", nil) // want `Client\.Go without a budget`
-	_ = c.GoBudget("kv", "Prefetch", nil, req.Budget)
-	_ = c.GoBudget("kv", "Prefetch", nil, time.Second) // want `does not propagate the request budget`
 
 	_ = c.CallDecode("kv", "Get", nil, nil, time.Until(req.Deadline))
 	_ = c.CallDecode("kv", "Get", nil, nil, 5*time.Second) // want `does not propagate the request budget`

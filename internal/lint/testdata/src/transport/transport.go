@@ -63,10 +63,6 @@ func (c *Client) CallDecode(service, method string, arg Marshaler, reply Unmarsh
 
 func (c *Client) Go(service, method string, payload []byte) *Call { return &Call{} }
 
-func (c *Client) GoBudget(service, method string, payload []byte, budget time.Duration) *Call {
-	return &Call{}
-}
-
 func (c *Client) OneWay(service, method string, payload []byte) error { return nil }
 func (c *Client) Close() error                                        { return nil }
 

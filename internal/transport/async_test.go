@@ -59,6 +59,226 @@ func TestGoPipelinesManyCalls(t *testing.T) {
 	}
 }
 
+// TestBatchedClientEndToEnd mixes concurrent futures and one-ways from
+// many goroutines on one connection, so their frames coalesce in its write
+// buffer: held and unheld frames interleave in one buffer, every response
+// must still land on its own future, and every one-way must arrive.
+func TestBatchedClientEndToEnd(t *testing.T) {
+	var oneways atomic.Int64
+	srv, err := Serve("127.0.0.1:0", func(req *Request) ([]byte, error) {
+		if req.Method == "Tick" {
+			oneways.Add(1)
+			return nil, nil
+		}
+		return req.Payload, nil
+	})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := dial(t, srv.Addr())
+
+	const callers, per = 16, 64
+	var wg sync.WaitGroup
+	errCh := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				marker := []byte{byte(g), byte(i)}
+				if i%4 == 0 {
+					if err := c.OneWay("svc", "Tick", marker); err != nil {
+						errCh <- err
+						return
+					}
+					continue
+				}
+				out, err := c.Go("svc", "Echo", marker).Wait(10 * time.Second)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if !bytes.Equal(out, marker) {
+					errCh <- fmt.Errorf("caller %d call %d: got %v (responses crossed)", g, i, out)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errCh)
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	want := int64(callers * per / 4)
+	deadline := time.Now().Add(5 * time.Second)
+	for oneways.Load() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := oneways.Load(); got != want {
+		t.Fatalf("server saw %d one-way invocations, want %d", got, want)
+	}
+}
+
+// TestWaitFlushesQueuedEntry: a caller blocking on a future whose request
+// frame is still held in the connection buffer flushes it itself — it
+// never waits for the straggler timer.
+func TestWaitFlushesQueuedEntry(t *testing.T) {
+	srv := startEcho(t)
+	c := dial(t, srv.Addr())
+	for attempt := 0; attempt < 100; attempt++ {
+		ca := c.Go("svc", "Echo", []byte("kick"))
+		// Catch the frame while it is still held and stop the straggler
+		// timer before it fires: from then on only flush-on-wait can put
+		// the frame on the wire.
+		c.w.mu.Lock()
+		held := c.w.holding.Load() && c.w.bw.Buffered() > 0 && c.w.straggler.Stop()
+		c.w.mu.Unlock()
+		if !held {
+			// The timer won the race (the host stalled for the whole
+			// bound); the frame went out on its own, so try again.
+			if _, err := ca.Wait(10 * time.Second); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			continue
+		}
+		out, err := ca.Wait(10 * time.Second)
+		if err != nil || string(out) != "kick" {
+			t.Fatalf("Wait on held call: %q, %v", out, err)
+		}
+		return
+	}
+	t.Fatal("never caught a held request frame in 100 attempts")
+}
+
+// TestHeldWriteInheritsOwedFlush: a writer that skipped its flush because
+// another was queued hands the flush to that writer even when it would
+// hold, so an unheld frame never waits on the straggler timer; and a
+// connection that only ever writes unheld frames never creates the timer.
+func TestHeldWriteInheritsOwedFlush(t *testing.T) {
+	var buf bytes.Buffer
+	w := newConnWriter(&buf)
+	w.waiters.Add(1) // a writer is queued behind the unheld frame
+	if err := w.writeRequest(1, 0, 0, "svc", "Sync", nil, false); err != nil {
+		t.Fatal(err)
+	}
+	w.waiters.Add(-1)
+	if buf.Len() != 0 || !w.owed {
+		t.Fatalf("unheld frame with a queued writer: %d bytes flushed, owed=%v; want 0, true", buf.Len(), w.owed)
+	}
+	if err := w.writeRequest(2, 0, 0, "svc", "Async", nil, true); err != nil {
+		t.Fatal(err)
+	}
+	if w.bw.Buffered() != 0 || w.owed || w.holding.Load() || w.straggler != nil {
+		t.Fatalf("held frame did not settle the owed flush: buffered=%d owed=%v holding=%v timer=%v",
+			w.bw.Buffered(), w.owed, w.holding.Load(), w.straggler != nil)
+	}
+
+	srv := startEcho(t)
+	c := dial(t, srv.Addr())
+	for i := 0; i < 20; i++ {
+		if _, err := c.Call("svc", "Echo", []byte{byte(i)}, 5*time.Second); err != nil {
+			t.Fatalf("Call %d: %v", i, err)
+		}
+	}
+	c.w.mu.Lock()
+	timer := c.w.straggler
+	c.w.mu.Unlock()
+	if timer != nil {
+		t.Fatal("synchronous calls created a straggler timer")
+	}
+}
+
+// TestDoneOnlyFutureCompletes: a future consumed only through Done — no
+// blocking accessor ever flushes for it — still completes, because the
+// straggler timer bounds how long a held frame may sit in the buffer.
+func TestDoneOnlyFutureCompletes(t *testing.T) {
+	srv := startEcho(t)
+	c := dial(t, srv.Addr())
+	for i := 0; i < 20; i++ {
+		ca := c.Go("svc", "Echo", []byte{byte(i)})
+		select {
+		case <-ca.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("call %d: Done-only future never completed", i)
+		}
+		if ca.res.err != nil || !bytes.Equal(ca.res.payload, []byte{byte(i)}) {
+			t.Fatalf("call %d: %q, %v", i, ca.res.payload, ca.res.err)
+		}
+		ca.Release()
+	}
+}
+
+// TestCloseFailsHeldFutures: closing a client with futures whose frames
+// may still be held fails every one with ErrClosed instead of leaving it
+// hanging.
+func TestCloseFailsHeldFutures(t *testing.T) {
+	block := make(chan struct{})
+	srv, err := Serve("127.0.0.1:0", func(req *Request) ([]byte, error) {
+		<-block // no reply can race the Close
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { close(block) })
+	c := dial(t, srv.Addr())
+
+	calls := make([]*Call, 8)
+	for i := range calls {
+		calls[i] = c.Go("svc", "Hold", []byte{byte(i)})
+	}
+	c.Close()
+	for i, ca := range calls {
+		select {
+		case <-ca.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("future %d hung across Close", i)
+		}
+		if err := ca.Err(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("future %d err = %v, want ErrClosed", i, err)
+		}
+		ca.Release()
+	}
+}
+
+// TestGoPayloadReusableOnReturn: Go has copied (or written) the payload by
+// the time it returns, so a caller overwriting the buffer at once cannot
+// corrupt the request — whether the frame is held in the connection
+// buffer, spills it, or takes the scatter-gather path.
+func TestGoPayloadReusableOnReturn(t *testing.T) {
+	srv := startEcho(t)
+	c := dial(t, srv.Addr())
+	sizes := []int{64, 12 << 10, 12 << 10, scatterGatherThreshold + 1, 64}
+	buf := make([]byte, scatterGatherThreshold+1)
+	calls := make([]*Call, len(sizes))
+	for i, n := range sizes {
+		for j := range buf[:n] {
+			buf[j] = byte(i + j)
+		}
+		calls[i] = c.Go("svc", "Echo", buf[:n])
+		for j := range buf {
+			buf[j] = 0xEE // the caller reuses its buffer straight away
+		}
+	}
+	for i, ca := range calls {
+		out, err := ca.Wait(10 * time.Second)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if len(out) != sizes[i] {
+			t.Fatalf("call %d: %d bytes back, sent %d", i, len(out), sizes[i])
+		}
+		for j, b := range out {
+			if b != byte(i+j) {
+				t.Fatalf("call %d: byte %d = %#x, want %#x (payload reused before it was written)", i, j, b, byte(i+j))
+			}
+		}
+	}
+}
+
 // TestGoErrorsThroughFuture: remote errors and pre-flight failures all
 // surface through the future, never as a hang.
 func TestGoErrorsThroughFuture(t *testing.T) {
@@ -79,20 +299,18 @@ func TestGoErrorsThroughFuture(t *testing.T) {
 
 // TestFuturesCompleteUnderConcurrentClose closes the client while many
 // futures are in flight: every one must complete (with a result or an
-// error), and none may hang.
+// error), and none may hang — whether callers consume them through Done
+// alone ("plain": held frames leave on the straggler timer) or through
+// Wait (flush-on-wait).
 func TestFuturesCompleteUnderConcurrentClose(t *testing.T) {
-	for _, batched := range []bool{false, true} {
+	for _, wait := range []bool{false, true} {
 		name := "plain"
-		if batched {
-			name = "batched"
+		if wait {
+			name = "wait"
 		}
 		t.Run(name, func(t *testing.T) {
 			srv := startEcho(t)
-			var bo BatchOptions
-			if batched {
-				bo = BatchOptions{MaxDelay: 200 * time.Microsecond}
-			}
-			c, err := DialOpts(srv.Addr(), DialOptions{Timeout: 2 * time.Second, Batch: bo})
+			c, err := Dial(srv.Addr())
 			if err != nil {
 				t.Fatalf("dial: %v", err)
 			}
@@ -108,6 +326,13 @@ func TestFuturesCompleteUnderConcurrentClose(t *testing.T) {
 							method = "Slow"
 						}
 						ca := c.Go("svc", method, []byte{byte(g), byte(i)})
+						if wait {
+							if _, err := ca.Wait(10 * time.Second); errors.Is(err, ErrTimeout) {
+								t.Error("future hung across Close")
+								return
+							}
+							continue
+						}
 						select {
 						case <-ca.Done():
 							ca.Release()
@@ -202,72 +427,6 @@ func TestOneWayLeaksNoPooledCalls(t *testing.T) {
 	}
 	if out, err := c.Call("svc", "Echo", []byte("ok"), 5*time.Second); err != nil || string(out) != "ok" {
 		t.Fatalf("connection poisoned by oversize one-way: %q, %v", out, err)
-	}
-}
-
-// TestBatchedClientEndToEnd pushes concurrent calls and one-ways through a
-// batching client against a live server: the batch frames must fan out and
-// every response must land on the right future.
-func TestBatchedClientEndToEnd(t *testing.T) {
-	var oneways atomic.Int64
-	srv, err := Serve("127.0.0.1:0", func(req *Request) ([]byte, error) {
-		if req.Method == "Tick" {
-			oneways.Add(1)
-			return nil, nil
-		}
-		return req.Payload, nil
-	})
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	c, err := DialOpts(srv.Addr(), DialOptions{Timeout: 2 * time.Second, Batch: BatchOptions{MaxDelay: 500 * time.Microsecond}})
-	if err != nil {
-		t.Fatalf("DialOpts: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
-
-	const callers, per = 16, 64
-	var wg sync.WaitGroup
-	errCh := make(chan error, callers)
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				marker := []byte{byte(g), byte(i)}
-				if i%4 == 0 {
-					if err := c.OneWay("svc", "Tick", marker); err != nil {
-						errCh <- err
-						return
-					}
-					continue
-				}
-				out, err := c.Go("svc", "Echo", marker).Wait(10 * time.Second)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if !bytes.Equal(out, marker) {
-					errCh <- fmt.Errorf("caller %d call %d: got %v (responses crossed)", g, i, out)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	want := int64(callers * per / 4)
-	deadline := time.Now().Add(5 * time.Second)
-	for oneways.Load() < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := oneways.Load(); got != want {
-		t.Fatalf("server saw %d one-way invocations, want %d", got, want)
 	}
 }
 

@@ -106,12 +106,13 @@ func BenchmarkCallConcurrent8(b *testing.B)  { benchmarkEcho(b, 64, 8) }
 func BenchmarkCallConcurrent64(b *testing.B) { benchmarkEcho(b, 64, 64) }
 
 // benchmarkEchoPipelined measures the asynchronous invocation pipeline: a
-// single caller keeps a window of futures in flight on one connection
-// (optionally under the adaptive batcher), the workload BenchmarkCall runs
-// strictly sequentially.
-func benchmarkEchoPipelined(b *testing.B, payloadSize, window int, bo BatchOptions) {
+// single caller keeps a window of futures in flight on one connection, the
+// workload BenchmarkCall runs strictly sequentially. The window's request
+// frames are held in the connection buffer and flushed together by the
+// first Wait.
+func benchmarkEchoPipelined(b *testing.B, payloadSize, window int) {
 	srv := startBenchServer(b)
-	c, err := DialOpts(srv.Addr(), DialOptions{Timeout: 5 * time.Second, Batch: bo})
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatalf("Dial: %v", err)
 	}
@@ -148,22 +149,16 @@ func benchmarkEchoPipelined(b *testing.B, payloadSize, window int, bo BatchOptio
 	}
 }
 
-// BenchmarkCallPipelined64 is the async-futures figure: window of 64
-// outstanding Go calls, no batching.
+// BenchmarkCallPipelined64 is the async-futures figure: a window of 64
+// outstanding Go calls.
 func BenchmarkCallPipelined64(b *testing.B) {
-	benchmarkEchoPipelined(b, 64, 64, BatchOptions{})
+	benchmarkEchoPipelined(b, 64, 64)
 }
 
-// BenchmarkCallBatched64 adds the adaptive batcher: the same window
-// coalesced into batch frames.
-func BenchmarkCallBatched64(b *testing.B) {
-	benchmarkEchoPipelined(b, 64, 64, BatchOptions{MaxDelay: 200 * time.Microsecond})
-}
-
-// BenchmarkCallBatched256 widens the window to the batcher's frame cap
-// territory — the deep-pipeline figure.
-func BenchmarkCallBatched256(b *testing.B) {
-	benchmarkEchoPipelined(b, 64, 256, BatchOptions{MaxDelay: 200 * time.Microsecond})
+// BenchmarkCallPipelined256 widens the window to 256 held futures — the
+// deep-pipeline figure.
+func BenchmarkCallPipelined256(b *testing.B) {
+	benchmarkEchoPipelined(b, 64, 256)
 }
 
 // BenchmarkOneWay measures fire-and-forget submission throughput; a sync

@@ -12,15 +12,13 @@ import (
 )
 
 // Client is a connection to one Server. It is safe for concurrent use; calls
-// are multiplexed over a single TCP connection, and concurrent invocations
-// may be coalesced into batch frames when batching is enabled (see
-// BatchOptions).
+// are multiplexed over a single TCP connection, and concurrent or pipelined
+// invocations coalesce in the connection's write buffer (see Go).
 type Client struct {
 	addr    string
 	conn    net.Conn
 	w       *connWriter
 	seq     atomic.Uint64
-	batch   *batcher            // nil unless batching is enabled
 	epochFn func() uint64       // nil: requests stamped with epoch 0
 	onRoute func(t route.Table) // nil: piggybacked route updates dropped
 	onEvent atomic.Pointer[func(Event)]
@@ -54,10 +52,6 @@ type Call struct {
 	seq     uint64
 	res     callResult
 	done    chan struct{}
-	// queued is set while the call sits in the batcher's queue; a caller
-	// blocking on it then forces the flush (flush-on-wait), so
-	// request/response traffic never waits out the batch latency bound.
-	queued atomic.Bool
 }
 
 var callPool = sync.Pool{New: func() interface{} { return new(Call) }}
@@ -70,17 +64,7 @@ func newCall(c *Client, service, method string, seq uint64) *Call {
 	ca.service, ca.method, ca.seq = service, method, seq
 	ca.res = callResult{}
 	ca.done = make(chan struct{})
-	ca.queued.Store(false)
 	return ca
-}
-
-// kickIfQueued forces the batcher flush when this call is still sitting in
-// its queue: the caller is about to block, so waiting for companions can
-// only add latency.
-func (ca *Call) kickIfQueued() {
-	if ca.c != nil && ca.c.batch != nil && ca.queued.Load() {
-		ca.c.batch.kick()
-	}
 }
 
 // deliver completes the call. The pending-map checkout discipline guarantees
@@ -92,10 +76,10 @@ func (ca *Call) deliver(res callResult) {
 
 // Done returns a channel closed when the call completes (successfully or
 // not). It is selectable alongside other futures. Done itself does not
-// force a batched call onto the wire — capturing the channel early is
-// cheap — so a caller that only ever selects on Done may wait out the
-// batch latency bound; the blocking accessors (Err, Payload, Decode, Wait)
-// flush immediately.
+// flush a held request frame onto the wire — capturing the channel early
+// is cheap — so a caller that only ever selects on Done may wait out the
+// connection's straggler bound (100µs); the blocking accessors (Err,
+// Payload, Decode, Wait) flush immediately.
 func (ca *Call) Done() <-chan struct{} {
 	return ca.done
 }
@@ -112,7 +96,9 @@ func (ca *Call) err() error {
 	case statusOverload:
 		return fmt.Errorf("%s.%s: %w", ca.service, ca.method, ErrOverloaded)
 	case statusExpired:
-		return fmt.Errorf("%s.%s: %w", ca.service, ca.method, ErrExpired)
+		// The budget ran out before the handler ran: to the caller that is
+		// a timeout, one the server proved left nothing executed.
+		return fmt.Errorf("%s.%s: %w: %w", ca.service, ca.method, ErrExpired, ErrTimeout)
 	case statusOK:
 		if ca.res.errMsg != "" {
 			return &RemoteError{Service: ca.service, Method: ca.method, Msg: ca.res.errMsg}
@@ -124,7 +110,7 @@ func (ca *Call) err() error {
 // Err blocks until the call completes and returns its error (nil on
 // success).
 func (ca *Call) Err() error {
-	ca.kickIfQueued()
+	ca.c.w.flushHeld()
 	<-ca.done
 	return ca.err()
 }
@@ -132,7 +118,7 @@ func (ca *Call) Err() error {
 // Payload blocks until the call completes and returns the raw response
 // payload.
 func (ca *Call) Payload() ([]byte, error) {
-	ca.kickIfQueued()
+	ca.c.w.flushHeld()
 	<-ca.done
 	if err := ca.err(); err != nil {
 		return nil, err
@@ -171,12 +157,6 @@ func (ca *Call) Release() {
 	if ca.done == nil {
 		return // already released (programmer error; keep it non-fatal)
 	}
-	if ca.c != nil && ca.c.batch != nil && ca.queued.Load() {
-		// Still sitting in the batch queue: remove the entry so the flusher
-		// cannot transmit a payload the caller is now free to recycle, nor
-		// touch this object once pooled.
-		ca.c.batch.purge(ca)
-	}
 	select {
 	case <-ca.done:
 	default:
@@ -200,7 +180,7 @@ func (ca *Call) Release() {
 // waits indefinitely), returns the response payload and releases the call
 // object. The Call must not be used after Wait returns.
 func (ca *Call) Wait(timeout time.Duration) ([]byte, error) {
-	ca.kickIfQueued()
+	ca.c.w.flushHeld()
 	var timer *time.Timer
 	var expired <-chan time.Time
 	if timeout > 0 {
@@ -256,8 +236,6 @@ func Dial(addr string) (*Client, error) {
 type DialOptions struct {
 	// Timeout bounds the TCP dial (<= 0: 5s).
 	Timeout time.Duration
-	// Batch enables adaptive client-side batching when MaxDelay > 0.
-	Batch BatchOptions
 	// Epoch, when non-nil, supplies the routing epoch stamped on every
 	// outgoing request (typically route.State.Epoch of the owning stub).
 	Epoch func() uint64
@@ -298,9 +276,6 @@ func DialOpts(addr string, opts DialOptions) (*Client, error) {
 	if opts.OnEvent != nil {
 		fn := opts.OnEvent
 		c.onEvent.Store(&fn)
-	}
-	if opts.Batch.MaxDelay > 0 {
-		c.batch = newBatcher(c, opts.Batch)
 	}
 	// The preamble rides in the write buffer until the first frame flushes,
 	// so it costs no extra syscall.
@@ -360,7 +335,7 @@ func (c *Client) readLoop() {
 			// what it keeps); a handlerless client just drops the event.
 			arenaPut(payload)
 			continue
-		case frameRequest, frameOneWay, frameBatch:
+		case frameRequest, frameOneWay:
 			// Client-to-server kinds arriving at a client: the peer is not
 			// speaking our side of the protocol, so kill the connection.
 			arenaPut(meta)
@@ -433,34 +408,28 @@ func (c *Client) reclaim(seq uint64) bool {
 	return present
 }
 
-// failCall delivers err to ca unless the read loop got there first (in
-// which case the genuine result stands) or the caller abandoned the call.
-// seq is passed explicitly rather than read from ca: a batch entry may
-// outlive its released Call object (Release/Wait-timeout while queued), and
-// the stale pointer's seq field could already belong to a reused checkout —
-// the captured seq makes the reclaim miss, so nothing is ever delivered to
-// an object the error path no longer owns.
-func (c *Client) failCall(seq uint64, ca *Call, err error) {
-	if c.reclaim(seq) {
-		ca.deliver(callResult{err: err})
-	}
-}
-
 // Go starts an asynchronous invocation of service.method and returns its
 // future. The returned Call always completes — pre-flight failures (closed
 // or poisoned connections, write errors) are delivered through it. The
-// payload must stay valid until the call completes: batching may hold it
-// briefly before writing. Consume the result with Wait, or with
-// Done/Err/Decode followed by Release.
+// request frame is held in the connection buffer, so a caller issuing a
+// window of futures puts them on the wire in one syscall; it is flushed by
+// the first blocking accessor (Wait, Err, Payload, Decode) on any future of
+// the connection, by the buffer filling up, or after the connection's
+// straggler bound at the latest. The payload is copied into the buffer (or
+// written to the kernel, when large) before Go returns, so the caller may
+// reuse it at once. Consume the result with Wait, or with Done/Err/Decode
+// followed by Release.
 func (c *Client) Go(service, method string, payload []byte) *Call {
-	return c.GoBudget(service, method, payload, 0)
+	return c.goBudget(service, method, payload, 0, true)
 }
 
-// GoBudget is Go with a deadline budget stamped on the wire: the server
-// charges queue wait against it and drops the work unexecuted (answering
-// statusExpired) once it runs out, so an expired request never occupies a
-// handler nobody is waiting for. budget <= 0 sends no deadline.
-func (c *Client) GoBudget(service, method string, payload []byte, budget time.Duration) *Call {
+// goBudget starts a call with a deadline budget stamped on the wire: the
+// server charges queue wait against it and drops the work unexecuted
+// (answering statusExpired) once it runs out, so an expired request never
+// occupies a handler nobody is waiting for. budget <= 0 sends no deadline.
+// hold leaves the request frame in the connection buffer (Go); without it
+// the frame is flushed unless another writer is queued behind it (Call).
+func (c *Client) goBudget(service, method string, payload []byte, budget time.Duration, hold bool) *Call {
 	seq := c.seq.Add(1)
 	ca := newCall(c, service, method, seq)
 
@@ -479,14 +448,12 @@ func (c *Client) GoBudget(service, method string, payload []byte, budget time.Du
 	c.pending[seq] = ca
 	c.mu.Unlock()
 
-	epoch := c.epoch()
-	bmicros := budgetMicros(budget)
-	if c.batch != nil {
-		c.batch.enqueue(batchEntry{seq: seq, epoch: epoch, budget: bmicros, service: service, method: method, payload: payload, ca: ca})
-		return ca
-	}
-	if err := c.w.writeRequest(seq, epoch, bmicros, service, method, payload); err != nil {
-		c.failCall(seq, ca, fmt.Errorf("transport: write: %w", err))
+	if err := c.w.writeRequest(seq, c.epoch(), budgetMicros(budget), service, method, payload, hold); err != nil {
+		// Deliver unless the read loop got there first (connection loss),
+		// in which case its result stands.
+		if c.reclaim(seq) {
+			ca.deliver(callResult{err: fmt.Errorf("transport: write: %w", err)})
+		}
 	}
 	return ca
 }
@@ -494,10 +461,7 @@ func (c *Client) GoBudget(service, method string, payload []byte, budget time.Du
 // OneWay invokes service.method without waiting for — or the server ever
 // sending — a response frame. Delivery is at-most-once: a connection
 // failure after submission loses the invocation silently, which is the
-// contract of a one-way call. With batching enabled submission is
-// asynchronous, so even the write itself may fail after OneWay returned
-// nil; the connection's sticky error then surfaces on the next invocation.
-// No call object is allocated or pooled.
+// contract of a one-way call. No call object is allocated or pooled.
 func (c *Client) OneWay(service, method string, payload []byte) error {
 	c.mu.Lock()
 	if c.closed {
@@ -513,20 +477,7 @@ func (c *Client) OneWay(service, method string, payload []byte) error {
 		return fmt.Errorf("transport: connection failed: %v: %w", err, ErrClosed)
 	}
 	c.mu.Unlock()
-
-	// Refuse unframeable payloads before submission on both paths: a
-	// batched one-way has no future to carry the error, so a post-enqueue
-	// failure would be a permanent silent drop of a deterministic caller
-	// bug.
-	epoch := c.epoch()
-	if size := requestFrameSize(0, epoch, 0, service, method, payload); size > MaxFrame {
-		return fmt.Errorf("%w: request frame of %d bytes", ErrFrameTooLarge, size)
-	}
-	if c.batch != nil {
-		c.batch.enqueue(batchEntry{oneway: true, epoch: epoch, service: service, method: method, payload: payload})
-		return nil
-	}
-	if err := c.w.writeOneWay(0, epoch, 0, service, method, payload); err != nil {
+	if err := c.w.writeOneWay(0, c.epoch(), 0, service, method, payload); err != nil {
 		return fmt.Errorf("transport: write: %w", err)
 	}
 	return nil
@@ -538,7 +489,7 @@ func (c *Client) OneWay(service, method string, payload []byte) error {
 // drops the work unexecuted if the budget expires before a worker picks it
 // up, so a timed-out caller never leaves zombie work running remotely.
 func (c *Client) Call(service, method string, payload []byte, timeout time.Duration) ([]byte, error) {
-	return c.GoBudget(service, method, payload, timeout).Wait(timeout)
+	return c.goBudget(service, method, payload, timeout, false).Wait(timeout)
 }
 
 // CallDecode is the typed convenience around Call: it encodes arg, invokes
@@ -553,8 +504,8 @@ func (c *Client) CallDecode(service, method string, arg Marshaler, reply Unmarsh
 		payload = Encode(arg)
 	}
 	out, err := c.Call(service, method, payload, timeout)
-	// Call returned, so the request bytes are written (or the entry was
-	// purged from the batch queue): the encode buffer is reusable.
+	// Call returned, so the request bytes are written: the encode buffer is
+	// reusable.
 	arenaPut(payload)
 	if err != nil {
 		return err
@@ -579,9 +530,6 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	if c.batch != nil {
-		c.batch.close()
-	}
 	err := c.conn.Close()
 	<-c.done
 	return err

@@ -29,16 +29,10 @@ type dialWait struct {
 	err  error
 }
 
-// NewConnCache creates a cache whose dials are bounded by dialTimeout
-// (<= 0 means 2s, the historical per-member dial bound).
-func NewConnCache(dialTimeout time.Duration) *ConnCache {
-	return NewConnCacheOpts(DialOptions{Timeout: dialTimeout})
-}
-
-// NewConnCacheOpts creates a cache applying opts to every client it dials
-// (batching, epoch stamping, route-update delivery). A zero Timeout means
-// 2s, the historical per-member dial bound.
-func NewConnCacheOpts(opts DialOptions) *ConnCache {
+// NewConnCache creates a cache applying opts to every client it dials
+// (dial timeout, epoch stamping, route-update delivery). A zero Timeout
+// means 2s, the historical per-member dial bound.
+func NewConnCache(opts DialOptions) *ConnCache {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 2 * time.Second
 	}

@@ -5,7 +5,7 @@
 // client connection multiplexes concurrent calls; responses are matched to
 // requests by sequence number.
 //
-// # Wire format (version 5)
+// # Wire format (version 6)
 //
 // Framing is a hand-rolled binary codec: no reflection runs on the hot path.
 // Application payloads — the opaque []byte a Request or Response carries —
@@ -18,11 +18,12 @@
 //	| 'e' | 'R' | 'M' | 'I' | version |
 //	+-----+-----+-----+-----+---------+
 //
-// The current protocol version is 5 (version 1 lacked the request epoch and
+// The current protocol version is 6 (version 1 lacked the request epoch and
 // piggybacked route updates and carried a redirect list on responses;
 // version 2 lacked the request budget and the response status; version 3
 // carried the payload inline in the body rather than in a separately-sized
-// section; version 4 lacked the event frame). A server that reads a bad
+// section; version 4 lacked the event frame; version 5 carried a batch
+// frame as kind 4 and the event frame as kind 5). A server that reads a bad
 // magic or an unknown version closes the
 // connection before parsing any frame; mismatched peers fail fast at
 // connection start rather than mid-stream. The preamble is buffered with the
@@ -38,8 +39,8 @@
 // must not exceed MaxFrame (64 MiB); oversized frames are rejected by the
 // reader (killing the connection) and refused by the writer before any byte
 // is written (failing only that call). kind is 1 for a request, 2 for a
-// response, 3 for a one-way request, 4 for a batch of requests, 5 for a
-// server-pushed event. plen is the
+// response, 3 for a one-way request, 4 for a server-pushed event; any
+// other kind is malformed. plen is the
 // size of the trailing payload section; the metadata section (the body
 // fields below, minus the payload) fills the bytes in between. Carrying
 // plen in the fixed header lets the reader land the payload directly in an
@@ -47,9 +48,7 @@
 // scatter-gather, without either side copying them through the connection
 // buffer. All integers inside the metadata are unsigned varints
 // (encoding/binary uvarint); strings and byte slices are length-prefixed
-// with a uvarint. Batch frames are the exception: their entries' payloads
-// travel inline in the metadata section (plen = 0) and share the frame's
-// buffer by refcount.
+// with a uvarint.
 //
 // Request metadata (kind 1; the application payload is the frame's payload
 // section):
@@ -93,7 +92,7 @@
 // marker: ermi-vet (make lint) flags any switch over them that neither
 // names every member nor declares an explicit default. readFrame bounds the
 // kind byte to the declared range before dispatch, so together the bound
-// and the marker guarantee that adding a sixth frame kind or a third
+// and the marker guarantee that adding a fifth frame kind or a third
 // refusal status is a compile-red event at every reader — each dispatch
 // site must decide the new member's fate explicitly rather than dropping
 // it in a silent default arm.
@@ -127,26 +126,7 @@
 // gate and queue are full it is dropped silently (the client awaits no
 // reply), never parked on an unbounded goroutine.
 //
-// Batch metadata (kind 4): several coalesced requests in one frame, written
-// by the client-side adaptive batcher (see BatchOptions). Entry payloads
-// travel inline here — a batch frame's payload section is empty (plen = 0):
-//
-//	count    uvarint   // 1..1024
-//	entries  count times:
-//	  flags    1 byte  // bit 0: one-way (no response for this entry)
-//	  seq      uvarint
-//	  epoch    uvarint
-//	  budget   uvarint // remaining deadline budget in µs (0 = none)
-//	  service  uvarint n, then n bytes
-//	  method   uvarint n, then n bytes
-//	  payload  uvarint n, then n bytes
-//
-// The server passes batch entries through admission exactly as if each had
-// arrived in its own frame; responses for the two-way entries travel as
-// ordinary response frames (kind 2), in completion order, coalesced by the
-// writer's flush elision. There is no batch-response frame kind.
-//
-// Event metadata (kind 5; the event payload is the frame's payload
+// Event metadata (kind 4; the event payload is the frame's payload
 // section): a server-initiated message on an established connection — the
 // push half of a lease/invalidation protocol layered above the transport
 // (e.g. the kvstore session layer's cache invalidations and watch
@@ -170,7 +150,7 @@
 //
 // A frame whose body is shorter or longer than its declared fields is a
 // protocol violation and closes the connection. Unknown flag bits in a
-// batch entry or route-update member are a protocol violation, reserving
+// route-update member are a protocol violation, reserving
 // them for future use; so are route updates with epoch 0 in disguise
 // (member counts above 4096), out-of-range weights or loads, and response
 // statuses above 2.
@@ -252,15 +232,20 @@
 // the header and metadata. Framing allocates nothing on the write path; the
 // read path parses the fixed header in place (Peek/Discard on the buffered
 // reader) and lands the payload in a recycled arena slab. Server Request
-// objects and their frame refcounts are pooled, a resident worker absorbs
+// objects are pooled, each owning its payload slab, a resident worker absorbs
 // light load without goroutine spawns, client call state (completion
 // channels, timers) is pooled, and sequence numbers come from an atomic
 // counter: a steady-state 64-byte echo round-trip costs 2 allocations.
 //
-// Asynchronous invocation pipelines through the same machinery: Client.Go
-// returns a pooled future immediately, so one caller can keep many requests
-// in flight on one connection; Client.OneWay skips response state entirely.
-// With batching enabled, concurrent Go/OneWay invocations destined for the
-// same server coalesce into batch frames under an adaptive, latency-bounded
-// flusher.
+// A frame may also be held: written into the buffer without a flush even
+// when no other writer is queued. The server holds a response while more
+// responses on its connection are due; Client.Go holds its request, so a
+// caller issuing a window of futures puts them on the wire in one syscall.
+// Held frames are flushed by the next unheld write, by the buffer filling,
+// by a future's blocking accessor, or by the connection writer's straggler
+// timer at most 100µs later — the same writer logic on both ends.
+// Client.Call and OneWay never hold, so a synchronous caller never waits on
+// that timer. Client.Go returns a pooled future immediately, so one caller
+// can keep many requests in flight on one connection; Client.OneWay skips
+// response state entirely.
 package transport

@@ -54,7 +54,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 9, byte(frameRequest), 0xFF, 0xFF, 0xFF, 0xFF})   // payload length beyond the frame
 	f.Add([]byte{0, 0, 0, 12, byte(frameResponse), 0, 0, 0, 4, 1, 2, 3, 4}) // payload section, truncated
 	var t testing.T
-	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeRequest(7, 3, 1500, "svc", "m", []byte("hi")) }))
+	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeRequest(7, 3, 1500, "svc", "m", []byte("hi"), false) }))
 	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeOneWay(0, 0, 0, "svc", "m", nil) }))
 	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeResponse(9, statusOK, []byte("out"), "", nil, false) }))
 	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeResponse(11, statusOverload, nil, "", nil, false) }))
@@ -63,12 +63,7 @@ func FuzzReadFrame(f *testing.F) {
 			Epoch: 8, Members: []route.Member{{Addr: "a:1", UID: 1, Weight: 100, Load: 2}},
 		}, false)
 	}))
-	f.Add(frameBytes(&t, func(w *connWriter) error {
-		return w.writeBatch([]batchEntry{
-			{seq: 1, epoch: 5, service: "s", method: "a", payload: []byte{1}},
-			{oneway: true, seq: 2, service: "s", method: "b", payload: []byte{2}},
-		})
-	}))
+	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeEvent(3, 1, "key", []byte("ev")) }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, meta, payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
@@ -87,11 +82,9 @@ func FuzzReadFrame(f *testing.F) {
 		case frameResponse:
 			var res callResult
 			_, _ = parseResponse(meta, payload, &res)
-		case frameBatch:
-			items, err := parseBatch(meta, nil)
-			if err == nil && (len(items) == 0 || len(items) > maxBatchEntries) {
-				t.Fatalf("parseBatch accepted %d entries", len(items))
-			}
+		case frameEvent:
+			var ev Event
+			_ = parseEvent(meta, payload, &ev)
 		}
 	})
 }
@@ -112,13 +105,13 @@ func FuzzParseRequest(f *testing.F) {
 			return
 		}
 		budget := budgetMicros(req.Budget)
-		if requestFrameSize(req.Seq, req.Epoch, budget, req.Service, req.Method, req.Payload) > MaxFrame {
+		if frameHeaderSize+requestMetaSize(req.Seq, req.Epoch, budget, req.Service, req.Method)+len(req.Payload) > MaxFrame {
 			return // the writer refuses oversize frames by design
 		}
 		// Round-trip stability: what the parser accepted re-encodes to a
 		// frame it parses back field-identically.
 		out := frameBytes(t, func(w *connWriter) error {
-			return w.writeRequest(req.Seq, req.Epoch, budget, req.Service, req.Method, req.Payload)
+			return w.writeRequest(req.Seq, req.Epoch, budget, req.Service, req.Method, req.Payload, false)
 		})
 		kind, meta2, payload2 := reparse(t, out)
 		if kind != frameRequest {
@@ -204,67 +197,6 @@ func FuzzParseResponse(f *testing.F) {
 				if again.route.Members[i] != res.route.Members[i] {
 					t.Fatalf("route member %d drifted: %+v != %+v", i, again.route.Members[i], res.route.Members[i])
 				}
-			}
-		}
-	})
-}
-
-func FuzzParseBatch(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(binary.AppendUvarint(nil, 0))               // zero entries is malformed
-	f.Add(binary.AppendUvarint(nil, 1<<30))           // hostile count
-	f.Add(binary.AppendUvarint(nil, 2))               // declared 2, zero present
-	f.Add(append(binary.AppendUvarint(nil, 1), 0xFE)) // unknown flag bits
-	var t testing.T
-	good := frameBytes(&t, func(w *connWriter) error {
-		return w.writeBatch([]batchEntry{
-			{seq: 5, epoch: 3, service: "svc", method: "Echo", payload: []byte("abc")},
-			{oneway: true, seq: 0, service: "svc", method: "Tick", payload: nil},
-		})
-	})
-	f.Add(good[9:]) // strip length + header: batch entries ride in the meta section
-
-	f.Fuzz(func(t *testing.T, meta []byte) {
-		items, err := parseBatch(meta, nil)
-		if err != nil {
-			return
-		}
-		if len(items) == 0 || len(items) > maxBatchEntries {
-			t.Fatalf("accepted %d entries", len(items))
-		}
-		entries := make([]batchEntry, len(items))
-		for i, it := range items {
-			entries[i] = batchEntry{
-				oneway:  it.oneway,
-				seq:     it.req.Seq,
-				epoch:   it.req.Epoch,
-				budget:  budgetMicros(it.req.Budget),
-				service: it.req.Service,
-				method:  it.req.Method,
-				payload: it.req.Payload,
-			}
-		}
-		if batchFrameSize(entries) > MaxFrame {
-			return // the writer refuses oversize batches by design
-		}
-		out := frameBytes(t, func(w *connWriter) error { return w.writeBatch(entries) })
-		kind, meta2, _ := reparse(t, out)
-		if kind != frameBatch {
-			t.Fatalf("re-encoded batch came back as kind %d", kind)
-		}
-		again, err := parseBatch(meta2, nil)
-		if err != nil {
-			t.Fatalf("re-encoded batch rejected: %v", err)
-		}
-		if len(again) != len(items) {
-			t.Fatalf("round trip drifted: %d entries != %d", len(again), len(items))
-		}
-		for i := range items {
-			a, b := again[i], items[i]
-			if a.oneway != b.oneway || a.req.Seq != b.req.Seq || a.req.Epoch != b.req.Epoch ||
-				a.req.Budget != b.req.Budget || a.req.Service != b.req.Service ||
-				a.req.Method != b.req.Method || !bytes.Equal(a.req.Payload, b.req.Payload) {
-				t.Fatalf("entry %d drifted: %+v != %+v", i, a.req, b.req)
 			}
 		}
 	})

@@ -105,14 +105,14 @@ func TestExpiredInQueueNeverRunsHandler(t *testing.T) {
 	const waves = 6
 	calls := make([]*Call, waves)
 	for i := range calls {
-		calls[i] = c.GoBudget("svc", "Echo", []byte("doomed"), 50*time.Millisecond)
+		calls[i] = c.goBudget("svc", "Echo", []byte("doomed"), 50*time.Millisecond, false)
 	}
 	time.Sleep(150 * time.Millisecond) // budgets are now long gone
 	close(release)
 
 	for i, ca := range calls {
-		if _, err := ca.Wait(5 * time.Second); !errors.Is(err, ErrExpired) {
-			t.Fatalf("call %d err = %v, want ErrExpired", i, err)
+		if _, err := ca.Wait(5 * time.Second); !errors.Is(err, ErrExpired) || !errors.Is(err, ErrTimeout) {
+			t.Fatalf("call %d err = %v, want ErrExpired and ErrTimeout", i, err)
 		}
 	}
 	if err := blocker.Err(); err != nil {
@@ -129,6 +129,21 @@ func TestExpiredInQueueNeverRunsHandler(t *testing.T) {
 	// A fresh call with a healthy budget sails through.
 	if out, err := c.Call("svc", "Echo", []byte("alive"), 5*time.Second); err != nil || string(out) != "alive" {
 		t.Fatalf("call after expiry storm: %q, %v", out, err)
+	}
+}
+
+// TestExpiredReplyIsATimeout: a server-side budget expiry is a timeout as
+// far as the caller can tell, so code that matches ErrTimeout treats it as
+// one; ErrExpired still tells it the handler provably never ran. An
+// overload refusal is neither.
+func TestExpiredReplyIsATimeout(t *testing.T) {
+	ca := &Call{service: "svc", method: "M", res: callResult{status: statusExpired}}
+	if err := ca.err(); !errors.Is(err, ErrExpired) || !errors.Is(err, ErrTimeout) {
+		t.Fatalf("expired reply err = %v, want both ErrExpired and ErrTimeout", err)
+	}
+	ca.res.status = statusOverload
+	if err := ca.err(); !errors.Is(err, ErrOverloaded) || errors.Is(err, ErrTimeout) || errors.Is(err, ErrExpired) {
+		t.Fatalf("overload reply err = %v, want ErrOverloaded only", err)
 	}
 }
 
@@ -182,7 +197,8 @@ func TestOneWayDroppedWhenSaturated(t *testing.T) {
 }
 
 // TestBudgetReachesHandler: the remaining-budget field survives the wire on
-// both the plain and the batched path, anchored as a server-side deadline.
+// both the flushed (Call) and the held (future) write path, anchored as a
+// server-side deadline.
 func TestBudgetReachesHandler(t *testing.T) {
 	type seen struct {
 		budget   time.Duration
@@ -198,9 +214,14 @@ func TestBudgetReachesHandler(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	check := func(c *Client, label string) {
+	c := dial(t, srv.Addr())
+	check := func(label string, hold bool) {
 		t.Helper()
-		if _, err := c.Call("svc", "M", nil, 1500*time.Millisecond); err != nil {
+		call := func(budget time.Duration) error {
+			_, err := c.goBudget("svc", "M", nil, budget, hold).Wait(budget)
+			return err
+		}
+		if err := call(1500 * time.Millisecond); err != nil {
 			t.Fatalf("%s Call: %v", label, err)
 		}
 		got := <-ch
@@ -211,21 +232,15 @@ func TestBudgetReachesHandler(t *testing.T) {
 			t.Fatalf("%s deadline not anchored", label)
 		}
 		// No budget requested -> none on the wire.
-		if _, err := c.Call("svc", "M", nil, 0); err != nil {
+		if err := call(0); err != nil {
 			t.Fatalf("%s unbounded Call: %v", label, err)
 		}
 		if got := <-ch; got.budget != 0 || !got.deadline.IsZero() {
 			t.Fatalf("%s unbounded call carried budget %v deadline %v", label, got.budget, got.deadline)
 		}
 	}
-	plain := dial(t, srv.Addr())
-	check(plain, "plain")
-	batched, err := DialOpts(srv.Addr(), DialOptions{Timeout: 2 * time.Second, Batch: BatchOptions{MaxDelay: 200 * time.Microsecond}})
-	if err != nil {
-		t.Fatalf("DialOpts: %v", err)
-	}
-	t.Cleanup(func() { batched.Close() })
-	check(batched, "batched")
+	check("flushed", false)
+	check("held", true)
 }
 
 // TestExpressBypassesSaturatedAdmission: a method on the express lane runs

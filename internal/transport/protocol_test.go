@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +23,7 @@ import (
 // linear.
 func solvePayloadLen(t *testing.T, seq uint64, service, method string, target int) int {
 	t.Helper()
-	n := target - requestFrameSize(seq, 0, 0, service, method, nil)
+	n := target - frameHeaderSize - requestMetaSize(seq, 0, 0, service, method)
 	if n <= 0 {
 		t.Fatalf("no payload length reaches frame size %d", target)
 	}
@@ -39,7 +41,7 @@ func TestFrameExactlyAtMaxFrame(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := newConnWriter(&buf)
-	if err := w.writeRequest(seq, 0, 0, "s", "m", payload); err != nil {
+	if err := w.writeRequest(seq, 0, 0, "s", "m", payload, false); err != nil {
 		t.Fatalf("writeRequest at limit: %v", err)
 	}
 	if got := buf.Len(); got != MaxFrame+4 {
@@ -66,7 +68,7 @@ func TestFrameExactlyAtMaxFrame(t *testing.T) {
 	// One byte over: refused cleanly, nothing written.
 	var buf2 bytes.Buffer
 	w2 := newConnWriter(&buf2)
-	err = w2.writeRequest(seq, 0, 0, "s", "m", make([]byte, plen+1))
+	err = w2.writeRequest(seq, 0, 0, "s", "m", make([]byte, plen+1), false)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("over-limit err = %v, want ErrFrameTooLarge", err)
 	}
@@ -95,6 +97,55 @@ func TestReadFrameRejectsOversizeHeader(t *testing.T) {
 	hostile := []byte{0, 0, 0, 9, byte(frameRequest), 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(hostile))); !errors.Is(err, errMalformed) {
 		t.Fatalf("hostile payload length err = %v, want errMalformed", err)
+	}
+}
+
+// TestProtocolV6RejectsV5PeersAndRetiredKind: a peer opening with the
+// version-5 preamble is dropped before any frame is parsed, and kind 5 —
+// the event frame's old number, past the last declared kind since the
+// batch frame was deleted — is malformed.
+func TestProtocolV6RejectsV5PeersAndRetiredKind(t *testing.T) {
+	if protoVersion != 6 || frameEvent != 4 || frameMax != frameEvent {
+		t.Fatalf("protocol version %d with event kind %d and bound %d, want 6, 4, 4", protoVersion, frameEvent, frameMax)
+	}
+	retired := []byte{0, 0, 0, 6, 5, 0, 0, 0, 0, 0}
+	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(retired))); !errors.Is(err, errMalformed) {
+		t.Fatalf("kind 5 err = %v, want errMalformed", err)
+	}
+
+	var handled atomic.Int64
+	srv, err := Serve("127.0.0.1:0", func(req *Request) ([]byte, error) {
+		handled.Add(1)
+		return req.Payload, nil
+	})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	v5 := []byte{'e', 'R', 'M', 'I', 5}
+	var buf bytes.Buffer
+	if err := newConnWriter(&buf).writeRequest(1, 0, 0, "svc", "Echo", []byte("v5"), false); err != nil {
+		t.Fatalf("writeRequest: %v", err)
+	}
+	if _, err := conn.Write(append(v5, buf.Bytes()...)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("v5 peer read %d bytes, err %v; want the server to close (EOF)", n, err)
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("server ran %d requests from a v5 peer", n)
+	}
+	// A current client is still served.
+	c := dial(t, srv.Addr())
+	if out, err := c.Call("svc", "Echo", []byte("v6"), 5*time.Second); err != nil || string(out) != "v6" {
+		t.Fatalf("v6 call = %q, %v", out, err)
 	}
 }
 
@@ -348,7 +399,7 @@ func TestTimeoutRaceKeepsPooledCallsClean(t *testing.T) {
 // and a dial to an unreachable peer doesn't block Gets for other peers.
 func TestConnCacheSingleflight(t *testing.T) {
 	srv := startEcho(t)
-	cc := NewConnCache(2 * time.Second)
+	cc := NewConnCache(DialOptions{Timeout: 2 * time.Second})
 	t.Cleanup(func() { cc.Close() })
 
 	const n = 16

@@ -331,14 +331,16 @@ func (s *Server) process(it workItem) {
 	s.reply(it.st, req, statusOK, payload, errMsg)
 }
 
-// reply writes one response frame with the connection's flush-coalescing
-// discipline and keeps the Quiesce accounting (outstanding/written) true.
+// reply writes one response frame — held in the connection buffer while
+// more responses on this connection are due — and keeps the Quiesce
+// accounting (outstanding/written) true.
 func (s *Server) reply(st *connState, req *Request, status respStatus, payload []byte, errMsg string) {
 	// The route update is computed after the handler ran: a view change
 	// during a long invocation still reaches the caller on this reply.
 	rt := s.routeUpdateFor(req.Epoch)
 	hold := st.outstanding.Add(-1) > 0
-	werr := st.w.writeResponse(req.Seq, status, payload, errMsg, rt, hold)
+	// A write error has closed the connection (see connWriter.fail).
+	_ = st.w.writeResponse(req.Seq, status, payload, errMsg, rt, hold)
 	// The response bytes are on their way (buffered or scatter-gathered to
 	// the kernel), so nothing references the request's payload slab — or a
 	// transport-owned reply buffer — any longer. Release both, even on a
@@ -348,23 +350,6 @@ func (s *Server) reply(st *connState, req *Request, status respStatus, payload [
 	}
 	req.recycle()
 	st.written.Add(1)
-	if werr != nil {
-		st.conn.Close()
-		return
-	}
-	// Arm the straggler timer only after the bytes are buffered: a timer
-	// armed earlier could fire and flush before this response lands, leaving
-	// it stuck behind an arbitrarily long-running handler. The callback
-	// disarms before flushing, so any response buffered after the disarm
-	// observes timerArmed == false and arms a fresh round.
-	if hold && st.timerArmed.CompareAndSwap(false, true) {
-		time.AfterFunc(responseFlushBound, func() {
-			st.timerArmed.Store(false)
-			if st.w.flushNow() != nil {
-				st.conn.Close()
-			}
-		})
-	}
 }
 
 // ingestRequest runs the per-request admission pipeline on the read path:
@@ -445,7 +430,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if _, err := io.ReadFull(br, pre[:]); err != nil || pre != preamble {
 		return // wrong magic or unsupported protocol version
 	}
-	st := &connState{conn: conn, w: newConnWriter(conn)}
+	st := &connState{w: newConnWriter(conn)}
 	pusher := &Pusher{st: st}
 	s.mu.Lock()
 	s.states[st] = struct{}{}
@@ -474,44 +459,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				arenaPut(payload)
 				return
 			}
-			if payload != nil {
-				// Single-request frames use the Request's inline frameBuf:
-				// no per-frame refcount allocation.
-				req.fb.buf = payload
-				req.fb.refs.Store(1)
-				req.frame = &req.fb
-			}
+			req.slab = payload
 			req.pusher = pusher
 			if kind == frameRequest {
 				s.ingestRequest(st, req, arrival)
 			} else {
 				s.ingestOneWay(req, arrival)
-			}
-		case frameBatch:
-			items, err := parseBatch(meta, in)
-			if err != nil {
-				arenaPut(meta)
-				arenaPut(payload)
-				return
-			}
-			// Batch payloads ride inline in the metadata section; a stray
-			// payload section from a nonconforming peer is just dropped.
-			arenaPut(payload)
-			// Every entry's payload aliases the shared metadata slab, so the
-			// slab is refcounted: the last entry to finish releases it.
-			fb := newFrameBuf(meta, int32(len(items)))
-			// Fan-out: every entry of the batch passes through the admission
-			// gate exactly as if it had arrived in its own frame. Responses
-			// are ordinary response frames, coalesced on the return path by
-			// the outstanding-count flush elision.
-			for _, it := range items {
-				it.req.frame = fb
-				it.req.pusher = pusher
-				if it.oneway {
-					s.ingestOneWay(it.req, arrival)
-				} else {
-					s.ingestRequest(st, it.req, arrival)
-				}
 			}
 		case frameResponse, frameEvent:
 			// Server-to-client kinds arriving at a server: the peer is not
@@ -599,8 +552,7 @@ func (p *Pusher) Closed() bool { return p == nil || p.st.closed.Load() }
 // response writers: the writer itself plus the outstanding-request count
 // driving response flush coalescing.
 type connState struct {
-	conn net.Conn
-	w    *connWriter
+	w *connWriter
 	// closed is set when the connection's read loop exits; it fails event
 	// pushes fast (response writes discover the death through their own
 	// write errors).
@@ -608,10 +560,9 @@ type connState struct {
 	// outstanding counts requests read but not yet answered. A responder
 	// that is not the last one holds its flush — more responses are
 	// imminent — so a wave of completions reaches the kernel in one
-	// syscall; the timer below bounds the wait when a straggler keeps the
-	// count up.
+	// syscall; the writer's straggler timer bounds the wait when a
+	// long-running handler keeps the count up.
 	outstanding atomic.Int64
-	timerArmed  atomic.Bool
 	// accepted counts every two-way request read on this connection;
 	// written counts those whose response write has completed (or that
 	// were dropped while draining). accepted == written && outstanding == 0
@@ -619,10 +570,6 @@ type connState struct {
 	accepted atomic.Int64
 	written  atomic.Int64
 }
-
-// responseFlushBound caps how long a completed response may sit buffered
-// behind still-running handlers on the same connection.
-const responseFlushBound = 100 * time.Microsecond
 
 // Close stops accepting, closes all connections and waits for in-flight
 // handlers (and the worker pool behind the admission queue) to finish.

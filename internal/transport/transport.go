@@ -73,9 +73,9 @@ type Request struct {
 	// work nobody is waiting for (e.g. skip a cache fill mid-call).
 	Deadline time.Time
 	// OneWay is set by the server for invocations that will never be
-	// answered (one-way frames and one-way batch entries). There is no
-	// response to piggyback corrections on, so handlers execute them with
-	// whatever routing the caller chose.
+	// answered (one-way frames). There is no response to piggyback
+	// corrections on, so handlers execute them with whatever routing the
+	// caller chose.
 	OneWay bool
 	// ReleaseReply marks the handler's returned payload as transport-owned
 	// arena memory (Encode output): the server releases it to the arena once
@@ -89,13 +89,9 @@ type Request struct {
 	// Pusher.
 	pusher *Pusher
 
-	// frame is the refcounted arena slab backing Payload (nil once released
-	// or retained). See Retain.
-	frame *frameBuf
-	// fb backs frame inline for single-request frames, so parsing a request
-	// allocates neither a Request (pooled) nor a frameBuf; batch entries
-	// share one out-of-line refcounted frameBuf instead.
-	fb frameBuf
+	// slab is the arena slab backing Payload, owned by this request alone.
+	// See Retain.
+	slab []byte
 	// retained records Retain: the Request must not return to the pool while
 	// decoded views alias its slab, so it is left to the GC with the slab.
 	retained bool
@@ -115,8 +111,7 @@ func getRequest() *Request {
 	r.Budget, r.Deadline = 0, time.Time{}
 	r.OneWay, r.ReleaseReply, r.retained = false, false, false
 	r.pusher = nil
-	r.frame = nil
-	r.fb.buf = nil
+	r.slab = nil
 	return r
 }
 
@@ -146,28 +141,20 @@ type Event struct {
 // as a []byte field decoded by a generated codec — outlives the request.
 func (r *Request) Retain() {
 	r.retained = true
-	r.frame = nil
 }
 
-// releaseFrame drops the request's reference on its frame slab (a no-op
-// after Retain). Called by the server once the response is written — or,
-// for one-way work, once the handler returns.
-func (r *Request) releaseFrame() {
-	if f := r.frame; f != nil {
-		r.frame = nil
-		f.release()
-	}
-}
-
-// recycle releases the frame reference and returns the Request to the pool
-// for the next parse. A retained Request stays out of the pool: the decoded
-// views aliasing its slab keep both alive until the application drops them.
+// recycle returns the payload slab to the arena (unless Retain detached it)
+// and the Request to the pool for the next parse. Called by the server once
+// the response is written — or, for one-way work, once the handler returns.
+// A retained Request stays out of the pool: the decoded views aliasing its
+// slab keep both alive until the application drops them.
 func (r *Request) recycle() {
-	r.releaseFrame()
-	if !r.retained {
-		r.fb.buf = nil
-		reqPool.Put(r)
+	if r.retained {
+		return
 	}
+	arenaPut(r.slab)
+	r.slab = nil
+	reqPool.Put(r)
 }
 
 // Response answers a Request with the same Seq. It is the logical shape of a

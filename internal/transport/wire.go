@@ -32,8 +32,11 @@ const MaxFrame = 64 << 20
 // scatter-gather without copying them through the connection buffer.
 // Version 5 added the event frame: a server-initiated message pushed on an
 // established connection (session invalidations and watch notifications),
-// reusing the metadata/payload split of version 4.
-const protoVersion = 5
+// reusing the metadata/payload split of version 4. Version 6 deleted the
+// batch frame (kind 4) — concurrent and pipelined requests coalesce in the
+// connection buffer instead — and renumbered the event frame from 5 to 4 so
+// the declared kinds stay contiguous.
+const protoVersion = 6
 
 var preamble = [5]byte{'e', 'R', 'M', 'I', protoVersion}
 
@@ -54,18 +57,12 @@ const (
 	// response frame (fire-and-forget). Body shape is identical to a
 	// request; the seq is carried for debugging but never answered.
 	frameOneWay frameKind = 3
-	// frameBatch carries several coalesced requests in one frame. The
-	// server fans the entries out to the handler; responses (for the
-	// entries that want one) travel as ordinary response frames. Batch
-	// frames carry their entries' payloads inline in the metadata section
-	// (plen = 0); the entries share the frame's buffer by refcount.
-	frameBatch frameKind = 4
 	// frameEvent is a server-initiated message on an established connection:
 	// it answers no request and carries its own (kind, topic, seq) addressing
 	// instead of a response seq. Clients dispatch events to the handler
 	// installed at dial time; servers never accept one (events flow
 	// server→client only).
-	frameEvent frameKind = 5
+	frameEvent frameKind = 4
 
 	// frameMax bounds the kind byte: readFrame rejects frames outside
 	// [frameRequest, frameMax] as malformed, so dispatch switches only
@@ -76,9 +73,6 @@ const (
 // frameHeaderSize is the fixed per-frame header after the u32 length field:
 // one kind byte plus the u32 payload-section length.
 const frameHeaderSize = 5
-
-// oneWayFlag marks a batch entry whose response the client does not want.
-const oneWayFlag = 0x1
 
 // respStatus is the status field of a response body. statusOK responses
 // carry the handler's result (or its application error in errmsg); the
@@ -105,10 +99,6 @@ const (
 
 	statusMax = statusExpired // parser bound; larger values are malformed
 )
-
-// maxBatchEntries bounds the entries one batch frame may carry; writers
-// split above it and readers treat larger counts as malformed.
-const maxBatchEntries = 1024
 
 // errMalformed kills a connection whose peer sent an unparseable frame.
 var errMalformed = errors.New("transport: malformed frame")
@@ -142,45 +132,131 @@ func uvarintLen(x uint64) int {
 }
 
 // connWriter serializes frame writes onto one connection through a buffered
-// writer with flush coalescing: a writer that observes other writers queued
-// behind it leaves flushing to the last of them, so a burst of concurrent
-// frames reaches the kernel in a single syscall. Write errors are sticky —
-// once a frame fails the connection is dead and every later write fails.
-// Large payloads skip the buffer: header+metadata are built in an arena
-// scratch and handed to the kernel together with the payload as one
-// scatter-gather write (net.Buffers → writev on TCP).
+// writer, and is the one place writes are coalesced, on both ends of a
+// connection. A writer that observes other writers queued behind it leaves
+// flushing to the last of them, so a burst of concurrent frames reaches the
+// kernel in a single syscall. A frame written with hold (a client future, a
+// server response while more are due) is left in the buffer even when
+// nobody is queued; it is flushed by whichever comes first — a later
+// unheld write, a blocked caller (flushHeld), the buffer filling up, or the
+// straggler timer, armed once per held window, stragglerBound later.
+// Write errors are sticky and close the connection (see fail). Large
+// payloads skip the buffer: header+metadata are built in an arena scratch
+// and handed to the kernel together with the payload as one scatter-gather
+// write (net.Buffers → writev on TCP).
 type connWriter struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
 	dst     io.Writer // the raw connection, for scatter-gather writes
 	waiters atomic.Int32
 	err     error
+	// owed is set when a writer skipped its flush because another was
+	// queued: the queued writer inherits the flush even if it would hold,
+	// so an unheld frame never waits on the straggler timer.
+	owed bool
+	// holding is set while held frames sit in the buffer. While it is set
+	// the straggler timer is pending or its callback has yet to take the
+	// lock, so a held frame waits at most stragglerBound. Blocking
+	// accessors read it without the lock.
+	holding atomic.Bool
+	// straggler is created by the first held write, so a connection that
+	// only ever writes unheld frames never allocates it.
+	straggler *time.Timer
 }
+
+// stragglerBound caps how long a held frame — a client future's request or
+// a server response parked behind still-running handlers — may sit in the
+// connection buffer before it is flushed.
+const stragglerBound = 100 * time.Microsecond
 
 func newConnWriter(w io.Writer) *connWriter {
 	return &connWriter{bw: bufio.NewWriterSize(w, connBufSize), dst: w}
 }
 
-// lock enters the writer's critical section, tracking this writer in the
-// waiter count so the holder can skip its flush. Returns the sticky error.
-func (w *connWriter) lock() error {
+// emit writes one fully built header+metadata scratch plus its payload
+// section under the writer's lock, releases the scratch and settles the
+// flush (see finish).
+func (w *connWriter) emit(hdrMeta, payload []byte, hold bool) error {
 	w.waiters.Add(1)
 	w.mu.Lock()
 	w.waiters.Add(-1)
-	return w.err
+	err := w.err
+	if err == nil {
+		err = w.writeFrame(hdrMeta, payload)
+	}
+	arenaPut(hdrMeta)
+	return w.finish(err, hold)
 }
 
-// finish flushes unless another writer is queued, records any sticky error
-// and leaves the critical section.
-func (w *connWriter) finish(err error) error {
-	if err == nil && w.waiters.Load() == 0 {
-		err = w.bw.Flush()
-	}
-	if err != nil && w.err == nil {
-		w.err = err
+// finish settles the flush for the frame just written and leaves the
+// critical section: an owed or unheld frame flushes unless another writer
+// is queued (which then owes the flush); a held frame stays buffered and
+// arms the straggler timer if this opens a held window.
+func (w *connWriter) finish(err error, hold bool) error {
+	switch {
+	case err != nil:
+		w.fail(err)
+	case hold && !w.owed:
+		if w.bw.Buffered() > 0 && !w.holding.Load() {
+			w.holding.Store(true)
+			if w.straggler == nil {
+				w.straggler = time.AfterFunc(stragglerBound, w.flushHeld)
+			} else {
+				w.straggler.Reset(stragglerBound)
+			}
+		}
+	case w.waiters.Load() > 0:
+		w.owed = true
+	default:
+		err = w.flush()
 	}
 	w.mu.Unlock()
 	return err
+}
+
+// flush pushes the buffer to the kernel, settling every owed or held frame.
+// Caller holds the lock.
+func (w *connWriter) flush() error {
+	w.owed = false
+	w.holding.Store(false)
+	err := w.bw.Flush()
+	if err != nil {
+		w.fail(err)
+	}
+	return err
+}
+
+// fail records the first write error and closes the connection: the
+// stream may end mid-frame, and closing makes the reader fail every call
+// still pending — held ones included — instead of leaving them to hang.
+// Caller holds the lock.
+func (w *connWriter) fail(err error) {
+	if w.err == nil {
+		w.err = err
+		if c, ok := w.dst.(io.Closer); ok {
+			c.Close()
+		}
+	}
+}
+
+// flushNow pushes any buffered frames to the kernel (a no-op on an empty
+// buffer).
+func (w *connWriter) flushNow() error {
+	w.mu.Lock()
+	err := w.err
+	if err == nil {
+		err = w.flush()
+	}
+	w.mu.Unlock()
+	return err
+}
+
+// flushHeld flushes held frames, if any: the straggler timer's callback,
+// and the first thing a future's blocking accessor does.
+func (w *connWriter) flushHeld() {
+	if w.holding.Load() {
+		_ = w.flushNow() // a failure closed the connection (see fail)
+	}
 }
 
 // writeSG emits a fully built header+metadata scratch and the payload as
@@ -189,7 +265,7 @@ func (w *connWriter) finish(err error) error {
 // single syscall on TCP, so the payload is never copied into the
 // connection buffer. Caller holds the lock.
 func (w *connWriter) writeSG(hdrMeta, payload []byte) error {
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		return err
 	}
 	bufs := net.Buffers{hdrMeta, payload}
@@ -226,12 +302,6 @@ func appendWireString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendWireBytes appends a uvarint-length-prefixed byte string.
-func appendWireBytes(b, v []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
 // budgetMicros converts a caller deadline budget to the wire's µs field,
 // clamping negatives to zero (0 = no deadline).
 func budgetMicros(budget time.Duration) uint64 {
@@ -248,22 +318,19 @@ func requestMetaSize(seq, epoch, budget uint64, service, method string) int {
 		uvarintLen(uint64(len(method))) + len(method)
 }
 
-// requestFrameSize returns the frame size (everything after the u32 length
-// field) of a request.
-func requestFrameSize(seq, epoch, budget uint64, service, method string, payload []byte) int {
-	return frameHeaderSize + requestMetaSize(seq, epoch, budget, service, method) + len(payload)
-}
-
-func (w *connWriter) writeRequest(seq, epoch, budget uint64, service, method string, payload []byte) error {
-	return w.writeRequestKind(frameRequest, seq, epoch, budget, service, method, payload)
+// writeRequest emits one request frame; hold leaves it buffered (see
+// connWriter). The payload is copied into the connection buffer, or written
+// to the kernel, before writeRequest returns.
+func (w *connWriter) writeRequest(seq, epoch, budget uint64, service, method string, payload []byte, hold bool) error {
+	return w.writeRequestKind(frameRequest, seq, epoch, budget, service, method, payload, hold)
 }
 
 // writeOneWay emits a request the server will not answer.
 func (w *connWriter) writeOneWay(seq, epoch, budget uint64, service, method string, payload []byte) error {
-	return w.writeRequestKind(frameOneWay, seq, epoch, budget, service, method, payload)
+	return w.writeRequestKind(frameOneWay, seq, epoch, budget, service, method, payload, false)
 }
 
-func (w *connWriter) writeRequestKind(kind frameKind, seq, epoch, budget uint64, service, method string, payload []byte) error {
+func (w *connWriter) writeRequestKind(kind frameKind, seq, epoch, budget uint64, service, method string, payload []byte, hold bool) error {
 	metaSize := requestMetaSize(seq, epoch, budget, service, method)
 	size := frameHeaderSize + metaSize + len(payload)
 	if size > MaxFrame {
@@ -279,88 +346,7 @@ func (w *connWriter) writeRequestKind(kind frameKind, seq, epoch, budget uint64,
 	b = binary.AppendUvarint(b, budget)
 	b = appendWireString(b, service)
 	_ = appendWireString(b, method)
-	if err := w.lock(); err != nil {
-		w.mu.Unlock()
-		arenaPut(hm)
-		return err
-	}
-	err := w.writeFrame(hm, payload)
-	arenaPut(hm)
-	return w.finish(err)
-}
-
-// batchEntry is one invocation inside a batch frame. For two-way entries ca
-// carries the future delivery is owed to; one-way entries leave it nil.
-type batchEntry struct {
-	oneway  bool
-	seq     uint64
-	epoch   uint64
-	budget  uint64 // remaining deadline budget in µs (0 = none)
-	service string
-	method  string
-	payload []byte
-	ca      *Call
-}
-
-// batchEntrySize returns the encoded size of one batch entry (flag byte +
-// request fields + inline length-prefixed payload).
-func batchEntrySize(e *batchEntry) int {
-	return 1 + requestMetaSize(e.seq, e.epoch, e.budget, e.service, e.method) +
-		uvarintLen(uint64(len(e.payload))) + len(e.payload)
-}
-
-// batchFrameSize returns the frame size (everything after the u32 length
-// field) of a batch.
-func batchFrameSize(entries []batchEntry) int {
-	size := frameHeaderSize + uvarintLen(uint64(len(entries)))
-	for i := range entries {
-		size += batchEntrySize(&entries[i])
-	}
-	return size
-}
-
-// writeBatch emits one batch frame carrying every entry. The caller keeps
-// batches within MaxFrame and maxBatchEntries; violations fail the whole
-// write before any byte reaches the wire. Batch payloads travel inline in
-// the metadata section (plen = 0): entries are small by construction, so
-// the scatter-gather path has nothing to win here.
-func (w *connWriter) writeBatch(entries []batchEntry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	if len(entries) > maxBatchEntries {
-		return fmt.Errorf("%w: batch of %d entries exceeds %d", ErrFrameTooLarge, len(entries), maxBatchEntries)
-	}
-	size := batchFrameSize(entries)
-	if size > MaxFrame {
-		return fmt.Errorf("%w: batch frame of %d bytes", ErrFrameTooLarge, size)
-	}
-	hm := arenaGet(4 + size)
-	putFrameHeader(hm, size, frameBatch, 0)
-	b := hm[:9]
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for i := range entries {
-		e := &entries[i]
-		var flags byte
-		if e.oneway {
-			flags |= oneWayFlag
-		}
-		b = append(b, flags)
-		b = binary.AppendUvarint(b, e.seq)
-		b = binary.AppendUvarint(b, e.epoch)
-		b = binary.AppendUvarint(b, e.budget)
-		b = appendWireString(b, e.service)
-		b = appendWireString(b, e.method)
-		b = appendWireBytes(b, e.payload)
-	}
-	if err := w.lock(); err != nil {
-		w.mu.Unlock()
-		arenaPut(hm)
-		return err
-	}
-	_, err := w.bw.Write(hm)
-	arenaPut(hm)
-	return w.finish(err)
+	return w.emit(hm, payload, hold)
 }
 
 // maxEventTopic bounds the topic string of an event frame; writers refuse
@@ -376,8 +362,7 @@ func eventMetaSize(seq, kind uint64, topic string) int {
 
 // writeEvent emits one server-push event frame. Events are latency-critical
 // (a write somewhere is blocked until the event's effect is acknowledged),
-// so the frame is flushed under the ordinary coalescing discipline — never
-// held for stragglers.
+// so the frame is never held.
 func (w *connWriter) writeEvent(seq, kind uint64, topic string, payload []byte) error {
 	if len(topic) > maxEventTopic {
 		return fmt.Errorf("%w: event topic of %d bytes", ErrFrameTooLarge, len(topic))
@@ -393,14 +378,7 @@ func (w *connWriter) writeEvent(seq, kind uint64, topic string, payload []byte) 
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, kind)
 	_ = appendWireString(b, topic)
-	if err := w.lock(); err != nil {
-		w.mu.Unlock()
-		arenaPut(hm)
-		return err
-	}
-	err := w.writeFrame(hm, payload)
-	arenaPut(hm)
-	return w.finish(err)
+	return w.emit(hm, payload, false)
 }
 
 // parseEvent decodes an event's metadata section into ev and attaches the
@@ -521,13 +499,12 @@ func responseFrameSize(seq uint64, status respStatus, payload []byte, errMsg str
 }
 
 // writeResponse emits one response frame, piggybacking rt when non-nil (the
-// member's routing table, newer than the requester's epoch). hold skips the
-// flush even when no other writer is queued — the server passes it while
-// more responses for this connection are imminent (outstanding requests),
-// so a wave of completions reaches the kernel in one syscall; the caller
-// guarantees a later flush (last writer, or its straggler timer). A payload
-// at or above the scatter-gather threshold goes to the kernel immediately
-// regardless of hold (it is never copied into the connection buffer).
+// member's routing table, newer than the requester's epoch). The server
+// passes hold while more responses for this connection are imminent
+// (outstanding requests), so a wave of completions reaches the kernel in
+// one syscall (see connWriter). A payload at or above the scatter-gather
+// threshold goes to the kernel immediately regardless of hold (it is never
+// copied into the connection buffer).
 func (w *connWriter) writeResponse(seq uint64, status respStatus, payload []byte, errMsg string, rt *route.Table, hold bool) error {
 	if rt != nil && (len(rt.Members) == 0 || len(rt.Members) > maxRouteMembers || rt.Epoch == 0) {
 		rt = nil // unencodable table: drop the piggyback, never the response
@@ -547,37 +524,7 @@ func (w *connWriter) writeResponse(seq uint64, status respStatus, payload []byte
 	b = binary.AppendUvarint(b, uint64(status))
 	b = appendWireString(b, errMsg)
 	_ = appendRouteUpdate(b, rt)
-	if err := w.lock(); err != nil {
-		w.mu.Unlock()
-		arenaPut(hm)
-		return err
-	}
-	err := w.writeFrame(hm, payload)
-	arenaPut(hm)
-	if hold && err == nil {
-		if w.err == nil {
-			w.mu.Unlock()
-			return nil
-		}
-		err = w.err
-	}
-	return w.finish(err)
-}
-
-// flushNow pushes any buffered frames to the kernel (a no-op on an empty
-// buffer). Used by the server's straggler timer to bound how long held
-// responses may sit.
-func (w *connWriter) flushNow() error {
-	w.mu.Lock()
-	err := w.err
-	if err == nil {
-		err = w.bw.Flush()
-		if err != nil {
-			w.err = err
-		}
-	}
-	w.mu.Unlock()
-	return err
+	return w.emit(hm, payload, hold)
 }
 
 // readFrame reads one length-prefixed frame and returns its kind, metadata
@@ -646,30 +593,6 @@ func readFrame(br *bufio.Reader) (frameKind, []byte, []byte, error) {
 		}
 	}
 	return kind, meta, payload, nil
-}
-
-// frameBuf is a refcounted arena slab backing one or more parsed requests.
-// A plain request holds one reference on its payload slab; every entry of a
-// batch frame holds a reference on the shared metadata slab its inline
-// payload aliases. The last release returns the slab to the arena; a
-// Retain'd request simply never releases its reference, leaving the slab to
-// the garbage collector once all aliases die.
-type frameBuf struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-func newFrameBuf(buf []byte, refs int32) *frameBuf {
-	f := &frameBuf{buf: buf}
-	f.refs.Store(refs)
-	return f
-}
-
-// release drops one reference, returning the slab to the arena on the last.
-func (f *frameBuf) release() {
-	if f.refs.Add(-1) == 0 {
-		arenaPut(f.buf)
-	}
 }
 
 // interner deduplicates the service/method strings of one connection: a
@@ -766,74 +689,6 @@ func clampBudget(micros uint64) time.Duration {
 		micros = maxBudget
 	}
 	return time.Duration(micros) * time.Microsecond
-}
-
-// batchItem is one decoded entry of a batch frame as handed to the server.
-type batchItem struct {
-	oneway bool
-	req    *Request
-}
-
-// parseBatch decodes a batch's metadata section. Service and Method strings
-// are interned; payloads alias meta (the caller wraps meta in a refcounted
-// frameBuf shared by every entry).
-func parseBatch(meta []byte, in *interner) ([]batchItem, error) {
-	count, rest, ok := takeUvarint(meta)
-	if !ok || count == 0 || count > maxBatchEntries {
-		return nil, errMalformed
-	}
-	// Grow by append rather than trusting the declared count outright: the
-	// count is capped above, but entries must actually be present.
-	items := make([]batchItem, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if len(rest) == 0 {
-			return nil, errMalformed
-		}
-		flags := rest[0]
-		rest = rest[1:]
-		if flags&^oneWayFlag != 0 {
-			return nil, errMalformed
-		}
-		var seq, epoch, budget uint64
-		seq, rest, ok = takeUvarint(rest)
-		if !ok {
-			return nil, errMalformed
-		}
-		epoch, rest, ok = takeUvarint(rest)
-		if !ok {
-			return nil, errMalformed
-		}
-		budget, rest, ok = takeUvarint(rest)
-		if !ok {
-			return nil, errMalformed
-		}
-		var service, method, payload []byte
-		service, rest, ok = takeBytes(rest)
-		if !ok {
-			return nil, errMalformed
-		}
-		method, rest, ok = takeBytes(rest)
-		if !ok {
-			return nil, errMalformed
-		}
-		payload, rest, ok = takeBytes(rest)
-		if !ok {
-			return nil, errMalformed
-		}
-		req := getRequest()
-		req.Seq = seq
-		req.Epoch = epoch
-		req.Budget = clampBudget(budget)
-		req.Service = in.intern(service)
-		req.Method = in.intern(method)
-		req.Payload = payload
-		req.OneWay = flags&oneWayFlag != 0
-		items = append(items, batchItem{oneway: req.OneWay, req: req})
-	}
-	if len(rest) != 0 {
-		return nil, errMalformed
-	}
-	return items, nil
 }
 
 // parseResponse decodes a response's metadata section into res and attaches

@@ -6,7 +6,7 @@
 # numbers next to the frozen seed baseline (the gob-framed transport at
 # commit b60f3ab, measured with the same bench_test.go), so every PR can see
 # the perf trajectory at a glance. Also rewrites BENCH_async.json comparing
-# sequential-sync, pipelined-async, batched-async and one-way echo
+# sequential-sync, pipelined-async (64 and 256 futures) and one-way echo
 # throughput (the PR-2 asynchronous invocation pipeline figure), and
 # BENCH_routing.json comparing routing strategies (p2c vs round-robin tail
 # latency under a skewed pool; hot-key affinity vs spray throughput — the
@@ -111,8 +111,8 @@ echo "wrote BENCH_codec.json"
 cat BENCH_codec.json
 
 # BENCH_async.json: the asynchronous invocation pipeline figure — the same
-# 64B echo workload driven sequentially-sync, as a pipelined window of
-# futures, through the adaptive batcher, and fire-and-forget. speedup_x is
+# 64B echo workload driven sequentially-sync, as a pipelined window of 64
+# and of 256 futures, and fire-and-forget. speedup_x is
 # relative to the sequential-sync baseline of this same run.
 printf '%s\n' "$OUT" | awk -v gen="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
   /^Benchmark/ {
@@ -124,9 +124,9 @@ printf '%s\n' "$OUT" | awk -v gen="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
     printf "{\n"
     printf "  \"generated\": \"%s\",\n", gen
     printf "  \"workload\": \"64B echo over one connection (internal/transport/bench_test.go)\",\n"
-    printf "  \"note\": \"pipelined = window of 64 Client.Go futures; batched = same window under the adaptive batcher (BatchOptions); oneway = fire-and-forget submission\",\n"
-    n = split("BenchmarkCall BenchmarkCallPipelined64 BenchmarkCallBatched64 BenchmarkCallBatched256 BenchmarkOneWay", keys, " ")
-    split("sync_sequential async_pipelined_64 async_batched_64 async_batched_256 oneway", labels, " ")
+    printf "  \"note\": \"pipelined_N = window of N Client.Go futures, their request frames held in the connection buffer until the first Wait; oneway = fire-and-forget submission\",\n"
+    n = split("BenchmarkCall BenchmarkCallPipelined64 BenchmarkCallPipelined256 BenchmarkOneWay", keys, " ")
+    split("sync_sequential async_pipelined_64 async_pipelined_256 oneway", labels, " ")
     first = 1
     for (i = 1; i <= n; i++) {
       k = keys[i]
