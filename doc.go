@@ -14,10 +14,9 @@
 //     the client-side pickers (round-robin, power-of-two-choices,
 //     key affinity) stubs balance with.
 //   - internal/transport, internal/kvstore, internal/cluster,
-//     internal/group, internal/metrics, internal/simclock — the substrates
-//     (wire protocol with piggybacked route updates, HyperDex-like store,
-//     Mesos-like cluster manager, JGroups-like group communication,
-//     workload metering, virtual time).
+//     internal/metrics, internal/simclock — the substrates (wire protocol
+//     with piggybacked route updates, HyperDex-like store, Mesos-like
+//     cluster manager, workload metering, virtual time).
 //   - internal/apps — the evaluation applications (Marketcetera order
 //     routing, Hedwig pub/sub, Paxos, DCS) plus the paper's running cache
 //     example.

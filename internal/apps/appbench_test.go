@@ -86,7 +86,7 @@ func BenchmarkHedwigPublishConsume(b *testing.B) {
 }
 
 // BenchmarkPaxosPropose: one full consensus round (Prepare/Promise +
-// Accept/Accepted + Decide) over the pool's group messaging.
+// Accept/Accepted + Decide) over the pool's peer messages.
 func BenchmarkPaxosPropose(b *testing.B) {
 	stub := benchPool(b, "bench-paxos", paxos.New(paxos.Config{}))
 	b.ResetTimer()

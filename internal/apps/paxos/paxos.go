@@ -4,7 +4,7 @@
 // proposer, acceptor and learner — and the pool appears to clients as a
 // single consensus service whose Propose method runs full Paxos rounds
 // (Prepare/Promise, Accept/Accepted, Decide) over the runtime's
-// member-to-member group messaging.
+// member-to-member peer messages.
 //
 // Safety: a slot decides at most one value, guaranteed by ballot-ordered
 // promises from majorities of acceptors. Decided values are additionally
@@ -84,15 +84,15 @@ const (
 )
 
 // wire is every Paxos message; unused fields are zero. A decoded wire's
-// byte fields are views into the peer message, which the group layer hands
-// over as an owned copy.
+// byte fields are views into the peer message, which the runtime hands over
+// as an owned copy.
 //
 //ermi:codec
 type wire struct {
 	Kind    msgKind
 	Slot    int64
 	Ballot  int64
-	From    string // proposer group address for replies
+	From    string // proposer skeleton address for replies
 	OK      bool
 	AccBal  int64  // highest ballot accepted by the responding acceptor
 	AccVal  []byte // value accepted at AccBal
@@ -196,14 +196,14 @@ func (r *Replica) nextBallot() int64 {
 	return r.ballotSeq*4096 + r.ctx.UID%4096
 }
 
-// quorumTargets returns the group addresses of the acceptors (all live
+// quorumTargets returns the skeleton addresses of the acceptors (all live
 // members, including self) and the majority size.
 func (r *Replica) quorumTargets() ([]string, int, error) {
 	roster := r.ctx.Roster()
 	var addrs []string
 	for _, m := range roster {
-		if !m.Draining || m.Group == r.ctx.GroupAddr() {
-			addrs = append(addrs, m.Group)
+		if !m.Draining || m.Addr == r.ctx.Addr() {
+			addrs = append(addrs, m.Addr)
 		}
 	}
 	if len(addrs) == 0 {
@@ -277,7 +277,7 @@ func (r *Replica) tryBallot(slot, ballot int64, value []byte) (bool, []byte, err
 	if err != nil {
 		return false, nil, err
 	}
-	me := r.ctx.GroupAddr()
+	me := r.ctx.Addr()
 
 	// Phase 1: Prepare / Promise.
 	promiseCh := r.openWaiter(roundKey{slot, ballot, msgPromise}, len(targets))

@@ -119,8 +119,10 @@ type Config struct {
 	// invocations before shutdown (§2.5). Default 10s; tests use a short
 	// value to keep scale-down fast.
 	DrainTimeout time.Duration
-	// DisableBroadcast turns off the periodic pool-state broadcast (used by
-	// tests that exercise the pool without group traffic).
+	// DisableBroadcast turns off the periodic pool-state broadcast, which
+	// republishes load reports and rebalance weights to every skeleton
+	// (used by tests that want routing tables to change only with the
+	// membership).
 	DisableBroadcast bool
 	// MaxConcurrentInvocations bounds how many invocations one member
 	// executes concurrently (its skeleton's admission gate); 0 selects the
@@ -191,8 +193,8 @@ type MemberContext struct {
 	usageFn    func() metrics.Usage
 	poolSizeFn func() int
 	rosterFn   func() []MemberInfo
-	peerSendFn func(toGroupAddr, topic string, payload []byte) error
-	groupAddr  string
+	peerSendFn func(to, topic string, payload []byte) error
+	addr       string
 
 	peerMu      sync.Mutex
 	peerHandler func(from, topic string, payload []byte)
@@ -241,23 +243,26 @@ func (c *MemberContext) Roster() []MemberInfo {
 	return c.rosterFn()
 }
 
-// GroupAddr is this member's group-communication identity, usable as a
-// peer-message destination by other members.
-func (c *MemberContext) GroupAddr() string { return c.groupAddr }
+// Addr is this member's skeleton address: its MemberInfo.Addr in the
+// roster and its identity as a peer-message destination.
+func (c *MemberContext) Addr() string { return c.addr }
 
-// SendPeer delivers an application message to another pool member over the
-// group layer (used by protocols among members, e.g. Paxos rounds).
-func (c *MemberContext) SendPeer(toGroupAddr, topic string, payload []byte) error {
+// SendPeer delivers an application message to the pool member whose
+// skeleton listens on to (used by protocols among members, e.g. Paxos
+// rounds). Delivery is best effort: a message the receiver cannot queue is
+// dropped. A send to self is delivered locally and hands over payload
+// as-is.
+func (c *MemberContext) SendPeer(to, topic string, payload []byte) error {
 	if c.peerSendFn == nil {
 		return errors.New("core: peer messaging unavailable")
 	}
-	return c.peerSendFn(toGroupAddr, topic, payload)
+	return c.peerSendFn(to, topic, payload)
 }
 
 // SetPeerHandler installs the callback receiving peer messages sent by
 // other members with SendPeer. The callback runs on the member's message
 // loop and must not block.
-func (c *MemberContext) SetPeerHandler(fn func(fromGroupAddr, topic string, payload []byte)) {
+func (c *MemberContext) SetPeerHandler(fn func(from, topic string, payload []byte)) {
 	c.peerMu.Lock()
 	defer c.peerMu.Unlock()
 	c.peerHandler = fn

@@ -183,7 +183,6 @@ func (*StatsReply) ERMIViews() {}
 func (v *MemberInfo) SizeERMI() int {
 	n := 0
 	n += ermic.SizeBytes(len(v.Addr))
-	n += ermic.SizeBytes(len(v.Group))
 	n += ermic.SizeVarint(int64(v.UID))
 	n += ermic.SizeVarint(int64(v.Pending))
 	n++
@@ -193,7 +192,6 @@ func (v *MemberInfo) SizeERMI() int {
 // MarshalERMI appends v's encoding to b (transport.Marshaler).
 func (v *MemberInfo) MarshalERMI(b []byte) []byte {
 	b = ermic.AppendString(b, string(v.Addr))
-	b = ermic.AppendString(b, string(v.Group))
 	b = ermic.AppendVarint(b, int64(v.UID))
 	b = ermic.AppendVarint(b, int64(v.Pending))
 	b = ermic.AppendBool(b, bool(v.Draining))
@@ -222,13 +220,6 @@ func (v *MemberInfo) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		v.Addr, b = string(x), rest
-	}
-	{
-		x, rest, err := ermic.ConsumeString(b)
-		if err != nil {
-			return nil, err
-		}
-		v.Group, b = string(x), rest
 	}
 	{
 		x, rest, err := ermic.ConsumeVarint(b)
@@ -331,30 +322,25 @@ func (v *DiscoverReply) consumeERMI(b []byte) ([]byte, error) {
 }
 
 // SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *poolStateMsg) SizeERMI() int {
+func (v *peerMsg) SizeERMI() int {
 	n := 0
-	n += ermic.SizeBytes(v.Table.SizeERMI())
-	n += ermic.SizeUvarint(uint64(len(v.Members)))
-	for i1 := range v.Members {
-		n += v.Members[i1].SizeERMI()
-	}
+	n += ermic.SizeBytes(len(v.From))
+	n += ermic.SizeBytes(len(v.Topic))
+	n += ermic.SizeBytes(len(v.Payload))
 	return n
 }
 
 // MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *poolStateMsg) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendUvarint(b, uint64(v.Table.SizeERMI()))
-	b = v.Table.MarshalERMI(b)
-	b = ermic.AppendUvarint(b, uint64(len(v.Members)))
-	for i1 := range v.Members {
-		b = v.Members[i1].MarshalERMI(b)
-	}
+func (v *peerMsg) MarshalERMI(b []byte) []byte {
+	b = ermic.AppendString(b, string(v.From))
+	b = ermic.AppendString(b, string(v.Topic))
+	b = ermic.AppendBytes(b, v.Payload)
 	return b
 }
 
 // UnmarshalERMI decodes an encoding produced by MarshalERMI
 // (transport.Unmarshaler). It is total on arbitrary input.
-func (v *poolStateMsg) UnmarshalERMI(b []byte) error {
+func (v *peerMsg) UnmarshalERMI(b []byte) error {
 	rest, err := v.consumeERMI(b)
 	if err != nil {
 		return err
@@ -366,44 +352,35 @@ func (v *poolStateMsg) UnmarshalERMI(b []byte) error {
 }
 
 // consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest poolStateMsg).
-func (v *poolStateMsg) consumeERMI(b []byte) ([]byte, error) {
+// (shared by UnmarshalERMI and codecs that nest peerMsg).
+func (v *peerMsg) consumeERMI(b []byte) ([]byte, error) {
+	{
+		x, rest, err := ermic.ConsumeString(b)
+		if err != nil {
+			return nil, err
+		}
+		v.From, b = string(x), rest
+	}
+	{
+		x, rest, err := ermic.ConsumeString(b)
+		if err != nil {
+			return nil, err
+		}
+		v.Topic, b = string(x), rest
+	}
 	{
 		x, rest, err := ermic.ConsumeBytesView(b)
 		if err != nil {
 			return nil, err
 		}
-		if err := v.Table.UnmarshalERMI(x); err != nil {
-			return nil, err
-		}
-		b = rest
-	}
-	{
-		cnt, rest, err := ermic.ConsumeCount(b)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		v.Members = nil
-		if cnt > 0 {
-			v.Members = make([]MemberInfo, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				{
-					rest, err := v.Members[i1].consumeERMI(b)
-					if err != nil {
-						return nil, err
-					}
-					b = rest
-				}
-			}
-		}
+		v.Payload, b = x, rest
 	}
 	return b, nil
 }
 
-// ERMIViews marks poolStateMsg as aliasing its decode buffer: []byte fields
+// ERMIViews marks peerMsg as aliasing its decode buffer: []byte fields
 // are zero-copy views into the payload it was decoded from.
-func (*poolStateMsg) ERMIViews() {}
+func (*peerMsg) ERMIViews() {}
 
 // SizeERMI returns the exact encoded size of v (transport.Marshaler).
 func (v *bindReq) SizeERMI() int {

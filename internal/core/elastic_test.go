@@ -105,8 +105,8 @@ func TestStoreScalesWithPool(t *testing.T) {
 }
 
 // TestBroadcastDisseminatesRoster: after a scale-up, the periodic pool-state
-// broadcast (sentinel -> skeletons over the group layer) refreshes every
-// member's roster so discovery answers include the new members.
+// broadcast (runtime -> every skeleton) refreshes every member's roster so
+// discovery answers include the new members.
 func TestBroadcastDisseminatesRoster(t *testing.T) {
 	env := newTestEnv(t, 8)
 	pool := newTestPool(t, env, Config{

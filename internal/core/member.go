@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"elasticrmi/internal/cluster"
-	"elasticrmi/internal/group"
 	"elasticrmi/internal/metrics"
 	"elasticrmi/internal/route"
 	"elasticrmi/internal/transport"
@@ -27,7 +26,17 @@ const (
 	// MethodStats asks a skeleton for its member's workload statistics
 	// (admin/observability surface).
 	MethodStats = "__stats"
+	// MethodPeer carries an application message from another member
+	// (MemberContext.SendPeer) as a peerMsg.
+	MethodPeer = "__peer"
 )
+
+// expressMethod admits liveness pings and peer messages past a saturated
+// gate: a busy member must neither be declared dead nor stall a handler of
+// its own (a Paxos round, say) that waits on peer replies.
+func expressMethod(_, method string) bool {
+	return method == MethodPing || method == MethodPeer
+}
 
 // StatsReply answers MethodStats with the member's last completed burst
 // interval.
@@ -48,21 +57,12 @@ type StatsReply struct {
 	Methods []metrics.MethodStat
 }
 
-// Group topics used inside a pool.
-const (
-	topicPoolState = "poolstate"
-	// appTopicPrefix namespaces application peer messages away from the
-	// runtime's own topics.
-	appTopicPrefix = "app:"
-)
-
-// MemberInfo describes one pool member as seen in pool-state broadcasts and
+// MemberInfo describes one pool member as seen in the roster and in
 // discovery replies.
 //
 //ermi:codec
 type MemberInfo struct {
-	Addr     string // skeleton (invocation) address
-	Group    string // group-communication address
+	Addr     string // skeleton address: invocations and peer messages
 	UID      int64
 	Pending  int
 	Draining bool
@@ -77,28 +77,27 @@ type DiscoverReply struct {
 	Members []MemberInfo // sentinel first
 }
 
-// poolStateMsg is the sentinel's periodic pool-state broadcast: the roster
-// for discovery answers plus the epoch-stamped routing table members serve
-// to stale clients.
+// peerMsg is one application message between members (MethodPeer).
 //
 //ermi:codec
-type poolStateMsg struct {
-	Table   route.Table
-	Members []MemberInfo
+type peerMsg struct {
+	From    string
+	Topic   string
+	Payload []byte
 }
 
 // member is one object of the elastic pool: the application Object plus its
-// skeleton (transport server), group endpoint and meter. It corresponds to
-// one JVM on one Mesos slice in the paper.
+// skeleton (transport server) and meter. It corresponds to one JVM on one
+// Mesos slice in the paper.
 type member struct {
 	pool  *Pool
 	uid   int64
+	addr  string // skeleton address
 	slice *cluster.Slice
 	obj   Object
 	ctx   *MemberContext
 	meter *metrics.Meter
 	srv   *transport.Server
-	gm    *group.Member
 
 	draining atomic.Bool
 
@@ -117,6 +116,10 @@ type member struct {
 	lastSrv transport.ServerStats
 	closed  bool
 
+	// peers queues received messages for messageLoop. 128 holds a burst
+	// from concurrent protocol rounds while the handler runs; a full queue
+	// drops, so a slow handler loses messages instead of stalling senders.
+	peers   chan peerMsg
 	msgStop chan struct{}
 	msgDone chan struct{}
 }
@@ -154,6 +157,16 @@ func (m *member) handle(req *transport.Request) ([]byte, error) {
 		req.ReleaseReply = true
 		return transport.Encode(&DiscoverReply{Pool: m.pool.cfg.Name, Epoch: t.Epoch, Members: m.rosterCopy()}), nil
 	case MethodPing:
+		return nil, nil
+	case MethodPeer:
+		var msg peerMsg
+		if err := transport.Decode(req.Payload, &msg); err != nil {
+			return nil, err
+		}
+		// msg.Payload aliases the request frame, which is recycled when
+		// this handler returns; the message loop consumes it later.
+		msg.Payload = append([]byte(nil), msg.Payload...)
+		m.queuePeer(msg)
 		return nil, nil
 	case MethodStats:
 		usage := m.cachedUsage()
@@ -196,31 +209,35 @@ func (m *member) rosterCopy() []MemberInfo {
 	return append([]MemberInfo(nil), m.roster...)
 }
 
-// messageLoop consumes group traffic: pool-state broadcasts from the
-// sentinel (roster + routing table) and application peer messages.
+// sendPeer delivers one application message to the member whose skeleton
+// listens on to. A send to self is queued locally.
+func (m *member) sendPeer(to, topic string, payload []byte) error {
+	msg := peerMsg{From: m.addr, Topic: topic, Payload: payload}
+	if to == m.addr {
+		m.queuePeer(msg)
+		return nil
+	}
+	return m.pool.callMember(to, MethodPeer, &msg, peerTimeout)
+}
+
+// queuePeer hands msg to the message loop, dropping it under backpressure
+// rather than wedging the sender.
+func (m *member) queuePeer(msg peerMsg) {
+	select {
+	case m.peers <- msg:
+	default:
+	}
+}
+
+// messageLoop delivers queued peer messages to the application's handler.
 func (m *member) messageLoop() {
 	defer close(m.msgDone)
 	for {
-		var msg group.Message
 		select {
 		case <-m.msgStop:
 			return
-		case msg = <-m.gm.Messages():
-		}
-		switch msg.Topic {
-		case topicPoolState:
-			var st poolStateMsg
-			if err := transport.Decode(msg.Payload, &st); err != nil {
-				continue
-			}
-			m.mu.Lock()
-			m.roster = st.Members
-			m.mu.Unlock()
-			m.setTable(st.Table)
-		default:
-			if len(msg.Topic) > len(appTopicPrefix) && msg.Topic[:len(appTopicPrefix)] == appTopicPrefix {
-				m.ctx.deliverPeer(msg.From, msg.Topic[len(appTopicPrefix):], msg.Payload)
-			}
+		case msg := <-m.peers:
+			m.ctx.deliverPeer(msg.From, msg.Topic, msg.Payload)
 		}
 	}
 }
@@ -285,8 +302,15 @@ func (m *member) drain(timeout time.Duration) bool {
 	return m.srv.Quiesce(quiesce)
 }
 
-// close releases the member's servers. Safe to call twice.
-func (m *member) close() {
+// close releases the member's skeleton and application object. Safe to
+// call twice.
+func (m *member) close() { m.shutdown(true) }
+
+// kill abruptly terminates the member without draining or closing its
+// application object (failure injection).
+func (m *member) kill() { m.shutdown(false) }
+
+func (m *member) shutdown(closeObj bool) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -295,25 +319,10 @@ func (m *member) close() {
 	m.closed = true
 	m.mu.Unlock()
 	close(m.msgStop)
-	if c, ok := m.obj.(Closer); ok {
+	if c, ok := m.obj.(Closer); ok && closeObj {
 		_ = c.Close()
 	}
 	_ = m.srv.Close()
-	_ = m.gm.Close()
-	<-m.msgDone
-}
-
-// kill abruptly terminates the member without draining (failure injection).
-func (m *member) kill() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	m.mu.Unlock()
-	close(m.msgStop)
-	_ = m.srv.Close()
-	_ = m.gm.Close()
+	m.pool.conns.Drop(m.addr)
 	<-m.msgDone
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"elasticrmi/internal/cluster"
-	"elasticrmi/internal/group"
 	"elasticrmi/internal/kvstore"
 	"elasticrmi/internal/metrics"
 	"elasticrmi/internal/route"
@@ -63,7 +65,12 @@ type Pool struct {
 	policy  Policy
 	fine    bool
 
-	gm *group.Member // the runtime's group endpoint (view coordinator, epoch source)
+	// epoch stamps every roster and routing table the runtime publishes;
+	// 0 is reserved for "no table yet" (bootstrap clients).
+	epoch atomic.Uint64
+	// conns carries the runtime's liveness pings and the members' peer
+	// messages, one connection per skeleton.
+	conns *transport.ConnCache
 
 	mu      sync.Mutex
 	members []*member // sorted by UID; members[0] is the sentinel
@@ -92,28 +99,22 @@ func NewPool(cfg Config, factory Factory, deps Deps) (*Pool, error) {
 	}
 	cfg = cfg.withDefaults()
 
-	gm, err := group.NewMember(group.Config{
-		HeartbeatInterval: 250 * time.Millisecond,
-		Clock:             cfg.Clock,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: pool group endpoint: %w", err)
-	}
 	p := &Pool{
 		cfg:     cfg,
 		deps:    deps,
 		factory: factory,
-		gm:      gm,
 		events:  make(chan ScaleEvent, 64),
 		stop:    make(chan struct{}),
 	}
+	// Stamping the pool's own epoch keeps the skeletons from piggybacking
+	// routing tables on replies to the runtime's calls.
+	p.conns = transport.NewConnCache(transport.DialOptions{Timeout: failureTimeout, Epoch: p.epoch.Load})
 
-	slices, err := deps.Cluster.Acquire(cfg.MinPoolSize)
+	granted, err := deps.Cluster.Acquire(cfg.MinPoolSize)
 	if err != nil {
-		gm.Close()
 		return nil, fmt.Errorf("core: instantiate pool %s: %w", cfg.Name, err)
 	}
-	for _, s := range slices {
+	for _, s := range granted {
 		if _, lerr := p.launchMember(s); lerr != nil {
 			p.Close()
 			return nil, fmt.Errorf("core: launch member: %w", lerr)
@@ -149,16 +150,19 @@ func (p *Pool) launchMember(s *cluster.Slice) (*member, error) {
 	if err != nil {
 		return nil, fmt.Errorf("allocate uid: %w", err)
 	}
-	gm, err := group.NewMember(group.Config{Clock: p.cfg.Clock})
+	// Listen before the factory runs so the member knows its own address;
+	// serving starts only once the object exists.
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	m := &member{
 		pool:    p,
 		uid:     uid,
+		addr:    lis.Addr().String(),
 		slice:   s,
-		gm:      gm,
 		meter:   metrics.NewMeter(p.cfg.SliceCPUs, p.cfg.Clock),
+		peers:   make(chan peerMsg, 128),
 		msgStop: make(chan struct{}),
 		msgDone: make(chan struct{}),
 	}
@@ -173,31 +177,29 @@ func (p *Pool) launchMember(s *cluster.Slice) (*member, error) {
 		poolSizeFn: func() int {
 			return p.Size()
 		},
-		rosterFn:  m.rosterCopy,
-		groupAddr: gm.Addr(),
-		peerSendFn: func(to, topic string, payload []byte) error {
-			return gm.Send(to, appTopicPrefix+topic, payload)
-		},
+		rosterFn:   m.rosterCopy,
+		addr:       m.addr,
+		peerSendFn: m.sendPeer,
 	}
 	m.ctx = ctx
 	obj, err := p.factory(ctx)
 	if err != nil {
-		gm.Close()
+		lis.Close()
 		return nil, fmt.Errorf("factory: %w", err)
 	}
 	m.obj = obj
 	if g, ok := obj.(RAMGauge); ok {
 		m.meter.SetRAMGauge(g.RAMUsage)
 	}
-	srv, err := transport.ServeOpts("127.0.0.1:0", m.handle, transport.ServerOptions{
+	srv, err := transport.ServeListener(lis, m.handle, transport.ServerOptions{
 		MaxConcurrent: p.cfg.MaxConcurrentInvocations,
 		MaxQueue:      p.cfg.MaxQueuedInvocations,
+		Express:       expressMethod,
 	})
 	if err != nil {
 		if c, ok := obj.(Closer); ok {
 			_ = c.Close()
 		}
-		gm.Close()
 		return nil, err
 	}
 	m.srv = srv
@@ -221,8 +223,7 @@ func (p *Pool) snapshotLocked(epoch uint64, weights map[string]int32) ([]MemberI
 	table := route.Table{Epoch: epoch, Members: make([]route.Member, 0, len(p.members))}
 	for _, m := range p.members {
 		info := MemberInfo{
-			Addr:     m.srv.Addr(),
-			Group:    m.gm.Addr(),
+			Addr:     m.addr,
 			UID:      m.uid,
 			Pending:  m.meter.InFlight(),
 			Draining: m.draining.Load(),
@@ -245,9 +246,8 @@ func (p *Pool) snapshotLocked(epoch uint64, weights map[string]int32) ([]MemberI
 	return roster, table
 }
 
-// publish pushes roster and table to the given members directly (the
-// runtime holds in-process references; group dissemination additionally
-// covers observers and is driven by the broadcast loop).
+// publish pushes roster and table to the given members directly: the
+// runtime holds in-process references to every skeleton.
 func publish(members []*member, roster []MemberInfo, table route.Table) {
 	for _, m := range members {
 		m.mu.Lock()
@@ -257,32 +257,25 @@ func publish(members []*member, roster []MemberInfo, table route.Table) {
 	}
 }
 
-// refreshView stamps a new membership epoch, installs the matching group
-// view (runtime endpoint first, so the runtime coordinates view
-// dissemination) and pushes the fresh roster plus epoch-stamped routing
-// table to all members, so every skeleton immediately corrects stale
-// clients on its next reply. The published roster and table are returned
-// so callers that must hand the SAME view to additional parties (shrink's
-// victims) never mint a second, different table under the same epoch.
+// refreshView stamps a new membership epoch and pushes the fresh roster
+// plus epoch-stamped routing table to all members, so every skeleton
+// immediately corrects stale clients on its next reply. The published
+// roster and table are returned so callers that must hand the SAME view to
+// additional parties (shrink's victims) never mint a second, different
+// table under the same epoch.
 func (p *Pool) refreshView() ([]MemberInfo, route.Table) {
-	epoch := p.gm.NextEpoch()
+	epoch := p.epoch.Add(1)
 	p.mu.Lock()
-	addrs := make([]string, 0, len(p.members)+1)
-	addrs = append(addrs, p.gm.Addr())
-	for _, m := range p.members {
-		addrs = append(addrs, m.gm.Addr())
-	}
 	roster, table := p.snapshotLocked(epoch, nil)
 	members := append([]*member(nil), p.members...)
 	p.mu.Unlock()
 
-	_ = p.gm.InstallView(group.View{ID: epoch, Members: addrs})
 	publish(members, roster, table)
 	return roster, table
 }
 
 // Epoch returns the pool's current membership epoch.
-func (p *Pool) Epoch() uint64 { return p.gm.Epoch() }
+func (p *Pool) Epoch() uint64 { return p.epoch.Load() }
 
 // rebind refreshes the registry binding (sentinel first).
 func (p *Pool) rebind() {
@@ -309,7 +302,7 @@ func (p *Pool) Endpoints() []string {
 	defer p.mu.Unlock()
 	out := make([]string, 0, len(p.members))
 	for _, m := range p.members {
-		out = append(out, m.srv.Addr())
+		out = append(out, m.addr)
 	}
 	return out
 }
@@ -321,8 +314,7 @@ func (p *Pool) Members() []MemberInfo {
 	out := make([]MemberInfo, 0, len(p.members))
 	for _, m := range p.members {
 		out = append(out, MemberInfo{
-			Addr:     m.srv.Addr(),
-			Group:    m.gm.Addr(),
+			Addr:     m.addr,
 			UID:      m.uid,
 			Pending:  m.meter.InFlight(),
 			Draining: m.draining.Load(),
@@ -338,7 +330,7 @@ func (p *Pool) SentinelAddr() string {
 	if len(p.members) == 0 {
 		return ""
 	}
-	return p.members[0].srv.Addr()
+	return p.members[0].addr
 }
 
 // Events streams scaling actions. The channel is buffered; events are
@@ -444,19 +436,21 @@ func (p *Pool) Resize(delta int) error {
 		return nil
 	}
 	if delta > 0 {
-		return p.grow(delta, size)
+		return p.grow(delta, size, p.policy.Name())
 	}
 	return p.shrink(-delta, size)
 }
 
-func (p *Pool) grow(n, from int) error {
+// grow launches n members on freshly acquired slices and emits one scale
+// event labelled with the policy (or "failure") that asked for them.
+func (p *Pool) grow(n, from int, policy string) error {
 	start := p.cfg.Clock.Now()
-	slices, err := p.deps.Cluster.Acquire(n)
+	granted, err := p.deps.Cluster.Acquire(n)
 	if err != nil {
 		return fmt.Errorf("grow pool %s: %w", p.cfg.Name, err)
 	}
 	added := 0
-	for _, s := range slices {
+	for _, s := range granted {
 		if _, lerr := p.launchMember(s); lerr != nil {
 			_ = p.deps.Cluster.Release(s)
 			continue
@@ -474,7 +468,7 @@ func (p *Pool) grow(n, from int) error {
 		At:                  p.cfg.Clock.Now(),
 		From:                from,
 		To:                  from + added,
-		Policy:              p.policy.Name(),
+		Policy:              policy,
 		ProvisioningLatency: latency,
 	})
 	return nil
@@ -544,9 +538,9 @@ func (p *Pool) shrink(n, from int) error {
 	return nil
 }
 
-// broadcastLoop periodically has the sentinel broadcast the pool state —
-// number of objects, identities, pending invocations — to all skeletons, and
-// issues rebalance plans for overloaded members (§4.3).
+// broadcastLoop periodically republishes the pool state — number of
+// objects, identities, pending invocations — to all skeletons, and issues
+// rebalance plans for overloaded members (§4.3).
 func (p *Pool) broadcastLoop() {
 	defer p.wg.Done()
 	interval := p.cfg.BurstInterval / 2
@@ -566,22 +560,22 @@ func (p *Pool) broadcastLoop() {
 	}
 }
 
-// broadcastState performs one pool-state broadcast: the sentinel stamps a
-// fresh epoch over the current membership with up-to-date load reports and
-// rebalance-derived weights, so power-of-two clients see recent pending
-// counts and overloaded members shed new arrivals by weight instead of
-// bouncing them through redirects. Exposed to tests via BroadcastNow.
+// broadcastState performs one pool-state broadcast: it stamps a fresh
+// epoch over the current membership with up-to-date load reports and the
+// sentinel's rebalance-derived weights, and publishes it to every skeleton,
+// so power-of-two clients see recent pending counts and overloaded members
+// shed new arrivals by weight instead of bouncing them through redirects.
+// Exposed to tests via BroadcastNow.
 func (p *Pool) broadcastState() {
 	p.mu.Lock()
 	if p.closed || len(p.members) == 0 {
 		p.mu.Unlock()
 		return
 	}
-	sentinel := p.members[0]
 	loads := make([]MemberLoad, 0, len(p.members))
 	for _, m := range p.members {
 		if !m.draining.Load() {
-			loads = append(loads, MemberLoad{Addr: m.srv.Addr(), Pending: m.meter.InFlight()})
+			loads = append(loads, MemberLoad{Addr: m.addr, Pending: m.meter.InFlight()})
 		}
 	}
 	p.mu.Unlock()
@@ -601,7 +595,7 @@ func (p *Pool) broadcastState() {
 		}
 	}
 
-	epoch := p.gm.NextEpoch()
+	epoch := p.epoch.Add(1)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -612,24 +606,65 @@ func (p *Pool) broadcastState() {
 	p.mu.Unlock()
 
 	publish(members, roster, table)
-	_ = sentinel.gm.Broadcast(topicPoolState, transport.Encode(&poolStateMsg{Table: table, Members: roster}))
 }
 
 // BroadcastNow triggers one immediate pool-state broadcast (testing hook).
 func (p *Pool) BroadcastNow() { p.broadcastState() }
 
-// failureLoop watches heartbeat failures from the runtime's group endpoint
-// and recovers: failed members are removed, their slices released, the
-// sentinel re-elected if needed (§4.4), and the pool regrown to the minimum.
+// Liveness: the runtime pings every member's skeleton each heartbeat and
+// declares a member failed once no ping has succeeded for failureTimeout.
+// A peer message is bounded separately and more loosely: it fails only its
+// sender, never the receiver's membership.
+const (
+	heartbeatInterval = 250 * time.Millisecond
+	failureTimeout    = 3 * heartbeatInterval
+	peerTimeout       = 5 * time.Second
+)
+
+// callMember runs one runtime call (a ping or a peer message) against the
+// skeleton at addr over the pool's shared connections; a failed connection
+// is dropped so the next call redials.
+func (p *Pool) callMember(addr, method string, arg transport.Marshaler, timeout time.Duration) error {
+	c, err := p.conns.Get(addr)
+	if err == nil {
+		err = c.CallDecode(p.cfg.Name, method, arg, nil, timeout)
+	}
+	if err != nil {
+		p.conns.Drop(addr)
+	}
+	return err
+}
+
+// failureLoop pings every member's skeleton each heartbeat and recovers
+// from the silent ones: failed members are removed, their slices released,
+// the sentinel re-elected if needed (§4.4), and the pool regrown to the
+// minimum.
 func (p *Pool) failureLoop() {
 	defer p.wg.Done()
+	lastSeen := make(map[*member]time.Time)
 	for {
 		select {
 		case <-p.stop:
 			return
-		case addr := <-p.gm.Failures():
-			p.handleFailure(addr)
+		case <-p.cfg.Clock.After(heartbeatInterval):
 		}
+		p.mu.Lock()
+		members := append([]*member(nil), p.members...)
+		p.mu.Unlock()
+		now := p.cfg.Clock.Now()
+		seen := make(map[*member]time.Time, len(members))
+		for _, m := range members {
+			last, ok := lastSeen[m]
+			if !ok || p.callMember(m.addr, MethodPing, nil, failureTimeout) == nil {
+				last = now
+			}
+			if now.Sub(last) >= failureTimeout {
+				p.handleFailure(m)
+				continue
+			}
+			seen[m] = last
+		}
+		lastSeen = seen
 	}
 }
 
@@ -642,66 +677,44 @@ func (p *Pool) revocationLoop(revoked <-chan *cluster.Slice) {
 		case <-p.stop:
 			return
 		case s := <-revoked:
+			var failed *member
 			p.mu.Lock()
-			var addr string
-			for _, m := range p.members {
-				if m.slice.ID == s.ID {
-					addr = m.gm.Addr()
-					break
-				}
+			if i := slices.IndexFunc(p.members, func(m *member) bool { return m.slice.ID == s.ID }); i >= 0 {
+				failed = p.members[i]
 			}
 			p.mu.Unlock()
-			if addr != "" {
-				p.handleFailure(addr)
+			if failed != nil {
+				p.handleFailure(failed)
 			}
 		}
 	}
 }
 
-func (p *Pool) handleFailure(groupAddr string) {
+// handleFailure removes a failed member and regrows the pool to the
+// minimum. The sentinel needs no separate election: members are kept
+// sorted by UID, so the new sentinel is simply the lowest surviving UID.
+func (p *Pool) handleFailure(failed *member) {
 	p.scaleMu.Lock()
 	defer p.scaleMu.Unlock()
 	p.mu.Lock()
-	if p.closed {
+	i := slices.Index(p.members, failed)
+	if p.closed || i < 0 {
 		p.mu.Unlock()
 		return
 	}
-	idx := -1
-	for i, m := range p.members {
-		if m.gm.Addr() == groupAddr {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		p.mu.Unlock()
-		return
-	}
-	failed := p.members[idx]
-	wasSentinel := idx == 0
-	p.members = append(p.members[:idx], p.members[idx+1:]...)
+	p.members = slices.Delete(p.members, i, i+1)
 	size := len(p.members)
 	p.mu.Unlock()
 
 	failed.kill()
 	_ = p.deps.Cluster.Release(failed.slice)
-	// Sentinel failure triggers the election: members are kept sorted by
-	// UID, so the new sentinel is simply the lowest surviving UID.
-	_ = wasSentinel
 	p.refreshView()
 	p.rebind()
 	p.emit(ScaleEvent{At: p.cfg.Clock.Now(), From: size + 1, To: size, Policy: "failure"})
-
 	if size < p.cfg.MinPoolSize {
-		if slices, err := p.deps.Cluster.Acquire(p.cfg.MinPoolSize - size); err == nil {
-			for _, s := range slices {
-				if _, lerr := p.launchMember(s); lerr != nil {
-					_ = p.deps.Cluster.Release(s)
-				}
-			}
-			p.refreshView()
-			p.rebind()
-		}
+		// Best effort: without capacity the pool serves below the minimum
+		// until a later grow succeeds, as it does after NewPool.
+		_ = p.grow(p.cfg.MinPoolSize-size, size, "failure")
 	}
 }
 
@@ -748,5 +761,5 @@ func (p *Pool) Close() error {
 	if p.deps.Registry != nil {
 		_ = p.deps.Registry.Unbind(p.cfg.Name)
 	}
-	return p.gm.Close()
+	return p.conns.Close()
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"elasticrmi/internal/group"
 	"elasticrmi/internal/transport"
 )
 
@@ -205,46 +204,4 @@ func DialServer(t testing.TB, srv *transport.Server) *transport.Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
-}
-
-// StartGroup spins up n group members sharing one installed view
-// (coordinator first), with cleanup — the fixture every group-layer test
-// needs before it can exercise broadcast or failure detection.
-func StartGroup(t testing.TB, n int, heartbeat time.Duration) []*group.Member {
-	t.Helper()
-	members := make([]*group.Member, n)
-	addrs := make([]string, n)
-	for i := range members {
-		m, err := group.NewMember(group.Config{HeartbeatInterval: heartbeat})
-		if err != nil {
-			t.Fatalf("ermitest: group member %d: %v", i, err)
-		}
-		t.Cleanup(func() { m.Close() })
-		members[i] = m
-		addrs[i] = m.Addr()
-	}
-	view := group.View{ID: 1, Members: addrs}
-	for _, m := range members {
-		if err := m.InstallView(view); err != nil {
-			t.Fatalf("ermitest: InstallView: %v", err)
-		}
-	}
-	return members
-}
-
-// Collect receives exactly n messages from m or fails the test at the
-// timeout.
-func Collect(t testing.TB, m *group.Member, n int, timeout time.Duration) []group.Message {
-	t.Helper()
-	var out []group.Message
-	deadline := time.After(timeout)
-	for len(out) < n {
-		select {
-		case msg := <-m.Messages():
-			out = append(out, msg)
-		case <-deadline:
-			t.Fatalf("ermitest: received %d/%d messages before timeout", len(out), n)
-		}
-	}
-	return out
 }

@@ -11,8 +11,8 @@ import (
 // (singleflight), so a slow or unreachable peer never blocks calls to other
 // peers and never triggers a thundering herd of dials.
 //
-// The stub, group and other connection-holding layers share this type
-// instead of each maintaining its own map of clients.
+// The stub, the pool runtime and other connection-holding layers share
+// this type instead of each maintaining its own map of clients.
 type ConnCache struct {
 	opts DialOptions
 

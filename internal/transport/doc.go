@@ -1,9 +1,9 @@
 // Package transport implements the wire protocol used by all ElasticRMI
-// components: stubs and skeletons, the key-value store, the cluster manager
-// tooling and the group layer all exchange messages through it. It plays the
-// role that JRMP (the Java RMI wire protocol) plays in the paper. A single
-// client connection multiplexes concurrent calls; responses are matched to
-// requests by sequence number.
+// components: stubs and skeletons, the pool runtime's liveness pings and
+// peer messages, the key-value store and the cluster manager tooling all
+// exchange messages through it. It plays the role that JRMP (the Java RMI
+// wire protocol) plays in the paper. A single client connection multiplexes
+// concurrent calls; responses are matched to requests by sequence number.
 //
 // # Wire format (version 6)
 //
