@@ -1,20 +1,10 @@
-// Command ermi-demo runs a complete live ElasticRMI deployment in one
-// process and makes it visibly elastic: a Mesos-like cluster of slices, a
-// sharded key-value store for shared state, a registry, an elastic
-// distributed cache pool (the paper's running example), and an open-loop
-// workload generator replaying a compressed version of the paper's abrupt
-// workload pattern. The demo prints the pool size as the runtime reacts.
-//
-// Usage:
-//
-//	ermi-demo [-duration 20s] [-rps 400]
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -26,18 +16,14 @@ import (
 	"elasticrmi/internal/workload"
 )
 
-func main() {
-	duration := flag.Duration("duration", 20*time.Second, "demo duration")
-	rps := flag.Float64("rps", 400, "peak request rate against the cache pool")
-	flag.Parse()
-	if err := run(*duration, *rps); err != nil {
-		fmt.Fprintln(os.Stderr, "ermi-demo:", err)
-		os.Exit(1)
+func demo(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("demo", flag.ContinueOnError)
+	duration := fs.Duration("duration", 20*time.Second, "demo duration")
+	peakRPS := fs.Float64("rps", 400, "peak request rate against the cache pool")
+	if err := parseFlags(fs, args); err != nil {
+		return err
 	}
-}
-
-func run(duration time.Duration, peakRPS float64) error {
-	fmt.Println("=== ElasticRMI live demo: elastic distributed cache ===")
+	fmt.Fprintln(out, "=== ElasticRMI live demo: elastic distributed cache ===")
 
 	// Substrates: a 16-slice cluster, a 2-node store, a registry.
 	mgr, err := cluster.New(cluster.Config{Nodes: 16, SlicesPerNode: 1})
@@ -77,7 +63,7 @@ func run(duration time.Duration, peakRPS float64) error {
 		return err
 	}
 	defer pool.Close()
-	fmt.Printf("pool %q instantiated: %d members, policy=%s, sentinel=%s\n",
+	fmt.Fprintf(out, "pool %q instantiated: %d members, policy=%s, sentinel=%s\n",
 		"demo-cache", pool.Size(), pool.Policy(), pool.SentinelAddr())
 
 	stub, err := core.LookupStub("demo-cache", regCli)
@@ -89,16 +75,19 @@ func run(duration time.Duration, peakRPS float64) error {
 	// Replay a compressed abrupt pattern: the full 450 minutes squeezed
 	// into the demo duration.
 	gen := &workload.Generator{
-		Pattern:     workload.Abrupt(peakRPS),
-		Speedup:     float64(450*time.Minute) / float64(duration),
+		Pattern:     workload.Abrupt(*peakRPS),
+		Speedup:     float64(450*time.Minute) / float64(*duration),
 		RateScale:   1,
 		MaxInFlight: 128,
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), duration)
+	ctx, cancel := context.WithTimeout(ctx, *duration)
 	defer cancel()
 
-	// Progress reporter.
+	// Progress reporter, joined before the summary so the two never
+	// interleave on out.
+	reported := make(chan struct{})
 	go func() {
+		defer close(reported)
 		tick := time.NewTicker(time.Second)
 		defer tick.Stop()
 		start := time.Now()
@@ -108,7 +97,7 @@ func run(duration time.Duration, peakRPS float64) error {
 				return
 			case <-tick.C:
 				virtual := time.Duration(float64(time.Since(start)) * gen.Speedup)
-				fmt.Printf("t=%3ds  virtual=%4dm  offered=%6.0f req/s  pool=%2d members  cluster=%2d/%2d slices\n",
+				fmt.Fprintf(out, "t=%3ds  virtual=%4dm  offered=%6.0f req/s  pool=%2d members  cluster=%2d/%2d slices\n",
 					int(time.Since(start).Seconds()), int(virtual.Minutes()),
 					gen.Pattern.Rate(virtual), pool.Size(), mgr.InUse(), mgr.Total())
 			}
@@ -127,22 +116,16 @@ func run(duration time.Duration, peakRPS float64) error {
 		_, err := core.Call[cache.GetArgs, cache.GetReply](stub, cache.MethodGet, cache.GetArgs{Key: key})
 		return err
 	})
+	cancel()
+	<-reported
 
-	fmt.Printf("\ndone: issued=%d failed=%d final pool=%d members\n", issued, failed, pool.Size())
-	for _, ev := range drainEvents(pool) {
-		fmt.Printf("  scale event: %d -> %d (%s, provisioning %v)\n", ev.From, ev.To, ev.Policy, ev.ProvisioningLatency)
-	}
-	return nil
-}
-
-func drainEvents(pool *core.Pool) []core.ScaleEvent {
-	var out []core.ScaleEvent
+	fmt.Fprintf(out, "\ndone: issued=%d failed=%d final pool=%d members\n", issued, failed, pool.Size())
 	for {
 		select {
 		case ev := <-pool.Events():
-			out = append(out, ev)
+			fmt.Fprintf(out, "  scale event: %d -> %d (%s, provisioning %v)\n", ev.From, ev.To, ev.Policy, ev.ProvisioningLatency)
 		default:
-			return out
+			return nil
 		}
 	}
 }

@@ -23,13 +23,23 @@
 //   - internal/workload, internal/agility, internal/benchsim — the
 //     evaluation harness reproducing every figure of the paper.
 //
+// Programs: cmd/ermi is the operations binary (ermi registry, ermi admin,
+// ermi demo); cmd/ermi-gen and cmd/ermi-vet are the code generator and the
+// vettool that go generate and go vet invoke; cmd/ermi-bench regenerates
+// the paper's figures from the simulator; examples/quickstart is the
+// smallest complete program.
+//
 // See README.md for a tour of the packages, the synchronous/asynchronous
 // invocation API and the test harness. The benchmarks in bench_test.go
 // regenerate the paper's figures plus the live-runtime microbenchmarks:
 //
 //	go test -bench=. -benchmem .
 //
-// BENCH_transport.json, BENCH_async.json and BENCH_routing.json record the
-// wire hot path, the async-pipeline throughput and the routing-strategy
-// figures (regenerate with `make bench`).
+// The end-to-end benchmark is the separate module under benchmark/:
+//
+//	python3 benchmark/run.py --workload rmi-echo --seed 1 --seconds 6 --trace 1
+//
+// Every number README.md quotes comes from such a run, stated with its
+// command and date; rows the harness does not print yet are named by their
+// go test -bench target instead.
 package elasticrmi

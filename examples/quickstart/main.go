@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"elasticrmi/internal/cluster"
@@ -33,12 +35,12 @@ type (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	// 1. Substrates: a cluster of slices (Mesos stand-in), a key-value
 	//    store for shared state (HyperDex stand-in), and a registry.
 	mgr, err := cluster.New(cluster.Config{Nodes: 4, SlicesPerNode: 1})
@@ -88,7 +90,7 @@ func run() error {
 		return err
 	}
 	defer pool.Close()
-	fmt.Printf("counter pool up: %d members, sentinel %s\n", pool.Size(), pool.SentinelAddr())
+	fmt.Fprintf(out, "counter pool up: %d members, sentinel %s\n", pool.Size(), pool.SentinelAddr())
 
 	// 4. A client: look the pool up by name and invoke remote methods. The
 	//    stub load-balances across members transparently.
@@ -103,12 +105,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Add(%d) -> total %d\n", i, rep.Total)
+		fmt.Fprintf(out, "Add(%d) -> total %d\n", i, rep.Total)
 	}
 	rep, err := core.Call[core.Empty, addReply](stub, "Total", core.Empty{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Total() -> %d (shared state: every member sees the same value)\n", rep.Total)
+	// Shared state: every member sees the same total, whichever one the
+	// stub routed each Add to.
+	fmt.Fprintf(out, "Total() -> %d\n", rep.Total)
 	return nil
 }

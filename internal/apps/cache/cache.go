@@ -281,8 +281,3 @@ func (c fineCache) ChangePoolSize() int {
 	}
 	return 0
 }
-
-// ContentionStats exposes the current interval's lock counters (testing).
-func (c *Cache) ContentionStats() (attempts, failures int64) {
-	return c.lockAttempts.Load(), c.lockFailures.Load()
-}

@@ -672,8 +672,3 @@ func (s *Server) ChangePoolSize() int {
 	}
 	return 0
 }
-
-// SeqName formats a sequential suffix the way create does (for tests).
-func SeqName(prefix string, seq int64) string {
-	return prefix + fmt.Sprintf("%010d", seq)
-}

@@ -354,9 +354,6 @@ func (r *Router) ChangePoolSize() int {
 	}
 }
 
-// Pending reports orders currently being persisted on this member.
-func (r *Router) Pending() int64 { return r.pending.Load() }
-
 // RouteAsync pipelines an order through the elastic routing pool: a
 // strategy engine submits its whole burst without waiting for receipts,
 // then collects them — the two-node persistence of each order overlaps with

@@ -156,13 +156,6 @@ func (m *Manager) InUse() int {
 	return len(m.inUse)
 }
 
-// Utilization returns the fraction of slices in use.
-func (m *Manager) Utilization() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.utilizationLocked()
-}
-
 func (m *Manager) utilizationLocked() float64 {
 	if m.total == 0 {
 		return 0

@@ -139,9 +139,6 @@ type Future[Reply any] struct {
 	err  error
 }
 
-// Done returns a channel closed when the invocation completes.
-func (f *Future[Reply]) Done() <-chan struct{} { return f.ac.Done() }
-
 // Get blocks until completion and returns the decoded reply. Repeated calls
 // return the same result without re-decoding.
 func (f *Future[Reply]) Get() (Reply, error) {

@@ -168,31 +168,6 @@ func TestRebalancePlansReachSkeletons(t *testing.T) {
 	}
 }
 
-// TestStubRandomBalancing exercises the random load-balancing option.
-func TestStubRandomBalancing(t *testing.T) {
-	env := newTestEnv(t, 8)
-	newTestPool(t, env, Config{
-		Name: "rand", MinPoolSize: 3, MaxPoolSize: 3,
-		BurstInterval: time.Hour, DisableBroadcast: true,
-	})
-	stub, err := LookupStub("rand", env.regCli, WithRandomBalancing(), WithCallTimeout(5*time.Second))
-	if err != nil {
-		t.Fatalf("stub: %v", err)
-	}
-	defer stub.Close()
-	seen := make(map[int64]int)
-	for i := 0; i < 60; i++ {
-		rep, err := Call[Empty, uidReply](stub, "WhoAmI", Empty{})
-		if err != nil {
-			t.Fatalf("WhoAmI: %v", err)
-		}
-		seen[rep.UID]++
-	}
-	if len(seen) < 2 {
-		t.Fatalf("random balancing hit %d members over 60 calls", len(seen))
-	}
-}
-
 // TestPoolUIDsMonotonicAcrossRestarts: UIDs come from the shared store, so
 // a second pool instantiation of the same class continues the sequence (the
 // "monotonically increasing unique identifiers" of §4.3).

@@ -19,7 +19,7 @@ const (
 	// MethodDiscover asks a skeleton for the identities (address, UID) of
 	// the members of its pool. Stubs no longer need it — the routing table
 	// reaches them piggybacked on ordinary replies — but it remains the
-	// admin/observability surface (ermi-admin).
+	// admin/observability surface (ermi admin).
 	MethodDiscover = "__discover"
 	// MethodPing is a liveness probe.
 	MethodPing = "__ping"

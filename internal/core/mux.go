@@ -62,22 +62,6 @@ func (m *Mux) HandleRequest(req *transport.Request) ([]byte, error) {
 	return h(req)
 }
 
-// Methods returns the registered method names.
-func (m *Mux) Methods() []string {
-	out := make([]string, 0, len(m.handlers))
-	for name := range m.handlers {
-		out = append(out, name)
-	}
-	return out
-}
-
-// HandleRaw registers an untyped handler.
-func (m *Mux) HandleRaw(name string, fn func(arg []byte) ([]byte, error)) {
-	m.handlers[name] = func(req *transport.Request) ([]byte, error) {
-		return fn(req.Payload)
-	}
-}
-
 // Handle registers a typed remote method on the mux. Argument and reply
 // travel through their generated codecs. Whether the decoded argument may
 // alias the request frame (zero-copy []byte views) is determined once here,

@@ -78,7 +78,7 @@ func TestMuxDispatch(t *testing.T) {
 	if _, err := m.HandleCall("Fail", transport.Encode(&Empty{})); err == nil || err.Error() != "app error" {
 		t.Fatalf("Fail err = %v", err)
 	}
-	if got := len(m.Methods()); got != 2 {
+	if got := len(m.handlers); got != 2 {
 		t.Fatalf("methods = %d", got)
 	}
 }

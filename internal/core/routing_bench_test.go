@@ -14,10 +14,9 @@ import (
 	"elasticrmi/internal/transport"
 )
 
-// Routing-strategy benchmarks: the tail-latency and locality figures behind
-// BENCH_routing.json (scripts/bench.sh). They run stubs against bare
-// transport servers — no pool runtime — so what is measured is purely the
-// picker: round-robin vs power-of-two-choices under a skewed pool, and
+// Routing-strategy benchmarks: tail latency and locality. They run stubs
+// against bare transport servers — no pool runtime — so what is measured is
+// purely the picker: round-robin vs power-of-two-choices under a skewed pool, and
 // key-affinity vs strategy routing against member-local caches.
 
 // startRoutingPool starts one transport server per handler, publishes a

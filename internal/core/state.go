@@ -162,24 +162,6 @@ func (s *State) PutString(field, value string) error {
 	return s.PutBytes(field, []byte(value))
 }
 
-// GetFloat reads a float field (0 when missing).
-func (s *State) GetFloat(field string) (float64, error) {
-	raw, err := s.GetString(field)
-	if err != nil || raw == "" {
-		return 0, err
-	}
-	f, perr := strconv.ParseFloat(raw, 64)
-	if perr != nil {
-		return 0, fmt.Errorf("state field %s is not a float: %w", field, perr)
-	}
-	return f, nil
-}
-
-// PutFloat writes a float field.
-func (s *State) PutFloat(field string, value float64) error {
-	return s.PutString(field, strconv.FormatFloat(value, 'g', -1, 64))
-}
-
 // Delete removes a field.
 func (s *State) Delete(field string) error {
 	return s.withRetry(func() error { return s.store.Delete(s.Key(field)) })
@@ -262,10 +244,6 @@ func (s *State) TryLock(name string) (release func() error, ok bool, err error) 
 	}
 	return nil, false, lerr
 }
-
-// Store exposes the underlying shared store for application data structures
-// that need direct keys (e.g. the DCS znode tree).
-func (s *State) Store() kvstore.Shared { return s.store }
 
 func isNotFound(err error) bool    { return errors.Is(err, kvstore.ErrNotFound) }
 func isLockHeld(err error) bool    { return errors.Is(err, kvstore.ErrLockHeld) }

@@ -60,12 +60,6 @@ func TestStateTypedAccessors(t *testing.T) {
 	if _, err := s.GetInt("s"); err == nil || !strings.Contains(err.Error(), `key "C$s" is not an integer`) {
 		t.Fatalf("GetInt(non-integer) = %v, want a not-an-integer error", err)
 	}
-	if err := s.PutFloat("f", 3.5); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := s.GetFloat("f"); got != 3.5 {
-		t.Fatalf("float = %v", got)
-	}
 	if err := s.PutBytes("b", []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -53,12 +53,6 @@ type Stub struct {
 // StubOption customizes stub behaviour.
 type StubOption func(*Stub)
 
-// WithRandomBalancing selects uniform random instead of round-robin member
-// choice.
-func WithRandomBalancing() StubOption {
-	return func(s *Stub) { s.strategy = route.Random }
-}
-
 // WithPowerOfTwoBalancing selects power-of-two-choices member choice: two
 // random members are sampled per call and the one with the lower load wins,
 // where load combines the pool's piggybacked pending reports with this

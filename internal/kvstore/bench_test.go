@@ -93,7 +93,7 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 // Replication benchmarks: the same 3-node cluster at R=1 (single copy, the
 // pre-replication deployment) vs R=2 (every write synchronously forwarded
 // to one backup before the ack). The spread is the price of surviving a
-// node loss; BENCH_kvstore.json records it next to the failover blip.
+// node loss.
 
 func newBenchCluster(b *testing.B, rf int) *Cluster {
 	b.Helper()
@@ -158,9 +158,8 @@ func BenchmarkClusterR2Lock(b *testing.B) { benchClusterLock(b, 2) }
 // in-memory store, a WAL paying one fsync per write (the naive
 // write-ahead baseline), and a group-committed WAL (one fsync amortized
 // across the concurrently admitted batch). The spread between the last
-// two is the cost group commit recovers; BENCH_kvstore.json records all
-// three. Parallel on purpose — group commit's whole point is concurrent
-// writers sharing a sync.
+// two is the cost group commit recovers. Parallel on purpose — group
+// commit's whole point is concurrent writers sharing a sync.
 
 func benchStorePutDur(b *testing.B, opts DurOptions) {
 	s, err := NewStoreDur(nil, opts)

@@ -14,7 +14,6 @@ const defaultCallTimeout = 10 * time.Second
 // Client talks to a single store node. Safe for concurrent use.
 type Client struct {
 	conn *transport.Client
-	addr string
 }
 
 // NewClient connects to the store node at addr.
@@ -23,11 +22,8 @@ func NewClient(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvstore client: %w", err)
 	}
-	return &Client{conn: conn, addr: addr}, nil
+	return &Client{conn: conn}, nil
 }
-
-// Addr returns the node address this client talks to.
-func (c *Client) Addr() string { return c.addr }
 
 // Close releases the connection.
 func (c *Client) Close() error { return c.conn.Close() }

@@ -321,9 +321,6 @@ func (c *Cluster) Nodes() int {
 	return len(c.nodes)
 }
 
-// ReplicationFactor returns the configured replication factor.
-func (c *Cluster) ReplicationFactor() int { return c.rf }
-
 // Addrs returns the node addresses.
 func (c *Cluster) Addrs() []string {
 	c.mu.RLock()

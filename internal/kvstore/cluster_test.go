@@ -222,7 +222,7 @@ func TestReplicationWritesReachBackups(t *testing.T) {
 		}
 		copies := 0
 		for _, nd := range cl.nodes {
-			if _, err := nd.srv.Store().Get(key); err == nil {
+			if _, err := nd.srv.store.Get(key); err == nil {
 				copies++
 			}
 		}
@@ -235,7 +235,7 @@ func TestReplicationWritesReachBackups(t *testing.T) {
 	}
 	holders := 0
 	for _, nd := range cl.nodes {
-		if owner, held := nd.srv.Store().LockOwner("L"); held && owner == "alice" {
+		if owner, held := nd.srv.store.LockOwner("L"); held && owner == "alice" {
 			holders++
 		}
 	}
@@ -317,7 +317,7 @@ func TestDeleteNotResurrectedByRebalance(t *testing.T) {
 	// Plant the stale copy on the non-owner node, simulating a replica that
 	// missed the delete.
 	stale := cl.nodes[1-cl.ring.Owner("zombie")]
-	stale.srv.Store().Import(map[string]Versioned{"zombie": {Value: []byte("alive"), Version: 1}})
+	stale.srv.store.Import(map[string]Versioned{"zombie": {Value: []byte("alive"), Version: 1}})
 
 	if err := cl.AddNode(); err != nil {
 		t.Fatalf("AddNode: %v", err)

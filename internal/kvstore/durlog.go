@@ -31,8 +31,6 @@ type DurOptions struct {
 	SnapshotEvery int
 	// SegmentSize overrides the log segment size (default wal's).
 	SegmentSize int
-	// TombstoneTTL overrides the tombstone retention horizon (default 5m).
-	TombstoneTTL time.Duration
 }
 
 // WAL record kinds.
@@ -75,9 +73,6 @@ func NewStoreDur(clock simclock.Clock, opts DurOptions) (*Store, error) {
 	}
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = 4096
-	}
-	if opts.TombstoneTTL > 0 {
-		s.tombTTL = opts.TombstoneTTL
 	}
 	snapLSN, img, ok, err := wal.LoadSnapshot(opts.Dir)
 	if err != nil {

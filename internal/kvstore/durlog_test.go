@@ -180,7 +180,7 @@ func TestDurConcurrentGroupCommit(t *testing.T) {
 func TestTombstoneGCBoundsSteadyState(t *testing.T) {
 	clock := simclock.NewSim(time.Unix(1_000_000, 0))
 	s := NewStore(clock)
-	s.SetTombstoneTTL(10 * time.Second)
+	s.tombTTL = 10 * time.Second // shorter than defaultTombTTL, for tests only
 	const cycles = 20000
 	for i := 0; i < cycles; i++ {
 		key := fmt.Sprintf("churn-%05d", i)
@@ -203,7 +203,7 @@ func TestTombstoneGCBoundsSteadyState(t *testing.T) {
 func TestLockTombstoneGC(t *testing.T) {
 	clock := simclock.NewSim(time.Unix(1_000_000, 0))
 	s := NewStore(clock)
-	s.SetTombstoneTTL(10 * time.Second)
+	s.tombTTL = 10 * time.Second // shorter than defaultTombTTL, for tests only
 	for i := 0; i < 5000; i++ {
 		name := fmt.Sprintf("lock-%05d", i)
 		if err := s.TryLock(name, "w", time.Second); err != nil {

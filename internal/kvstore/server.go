@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"elasticrmi/internal/route"
@@ -171,9 +170,6 @@ type Server struct {
 	links    map[string]*Client // replication clients by member addr
 	suspects map[string]bool    // backups that failed a forward; skipped until the next view
 
-	forwards    atomic.Uint64 // successful backup forwards
-	forwardErrs atomic.Uint64 // forwards lost to suspect/failed backups
-
 	// onReplFailure, when set, is invoked (asynchronously, once per
 	// suspicion transition) with the address of a backup that failed a
 	// forward. The cluster router uses it to close the replication loop:
@@ -226,9 +222,6 @@ func sessionControlExpress(service, method string) bool {
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.srv.Addr() }
-
-// Store exposes the underlying engine (used in tests and by migration).
-func (s *Server) Store() *Store { return s.store }
 
 // Close cleanly shuts the server down: stops the transport, releases the
 // replication links, and flushes the store's durability layer.
@@ -378,11 +371,6 @@ func (s *Server) installView(t route.Table, rf int) {
 	}
 }
 
-// ReplStats reports cumulative backup forwards and forward failures.
-func (s *Server) ReplStats() (forwards, failures uint64) {
-	return s.forwards.Load(), s.forwardErrs.Load()
-}
-
 // SetSessionTTL changes the lease granted to session keepalives (existing
 // sessions converge on their next keepalive). Deployment/test tuning; the
 // default is DefaultSessionTTL.
@@ -446,9 +434,7 @@ func (s *Server) forward(routeKey string, entries map[string]Versioned, locks ma
 	}
 	s.viewMu.Unlock()
 	for i, cli := range targets {
-		err := cli.replicate(replReq{Entries: entries, Locks: locks})
-		if err != nil {
-			s.forwardErrs.Add(1)
+		if err := cli.replicate(replReq{Entries: entries, Locks: locks}); err != nil {
 			s.viewMu.Lock()
 			newlySuspect := s.suspects != nil && !s.suspects[addrs[i]]
 			if s.suspects != nil {
@@ -461,9 +447,7 @@ func (s *Server) forward(routeKey string, entries map[string]Versioned, locks ma
 				// cluster's membership gate.
 				go hook(addrs[i])
 			}
-			continue
 		}
-		s.forwards.Add(1)
 	}
 }
 

@@ -132,9 +132,6 @@ func NewSession(addr string, opts SessionOptions) (*Session, error) {
 	return s, nil
 }
 
-// Addr returns the node address this session is bound to.
-func (s *Session) Addr() string { return s.addr }
-
 // Live reports whether the session can still serve (not dead, not closed).
 func (s *Session) Live() bool {
 	s.mu.Lock()
@@ -598,27 +595,6 @@ func (cs *ClusterSession) Get(key string) (Versioned, error) {
 		}
 	}
 	return cs.c.Get(key)
-}
-
-// Watch subscribes to change notifications for a data key on its current
-// primary. The subscription lives as long as that session: after a
-// failover the caller re-subscribes (a Watch is a hint stream, not
-// durable state).
-func (cs *ClusterSession) Watch(key string) (<-chan string, func(), error) {
-	sess := cs.sessionForKey(key)
-	if sess == nil {
-		return nil, nil, ErrUnavailable
-	}
-	return sess.Watch(key)
-}
-
-// WatchLock is Watch for a named lock.
-func (cs *ClusterSession) WatchLock(name string) (<-chan string, func(), error) {
-	sess := cs.sessionForKey(lockRouteKey(name))
-	if sess == nil {
-		return nil, nil, ErrUnavailable
-	}
-	return sess.WatchLock(name)
 }
 
 // ClusterSessionStats aggregates the per-primary session counters.

@@ -96,7 +96,7 @@
 // being read are harmless to recovery because replay is version/sequence
 // gated (Import semantics) — re-applying a logged mutation an image
 // already contains converges to the same state. Snapshot compaction is
-// also where tombstone GC runs (see SetTombstoneTTL).
+// also where tombstone GC runs (see defaultTombTTL).
 //
 // Recovery (NewStoreDur on a non-empty directory) loads the newest intact
 // snapshot, replays the log tail past it, and only then exposes the store:
@@ -218,18 +218,6 @@ func NewStore(clock simclock.Clock) *Store {
 		data:    make(map[string]entry),
 		locks:   make(map[string]lockState),
 		tombTTL: defaultTombTTL,
-	}
-}
-
-// SetTombstoneTTL sets the retention horizon after which deletion
-// tombstones, lock release-tombstones and long-expired leases are pruned.
-// The horizon must exceed the maximum replication staleness (see
-// defaultTombTTL); shorter values are for tests.
-func (s *Store) SetTombstoneTTL(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d > 0 {
-		s.tombTTL = d
 	}
 }
 

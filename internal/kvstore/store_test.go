@@ -302,7 +302,7 @@ func TestClusterShardingAndMigration(t *testing.T) {
 		key := fmt.Sprintf("key-%03d", i)
 		copies := 0
 		for _, nd := range cl.nodes {
-			if _, err := nd.srv.Store().Get(key); err == nil {
+			if _, err := nd.srv.store.Get(key); err == nil {
 				copies++
 			}
 		}

@@ -58,8 +58,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // A Diagnostic is one reported violation. Suppressed and Reason are set
-// only on the suppressed list returned by AnalyzeAll (the machine-readable
-// output includes silenced findings with the reason that silenced them).
+// only on UnitResult.Suppressed (the machine-readable output includes
+// silenced findings with the reason that silenced them).
 type Diagnostic struct {
 	Analyzer   string
 	Pos        token.Pos
@@ -89,15 +89,6 @@ func Analyze(pkg *Package, analyzers []*Analyzer, imported *Facts) []Diagnostic 
 	return RunAnalyzers(pkg, analyzers, imported).Kept
 }
 
-// AnalyzeAll is Analyze plus the findings a well-formed //ermi:ignore
-// directive silenced, each carrying its suppression reason — the
-// machine-readable mode reports those too, so a dashboard can audit what
-// the tree has chosen to live with.
-func AnalyzeAll(pkg *Package, analyzers []*Analyzer, imported *Facts) (kept, suppressed []Diagnostic) {
-	r := RunAnalyzers(pkg, analyzers, imported)
-	return r.Kept, r.Suppressed
-}
-
 // An AnalyzerTiming is the wall-clock cost of one analyzer (or of the
 // fact-table build, under the pseudo-name "facts") over one package.
 type AnalyzerTiming struct {
@@ -115,7 +106,7 @@ type UnitResult struct {
 	Timing     []AnalyzerTiming
 }
 
-// RunAnalyzers is the full runner under Analyze/AnalyzeAll.
+// RunAnalyzers is the full runner under Analyze.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer, imported *Facts) *UnitResult {
 	res := &UnitResult{}
 	start := time.Now()

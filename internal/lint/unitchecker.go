@@ -37,27 +37,21 @@ import (
 // write) the import side just drops it: analysis degrades to
 // package-local, losing cross-package findings but never inventing any.
 
-// vetConfig mirrors cmd/go's vetConfig JSON. Fields the suite does not
-// consume (NonGoFiles, module identity) are kept so the whole file
-// round-trips if the tool ever needs them.
+// vetConfig mirrors the subset of cmd/go's vetConfig JSON the suite
+// consumes; encoding/json skips the fields it does not name.
 type vetConfig struct {
-	ID           string
-	Compiler     string
-	Dir          string
-	ImportPath   string
-	GoVersion    string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
+	Compiler   string
+	ImportPath string
+	GoVersion  string
+	GoFiles    []string
 
-	ModulePath    string
-	ModuleVersion string
-	ImportMap     map[string]string
-	PackageFile   map[string]string
-	Standard      map[string]bool
-	PackageVetx   map[string]string
-	VetxOnly      bool
-	VetxOutput    string
+	ModulePath  string
+	ImportMap   map[string]string
+	PackageFile map[string]string
+	Standard    map[string]bool
+	PackageVetx map[string]string
+	VetxOnly    bool
+	VetxOutput  string
 
 	SucceedOnTypecheckFailure bool
 }

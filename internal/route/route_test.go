@@ -24,8 +24,8 @@ func TestAdvanceIsMonotonic(t *testing.T) {
 	if s.Advance(table(3, "x:9")) || s.Advance(table(2, "x:9")) {
 		t.Fatal("stale table installed")
 	}
-	if s.Epoch() != 3 || len(s.Table().Members) != 3 {
-		t.Fatalf("epoch=%d members=%d", s.Epoch(), len(s.Table().Members))
+	if s.Epoch() != 3 || len(s.table.Members) != 3 {
+		t.Fatalf("epoch=%d members=%d", s.Epoch(), len(s.table.Members))
 	}
 	if s.Advances() != 1 {
 		t.Fatalf("advances = %d", s.Advances())

@@ -14,8 +14,6 @@ const (
 	// default): a member with half the weight receives half the picks,
 	// interleaved rather than bursted.
 	RoundRobin Strategy = iota
-	// Random picks uniformly among routable members.
-	Random
 	// PowerOfTwo samples two distinct members and picks the less loaded
 	// one, where load is the table's piggybacked pending count plus the
 	// picker's own in-flight count toward that member. Two random probes
@@ -129,13 +127,6 @@ func (s *State) Advances() uint64 {
 	return s.advances
 }
 
-// Table returns a copy of the current table.
-func (s *State) Table() Table {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.table.Clone()
-}
-
 // Len returns the current table's member count without copying it (the
 // per-invocation attempts bound reads it on every call).
 func (s *State) Len() int {
@@ -247,8 +238,6 @@ func (s *State) Pick(strategy Strategy) (string, bool) {
 	}
 	var idx int
 	switch strategy {
-	case Random:
-		idx = usable[s.rng.IntN(len(usable))]
 	case PowerOfTwo:
 		ai := s.rng.IntN(len(usable))
 		bi := s.rng.IntN(len(usable) - 1)

@@ -15,7 +15,6 @@ import (
 // are multiplexed over a single TCP connection, and concurrent or pipelined
 // invocations coalesce in the connection's write buffer (see Go).
 type Client struct {
-	addr    string
 	conn    net.Conn
 	w       *connWriter
 	seq     atomic.Uint64
@@ -265,7 +264,6 @@ func DialOpts(addr string, opts DialOptions) (*Client, error) {
 		tc.SetNoDelay(true) // the writer already coalesces; don't add Nagle latency
 	}
 	c := &Client{
-		addr:    addr,
 		conn:    conn,
 		w:       newConnWriter(conn),
 		epochFn: opts.Epoch,
@@ -291,9 +289,6 @@ func (c *Client) epoch() uint64 {
 	}
 	return c.epochFn()
 }
-
-// Addr returns the remote address this client is connected to.
-func (c *Client) Addr() string { return c.addr }
 
 // SetEventHandler installs (or, with nil, removes) the server-push event
 // handler. Safe to call while the client runs; the same contract as

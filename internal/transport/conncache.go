@@ -96,17 +96,6 @@ func (cc *ConnCache) Drop(addr string) {
 	}
 }
 
-// Addrs returns the addresses with a cached connection.
-func (cc *ConnCache) Addrs() []string {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	out := make([]string, 0, len(cc.conns))
-	for a := range cc.conns {
-		out = append(out, a)
-	}
-	return out
-}
-
 // Close closes every cached client. Subsequent Gets fail with ErrClosed;
 // clients handed out by dials still in flight are closed as they land.
 func (cc *ConnCache) Close() error {

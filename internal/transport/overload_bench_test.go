@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// The saturation benchmark behind BENCH_overload.json: the same CPU-bound
-// echo workload offered at roughly 10x the server's execution capacity,
-// once behind the admission controller sized to the hardware (Guarded) and
-// once with the gate and queue opened so wide they never bind (Unguarded —
+// The saturation benchmark: the same CPU-bound echo workload offered at
+// roughly 10x the server's execution capacity, once behind the admission
+// controller sized to the hardware (Guarded) and once with the gate and
+// queue opened so wide they never bind (Unguarded —
 // the old goroutine-per-request behaviour). Goodput counts replies that
 // arrive within the caller's budget. The guarded server sheds the excess
 // for the price of a wire round-trip and keeps executing admitted work at
@@ -20,7 +20,7 @@ import (
 // CPU across 10x too many handlers, and finishes nearly every call after
 // its caller stopped waiting — congestion collapse.
 //
-// Run via scripts/bench.sh (one experiment per iteration, -benchtime 1x).
+// Run one experiment per iteration: -bench BenchmarkOverload -benchtime 1x.
 
 // burn spins for d of wall time: a stand-in for a CPU-bound handler whose
 // service time dilates under scheduler overcommit, which is exactly the

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"elasticrmi/internal/route"
 )
 
 // Exported errors matched by callers with errors.Is.
@@ -155,17 +153,6 @@ func (r *Request) recycle() {
 	arenaPut(r.slab)
 	r.slab = nil
 	reqPool.Put(r)
-}
-
-// Response answers a Request with the same Seq. It is the logical shape of a
-// response frame (see doc.go); the hot path serializes the fields directly
-// without materializing this struct.
-type Response struct {
-	Seq     uint64
-	Status  respStatus // statusOK, or an admission-control refusal
-	Payload []byte
-	Err     string       // non-empty => RemoteError
-	Route   *route.Table // piggybacked route update (nil = none)
 }
 
 // Handler processes one request and returns the response payload. Returning
