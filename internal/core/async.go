@@ -13,9 +13,11 @@ import (
 // InvokeOneWay) and completion (AsyncCall), so one caller can keep many
 // invocations in flight against the elastic pool. An asynchronous
 // invocation runs Invoke's failover loop (redirects, member retry, refresh)
-// on its own goroutine — concurrent attempts on one member connection
-// coalesce in its write buffer — keeping the paper's "error surfaces only
-// when the whole pool is unreachable" contract.
+// on an async worker: a goroutine that parks between invocations, so a
+// steady stream of them reuses parked workers instead of starting one per
+// call. Concurrent attempts on one member connection coalesce in its write
+// buffer, and the paper's "error surfaces only when the whole pool is
+// unreachable" contract holds as for Invoke.
 
 // AsyncCall is the stub-level future of one asynchronous invocation. It
 // always completes: retries and failovers happen behind it.
@@ -23,6 +25,10 @@ type AsyncCall struct {
 	done chan struct{}
 	out  []byte
 	err  error
+	// method and payload are the invocation the worker runs; payload is
+	// dropped once it has.
+	method  string
+	payload []byte
 }
 
 // Done returns a channel closed when the invocation completes.
@@ -65,14 +71,43 @@ func (s *Stub) Pending() int {
 // members retried, application errors propagated verbatim; only the waiting
 // moved off the caller.
 func (s *Stub) InvokeAsync(method string, payload []byte) *AsyncCall {
-	ac := &AsyncCall{done: make(chan struct{})}
+	ac := &AsyncCall{done: make(chan struct{}), method: method, payload: payload}
 	s.pendingN.Add(1)
-	go func() {
-		defer s.pendingN.Add(-1)
-		defer close(ac.done)
-		ac.out, ac.err = s.invoke(method, "", payload)
-	}()
+	select {
+	case s.asyncq <- ac:
+	default:
+		s.asyncWorkers.Add(1)
+		go s.asyncWorker(ac)
+	}
 	return ac
+}
+
+// maxIdleAsyncWorkers caps a stub's parked async workers: one that
+// finishes while this many others are parked exits, so a burst's workers
+// do not outlive it.
+const maxIdleAsyncWorkers = 64
+
+// asyncWorker runs ac, then parks on the stub's hand-off channel for the
+// next invocation until the stub closes or enough others are parked.
+func (s *Stub) asyncWorker(ac *AsyncCall) {
+	defer s.asyncWorkers.Add(-1)
+	for {
+		ac.out, ac.err = s.invoke(ac.method, "", ac.payload)
+		ac.payload = nil
+		s.pendingN.Add(-1)
+		close(ac.done)
+		if s.asyncIdle.Add(1) > maxIdleAsyncWorkers {
+			s.asyncIdle.Add(-1)
+			return
+		}
+		select {
+		case ac = <-s.asyncq:
+			s.asyncIdle.Add(-1)
+		case <-s.stop:
+			s.asyncIdle.Add(-1)
+			return
+		}
+	}
 }
 
 // InvokeOneWay submits a fire-and-forget invocation: the member executes

@@ -195,8 +195,8 @@ func (m *member) handle(req *transport.Request) ([]byte, error) {
 	// is steered away not by refusal but by the piggybacked routing table
 	// on this very reply, which excludes the member. One-way invocations
 	// get the same treatment minus the correction (they carry no reply).
-	finish := m.meter.Begin(req.Method)
-	defer finish()
+	start := m.meter.Begin()
+	defer m.meter.End(req.Method, start)
 	if rh, ok := m.obj.(RequestHandler); ok {
 		return rh.HandleRequest(req)
 	}

@@ -42,6 +42,15 @@ type Stub struct {
 	// queued async work that has not reached a member's meter yet.
 	pendingN atomic.Int64
 
+	// asyncq hands an asynchronous invocation to a parked async worker;
+	// unbuffered, so a send succeeds only when one is waiting.
+	// asyncWorkers counts live async workers, asyncIdle the parked ones.
+	// stop, closed by Close, ends the parked ones.
+	asyncq       chan *AsyncCall
+	asyncWorkers atomic.Int32
+	asyncIdle    atomic.Int32
+	stop         chan struct{}
+
 	// staleRetries counts failover attempts after the first pick of an
 	// invocation — the cost of acting on a stale or degraded view. Churn
 	// tests assert this stays bounded.
@@ -86,6 +95,8 @@ func NewStub(name string, endpoints []string, opts ...StubOption) (*Stub, error)
 		name:    name,
 		timeout: 10 * time.Second,
 		routes:  route.NewState(route.Seed(endpoints)),
+		asyncq:  make(chan *AsyncCall),
+		stop:    make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -238,9 +249,9 @@ func (s *Stub) invokeDeadline(method, key string, payload []byte, deadline time.
 			s.routes.Exclude(addr)
 			continue
 		}
-		release := s.routes.Acquire(addr)
+		lease := s.routes.Acquire(addr)
 		out, err := c.Call(s.name, method, payload, remaining)
-		release()
+		lease.Release()
 		if err == nil {
 			s.routes.Readmit(addr)
 			return out, nil
@@ -289,11 +300,12 @@ func isRemoteAppError(err error) bool {
 	return errors.As(err, &remote)
 }
 
-// Close releases all connections.
+// Close releases all connections and ends the parked async workers.
 func (s *Stub) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
+	close(s.stop)
 	return s.conns.Close()
 }
 

@@ -15,6 +15,7 @@ package metrics
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"elasticrmi/internal/simclock"
@@ -61,11 +62,13 @@ type Meter struct {
 	// invocations the member can execute concurrently at 100% CPU (the CPU
 	// reservation of the Mesos slice, in "cores").
 	capacity float64
+	// inFlight counts invocations between Begin and End, outside mu so
+	// Begin takes no lock.
+	inFlight atomic.Int64
 
 	mu          sync.Mutex
 	windowStart time.Time
 	busy        time.Duration
-	inFlight    int
 	shed        int64
 	expired     int64
 	perMethod   map[string]*methodAgg
@@ -102,31 +105,32 @@ func (m *Meter) SetRAMGauge(g func() float64) {
 	m.ramGauge = g
 }
 
-// Begin marks the start of one invocation; the returned func must be called
-// when the invocation finishes and records its service time.
-func (m *Meter) Begin(method string) func() {
-	start := m.clock.Now()
+// Begin marks the start of one invocation and returns its start time,
+// which the matching End takes back.
+func (m *Meter) Begin() time.Time {
+	m.inFlight.Add(1)
+	return m.clock.Now()
+}
+
+// End records the service time of one invocation of method that Begin
+// started at start.
+func (m *Meter) End(method string, start time.Time) {
+	elapsed := m.clock.Since(start)
+	m.inFlight.Add(-1)
 	m.mu.Lock()
-	m.inFlight++
-	m.mu.Unlock()
-	return func() {
-		elapsed := m.clock.Since(start)
-		m.mu.Lock()
-		m.inFlight--
-		m.busy += elapsed
-		agg, ok := m.perMethod[method]
-		if !ok {
-			agg = &methodAgg{}
-			m.perMethod[method] = agg
-		}
-		agg.calls++
-		agg.totalBusy += elapsed
-		m.mu.Unlock()
+	m.busy += elapsed
+	agg, ok := m.perMethod[method]
+	if !ok {
+		agg = &methodAgg{}
+		m.perMethod[method] = agg
 	}
+	agg.calls++
+	agg.totalBusy += elapsed
+	m.mu.Unlock()
 }
 
 // Observe records a completed invocation with a known service time. It is
-// the non-callback form of Begin, used by simulated members.
+// the Begin/End pair in one call, used by simulated members.
 func (m *Meter) Observe(method string, serviceTime time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -164,9 +168,7 @@ func (m *Meter) AddExpired(n int64) {
 
 // InFlight returns the number of invocations currently executing.
 func (m *Meter) InFlight() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inFlight
+	return int(m.inFlight.Load())
 }
 
 // Window reports statistics accumulated since the last call to Window (or

@@ -78,12 +78,12 @@ func TestCapacityScalesCPU(t *testing.T) {
 func TestBeginTracksInFlightAndBusy(t *testing.T) {
 	clock := simclock.NewSim(time.Unix(0, 0))
 	m := NewMeter(1, clock)
-	finish := m.Begin("op")
+	start := m.Begin()
 	if m.InFlight() != 1 {
 		t.Fatalf("in flight = %d, want 1", m.InFlight())
 	}
 	clock.Advance(100 * time.Millisecond)
-	finish()
+	m.End("op", start)
 	if m.InFlight() != 0 {
 		t.Fatalf("in flight = %d, want 0", m.InFlight())
 	}
@@ -124,5 +124,23 @@ func TestPeekDoesNotReset(t *testing.T) {
 	stats, _ := m.Window()
 	if len(stats) != 1 {
 		t.Fatal("peek consumed the window")
+	}
+}
+
+// TestBeginEndAllocsNothing pins the meter's per-invocation cost at zero
+// allocations once the method has been seen.
+func TestBeginEndAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m := NewMeter(1, nil)
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.End("op", m.Begin())
+	})
+	if allocs != 0 {
+		t.Fatalf("Begin+End = %v allocs, want 0", allocs)
+	}
+	if m.InFlight() != 0 {
+		t.Fatalf("in flight = %d after every End, want 0", m.InFlight())
 	}
 }

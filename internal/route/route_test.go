@@ -152,17 +152,17 @@ func TestPowerOfTwoAvoidsLoadedMember(t *testing.T) {
 
 func TestPowerOfTwoSeesLocalInflight(t *testing.T) {
 	s := NewSeededState(table(1, "a:1", "b:2"), 3)
-	release := make([]func(), 0, 8)
+	leases := make([]Lease, 0, 8)
 	for i := 0; i < 8; i++ {
-		release = append(release, s.Acquire("a:1"))
+		leases = append(leases, s.Acquire("a:1"))
 	}
 	for i := 0; i < 50; i++ {
 		if addr, _ := s.Pick(PowerOfTwo); addr != "b:2" {
 			t.Fatalf("pick %d chose %s despite 8 local in-flight on a:1", i, addr)
 		}
 	}
-	for _, r := range release {
-		r()
+	for _, l := range leases {
+		l.Release()
 	}
 	seen := map[string]bool{}
 	for i := 0; i < 50; i++ {
@@ -275,5 +275,26 @@ func TestRingOwnersReplicaSet(t *testing.T) {
 	}
 	if BuildRing(Table{}).Owners("x", 2) != nil {
 		t.Fatal("empty ring must return nil")
+	}
+}
+
+// TestPickAcquireReleaseAllocsNothing pins the per-attempt routing cost of
+// an invocation at zero allocations, for both strategies.
+func TestPickAcquireReleaseAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := NewSeededState(table(1, "a:1", "b:2", "c:3"), 1)
+	for _, strategy := range []Strategy{RoundRobin, PowerOfTwo} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			addr, ok := s.Pick(strategy)
+			if !ok {
+				t.Fatal("pick failed")
+			}
+			s.Acquire(addr).Release()
+		})
+		if allocs != 0 {
+			t.Fatalf("strategy %d: Pick+Acquire+Release = %v allocs, want 0", strategy, allocs)
+		}
 	}
 }

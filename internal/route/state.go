@@ -91,7 +91,7 @@ func (s *State) install(t Table) {
 		}
 	}
 	// Drop in-flight counters for members that left the table; a counter
-	// still referenced by an outstanding release closure stays correct,
+	// still referenced by an outstanding lease stays correct,
 	// it is just no longer consulted.
 	for addr := range s.inflight {
 		if _, ok := current[addr]; !ok {
@@ -195,10 +195,19 @@ func (s *State) usableLocked(i int) bool {
 	return !dead
 }
 
-// Acquire records one in-flight invocation toward addr and returns the
-// paired release. The count feeds the power-of-two picker, so callers
-// should hold it exactly for the duration of the attempt.
-func (s *State) Acquire(addr string) (release func()) {
+// Lease is one in-flight invocation recorded by Acquire. It is a value,
+// so recording an attempt allocates nothing.
+type Lease struct {
+	ctr *atomic.Int64
+}
+
+// Release ends the lease. Call it exactly once, when the attempt is over.
+func (l Lease) Release() { l.ctr.Add(-1) }
+
+// Acquire records one in-flight invocation toward addr and returns its
+// lease. The count feeds the power-of-two picker, so callers should hold
+// the lease exactly for the duration of the attempt.
+func (s *State) Acquire(addr string) Lease {
 	s.mu.Lock()
 	ctr, ok := s.inflight[addr]
 	if !ok {
@@ -207,8 +216,7 @@ func (s *State) Acquire(addr string) (release func()) {
 	}
 	s.mu.Unlock()
 	ctr.Add(1)
-	var once sync.Once
-	return func() { once.Do(func() { ctr.Add(-1) }) }
+	return Lease{ctr: ctr}
 }
 
 // loadLocked is member i's effective load: the piggybacked report plus
@@ -227,9 +235,10 @@ func (s *State) loadLocked(i int) int64 {
 // Pick selects one member address under the strategy. ok=false means no
 // member is currently usable (all draining or excluded).
 func (s *State) Pick(strategy Strategy) (string, bool) {
+	var buf [16]int
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	usable := s.usableIdx()
+	usable := s.usableIdx(buf[:0])
 	if len(usable) == 0 {
 		return "", false
 	}
@@ -255,9 +264,10 @@ func (s *State) Pick(strategy Strategy) (string, bool) {
 	return s.table.Members[idx].Addr, true
 }
 
-// usableIdx collects the indices Pick may choose from. Caller holds s.mu.
-func (s *State) usableIdx() []int {
-	out := make([]int, 0, len(s.table.Members))
+// usableIdx appends the indices Pick may choose from to out (a caller's
+// stack buffer, so pools of up to its capacity pick without allocating).
+// Caller holds s.mu.
+func (s *State) usableIdx(out []int) []int {
 	for i := range s.table.Members {
 		if s.usableLocked(i) && s.table.Members[i].Weight > 0 {
 			out = append(out, i)

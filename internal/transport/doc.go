@@ -158,15 +158,19 @@
 // # Admission control
 //
 // The server executes requests behind a bounded admission controller
-// (ServerOptions): a concurrency gate of MaxConcurrent execution slots —
-// an elastic worker pool, not a goroutine per request — fronted by a
-// bounded wait queue of MaxQueue entries. Work beyond both bounds is shed
-// immediately: two-way requests with a status-1 response, one-way requests
-// silently. Queued work is re-checked at dequeue: an expired budget means
-// the handler never runs (status 2). Server.Stats exposes the cumulative
-// shed/expired counters; the elasticity layer feeds them into PoolMetrics,
-// where they act as the scale-out signal that fires before utilization
-// averages cross their thresholds.
+// (ServerOptions): a concurrency gate of MaxConcurrent execution slots,
+// fronted by a bounded wait queue of MaxQueue entries. The slots are an
+// elastic pool of workers that park between requests: an admitted request
+// is handed to a parked worker, a goroutine is spawned only when none is
+// parked, and at most 64 stay parked once a burst is over. Below
+// MaxConcurrent an admitted request never waits behind a busy handler.
+// Work beyond both bounds is shed immediately: two-way requests with a
+// status-1 response, one-way requests silently. Queued work is re-checked
+// at dequeue: an expired budget means the handler never runs (status 2).
+// Server.Stats exposes the cumulative shed/expired counters; the
+// elasticity layer feeds them into PoolMetrics, where they act as the
+// scale-out signal that fires before utilization averages cross their
+// thresholds.
 //
 // Methods matched by ServerOptions.Express bypass the admission controller
 // entirely and run on their own goroutines — never queued, never shed, not
@@ -232,10 +236,10 @@
 // the header and metadata. Framing allocates nothing on the write path; the
 // read path parses the fixed header in place (Peek/Discard on the buffered
 // reader) and lands the payload in a recycled arena slab. Server Request
-// objects are pooled, each owning its payload slab, a resident worker absorbs
-// light load without goroutine spawns, client call state (completion
-// channels, timers) is pooled, and sequence numbers come from an atomic
-// counter: a steady-state 64-byte echo round-trip costs 2 allocations.
+// objects are pooled, each owning its payload slab, requests go to parked
+// workers instead of new goroutines, client call state is pooled, and
+// sequence numbers come from an atomic counter: a steady-state 64-byte echo
+// round trip costs 1 allocation, the call's completion channel.
 //
 // A frame may also be held: written into the buffer without a flush even
 // when no other writer is queued. The server holds a response while more

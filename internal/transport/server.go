@@ -25,8 +25,10 @@ type RouteSource func() route.Table
 type ServerOptions struct {
 	// MaxConcurrent bounds how many requests execute concurrently (the
 	// concurrency gate): at most this many handler invocations run at any
-	// moment, served by an elastic worker pool instead of a goroutine per
-	// request. <= 0 selects DefaultMaxConcurrent.
+	// moment. They run on an elastic pool of workers that park between
+	// requests, so steady load reuses parked workers instead of starting
+	// a goroutine per request; a worker is spawned only when none is
+	// parked. <= 0 selects DefaultMaxConcurrent.
 	MaxConcurrent int
 	// MaxQueue bounds how many accepted requests may wait for a free worker.
 	// When the queue is full, two-way requests are shed with a
@@ -95,12 +97,19 @@ type Server struct {
 	routes  atomic.Pointer[RouteSource]
 
 	// Admission state: the bounded wait queue, the live-worker count the
-	// elastic pool is capped by, and the shed/expired counters.
+	// concurrency gate caps, the worker accounting (see idle) and the
+	// shed/expired counters.
 	work    chan workItem
 	workers atomic.Int32
+	// idle is the number of workers waiting on the queue minus the queued
+	// items no worker has been counted for yet. admit claims a parked
+	// worker by decrementing it, a worker parks by incrementing it, and a
+	// negative value is work owed by busy workers at MaxConcurrent: the
+	// next to finish finds it on the queue without blocking.
+	idle    atomic.Int32
 	shed    atomic.Uint64
 	expired atomic.Uint64
-	// quit retires the resident worker at Close.
+	// quit stops every worker at Close.
 	quit chan struct{}
 
 	// draining makes the server drop newly arriving requests without
@@ -138,7 +147,10 @@ func (s *Server) routeUpdateFor(reqEpoch uint64) *route.Table {
 	if t.Epoch <= reqEpoch {
 		return nil
 	}
-	return &t
+	// Only the stale branch copies the table to the heap: returning &t
+	// would move t there on every call, current requesters included.
+	stale := t
+	return &stale
 }
 
 // Stats returns the admission controller's cumulative counters.
@@ -180,37 +192,14 @@ func ServeListener(lis net.Listener, handler Handler, opts ServerOptions) (*Serv
 		conns:   make(map[net.Conn]struct{}),
 		states:  make(map[*connState]struct{}),
 	}
-	// One resident worker parks on the admission queue for the server's
-	// lifetime (it occupies the first concurrency slot), so light sequential
-	// load dispatches without spawning a goroutine per request; elastic
-	// workers still spawn behind it when the queue backs up.
+	// The first worker parks on the admission queue before any request
+	// arrives, so light sequential load never spawns a goroutine.
 	s.workers.Store(1)
+	s.idle.Store(1)
 	s.wg.Add(2)
-	go s.residentWorker()
+	go s.worker()
 	go s.acceptLoop()
 	return s, nil
-}
-
-// residentWorker is the permanent member of the worker pool.
-func (s *Server) residentWorker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case it := <-s.work:
-			s.process(it)
-		case <-s.quit:
-			// Drain anything the elastic workers left behind so admitted
-			// work is never stranded at Close.
-			for {
-				select {
-				case it := <-s.work:
-					s.process(it)
-				default:
-					return
-				}
-			}
-		}
-	}
 }
 
 // Addr returns the listener's address.
@@ -239,27 +228,40 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// maxIdleWorkers caps the parked workers: a worker that finishes while
+// this many others are parked retires, so a burst's workers do not linger
+// once it is over. A retiring worker always leaves parked ones behind, so
+// the pool never empties.
+const maxIdleWorkers = 64
+
 // admit hands one parsed invocation to the worker pool. It never blocks:
-// a full queue reports false and the caller sheds. On true, a worker slot
-// is guaranteed to pick the item up (a retiring worker re-checks the queue
-// after decrementing itself, so the enqueue/retire race always leaves
-// someone responsible).
+// a full queue reports false and the caller sheds. On true, the item is
+// accounted to exactly one worker: a parked one it claims, a new one it
+// spawns below MaxConcurrent, or — at MaxConcurrent — the next busy worker
+// to finish. So below MaxConcurrent an admitted request never waits behind
+// a busy handler.
 func (s *Server) admit(it workItem) bool {
 	select {
 	case s.work <- it:
 	default:
 		return false
 	}
-	if s.tryReserveWorker() {
-		s.wg.Add(1)
-		go s.worker()
+	for {
+		n := s.idle.Load()
+		if n <= 0 && s.tryReserveWorker() {
+			s.wg.Add(1)
+			go s.worker()
+			return true
+		}
+		// Claim a parked worker, or owe the item to a busy one.
+		if s.idle.CompareAndSwap(n, n-1) {
+			return true
+		}
 	}
-	return true
 }
 
 // tryReserveWorker claims a worker slot under the concurrency gate,
-// reporting false when the pool is at MaxConcurrent (the live workers own
-// the queue then).
+// reporting false when the pool is at MaxConcurrent.
 func (s *Server) tryReserveWorker() bool {
 	for {
 		n := s.workers.Load()
@@ -272,29 +274,37 @@ func (s *Server) tryReserveWorker() bool {
 	}
 }
 
-// worker drains the admission queue. Workers are elastic: one is spawned
-// per admit while the pool is below MaxConcurrent, and a worker retires as
-// soon as it finds the queue empty — under light load this degenerates to
-// roughly a goroutine per request, under saturation to MaxConcurrent
-// long-lived workers chewing a full queue.
+// worker runs admitted work: receive one item, process it, then park for
+// the next or retire (see park). A worker only receives an item it was
+// accounted for — spawned for it, claimed while parked, or owed it — so
+// the number of parked workers stays exact.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		select {
 		case it := <-s.work:
 			s.process(it)
-			continue
-		default:
-		}
-		// Queue looks empty: retire. Decrement before the final re-check so
-		// an admit that raced its enqueue past our first look either sees a
-		// free slot (and spawns a replacement) or is caught by the re-check.
-		s.workers.Add(-1)
-		if len(s.work) == 0 {
+		case <-s.quit:
+			s.workers.Add(-1)
 			return
 		}
-		if !s.tryReserveWorker() {
-			return // a full complement of other workers owns the queue
+		if !s.park() {
+			return
+		}
+	}
+}
+
+// park accounts a worker that finished an item as waiting again, or
+// retires it when maxIdleWorkers others are already parked.
+func (s *Server) park() bool {
+	for {
+		n := s.idle.Load()
+		if n >= maxIdleWorkers {
+			s.workers.Add(-1)
+			return false
+		}
+		if s.idle.CompareAndSwap(n, n+1) {
+			return true
 		}
 	}
 }
@@ -571,8 +581,8 @@ type connState struct {
 	written  atomic.Int64
 }
 
-// Close stops accepting, closes all connections and waits for in-flight
-// handlers (and the worker pool behind the admission queue) to finish.
+// Close stops accepting, closes all connections, waits for in-flight
+// handlers and stops the worker pool behind the admission queue.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -591,5 +601,15 @@ func (s *Server) Close() error {
 	}
 	close(s.quit)
 	s.wg.Wait()
-	return err
+	// Every connection has stopped reading, so the queue only shrinks:
+	// run what the stopped workers left behind, so admitted work is never
+	// stranded at Close.
+	for {
+		select {
+		case it := <-s.work:
+			s.process(it)
+		default:
+			return err
+		}
+	}
 }

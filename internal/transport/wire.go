@@ -162,6 +162,11 @@ type connWriter struct {
 	// straggler is created by the first held write, so a connection that
 	// only ever writes unheld frames never allocates it.
 	straggler *time.Timer
+	// sg and sgBufs carry one scatter-gather write: net.Buffers.WriteTo
+	// lets its receiver escape, so the writer owns both the slice array and
+	// the Buffers header instead of building them per frame.
+	sg     [2][]byte
+	sgBufs net.Buffers
 }
 
 // stragglerBound caps how long a held frame — a client future's request or
@@ -268,8 +273,12 @@ func (w *connWriter) writeSG(hdrMeta, payload []byte) error {
 	if err := w.flush(); err != nil {
 		return err
 	}
-	bufs := net.Buffers{hdrMeta, payload}
-	_, err := bufs.WriteTo(w.dst)
+	w.sg = [2][]byte{hdrMeta, payload}
+	w.sgBufs = w.sg[:]
+	_, err := w.sgBufs.WriteTo(w.dst)
+	// Drop the references, so the writer never pins a released slab.
+	w.sg = [2][]byte{}
+	w.sgBufs = nil
 	return err
 }
 
