@@ -119,11 +119,14 @@ func TestSaturatedMemberStaysLiveAndReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	running := c.Go("busy", "Park", nil)
-	defer running.Release()
+	// The running Park ends when Close fails it or the cleanup releases it.
+	go c.Call("busy", "Park", nil, 0)
 	<-e.parked
-	queued := c.Go("busy", "Park", nil)
-	defer queued.Release()
+	// A one-way Park takes the queue slot: it is on the wire, and so ahead
+	// of the next request, by the time OneWay returns.
+	if err := c.OneWay("busy", "Park", nil); err != nil {
+		t.Fatalf("queued Park: %v", err)
+	}
 	if _, err := c.Call("busy", "Park", nil, 2*time.Second); !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("third Park = %v, want ErrOverloaded (gate and queue full)", err)
 	}

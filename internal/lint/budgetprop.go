@@ -15,7 +15,6 @@ import (
 // Checked call shapes on transport.Client, inside request-taking
 // functions only:
 //
-//	Go(svc, m, payload)              — always reported: no budget slot; use Call
 //	Call(svc, m, payload, timeout)   — timeout doubles as the wire budget; must derive
 //	CallDecode(svc, m, a, r, timeout) — same
 //
@@ -38,9 +37,8 @@ var Budgetprop = &Analyzer{
 }
 
 // budgetArg maps the checked Client methods to the index of their
-// budget-bearing argument (-1: the method has no budget slot at all).
+// budget-bearing argument.
 var budgetArg = map[string]int{
-	"Go":         -1,
 	"Call":       3,
 	"CallDecode": 4,
 }
@@ -129,10 +127,6 @@ func checkBudgets(pass *Pass, body *ast.BlockStmt, req *types.Var) {
 			}
 			slot, checked := budgetArg[name]
 			if !checked {
-				return true
-			}
-			if slot < 0 {
-				pass.Reportf(t.Pos(), "handler issues Client.Go without a budget: use Call or CallDecode with the request's remaining budget so the caller's deadline bounds the chain")
 				return true
 			}
 			if slot >= len(t.Args) {

@@ -45,10 +45,9 @@
 // budgetprop checks that handlers thread the caller's budget through:
 // a function taking a *transport.Request that issues a downstream
 // Call/CallDecode must derive the timeout argument (the wire budget)
-// from req.Budget or req.Deadline, and plain Go (no budget at all) is
-// reported outright. Without propagation a chain of hops can outlive
-// the deadline the original caller is still waiting on. OneWay sends
-// are exempt (nothing upstream is waiting).
+// from req.Budget or req.Deadline. Without propagation a chain of hops
+// can outlive the deadline the original caller is still waiting on.
+// OneWay sends are exempt (nothing upstream is waiting).
 //
 // goroleak reports two goroutine shapes that can never terminate: a
 // spawned loop that blocks on channel operations but contains no exit at

@@ -114,8 +114,6 @@ func mutexOp(info *types.Info, call *ast.CallExpr) (lockOp, bool) {
 }
 
 // blockingCall classifies a resolved callee as inherently blocking.
-// Asynchronous submission (Go returns once its frame is buffered, while
-// Call-class methods wait for the reply) is not in the set.
 func blockingCall(pkgBase, recv, name string) (string, bool) {
 	switch {
 	case strings.HasPrefix(name, "Dial") && (pkgBase == "transport" || pkgBase == "net" || pkgBase == "kvstore"):
@@ -123,9 +121,6 @@ func blockingCall(pkgBase, recv, name string) (string, bool) {
 	case pkgBase == "transport" && recv == "Client" &&
 		(name == "Call" || name == "CallDecode" || name == "OneWay"):
 		return "transport call " + name, true
-	case pkgBase == "transport" && recv == "Call" &&
-		(name == "Wait" || name == "Payload" || name == "Decode"):
-		return "transport Call." + name + " (waits for completion)", true
 	case name == "Sleep":
 		who := recv
 		if who == "" {

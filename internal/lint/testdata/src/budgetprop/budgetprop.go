@@ -15,8 +15,6 @@ func relay(req *transport.Request, c *transport.Client) ([]byte, error) {
 	budget := req.Budget / 2
 	_, _ = c.Call("kv", "Get", nil, budget)
 
-	_ = c.Go("kv", "Prefetch", nil) // want `Client\.Go without a budget`
-
 	_ = c.CallDecode("kv", "Get", nil, nil, time.Until(req.Deadline))
 	_ = c.CallDecode("kv", "Get", nil, nil, 5*time.Second) // want `does not propagate the request budget`
 

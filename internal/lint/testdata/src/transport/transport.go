@@ -39,13 +39,6 @@ type Unmarshaler interface {
 func Encode(v Marshaler) []byte            { return nil }
 func Decode(b []byte, v Unmarshaler) error { return nil }
 
-// Call is a pending invocation.
-type Call struct {
-	done chan struct{}
-}
-
-func (c *Call) Wait(d time.Duration) ([]byte, error) { return nil, nil }
-
 // Client mirrors the RPC client surface the analyzers know about.
 type Client struct {
 	mu sync.Mutex
@@ -60,8 +53,6 @@ func (c *Client) Call(service, method string, payload []byte, timeout time.Durat
 func (c *Client) CallDecode(service, method string, arg Marshaler, reply Unmarshaler, timeout time.Duration) error {
 	return nil
 }
-
-func (c *Client) Go(service, method string, payload []byte) *Call { return &Call{} }
 
 func (c *Client) OneWay(service, method string, payload []byte) error { return nil }
 func (c *Client) Close() error                                        { return nil }

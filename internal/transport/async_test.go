@@ -10,59 +10,49 @@ import (
 	"time"
 )
 
-// TestGoFutureRoundTrip drives the future API end to end: Done, Err,
-// Decode, Release.
-func TestGoFutureRoundTrip(t *testing.T) {
-	srv := startEcho(t)
-	c := dial(t, srv.Addr())
-
-	payload := Encode(&echoArgs{Text: "future", N: 9})
-	ca := c.Go("svc", "Echo", payload)
-	select {
-	case <-ca.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("future never completed")
-	}
-	if err := ca.Err(); err != nil {
-		t.Fatalf("Err: %v", err)
-	}
-	var got echoArgs
-	if err := ca.Decode(&got); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.Text != "future" || got.N != 9 {
-		t.Fatalf("round trip = %+v", got)
-	}
-	ca.Release()
+// reply is the outcome of one Call run by goCall.
+type reply struct {
+	out []byte
+	err error
 }
 
-// TestGoPipelinesManyCalls keeps a window of futures in flight from a
-// single goroutine — the pipelining the synchronous API cannot express —
-// and checks every response lands on the right future.
+// goCall runs c.Call on a goroutine of its own and delivers the outcome on
+// the returned channel: how a test keeps a call in flight while it goes on.
+func goCall(c *Client, service, method string, payload []byte, timeout time.Duration) <-chan reply {
+	ch := make(chan reply, 1)
+	go func() {
+		out, err := c.Call(service, method, payload, timeout)
+		ch <- reply{out, err}
+	}()
+	return ch
+}
+
+// TestGoPipelinesManyCalls keeps a window of 256 calls in flight on one
+// connection, one goroutine each, and checks every response lands on the
+// call that sent its marker.
 func TestGoPipelinesManyCalls(t *testing.T) {
 	srv := startEcho(t)
 	c := dial(t, srv.Addr())
 
 	const n = 256
-	calls := make([]*Call, n)
-	for i := 0; i < n; i++ {
-		calls[i] = c.Go("svc", "Echo", []byte{byte(i), byte(i >> 8)})
+	calls := make([]<-chan reply, n)
+	for i := range calls {
+		calls[i] = goCall(c, "svc", "Echo", []byte{byte(i), byte(i >> 8)}, 5*time.Second)
 	}
-	for i, ca := range calls {
-		out, err := ca.Wait(5 * time.Second)
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+	for i, ch := range calls {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("call %d: %v", i, r.err)
 		}
-		if !bytes.Equal(out, []byte{byte(i), byte(i >> 8)}) {
-			t.Fatalf("call %d got %v (responses crossed)", i, out)
+		if !bytes.Equal(r.out, []byte{byte(i), byte(i >> 8)}) {
+			t.Fatalf("call %d got %v (responses crossed)", i, r.out)
 		}
 	}
 }
 
-// TestBatchedClientEndToEnd mixes concurrent futures and one-ways from
-// many goroutines on one connection, so their frames coalesce in its write
-// buffer: held and unheld frames interleave in one buffer, every response
-// must still land on its own future, and every one-way must arrive.
+// TestBatchedClientEndToEnd mixes calls and one-ways from many goroutines
+// on one connection, so their frames coalesce in its write buffer: every
+// response must still land on its own call, and every one-way must arrive.
 func TestBatchedClientEndToEnd(t *testing.T) {
 	var oneways atomic.Int64
 	srv, err := Serve("127.0.0.1:0", func(req *Request) ([]byte, error) {
@@ -94,7 +84,7 @@ func TestBatchedClientEndToEnd(t *testing.T) {
 					}
 					continue
 				}
-				out, err := c.Go("svc", "Echo", marker).Wait(10 * time.Second)
+				out, err := c.Call("svc", "Echo", marker, 10*time.Second)
 				if err != nil {
 					errCh <- err
 					return
@@ -121,37 +111,6 @@ func TestBatchedClientEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWaitFlushesQueuedEntry: a caller blocking on a future whose request
-// frame is still held in the connection buffer flushes it itself — it
-// never waits for the straggler timer.
-func TestWaitFlushesQueuedEntry(t *testing.T) {
-	srv := startEcho(t)
-	c := dial(t, srv.Addr())
-	for attempt := 0; attempt < 100; attempt++ {
-		ca := c.Go("svc", "Echo", []byte("kick"))
-		// Catch the frame while it is still held and stop the straggler
-		// timer before it fires: from then on only flush-on-wait can put
-		// the frame on the wire.
-		c.w.mu.Lock()
-		held := c.w.holding.Load() && c.w.bw.Buffered() > 0 && c.w.straggler.Stop()
-		c.w.mu.Unlock()
-		if !held {
-			// The timer won the race (the host stalled for the whole
-			// bound); the frame went out on its own, so try again.
-			if _, err := ca.Wait(10 * time.Second); err != nil {
-				t.Fatalf("Wait: %v", err)
-			}
-			continue
-		}
-		out, err := ca.Wait(10 * time.Second)
-		if err != nil || string(out) != "kick" {
-			t.Fatalf("Wait on held call: %q, %v", out, err)
-		}
-		return
-	}
-	t.Fatal("never caught a held request frame in 100 attempts")
-}
-
 // TestHeldWriteInheritsOwedFlush: a writer that skipped its flush because
 // another was queued hands the flush to that writer even when it would
 // hold, so an unheld frame never waits on the straggler timer; and a
@@ -160,14 +119,14 @@ func TestHeldWriteInheritsOwedFlush(t *testing.T) {
 	var buf bytes.Buffer
 	w := newConnWriter(&buf)
 	w.waiters.Add(1) // a writer is queued behind the unheld frame
-	if err := w.writeRequest(1, 0, 0, "svc", "Sync", nil, false); err != nil {
+	if err := w.writeRequest(frameRequest, 1, 0, 0, "svc", "Sync", nil); err != nil {
 		t.Fatal(err)
 	}
 	w.waiters.Add(-1)
 	if buf.Len() != 0 || !w.owed {
 		t.Fatalf("unheld frame with a queued writer: %d bytes flushed, owed=%v; want 0, true", buf.Len(), w.owed)
 	}
-	if err := w.writeRequest(2, 0, 0, "svc", "Async", nil, true); err != nil {
+	if err := w.writeResponse(2, statusOK, nil, "", nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if w.bw.Buffered() != 0 || w.owed || w.holding.Load() || w.straggler != nil {
@@ -190,118 +149,152 @@ func TestHeldWriteInheritsOwedFlush(t *testing.T) {
 	}
 }
 
-// TestDoneOnlyFutureCompletes: a future consumed only through Done — no
-// blocking accessor ever flushes for it — still completes, because the
-// straggler timer bounds how long a held frame may sit in the buffer.
-func TestDoneOnlyFutureCompletes(t *testing.T) {
-	srv := startEcho(t)
+// TestStragglerFlushesHeldResponse: while one handler on a connection stays
+// blocked, the server holds every other response on that connection (more
+// are due), so only the straggler timer puts them on the wire. Each must
+// still arrive within a bound tied to stragglerBound, long before the
+// blocked handler is released.
+func TestStragglerFlushesHeldResponse(t *testing.T) {
+	srv, entered, release := startBlocking(t)
 	c := dial(t, srv.Addr())
-	for i := 0; i < 20; i++ {
-		ca := c.Go("svc", "Echo", []byte{byte(i)})
-		select {
-		case <-ca.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("call %d: Done-only future never completed", i)
+	blocked := goCall(c, "svc", "Block", nil, 0)
+	waitFor(t, "blocked handler", func() bool { return entered.Load() == 1 })
+
+	// The fastest of a few round trips sheds host noise; a response the
+	// timer never flushed would instead wait for the release below.
+	const bound = 100 * stragglerBound
+	fastest := time.Duration(1<<63 - 1)
+	for i := 0; i < 10; i++ {
+		start := time.Now()
+		if _, err := c.Call("svc", "Fast", []byte{byte(i)}, 5*time.Second); err != nil {
+			t.Fatalf("call %d behind a blocked handler: %v", i, err)
 		}
-		if ca.res.err != nil || !bytes.Equal(ca.res.payload, []byte{byte(i)}) {
-			t.Fatalf("call %d: %q, %v", i, ca.res.payload, ca.res.err)
-		}
-		ca.Release()
+		fastest = min(fastest, time.Since(start))
+	}
+	if fastest > bound {
+		t.Fatalf("fastest held response took %v, want <= %v (straggler bound %v)", fastest, bound, stragglerBound)
+	}
+	// The responses were held, not flushed outright: the server's writer
+	// for this connection armed its straggler timer.
+	srv.mu.Lock()
+	var armed bool
+	for st := range srv.states {
+		st.w.mu.Lock()
+		armed = armed || st.w.straggler != nil
+		st.w.mu.Unlock()
+	}
+	srv.mu.Unlock()
+	if !armed {
+		t.Fatal("no response was held: the straggler path went unexercised")
+	}
+	close(release)
+	if r := <-blocked; r.err != nil {
+		t.Fatalf("blocked call: %v", r.err)
 	}
 }
 
-// TestCloseFailsHeldFutures: closing a client with futures whose frames
-// may still be held fails every one with ErrClosed instead of leaving it
+// TestCloseFailsHeldFutures: closing a client while calls are blocked
+// waiting for replies fails every one with ErrClosed instead of leaving it
 // hanging.
 func TestCloseFailsHeldFutures(t *testing.T) {
-	block := make(chan struct{})
+	srv, entered, _ := startBlocking(t) // no reply can race the Close
+	c := dial(t, srv.Addr())
+
+	calls := make([]<-chan reply, 8)
+	for i := range calls {
+		calls[i] = goCall(c, "svc", "Block", []byte{byte(i)}, 0)
+	}
+	waitFor(t, "blocked handlers", func() bool { return entered.Load() == int64(len(calls)) })
+	c.Close()
+	for i, ch := range calls {
+		select {
+		case r := <-ch:
+			if !errors.Is(r.err, ErrClosed) {
+				t.Fatalf("call %d err = %v, want ErrClosed", i, r.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("call %d hung across Close", i)
+		}
+	}
+}
+
+// TestGoPayloadReusableOnReturn: OneWay has copied (or written) the payload
+// by the time it returns, so a caller overwriting the buffer at once
+// cannot corrupt the request — whether the frame fits the connection
+// buffer, spills it, or takes the scatter-gather path.
+func TestGoPayloadReusableOnReturn(t *testing.T) {
+	sizes := []int{64, 12 << 10, 12 << 10, scatterGatherThreshold + 1, 64}
+	got := make(chan error, len(sizes))
 	srv, err := Serve("127.0.0.1:0", func(req *Request) ([]byte, error) {
-		<-block // no reply can race the Close
+		b := req.Payload
+		i := int(b[0]) // byte j of request i is byte(i+j)
+		if i >= len(sizes) || len(b) != sizes[i] {
+			got <- fmt.Errorf("request of %d bytes tagged %d", len(b), i)
+			return nil, nil
+		}
+		for j, v := range b {
+			if v != byte(i+j) {
+				got <- fmt.Errorf("request %d: byte %d = %#x, want %#x (payload reused before it was written)", i, j, v, byte(i+j))
+				return nil, nil
+			}
+		}
+		got <- nil
 		return nil, nil
 	})
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	t.Cleanup(func() { close(block) })
 	c := dial(t, srv.Addr())
 
-	calls := make([]*Call, 8)
-	for i := range calls {
-		calls[i] = c.Go("svc", "Hold", []byte{byte(i)})
-	}
-	c.Close()
-	for i, ca := range calls {
-		select {
-		case <-ca.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("future %d hung across Close", i)
-		}
-		if err := ca.Err(); !errors.Is(err, ErrClosed) {
-			t.Fatalf("future %d err = %v, want ErrClosed", i, err)
-		}
-		ca.Release()
-	}
-}
-
-// TestGoPayloadReusableOnReturn: Go has copied (or written) the payload by
-// the time it returns, so a caller overwriting the buffer at once cannot
-// corrupt the request — whether the frame is held in the connection
-// buffer, spills it, or takes the scatter-gather path.
-func TestGoPayloadReusableOnReturn(t *testing.T) {
-	srv := startEcho(t)
-	c := dial(t, srv.Addr())
-	sizes := []int{64, 12 << 10, 12 << 10, scatterGatherThreshold + 1, 64}
 	buf := make([]byte, scatterGatherThreshold+1)
-	calls := make([]*Call, len(sizes))
 	for i, n := range sizes {
 		for j := range buf[:n] {
 			buf[j] = byte(i + j)
 		}
-		calls[i] = c.Go("svc", "Echo", buf[:n])
+		if err := c.OneWay("svc", "Check", buf[:n]); err != nil {
+			t.Fatalf("OneWay %d: %v", i, err)
+		}
 		for j := range buf {
 			buf[j] = 0xEE // the caller reuses its buffer straight away
 		}
 	}
-	for i, ca := range calls {
-		out, err := ca.Wait(10 * time.Second)
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if len(out) != sizes[i] {
-			t.Fatalf("call %d: %d bytes back, sent %d", i, len(out), sizes[i])
-		}
-		for j, b := range out {
-			if b != byte(i+j) {
-				t.Fatalf("call %d: byte %d = %#x, want %#x (payload reused before it was written)", i, j, b, byte(i+j))
+	for range sizes {
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatal(err)
 			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a one-way request never reached the handler")
 		}
 	}
 }
 
-// TestGoErrorsThroughFuture: remote errors and pre-flight failures all
-// surface through the future, never as a hang.
+// TestGoErrorsThroughFuture: remote errors and pre-flight failures surface
+// as Call's error, never as a hang, whether the caller waits with a
+// timeout (the pooled timer) or without one.
 func TestGoErrorsThroughFuture(t *testing.T) {
 	srv := startEcho(t)
 	c := dial(t, srv.Addr())
-
-	var remote *RemoteError
-	if err := c.Go("svc", "Fail", nil).Err(); !errors.As(err, &remote) {
-		t.Fatalf("Fail err = %v, want RemoteError", err)
-	}
-
 	c2 := dial(t, srv.Addr())
 	c2.Close()
-	if err := c2.Go("svc", "Echo", nil).Err(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close Go err = %v, want ErrClosed", err)
+	for _, timeout := range []time.Duration{0, 5 * time.Second} {
+		var remote *RemoteError
+		if _, err := c.Call("svc", "Fail", nil, timeout); !errors.As(err, &remote) {
+			t.Fatalf("timeout %v: Fail err = %v, want RemoteError", timeout, err)
+		}
+		if _, err := c2.Call("svc", "Echo", nil, timeout); !errors.Is(err, ErrClosed) {
+			t.Fatalf("timeout %v: post-close Call err = %v, want ErrClosed", timeout, err)
+		}
 	}
 }
 
 // TestFuturesCompleteUnderConcurrentClose closes the client while many
-// futures are in flight: every one must complete (with a result or an
-// error), and none may hang — whether callers consume them through Done
-// alone ("plain": held frames leave on the straggler timer) or through
-// Wait (flush-on-wait).
+// calls are in flight: every one must return (with a result or an error),
+// and none may hang — whether callers wait without a timeout ("plain":
+// only the connection's failure can end the wait) or with one ("wait":
+// the close must win long before the timer).
 func TestFuturesCompleteUnderConcurrentClose(t *testing.T) {
 	for _, wait := range []bool{false, true} {
 		name := "plain"
@@ -314,6 +307,10 @@ func TestFuturesCompleteUnderConcurrentClose(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dial: %v", err)
 			}
+			var timeout time.Duration
+			if wait {
+				timeout = 10 * time.Second
+			}
 			const callers = 8
 			var wg sync.WaitGroup
 			for g := 0; g < callers; g++ {
@@ -325,19 +322,8 @@ func TestFuturesCompleteUnderConcurrentClose(t *testing.T) {
 						if i%8 == 0 {
 							method = "Slow"
 						}
-						ca := c.Go("svc", method, []byte{byte(g), byte(i)})
-						if wait {
-							if _, err := ca.Wait(10 * time.Second); errors.Is(err, ErrTimeout) {
-								t.Error("future hung across Close")
-								return
-							}
-							continue
-						}
-						select {
-						case <-ca.Done():
-							ca.Release()
-						case <-time.After(10 * time.Second):
-							t.Error("future hung across Close")
+						if _, err := c.Call("svc", method, []byte{byte(g), byte(i)}, timeout); errors.Is(err, ErrTimeout) {
+							t.Error("call hung across Close")
 							return
 						}
 					}
@@ -350,7 +336,7 @@ func TestFuturesCompleteUnderConcurrentClose(t *testing.T) {
 			select {
 			case <-done:
 			case <-time.After(20 * time.Second):
-				t.Fatal("futures hung after concurrent Close")
+				t.Fatal("calls hung after concurrent Close")
 			}
 		})
 	}
@@ -398,8 +384,8 @@ func TestOneWayExecutesWithoutResponse(t *testing.T) {
 }
 
 // TestOneWayLeaksNoPooledCalls: one-way invocations must not check out or
-// register pooled Call objects — the pending map stays empty, so nothing
-// can leak or be delivered to.
+// register pooled call state — the pending map stays empty, so nothing can
+// leak or be delivered to.
 func TestOneWayLeaksNoPooledCalls(t *testing.T) {
 	srv := startEcho(t)
 	c := dial(t, srv.Addr())
@@ -417,7 +403,7 @@ func TestOneWayLeaksNoPooledCalls(t *testing.T) {
 	n := len(c.pending)
 	c.mu.Unlock()
 	if n != 0 {
-		t.Fatalf("%d pending entries after one-way calls; one-way must not register futures", n)
+		t.Fatalf("%d pending entries after one-way calls; one-way must not register call state", n)
 	}
 
 	// Oversize one-way payloads are refused before the wire, not leaked
@@ -430,12 +416,12 @@ func TestOneWayLeaksNoPooledCalls(t *testing.T) {
 	}
 }
 
-// TestWaitTimeoutOnFutureThenReuse: a future abandoned by Wait's timeout
-// must not corrupt later calls that reuse the pooled object.
+// TestWaitTimeoutOnFutureThenReuse: a call abandoned by its timeout must
+// not corrupt later calls that reuse its pooled result channel.
 func TestWaitTimeoutOnFutureThenReuse(t *testing.T) {
 	srv := startEcho(t)
 	c := dial(t, srv.Addr())
-	if _, err := c.Go("svc", "Slow", []byte("x")).Wait(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := c.Call("svc", "Slow", []byte("x"), 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	for i := 0; i < 50; i++ {
@@ -443,35 +429,6 @@ func TestWaitTimeoutOnFutureThenReuse(t *testing.T) {
 		out, err := c.Call("svc", "Echo", marker, 5*time.Second)
 		if err != nil || !bytes.Equal(out, marker) {
 			t.Fatalf("call %d after timeout: %q, %v", i, out, err)
-		}
-	}
-}
-
-// TestReleaseAbandonsIncompleteFuture: releasing an in-flight future must
-// complete it for concurrent Done waiters and leave the pooled object
-// quiescent.
-func TestReleaseAbandonsIncompleteFuture(t *testing.T) {
-	srv := startEcho(t)
-	c := dial(t, srv.Addr())
-	ca := c.Go("svc", "Slow", []byte("x"))
-	waiter := make(chan error, 1)
-	done := ca.Done()
-	go func() {
-		<-done
-		waiter <- nil
-	}()
-	ca.Release()
-	select {
-	case <-waiter:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Done waiter hung after Release")
-	}
-	// The connection keeps working and pooled objects stay clean.
-	for i := 0; i < 20; i++ {
-		marker := []byte{byte(i)}
-		out, err := c.Call("svc", "Echo", marker, 5*time.Second)
-		if err != nil || !bytes.Equal(out, marker) {
-			t.Fatalf("call %d after Release: %q, %v", i, out, err)
 		}
 	}
 }

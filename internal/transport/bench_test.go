@@ -105,62 +105,6 @@ func BenchmarkCall256KBNoSG(b *testing.B) {
 func BenchmarkCallConcurrent8(b *testing.B)  { benchmarkEcho(b, 64, 8) }
 func BenchmarkCallConcurrent64(b *testing.B) { benchmarkEcho(b, 64, 64) }
 
-// benchmarkEchoPipelined measures the asynchronous invocation pipeline: a
-// single caller keeps a window of futures in flight on one connection, the
-// workload BenchmarkCall runs strictly sequentially. The window's request
-// frames are held in the connection buffer and flushed together by the
-// first Wait.
-func benchmarkEchoPipelined(b *testing.B, payloadSize, window int) {
-	srv := startBenchServer(b)
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		b.Fatalf("Dial: %v", err)
-	}
-	b.Cleanup(func() { c.Close() })
-	payload := make([]byte, payloadSize)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	if _, err := c.Call("svc", "Echo", payload, 10*time.Second); err != nil {
-		b.Fatalf("warmup: %v", err)
-	}
-	b.SetBytes(int64(payloadSize))
-	b.ReportAllocs()
-	b.ResetTimer()
-
-	calls := make([]*Call, 0, window)
-	for done := 0; done < b.N; {
-		n := window
-		if rem := b.N - done; n > rem {
-			n = rem
-		}
-		calls = calls[:0]
-		for j := 0; j < n; j++ {
-			calls = append(calls, c.Go("svc", "Echo", payload))
-		}
-		for _, ca := range calls {
-			out, err := ca.Wait(10 * time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ReleasePayload(out)
-		}
-		done += n
-	}
-}
-
-// BenchmarkCallPipelined64 is the async-futures figure: a window of 64
-// outstanding Go calls.
-func BenchmarkCallPipelined64(b *testing.B) {
-	benchmarkEchoPipelined(b, 64, 64)
-}
-
-// BenchmarkCallPipelined256 widens the window to 256 held futures — the
-// deep-pipeline figure.
-func BenchmarkCallPipelined256(b *testing.B) {
-	benchmarkEchoPipelined(b, 64, 256)
-}
-
 // BenchmarkOneWay measures fire-and-forget submission throughput; a sync
 // barrier call at the end keeps the server honest about having consumed
 // the stream. The open-loop flood legitimately fills the admission queue,

@@ -12,18 +12,19 @@ import (
 )
 
 // Client is a connection to one Server. It is safe for concurrent use; calls
-// are multiplexed over a single TCP connection, and concurrent or pipelined
-// invocations coalesce in the connection's write buffer (see Go).
+// are multiplexed over a single TCP connection, and the request frames of
+// concurrent callers coalesce in the connection's write buffer (see
+// connWriter).
 type Client struct {
 	conn    net.Conn
 	w       *connWriter
 	seq     atomic.Uint64
 	epochFn func() uint64       // nil: requests stamped with epoch 0
 	onRoute func(t route.Table) // nil: piggybacked route updates dropped
-	onEvent atomic.Pointer[func(Event)]
+	onEvent func(ev Event)      // nil: server-push events dropped
 
 	mu      sync.Mutex
-	pending map[uint64]*Call
+	pending map[uint64]chan callResult
 	closed  bool
 	readErr error
 
@@ -40,189 +41,36 @@ type callResult struct {
 	err     error        // transport-level failure
 }
 
-// Call is one in-flight invocation: the future returned by Go. Exactly one
-// callResult is ever delivered per checkout (by whoever removes the entry
-// from Client.pending), closing done; the object is pooled, so after
-// Release (or Wait, which releases) the Call must not be touched again.
-type Call struct {
-	c       *Client
-	service string
-	method  string
-	seq     uint64
-	res     callResult
-	done    chan struct{}
-}
-
-var callPool = sync.Pool{New: func() interface{} { return new(Call) }}
-
-// newCall checks a Call out of the pool. The done channel is fresh per
-// checkout: completion closes it, and a closed channel cannot be reused.
-func newCall(c *Client, service, method string, seq uint64) *Call {
-	ca := callPool.Get().(*Call)
-	ca.c = c
-	ca.service, ca.method, ca.seq = service, method, seq
-	ca.res = callResult{}
-	ca.done = make(chan struct{})
-	return ca
-}
-
-// deliver completes the call. The pending-map checkout discipline guarantees
-// it runs at most once per checkout.
-func (ca *Call) deliver(res callResult) {
-	ca.res = res
-	close(ca.done)
-}
-
-// Done returns a channel closed when the call completes (successfully or
-// not). It is selectable alongside other futures. Done itself does not
-// flush a held request frame onto the wire — capturing the channel early
-// is cheap — so a caller that only ever selects on Done may wait out the
-// connection's straggler bound (100µs); the blocking accessors (Err,
-// Payload, Decode, Wait) flush immediately.
-func (ca *Call) Done() <-chan struct{} {
-	return ca.done
-}
-
-// err translates the delivered result into the caller-visible error. The
-// status switch is exhaustive over respStatus (enforced by ermi-vet): a new
-// refusal status must decide here what callers see, or the build goes red —
-// it cannot silently fall through to "success".
-func (ca *Call) err() error {
-	if ca.res.err != nil {
-		return ca.res.err
+// asError translates the delivered result of service.method into the
+// caller-visible error. The status switch is exhaustive over respStatus
+// (enforced by ermi-vet): a new refusal status must decide here what
+// callers see, or the build goes red — it cannot silently fall through to
+// "success".
+func (r *callResult) asError(service, method string) error {
+	if r.err != nil {
+		return r.err
 	}
-	switch ca.res.status {
+	switch r.status {
 	case statusOverload:
-		return fmt.Errorf("%s.%s: %w", ca.service, ca.method, ErrOverloaded)
+		return fmt.Errorf("%s.%s: %w", service, method, ErrOverloaded)
 	case statusExpired:
 		// The budget ran out before the handler ran: to the caller that is
 		// a timeout, one the server proved left nothing executed.
-		return fmt.Errorf("%s.%s: %w: %w", ca.service, ca.method, ErrExpired, ErrTimeout)
+		return fmt.Errorf("%s.%s: %w: %w", service, method, ErrExpired, ErrTimeout)
 	case statusOK:
-		if ca.res.errMsg != "" {
-			return &RemoteError{Service: ca.service, Method: ca.method, Msg: ca.res.errMsg}
+		if r.errMsg != "" {
+			return &RemoteError{Service: service, Method: method, Msg: r.errMsg}
 		}
 	}
 	return nil
 }
 
-// Err blocks until the call completes and returns its error (nil on
-// success).
-func (ca *Call) Err() error {
-	ca.c.w.flushHeld()
-	<-ca.done
-	return ca.err()
-}
-
-// Payload blocks until the call completes and returns the raw response
-// payload.
-func (ca *Call) Payload() ([]byte, error) {
-	ca.c.w.flushHeld()
-	<-ca.done
-	if err := ca.err(); err != nil {
-		return nil, err
-	}
-	return ca.res.payload, nil
-}
-
-// Decode blocks until the call completes and decodes the response payload
-// into reply (see transport.Decode). A nil reply
-// discards the payload. Unless reply's type holds zero-copy views into the
-// buffer (ERMIViews), the payload is released back to the transport arena —
-// the caller must not touch it (or call Payload) afterwards.
-func (ca *Call) Decode(reply Unmarshaler) error {
-	out, err := ca.Payload()
-	if err != nil {
-		return err
-	}
-	if reply == nil {
-		ca.res.payload = nil
-		arenaPut(out)
-		return nil
-	}
-	err = Decode(out, reply)
-	if !holdsViews(reply) {
-		ca.res.payload = nil
-		arenaPut(out)
-	}
-	return err
-}
-
-// Release returns the call object to the pool. An incomplete call is
-// abandoned first: its pending entry is reclaimed (or the imminent result
-// drained), so the pooled object is always quiescent. The Call must not be
-// used after Release.
-func (ca *Call) Release() {
-	if ca.done == nil {
-		return // already released (programmer error; keep it non-fatal)
-	}
-	select {
-	case <-ca.done:
-	default:
-		if ca.c.reclaim(ca.seq) {
-			// We won the race: no result will ever arrive. Complete the
-			// call ourselves so concurrent Done waiters unblock.
-			ca.deliver(callResult{err: fmt.Errorf("%s.%s: call abandoned: %w", ca.service, ca.method, ErrClosed)})
-		} else {
-			// The read loop checked the entry out first; its delivery is
-			// imminent. Wait for it so the pooled object is quiescent.
-			<-ca.done
-		}
-	}
-	ca.c = nil
-	ca.res = callResult{}
-	ca.done = nil
-	callPool.Put(ca)
-}
-
-// Wait blocks until the call completes or timeout elapses (timeout <= 0
-// waits indefinitely), returns the response payload and releases the call
-// object. The Call must not be used after Wait returns.
-func (ca *Call) Wait(timeout time.Duration) ([]byte, error) {
-	ca.c.w.flushHeld()
-	var timer *time.Timer
-	var expired <-chan time.Time
-	if timeout > 0 {
-		select {
-		case <-ca.done: // already complete: skip the timer entirely
-		default:
-			if t, ok := timerPool.Get().(*time.Timer); ok {
-				t.Reset(timeout)
-				timer = t
-			} else {
-				timer = time.NewTimer(timeout)
-			}
-			expired = timer.C
-		}
-	}
-	select {
-	case <-ca.done:
-		if timer != nil {
-			if !timer.Stop() {
-				// Pre-go1.23 timer semantics could leave the fired value
-				// buffered; drain so a pooled timer can never satisfy a
-				// later call's deadline instantly.
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timerPool.Put(timer)
-		}
-		payload := ca.res.payload
-		err := ca.err()
-		ca.Release()
-		if err != nil {
-			return nil, err
-		}
-		return payload, nil
-	case <-expired:
-		timerPool.Put(timer) // already fired; Reset on reuse rearms it
-		service, method := ca.service, ca.method
-		ca.Release()
-		return nil, fmt.Errorf("%s.%s: %w", service, method, ErrTimeout)
-	}
-}
+// callPool holds the pending state of a call: a one-slot result channel,
+// made once and reused. A checkout is registered in Client.pending under
+// its seq, whoever removes the entry (the read loop or failAll) delivers
+// exactly one result, and the one caller receives it — so the channel is
+// empty whenever it goes back to the pool.
+var callPool = sync.Pool{New: func() any { return make(chan callResult, 1) }}
 
 var timerPool sync.Pool // *time.Timer, stopped
 
@@ -245,8 +93,7 @@ type DialOptions struct {
 	// OnEvent, when non-nil, receives every server-push event frame (see
 	// Event). It runs on the read loop — it must not block, and the event's
 	// Payload is only valid for the duration of the call (copy what
-	// outlives it). A client without a handler drops events silently. The
-	// handler can also be (re)installed after dial with SetEventHandler.
+	// outlives it). A client without a handler drops events silently.
 	OnEvent func(ev Event)
 }
 
@@ -268,12 +115,9 @@ func DialOpts(addr string, opts DialOptions) (*Client, error) {
 		w:       newConnWriter(conn),
 		epochFn: opts.Epoch,
 		onRoute: opts.OnRouteUpdate,
-		pending: make(map[uint64]*Call),
+		onEvent: opts.OnEvent,
+		pending: make(map[uint64]chan callResult),
 		done:    make(chan struct{}),
-	}
-	if opts.OnEvent != nil {
-		fn := opts.OnEvent
-		c.onEvent.Store(&fn)
 	}
 	// The preamble rides in the write buffer until the first frame flushes,
 	// so it costs no extra syscall.
@@ -288,18 +132,6 @@ func (c *Client) epoch() uint64 {
 		return 0
 	}
 	return c.epochFn()
-}
-
-// SetEventHandler installs (or, with nil, removes) the server-push event
-// handler. Safe to call while the client runs; the same contract as
-// DialOptions.OnEvent applies (runs on the read loop, must not block,
-// Payload valid only during the call).
-func (c *Client) SetEventHandler(fn func(Event)) {
-	if fn == nil {
-		c.onEvent.Store(nil)
-		return
-	}
-	c.onEvent.Store(&fn)
 }
 
 func (c *Client) readLoop() {
@@ -323,8 +155,8 @@ func (c *Client) readLoop() {
 				c.failAll(perr)
 				return
 			}
-			if fn := c.onEvent.Load(); fn != nil {
-				(*fn)(ev)
+			if c.onEvent != nil {
+				c.onEvent(ev)
 			}
 			// The payload slab is done once the handler returns (it copies
 			// what it keeps); a handlerless client just drops the event.
@@ -358,13 +190,13 @@ func (c *Client) readLoop() {
 			c.onRoute(*res.route)
 		}
 		c.mu.Lock()
-		ca, ok := c.pending[seq]
+		done, ok := c.pending[seq]
 		if ok {
 			delete(c.pending, seq)
 		}
 		c.mu.Unlock()
 		if ok {
-			ca.deliver(res)
+			done <- res
 		} else {
 			// A response for an unknown seq was abandoned by a timed-out
 			// caller that reclaimed its pending entry first; recycle it.
@@ -381,11 +213,11 @@ func (c *Client) failAll(err error) {
 		c.readErr = err
 	}
 	pend := c.pending
-	c.pending = make(map[uint64]*Call)
+	c.pending = make(map[uint64]chan callResult)
 	c.mu.Unlock()
 	res := callResult{err: fmt.Errorf("transport: connection lost: %w", ErrClosed)}
-	for _, ca := range pend {
-		ca.deliver(res)
+	for _, done := range pend {
+		done <- res
 	}
 }
 
@@ -401,56 +233,6 @@ func (c *Client) reclaim(seq uint64) bool {
 	}
 	c.mu.Unlock()
 	return present
-}
-
-// Go starts an asynchronous invocation of service.method and returns its
-// future. The returned Call always completes — pre-flight failures (closed
-// or poisoned connections, write errors) are delivered through it. The
-// request frame is held in the connection buffer, so a caller issuing a
-// window of futures puts them on the wire in one syscall; it is flushed by
-// the first blocking accessor (Wait, Err, Payload, Decode) on any future of
-// the connection, by the buffer filling up, or after the connection's
-// straggler bound at the latest. The payload is copied into the buffer (or
-// written to the kernel, when large) before Go returns, so the caller may
-// reuse it at once. Consume the result with Wait, or with Done/Err/Decode
-// followed by Release.
-func (c *Client) Go(service, method string, payload []byte) *Call {
-	return c.goBudget(service, method, payload, 0, true)
-}
-
-// goBudget starts a call with a deadline budget stamped on the wire: the
-// server charges queue wait against it and drops the work unexecuted
-// (answering statusExpired) once it runs out, so an expired request never
-// occupies a handler nobody is waiting for. budget <= 0 sends no deadline.
-// hold leaves the request frame in the connection buffer (Go); without it
-// the frame is flushed unless another writer is queued behind it (Call).
-func (c *Client) goBudget(service, method string, payload []byte, budget time.Duration, hold bool) *Call {
-	seq := c.seq.Add(1)
-	ca := newCall(c, service, method, seq)
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		ca.deliver(callResult{err: ErrClosed})
-		return ca
-	}
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		ca.deliver(callResult{err: fmt.Errorf("transport: connection failed: %w", err)})
-		return ca
-	}
-	c.pending[seq] = ca
-	c.mu.Unlock()
-
-	if err := c.w.writeRequest(seq, c.epoch(), budgetMicros(budget), service, method, payload, hold); err != nil {
-		// Deliver unless the read loop got there first (connection loss),
-		// in which case its result stands.
-		if c.reclaim(seq) {
-			ca.deliver(callResult{err: fmt.Errorf("transport: write: %w", err)})
-		}
-	}
-	return ca
 }
 
 // OneWay invokes service.method without waiting for — or the server ever
@@ -472,7 +254,7 @@ func (c *Client) OneWay(service, method string, payload []byte) error {
 		return fmt.Errorf("transport: connection failed: %v: %w", err, ErrClosed)
 	}
 	c.mu.Unlock()
-	if err := c.w.writeOneWay(0, c.epoch(), 0, service, method, payload); err != nil {
+	if err := c.w.writeRequest(frameOneWay, 0, c.epoch(), 0, service, method, payload); err != nil {
 		return fmt.Errorf("transport: write: %w", err)
 	}
 	return nil
@@ -482,9 +264,72 @@ func (c *Client) OneWay(service, method string, payload []byte) error {
 // for the response payload. timeout <= 0 means wait indefinitely. A positive
 // timeout doubles as the call's deadline budget on the wire: the server
 // drops the work unexecuted if the budget expires before a worker picks it
-// up, so a timed-out caller never leaves zombie work running remotely.
+// up, so a timed-out caller never leaves zombie work running remotely. The
+// request frame is flushed unless another writer is queued behind it (which
+// then flushes both), and the payload is copied into the connection buffer,
+// or written to the kernel, before Call waits: concurrent callers on one
+// connection are how requests are pipelined.
 func (c *Client) Call(service, method string, payload []byte, timeout time.Duration) ([]byte, error) {
-	return c.goBudget(service, method, payload, timeout, false).Wait(timeout)
+	seq := c.seq.Add(1)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, ErrClosed
+	}
+	if c.readErr != nil {
+		err := c.readErr
+		c.mu.Unlock()
+		return nil, fmt.Errorf("transport: connection failed: %w", err)
+	}
+	done := callPool.Get().(chan callResult)
+	c.pending[seq] = done
+	c.mu.Unlock()
+
+	if err := c.w.writeRequest(frameRequest, seq, c.epoch(), budgetMicros(timeout), service, method, payload); err != nil {
+		// Fail unless the read loop got there first (connection loss), in
+		// which case its result is on the way and stands.
+		if c.reclaim(seq) {
+			callPool.Put(done)
+			return nil, fmt.Errorf("transport: write: %w", err)
+		}
+	}
+	res, ok := c.wait(seq, done, timeout)
+	callPool.Put(done)
+	if !ok {
+		return nil, fmt.Errorf("%s.%s: %w", service, method, ErrTimeout)
+	}
+	if err := res.asError(service, method); err != nil {
+		return nil, err
+	}
+	return res.payload, nil
+}
+
+// wait receives the result for seq on done, giving up after timeout
+// (<= 0: never). A caller that gives up reclaims its pending entry, or, when
+// the read loop checked it out first, drains the delivery already on its
+// way, so done is empty again either way.
+func (c *Client) wait(seq uint64, done chan callResult, timeout time.Duration) (callResult, bool) {
+	if timeout <= 0 {
+		return <-done, true
+	}
+	timer, ok := timerPool.Get().(*time.Timer)
+	if ok {
+		timer.Reset(timeout)
+	} else {
+		timer = time.NewTimer(timeout)
+	}
+	select {
+	case res := <-done:
+		timer.Stop() // go1.23 timers: a stopped timer never delivers later
+		timerPool.Put(timer)
+		return res, true
+	case <-timer.C:
+		timerPool.Put(timer) // already fired; Reset on reuse rearms it
+		if !c.reclaim(seq) {
+			arenaPut((<-done).payload)
+		}
+		return callResult{}, false
+	}
 }
 
 // CallDecode is the typed convenience around Call: it encodes arg, invokes

@@ -237,19 +237,19 @@
 // read path parses the fixed header in place (Peek/Discard on the buffered
 // reader) and lands the payload in a recycled arena slab. Server Request
 // objects are pooled, each owning its payload slab, requests go to parked
-// workers instead of new goroutines, client call state is pooled, and
-// sequence numbers come from an atomic counter: a steady-state 64-byte echo
-// round trip costs 1 allocation, the call's completion channel.
+// workers instead of new goroutines, a client call's pending state (a
+// one-slot result channel) and its timer are pooled, and sequence numbers
+// come from an atomic counter: a steady-state 64-byte echo round trip
+// allocates nothing (TestCallAllocsNothing).
 //
-// A frame may also be held: written into the buffer without a flush even
-// when no other writer is queued. The server holds a response while more
-// responses on its connection are due; Client.Go holds its request, so a
-// caller issuing a window of futures puts them on the wire in one syscall.
-// Held frames are flushed by the next unheld write, by the buffer filling,
-// by a future's blocking accessor, or by the connection writer's straggler
-// timer at most 100µs later — the same writer logic on both ends.
-// Client.Call and OneWay never hold, so a synchronous caller never waits on
-// that timer. Client.Go returns a pooled future immediately, so one caller
-// can keep many requests in flight on one connection; Client.OneWay skips
-// response state entirely.
+// A response may also be held: written into the buffer without a flush
+// even when no other writer is queued. The server holds a response while
+// more responses on its connection are due, so a wave of completions
+// reaches the kernel in one syscall. A held frame is flushed by the next
+// unheld write, by the buffer filling, or by the connection writer's
+// straggler timer at most 100µs later. Client requests are never held:
+// Client.Call writes its frame, flushes unless another writer is queued
+// behind it, and waits, so concurrent callers on one connection are how a
+// client keeps many requests in flight; Client.OneWay skips response state
+// entirely.
 package transport

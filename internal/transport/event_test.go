@@ -177,22 +177,35 @@ func TestEventWithoutHandlerDropped(t *testing.T) {
 	if _, err := c.Call("svc", "Echo", nil, time.Second); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	// A handler installed later starts receiving.
+	if out, err := c.Call("svc", "Echo", []byte("b"), time.Second); err != nil || !bytes.Equal(out, []byte("b")) {
+		t.Fatalf("connection unusable after dropped event: %v %q", err, out)
+	}
+	// A client of the same server dialed with a handler receives the same
+	// push on its own connection.
 	got := make(chan Event, 1)
-	c.SetEventHandler(func(ev Event) { got <- Event{Seq: ev.Seq, Kind: ev.Kind, Topic: ev.Topic} })
+	c2, err := DialOpts(srv.Addr(), DialOptions{OnEvent: func(ev Event) {
+		got <- Event{Seq: ev.Seq, Kind: ev.Kind, Topic: ev.Topic}
+	}})
+	if err != nil {
+		t.Fatalf("DialOpts: %v", err)
+	}
+	defer c2.Close()
+	if _, err := c2.Call("svc", "Echo", nil, time.Second); err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	mu.Lock()
+	p = pusher
+	mu.Unlock()
 	if err := p.Send(3, 2, "live", nil); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	select {
 	case ev := <-got:
 		if ev.Seq != 2 || ev.Kind != 3 || ev.Topic != "live" {
-			t.Fatalf("late-installed handler got %+v", ev)
+			t.Fatalf("handler got %+v", ev)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("late-installed handler never ran")
-	}
-	if out, err := c.Call("svc", "Echo", []byte("b"), time.Second); err != nil || !bytes.Equal(out, []byte("b")) {
-		t.Fatalf("connection unusable after dropped event: %v %q", err, out)
+		t.Fatal("handler never ran")
 	}
 }
 

@@ -8,6 +8,7 @@ package transport_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -167,9 +168,9 @@ func TestTruncatedFrameKillsConnectionNotServer(t *testing.T) {
 	}
 }
 
-// TestAsyncPipelineSurvivesLatency: a window of futures over a degraded
-// network completes in roughly one round trip's worth of injected latency,
-// not one per call — the point of pipelining.
+// TestAsyncPipelineSurvivesLatency: a window of concurrent calls over a
+// degraded network completes in roughly one round trip's worth of injected
+// latency, not one per call — the point of pipelining.
 func TestAsyncPipelineSurvivesLatency(t *testing.T) {
 	f := ermitest.NewFault()
 	srv := ermitest.ServeFaulty(t, echoHandler, f)
@@ -182,17 +183,19 @@ func TestAsyncPipelineSurvivesLatency(t *testing.T) {
 	f.SetLatency(delay)
 	const n = 16
 	start := time.Now()
-	calls := make([]*transport.Call, n)
+	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
-		calls[i] = c.Go("svc", "Echo", []byte{byte(i)})
+		go func(i int) {
+			out, err := c.Call("svc", "Echo", []byte{byte(i)}, 30*time.Second)
+			if err == nil && !bytes.Equal(out, []byte{byte(i)}) {
+				err = fmt.Errorf("call %d got %v", i, out)
+			}
+			errs <- err
+		}(i)
 	}
-	for i, ca := range calls {
-		out, err := ca.Wait(30 * time.Second)
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if !bytes.Equal(out, []byte{byte(i)}) {
-			t.Fatalf("call %d got %v", i, out)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 	took := time.Since(start)

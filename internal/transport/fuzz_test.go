@@ -54,8 +54,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 9, byte(frameRequest), 0xFF, 0xFF, 0xFF, 0xFF})   // payload length beyond the frame
 	f.Add([]byte{0, 0, 0, 12, byte(frameResponse), 0, 0, 0, 4, 1, 2, 3, 4}) // payload section, truncated
 	var t testing.T
-	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeRequest(7, 3, 1500, "svc", "m", []byte("hi"), false) }))
-	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeOneWay(0, 0, 0, "svc", "m", nil) }))
+	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeRequest(frameRequest, 7, 3, 1500, "svc", "m", []byte("hi")) }))
+	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeRequest(frameOneWay, 0, 0, 0, "svc", "m", nil) }))
 	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeResponse(9, statusOK, []byte("out"), "", nil, false) }))
 	f.Add(frameBytes(&t, func(w *connWriter) error { return w.writeResponse(11, statusOverload, nil, "", nil, false) }))
 	f.Add(frameBytes(&t, func(w *connWriter) error {
@@ -111,7 +111,7 @@ func FuzzParseRequest(f *testing.F) {
 		// Round-trip stability: what the parser accepted re-encodes to a
 		// frame it parses back field-identically.
 		out := frameBytes(t, func(w *connWriter) error {
-			return w.writeRequest(req.Seq, req.Epoch, budget, req.Service, req.Method, req.Payload, false)
+			return w.writeRequest(frameRequest, req.Seq, req.Epoch, budget, req.Service, req.Method, req.Payload)
 		})
 		kind, meta2, payload2 := reparse(t, out)
 		if kind != frameRequest {

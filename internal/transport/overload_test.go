@@ -37,9 +37,9 @@ func startGated(t *testing.T, queueCap int) (srv *Server, executed *atomic.Int64
 
 // blockWorker occupies the server's single execution slot and returns once
 // the handler is provably running (its execution is counted).
-func blockWorker(t *testing.T, c *Client, executed *atomic.Int64) *Call {
+func blockWorker(t *testing.T, c *Client, executed *atomic.Int64) <-chan reply {
 	t.Helper()
-	ca := c.Go("svc", "Hold", nil)
+	ca := goCall(c, "svc", "Hold", nil, 0)
 	for deadline := time.Now().Add(5 * time.Second); executed.Load() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("blocker never reached the handler")
@@ -47,6 +47,40 @@ func blockWorker(t *testing.T, c *Client, executed *atomic.Int64) *Call {
 		time.Sleep(100 * time.Microsecond)
 	}
 	return ca
+}
+
+// queueOne starts a call that waits in the admission queue behind the
+// blocked worker and returns once it is there, so requests sent after it
+// find the queue one slot fuller.
+func queueOne(t *testing.T, srv *Server, c *Client, method string, payload []byte) <-chan reply {
+	t.Helper()
+	ca := goCall(c, "svc", method, payload, 0)
+	waitFor(t, "a queued request", func() bool { return len(srv.work) == 1 })
+	return ca
+}
+
+// callWithBudget is Call with a wire budget shorter than the caller's
+// wait, so the caller outlasts its budget and receives the server's
+// expiry verdict (Call stamps its own timeout as the budget and gives up
+// first).
+func callWithBudget(c *Client, service, method string, payload []byte, budget, wait time.Duration) ([]byte, error) {
+	seq := c.seq.Add(1)
+	done := callPool.Get().(chan callResult)
+	c.mu.Lock()
+	c.pending[seq] = done
+	c.mu.Unlock()
+	if err := c.w.writeRequest(frameRequest, seq, 0, budgetMicros(budget), service, method, payload); err != nil {
+		return nil, err
+	}
+	res, ok := c.wait(seq, done, wait)
+	callPool.Put(done)
+	if !ok {
+		return nil, ErrTimeout
+	}
+	if err := res.asError(service, method); err != nil {
+		return nil, err
+	}
+	return res.payload, nil
 }
 
 // TestAdmissionShedsWithOverloadStatus: with the gate and the queue full,
@@ -58,7 +92,7 @@ func TestAdmissionShedsWithOverloadStatus(t *testing.T) {
 	c := dial(t, srv.Addr())
 
 	blocker := blockWorker(t, c, executed)
-	queued := c.Go("svc", "Echo", []byte("queued")) // fills the queue
+	queued := queueOne(t, srv, c, "Echo", []byte("queued")) // fills the queue
 
 	// Gate busy + queue full: this one must be shed, quickly and distinctly.
 	start := time.Now()
@@ -79,13 +113,12 @@ func TestAdmissionShedsWithOverloadStatus(t *testing.T) {
 	// The member is saturated, not broken: releasing the slot drains the
 	// queue and the same connection keeps serving.
 	close(release)
-	if out, err := queued.Wait(5 * time.Second); err != nil || string(out) != "queued" {
-		t.Fatalf("queued call after release: %q, %v", out, err)
+	if r := <-queued; r.err != nil || string(r.out) != "queued" {
+		t.Fatalf("queued call after release: %q, %v", r.out, r.err)
 	}
-	if err := blocker.Err(); err != nil {
-		t.Fatalf("blocker: %v", err)
+	if r := <-blocker; r.err != nil {
+		t.Fatalf("blocker: %v", r.err)
 	}
-	blocker.Release()
 	if out, err := c.Call("svc", "Echo", []byte("after"), 5*time.Second); err != nil || string(out) != "after" {
 		t.Fatalf("call after shed: %q, %v", out, err)
 	}
@@ -103,22 +136,26 @@ func TestExpiredInQueueNeverRunsHandler(t *testing.T) {
 	// Queue a wave with a budget far shorter than the time the slot stays
 	// blocked; every one of them must expire in queue.
 	const waves = 6
-	calls := make([]*Call, waves)
+	calls := make([]chan error, waves)
 	for i := range calls {
-		calls[i] = c.goBudget("svc", "Echo", []byte("doomed"), 50*time.Millisecond, false)
+		calls[i] = make(chan error, 1)
+		go func(ch chan error) {
+			_, err := callWithBudget(c, "svc", "Echo", []byte("doomed"), 50*time.Millisecond, 5*time.Second)
+			ch <- err
+		}(calls[i])
 	}
+	waitFor(t, "the wave to queue", func() bool { return len(srv.work) == waves })
 	time.Sleep(150 * time.Millisecond) // budgets are now long gone
 	close(release)
 
-	for i, ca := range calls {
-		if _, err := ca.Wait(5 * time.Second); !errors.Is(err, ErrExpired) || !errors.Is(err, ErrTimeout) {
+	for i, ch := range calls {
+		if err := <-ch; !errors.Is(err, ErrExpired) || !errors.Is(err, ErrTimeout) {
 			t.Fatalf("call %d err = %v, want ErrExpired and ErrTimeout", i, err)
 		}
 	}
-	if err := blocker.Err(); err != nil {
-		t.Fatalf("blocker: %v", err)
+	if r := <-blocker; r.err != nil {
+		t.Fatalf("blocker: %v", r.err)
 	}
-	blocker.Release()
 	if got := executed.Load(); got != 1 {
 		t.Fatalf("handler executed %d requests, want only the blocker (expired work must never run)", got)
 	}
@@ -137,12 +174,12 @@ func TestExpiredInQueueNeverRunsHandler(t *testing.T) {
 // one; ErrExpired still tells it the handler provably never ran. An
 // overload refusal is neither.
 func TestExpiredReplyIsATimeout(t *testing.T) {
-	ca := &Call{service: "svc", method: "M", res: callResult{status: statusExpired}}
-	if err := ca.err(); !errors.Is(err, ErrExpired) || !errors.Is(err, ErrTimeout) {
+	res := callResult{status: statusExpired}
+	if err := res.asError("svc", "M"); !errors.Is(err, ErrExpired) || !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expired reply err = %v, want both ErrExpired and ErrTimeout", err)
 	}
-	ca.res.status = statusOverload
-	if err := ca.err(); !errors.Is(err, ErrOverloaded) || errors.Is(err, ErrTimeout) || errors.Is(err, ErrExpired) {
+	res.status = statusOverload
+	if err := res.asError("svc", "M"); !errors.Is(err, ErrOverloaded) || errors.Is(err, ErrTimeout) || errors.Is(err, ErrExpired) {
 		t.Fatalf("overload reply err = %v, want ErrOverloaded only", err)
 	}
 }
@@ -178,10 +215,9 @@ func TestOneWayDroppedWhenSaturated(t *testing.T) {
 	}
 
 	close(release)
-	if err := blocker.Err(); err != nil {
-		t.Fatalf("blocker: %v", err)
+	if r := <-blocker; r.err != nil {
+		t.Fatalf("blocker: %v", r.err)
 	}
-	blocker.Release()
 	// Exactly the blocker and the one queued one-way run — the dropped ones
 	// must never execute, even now that the slot is free.
 	for deadline := time.Now().Add(5 * time.Second); executed.Load() < 2; {
@@ -196,9 +232,8 @@ func TestOneWayDroppedWhenSaturated(t *testing.T) {
 	}
 }
 
-// TestBudgetReachesHandler: the remaining-budget field survives the wire on
-// both the flushed (Call) and the held (future) write path, anchored as a
-// server-side deadline.
+// TestBudgetReachesHandler: the remaining-budget field survives the wire,
+// anchored as a server-side deadline.
 func TestBudgetReachesHandler(t *testing.T) {
 	type seen struct {
 		budget   time.Duration
@@ -215,32 +250,23 @@ func TestBudgetReachesHandler(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	c := dial(t, srv.Addr())
-	check := func(label string, hold bool) {
-		t.Helper()
-		call := func(budget time.Duration) error {
-			_, err := c.goBudget("svc", "M", nil, budget, hold).Wait(budget)
-			return err
-		}
-		if err := call(1500 * time.Millisecond); err != nil {
-			t.Fatalf("%s Call: %v", label, err)
-		}
-		got := <-ch
-		if got.budget <= 0 || got.budget > 1500*time.Millisecond {
-			t.Fatalf("%s budget = %v, want in (0, 1.5s]", label, got.budget)
-		}
-		if got.deadline.IsZero() {
-			t.Fatalf("%s deadline not anchored", label)
-		}
-		// No budget requested -> none on the wire.
-		if err := call(0); err != nil {
-			t.Fatalf("%s unbounded Call: %v", label, err)
-		}
-		if got := <-ch; got.budget != 0 || !got.deadline.IsZero() {
-			t.Fatalf("%s unbounded call carried budget %v deadline %v", label, got.budget, got.deadline)
-		}
+	if _, err := c.Call("svc", "M", nil, 1500*time.Millisecond); err != nil {
+		t.Fatalf("Call: %v", err)
 	}
-	check("flushed", false)
-	check("held", true)
+	got := <-ch
+	if got.budget <= 0 || got.budget > 1500*time.Millisecond {
+		t.Fatalf("budget = %v, want in (0, 1.5s]", got.budget)
+	}
+	if got.deadline.IsZero() {
+		t.Fatal("deadline not anchored")
+	}
+	// No budget requested -> none on the wire.
+	if _, err := c.Call("svc", "M", nil, 0); err != nil {
+		t.Fatalf("unbounded Call: %v", err)
+	}
+	if got := <-ch; got.budget != 0 || !got.deadline.IsZero() {
+		t.Fatalf("unbounded call carried budget %v deadline %v", got.budget, got.deadline)
+	}
 }
 
 // TestExpressBypassesSaturatedAdmission: a method on the express lane runs
@@ -274,9 +300,8 @@ func TestExpressBypassesSaturatedAdmission(t *testing.T) {
 	c := dial(t, srv.Addr())
 
 	blocker := blockWorker(t, c, executed)
-	// Second Hold fills the queue (requests on one connection are ingested
-	// in order, so it is parked before anything sent after it).
-	queued := c.Go("svc", "Hold", nil)
+	// Second Hold fills the queue.
+	queued := queueOne(t, srv, c, "Hold", nil)
 	// An ordinary method is refused — proof the admission path is saturated.
 	if _, err := c.Call("svc", "Probe", nil, 2*time.Second); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("probe through full admission: %v, want ErrOverloaded", err)
@@ -290,10 +315,10 @@ func TestExpressBypassesSaturatedAdmission(t *testing.T) {
 		t.Fatalf("express reply drifted: %q", out)
 	}
 	close(release)
-	if _, err := blocker.Wait(5 * time.Second); err != nil {
-		t.Fatalf("blocker: %v", err)
+	if r := <-blocker; r.err != nil {
+		t.Fatalf("blocker: %v", r.err)
 	}
-	if _, err := queued.Wait(5 * time.Second); err != nil {
-		t.Fatalf("queued: %v", err)
+	if r := <-queued; r.err != nil {
+		t.Fatalf("queued: %v", r.err)
 	}
 }

@@ -41,7 +41,7 @@ func TestFrameExactlyAtMaxFrame(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := newConnWriter(&buf)
-	if err := w.writeRequest(seq, 0, 0, "s", "m", payload, false); err != nil {
+	if err := w.writeRequest(frameRequest, seq, 0, 0, "s", "m", payload); err != nil {
 		t.Fatalf("writeRequest at limit: %v", err)
 	}
 	if got := buf.Len(); got != MaxFrame+4 {
@@ -68,7 +68,7 @@ func TestFrameExactlyAtMaxFrame(t *testing.T) {
 	// One byte over: refused cleanly, nothing written.
 	var buf2 bytes.Buffer
 	w2 := newConnWriter(&buf2)
-	err = w2.writeRequest(seq, 0, 0, "s", "m", make([]byte, plen+1), false)
+	err = w2.writeRequest(frameRequest, seq, 0, 0, "s", "m", make([]byte, plen+1))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("over-limit err = %v, want ErrFrameTooLarge", err)
 	}
@@ -129,7 +129,7 @@ func TestProtocolV6RejectsV5PeersAndRetiredKind(t *testing.T) {
 	defer conn.Close()
 	v5 := []byte{'e', 'R', 'M', 'I', 5}
 	var buf bytes.Buffer
-	if err := newConnWriter(&buf).writeRequest(1, 0, 0, "svc", "Echo", []byte("v5"), false); err != nil {
+	if err := newConnWriter(&buf).writeRequest(frameRequest, 1, 0, 0, "svc", "Echo", []byte("v5")); err != nil {
 		t.Fatalf("writeRequest: %v", err)
 	}
 	if _, err := conn.Write(append(v5, buf.Bytes()...)); err != nil {
@@ -392,6 +392,69 @@ func TestTimeoutRaceKeepsPooledCallsClean(t *testing.T) {
 		if !bytes.Equal(out, marker) {
 			t.Fatalf("post-storm call %d: stale response %v", i, out)
 		}
+	}
+}
+
+// TestResultChannelReuseUnderTimeouts: each call's one-slot result channel
+// is pooled and reused, so a call that times out must leave it empty — by
+// reclaiming its pending entry or draining the delivery already on its way.
+// Sixteen callers share one connection with handler delays spread around
+// the call timeout, so many calls time out while their replies land; a
+// channel pooled with a late result in it would hand that stale reply to
+// its next call, or wedge the read loop on the full slot.
+func TestResultChannelReuseUnderTimeouts(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", func(req *Request) ([]byte, error) {
+		time.Sleep(time.Duration(req.Payload[0]) * 50 * time.Microsecond)
+		return req.Payload, nil
+	})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := dial(t, srv.Addr())
+
+	const callers, per = 16, 200
+	const timeout = 500 * time.Microsecond
+	errs := make(chan error, callers)
+	var timeouts atomic.Int64
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			for i := 0; i < per; i++ {
+				delay := byte(i % 20) // 0..950µs, around the timeout
+				marker := []byte{delay, byte(g), byte(i), byte(i >> 8)}
+				out, err := c.Call("svc", "Echo", marker, timeout)
+				if errors.Is(err, ErrTimeout) {
+					timeouts.Add(1)
+					continue
+				}
+				if err != nil {
+					errs <- fmt.Errorf("caller %d call %d: %v", g, i, err)
+					return
+				}
+				if !bytes.Equal(out, marker) {
+					errs <- fmt.Errorf("caller %d call %d: sent %v, got %v", g, i, marker, out)
+					return
+				}
+				ReleasePayload(out)
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < callers; g++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of %d callers hung", callers-g, callers)
+		}
+	}
+	if timeouts.Load() == 0 {
+		t.Fatal("no call timed out: the reuse path went unexercised")
+	}
+	if out, err := c.Call("svc", "Echo", []byte{0, 0xEE}, 5*time.Second); err != nil || !bytes.Equal(out, []byte{0, 0xEE}) {
+		t.Fatalf("connection incoherent after the storm: %v, %v", out, err)
 	}
 }
 

@@ -135,11 +135,11 @@ func uvarintLen(x uint64) int {
 // writer, and is the one place writes are coalesced, on both ends of a
 // connection. A writer that observes other writers queued behind it leaves
 // flushing to the last of them, so a burst of concurrent frames reaches the
-// kernel in a single syscall. A frame written with hold (a client future, a
-// server response while more are due) is left in the buffer even when
+// kernel in a single syscall. A frame written with hold (a server response
+// while more are due on its connection) is left in the buffer even when
 // nobody is queued; it is flushed by whichever comes first — a later
-// unheld write, a blocked caller (flushHeld), the buffer filling up, or the
-// straggler timer, armed once per held window, stragglerBound later.
+// unheld write, the buffer filling up, or the straggler timer, armed once
+// per held window, stragglerBound later. Clients never hold.
 // Write errors are sticky and close the connection (see fail). Large
 // payloads skip the buffer: header+metadata are built in an arena scratch
 // and handed to the kernel together with the payload as one scatter-gather
@@ -156,8 +156,8 @@ type connWriter struct {
 	owed bool
 	// holding is set while held frames sit in the buffer. While it is set
 	// the straggler timer is pending or its callback has yet to take the
-	// lock, so a held frame waits at most stragglerBound. Blocking
-	// accessors read it without the lock.
+	// lock, so a held frame waits at most stragglerBound. The timer's
+	// callback reads it without the lock.
 	holding atomic.Bool
 	// straggler is created by the first held write, so a connection that
 	// only ever writes unheld frames never allocates it.
@@ -169,8 +169,8 @@ type connWriter struct {
 	sgBufs net.Buffers
 }
 
-// stragglerBound caps how long a held frame — a client future's request or
-// a server response parked behind still-running handlers — may sit in the
+// stragglerBound caps how long a held frame — a server response parked
+// behind still-running handlers on its connection — may sit in the
 // connection buffer before it is flushed.
 const stragglerBound = 100 * time.Microsecond
 
@@ -256,8 +256,7 @@ func (w *connWriter) flushNow() error {
 	return err
 }
 
-// flushHeld flushes held frames, if any: the straggler timer's callback,
-// and the first thing a future's blocking accessor does.
+// flushHeld flushes held frames, if any: the straggler timer's callback.
 func (w *connWriter) flushHeld() {
 	if w.holding.Load() {
 		_ = w.flushNow() // a failure closed the connection (see fail)
@@ -327,19 +326,12 @@ func requestMetaSize(seq, epoch, budget uint64, service, method string) int {
 		uvarintLen(uint64(len(method))) + len(method)
 }
 
-// writeRequest emits one request frame; hold leaves it buffered (see
-// connWriter). The payload is copied into the connection buffer, or written
-// to the kernel, before writeRequest returns.
-func (w *connWriter) writeRequest(seq, epoch, budget uint64, service, method string, payload []byte, hold bool) error {
-	return w.writeRequestKind(frameRequest, seq, epoch, budget, service, method, payload, hold)
-}
-
-// writeOneWay emits a request the server will not answer.
-func (w *connWriter) writeOneWay(seq, epoch, budget uint64, service, method string, payload []byte) error {
-	return w.writeRequestKind(frameOneWay, seq, epoch, budget, service, method, payload, false)
-}
-
-func (w *connWriter) writeRequestKind(kind frameKind, seq, epoch, budget uint64, service, method string, payload []byte, hold bool) error {
+// writeRequest emits one request frame of kind frameRequest or frameOneWay
+// (which the server never answers). The frame is flushed unless another
+// writer is queued behind it (see connWriter); the payload is copied into
+// the connection buffer, or written to the kernel, before writeRequest
+// returns.
+func (w *connWriter) writeRequest(kind frameKind, seq, epoch, budget uint64, service, method string, payload []byte) error {
 	metaSize := requestMetaSize(seq, epoch, budget, service, method)
 	size := frameHeaderSize + metaSize + len(payload)
 	if size > MaxFrame {
@@ -355,7 +347,7 @@ func (w *connWriter) writeRequestKind(kind frameKind, seq, epoch, budget uint64,
 	b = binary.AppendUvarint(b, budget)
 	b = appendWireString(b, service)
 	_ = appendWireString(b, method)
-	return w.emit(hm, payload, hold)
+	return w.emit(hm, payload, false)
 }
 
 // maxEventTopic bounds the topic string of an event frame; writers refuse

@@ -38,11 +38,11 @@ func startBlocking(t *testing.T) (srv *Server, entered *atomic.Int64, release ch
 }
 
 // blockN starts n Block calls and returns once every handler is running.
-func blockN(t *testing.T, c *Client, entered *atomic.Int64, n int) []*Call {
+func blockN(t *testing.T, c *Client, entered *atomic.Int64, n int) []<-chan reply {
 	t.Helper()
-	calls := make([]*Call, n)
+	calls := make([]<-chan reply, n)
 	for i := range calls {
-		calls[i] = c.Go("svc", "Block", nil)
+		calls[i] = goCall(c, "svc", "Block", nil, 0)
 	}
 	waitFor(t, "blocked handlers", func() bool { return entered.Load() == int64(n) })
 	return calls
@@ -71,17 +71,17 @@ func TestNoHeadOfLineWaitBelowMaxConcurrent(t *testing.T) {
 	if n := entered.Load(); n != 32 {
 		t.Fatalf("%d handlers entered, want 32", n)
 	}
-	for _, ca := range blocked {
+	for _, ch := range blocked {
 		select {
-		case <-ca.Done():
+		case <-ch:
 			t.Fatal("a blocked call completed before release")
 		default:
 		}
 	}
 	close(release)
-	for _, ca := range blocked {
-		if err := ca.Err(); err != nil {
-			t.Fatalf("blocked call: %v", err)
+	for _, ch := range blocked {
+		if r := <-ch; r.err != nil {
+			t.Fatalf("blocked call: %v", r.err)
 		}
 	}
 }
@@ -97,9 +97,9 @@ func TestParkedWorkersBounded(t *testing.T) {
 		t.Fatalf("%d live workers under 200 blocked handlers", n)
 	}
 	close(release)
-	for _, ca := range blocked {
-		if err := ca.Err(); err != nil {
-			t.Fatalf("blocked call: %v", err)
+	for _, ch := range blocked {
+		if r := <-ch; r.err != nil {
+			t.Fatalf("blocked call: %v", r.err)
 		}
 	}
 	waitFor(t, "burst workers to retire", func() bool {
@@ -220,4 +220,26 @@ func TestWriteSGAllocsNothing(t *testing.T) {
 	}
 	conn.Close()
 	<-drained
+}
+
+func TestCallAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	srv := startEcho(t)
+	c := dial(t, srv.Addr())
+	payload := make([]byte, 64)
+	call := func() {
+		out, err := c.Call("svc", "Echo", payload, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ReleasePayload(out)
+	}
+	for i := 0; i < 100; i++ {
+		call() // fill the pools and the arena
+	}
+	if allocs := testing.AllocsPerRun(1000, call); allocs != 0 {
+		t.Fatalf("loopback 64 B Call = %v allocs, want 0", allocs)
+	}
 }
