@@ -144,7 +144,11 @@ lint-cache-check:
 test:
 	$(GO) test ./...
 
-# race gates the transport hot path (pooled call objects, write coalescing,
-# connection caches, the admission worker pool) under the race detector.
+# race gates the hot paths that share memory across goroutines under the
+# race detector: the transport (pooled call objects, write coalescing,
+# connection caches, the admission worker pool), and core's state access
+# with the kvstore session layer (pooled field-key buffers that the session
+# cache borrows, the intrusive LRU, the recycled GetLease calls and
+# invalidation outboxes).
 race:
-	$(GO) test -race -timeout 300s ./internal/transport/...
+	$(GO) test -race -timeout 300s ./internal/transport/... ./internal/core/... ./internal/kvstore/...

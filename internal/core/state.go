@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"elasticrmi/internal/kvstore"
 	"elasticrmi/internal/simclock"
@@ -82,6 +84,34 @@ func (s *State) Key(field string) string {
 	return s.class + "$" + field
 }
 
+// keyBufs recycles the buffers field reads build their key in. A read's key
+// lives only for the store's Get, which borrows it (kvstore.Shared), so a
+// read that hits the session cache allocates nothing.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledKey caps the buffers keyBufs keeps: field names may be dynamic,
+// and one huge name must not pin its buffer in the pool.
+const maxPooledKey = 256
+
+// withKey calls fn with the field's store key, built in a pooled buffer.
+// The key is borrowed: valid until fn returns, after which the buffer is
+// reused, so fn may pass it only to callees that do not retain it.
+func (s *State) withKey(field string, fn func(key string) error) error {
+	bp := keyBufs.Get().(*[]byte)
+	b := append(append(append((*bp)[:0], s.class...), '$'), field...)
+	err := fn(borrow(b))
+	if cap(b) <= maxPooledKey {
+		*bp = b
+		keyBufs.Put(bp)
+	}
+	return err
+}
+
+// borrow returns b's bytes as a string without copying. The string aliases
+// b, so it stays valid only while b is not written: the one unsafe
+// conversion in State, confined to withKey's borrowed keys.
+func borrow(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // The typed accessors below are the preprocessor-generated Store.get and
 // Store.put calls of Fig. 6 in the paper. Each is one Get or Put of the
 // field's bytes: strings as-is, integers in decimal; a missing field reads
@@ -96,9 +126,11 @@ func (s *State) GetBytes(field string) ([]byte, error) {
 // get reads a field; ok is false when the field is missing.
 func (s *State) get(field string) (value []byte, ok bool, err error) {
 	var v kvstore.Versioned
-	err = s.withRetry(func() (err error) {
-		v, err = s.store.Get(s.Key(field))
-		return err
+	err = s.withKey(field, func(key string) error {
+		return s.withRetry(func() (err error) {
+			v, err = s.store.Get(key)
+			return err
+		})
 	})
 	if err != nil {
 		if isNotFound(err) {
@@ -140,9 +172,10 @@ func (s *State) PutInt(field string, value int64) error {
 }
 
 // AddInt atomically adds delta to an integer field and returns the result.
-// Note the failover caveat: a retried add whose first attempt was applied
-// but not acknowledged counts twice (the store's add is not idempotent);
-// counters that must be exact under failures should use CAS loops instead.
+// It is not exact across failover: a retried add whose first attempt was
+// applied but not acknowledged counts twice (the store's add is not
+// idempotent). State has no counter that stays exact across failover;
+// ROADMAP item 11 (exactly-once state operations) tracks one.
 func (s *State) AddInt(field string, delta int64) (v int64, err error) {
 	err = s.withRetry(func() (err error) {
 		v, err = s.store.AddInt64(s.Key(field), delta)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -217,4 +218,97 @@ func TestStateSurvivesStoreNodeLoss(t *testing.T) {
 	if err := st.Synchronized(func() error { return nil }); err != nil {
 		t.Fatalf("Synchronized after crash: %v", err)
 	}
+}
+
+// newSessionState returns a State reading through a ClusterSession over a
+// three-node store, with a per-session cache of maxEntries.
+func newSessionState(t *testing.T, maxEntries int) *State {
+	t.Helper()
+	store, err := kvstore.NewCluster(3, nil)
+	if err != nil {
+		t.Fatalf("kvstore: %v", err)
+	}
+	t.Cleanup(store.Close)
+	cs := store.NewSession(kvstore.SessionOptions{MaxEntries: maxEntries})
+	t.Cleanup(func() { cs.Close() })
+	return NewState("C", "m", cs, nil)
+}
+
+// TestStateGetBytesCacheHitAllocsNothing pins a field read that hits the
+// session cache at zero allocations: the key is built in a pooled buffer
+// and only borrowed by the store.
+func TestStateGetBytesCacheHitAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	st := newSessionState(t, 0)
+	if err := st.PutString("field", "value"); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if v, err := st.GetBytes("field"); err != nil || string(v) != "value" {
+			t.Fatalf("GetBytes = %q, %v", v, err)
+		}
+	}
+	read() // the miss that installs the entry
+	if n := testing.AllocsPerRun(1000, read); n != 0 {
+		t.Fatalf("GetBytes on a cache hit = %v allocs, want 0", n)
+	}
+}
+
+// TestStateBorrowedKeysConcurrentReads runs 16 goroutines through one State
+// on a ClusterSession, each reading its own fields. Every read's key lives
+// in a pooled buffer that the next read reuses, so a cache that kept the
+// borrowed key instead of a copy would file entries under bytes that later
+// spell another field's key: a read would return another field's value, or
+// a value its invalidation failed to remove. A cache smaller than the
+// keyspace keeps misses and evictions interleaved with hits, and a second
+// round runs after writes invalidated every third field.
+func TestStateBorrowedKeysConcurrentReads(t *testing.T) {
+	st := newSessionState(t, 64)
+	const workers, fields = 16, 32
+	field := func(w, f int) string { return fmt.Sprintf("w%02d-f%02d", w, f) }
+	value := func(w, f, round int) string { return fmt.Sprintf("%s=%d", field(w, f), round) }
+	for w := range workers {
+		for f := range fields {
+			if err := st.PutString(field(w, f), value(w, f, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readAll := func(round func(f int) int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for pass := range 4 {
+					for i := range fields {
+						f := (i*7 + pass*5 + w) % fields
+						got, err := st.GetString(field(w, f))
+						if want := value(w, f, round(f)); err != nil || got != want {
+							t.Errorf("pass %d: %s = %q, %v; want %q", pass, field(w, f), got, err, want)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	readAll(func(int) int { return 0 })
+	for w := range workers {
+		for f := 0; f < fields; f += 3 {
+			if err := st.PutString(field(w, f), value(w, f, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readAll(func(f int) int {
+		if f%3 == 0 {
+			return 1
+		}
+		return 0
+	})
 }

@@ -948,6 +948,12 @@ func (c *Cluster) Close() {
 // *Client (one node), *Cluster (sharded, replicated) and *ClusterSession
 // (a Cluster read through session caches) implement it. Typed field access
 // (strings, integers) is core.State's job, over Get and Put.
+//
+// Get borrows its key: the caller may reuse the key's memory as soon as Get
+// returns (core.State builds read keys in a pooled buffer), so an
+// implementation that keeps the key — a cache entry, an index, an error
+// value — must keep a copy (strings.Clone). Formatting the key into a new
+// string is a copy too.
 type Shared interface {
 	Get(key string) (Versioned, error)
 	Put(key string, value []byte) (uint64, error)

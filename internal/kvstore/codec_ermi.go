@@ -1768,6 +1768,7 @@ func (v *leaseReply) SizeERMI() int {
 	n += v.Val.SizeERMI()
 	n += ermic.SizeUvarint(uint64(v.Snapshot))
 	n++
+	n += ermic.SizeUvarint(uint64(v.Gen))
 	return n
 }
 
@@ -1776,6 +1777,7 @@ func (v *leaseReply) MarshalERMI(b []byte) []byte {
 	b = v.Val.MarshalERMI(b)
 	b = ermic.AppendUvarint(b, uint64(v.Snapshot))
 	b = ermic.AppendBool(b, bool(v.NoCache))
+	b = ermic.AppendUvarint(b, uint64(v.Gen))
 	return b
 }
 
@@ -1815,6 +1817,13 @@ func (v *leaseReply) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		v.NoCache, b = bool(x), rest
+	}
+	{
+		x, rest, err := ermic.ConsumeUvarint(b)
+		if err != nil {
+			return nil, err
+		}
+		v.Gen, b = uint64(x), rest
 	}
 	return b, nil
 }
@@ -1906,6 +1915,7 @@ func (v *sessForgetReq) SizeERMI() int {
 	n := 0
 	n += ermic.SizeUvarint(uint64(v.ID))
 	n += ermic.SizeBytes(len(v.Key))
+	n += ermic.SizeUvarint(uint64(v.Gen))
 	return n
 }
 
@@ -1913,6 +1923,7 @@ func (v *sessForgetReq) SizeERMI() int {
 func (v *sessForgetReq) MarshalERMI(b []byte) []byte {
 	b = ermic.AppendUvarint(b, uint64(v.ID))
 	b = ermic.AppendString(b, string(v.Key))
+	b = ermic.AppendUvarint(b, uint64(v.Gen))
 	return b
 }
 
@@ -1945,6 +1956,13 @@ func (v *sessForgetReq) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		v.Key, b = string(x), rest
+	}
+	{
+		x, rest, err := ermic.ConsumeUvarint(b)
+		if err != nil {
+			return nil, err
+		}
+		v.Gen, b = uint64(x), rest
 	}
 	return b, nil
 }

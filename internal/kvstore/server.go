@@ -3,7 +3,6 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 	"time"
@@ -397,13 +396,18 @@ func (s *Server) isPrimary(routeKey string) bool {
 	return idx >= 0 && idx < len(s.members) && s.members[idx].Addr == s.Addr()
 }
 
-// stripeFor locks the ordering stripe of routeKey and returns its unlock.
-func (s *Server) stripeFor(routeKey string) func() {
-	h := fnv.New32a()
-	h.Write([]byte(routeKey))
-	m := &s.stripes[h.Sum32()%replStripes]
+// stripeFor locks the ordering stripe of routeKey and returns it for the
+// caller to unlock. The stripe is the key's 32-bit FNV-1a hash modulo
+// replStripes, computed inline so a write allocates no hash state.
+func (s *Server) stripeFor(routeKey string) *sync.Mutex {
+	h := uint32(2166136261)
+	for i := 0; i < len(routeKey); i++ {
+		h ^= uint32(routeKey[i])
+		h *= 16777619
+	}
+	m := &s.stripes[h%replStripes]
 	m.Lock()
-	return m.Unlock
+	return m
 }
 
 // forward synchronously replicates one write's resulting state to the
@@ -420,9 +424,13 @@ func (s *Server) forward(routeKey string, entries map[string]Versioned, locks ma
 		return
 	}
 	self := s.Addr()
-	var targets []*Client
-	var addrs []string
-	for _, idx := range ring.Owners(routeKey, rf) {
+	// Stack buffers sized for the usual replication factors; a larger rf
+	// only makes the appends spill to the heap.
+	var ownBuf [4]int
+	var targetBuf [4]*Client
+	var addrBuf [4]string
+	targets, addrs := targetBuf[:0], addrBuf[:0]
+	for _, idx := range ring.AppendOwners(ownBuf[:0], routeKey, rf) {
 		addr := s.members[idx].Addr
 		if addr == self || s.suspects[addr] {
 			continue
@@ -501,41 +509,41 @@ func rpc[Q any, PQ interface {
 // ack can escape.
 var methods = map[string]method{
 	"Get": {serve: rpc(func(s *Server, _ *transport.Request, r *getReq) (*getReply, error) {
-		v, err := s.store.Get(r.Key)
+		v, err := s.store.view(r.Key)
 		if err != nil {
 			return nil, err
 		}
 		return &getReply{Val: v}, nil
 	})},
 	"Put": {serve: rpc(func(s *Server, _ *transport.Request, r *putReq) (*putReply, error) {
-		unlock := s.stripeFor(r.Key)
+		stripe := s.stripeFor(r.Key)
 		ver := s.store.Put(r.Key, r.Val)
 		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
 		s.forward(r.Key, map[string]Versioned{r.Key: {Value: r.Val, Version: ver}}, nil)
-		unlock()
+		stripe.Unlock()
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
 		return &putReply{Version: ver}, nil
 	})},
 	"Delete": {serve: rpc(func(s *Server, _ *transport.Request, r *delReq) (*delReply, error) {
-		unlock := s.stripeFor(r.Key)
+		stripe := s.stripeFor(r.Key)
 		if tomb, ok := s.store.DeleteV(r.Key); ok {
 			//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
 			s.forward(r.Key, map[string]Versioned{r.Key: tomb}, nil)
 		}
-		unlock()
+		stripe.Unlock()
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
 		return &delReply{}, nil
 	})},
 	"CAS": {serve: rpc(func(s *Server, _ *transport.Request, r *casReq) (*casReply, error) {
-		unlock := s.stripeFor(r.Key)
+		stripe := s.stripeFor(r.Key)
 		ver, _, err := s.store.CompareAndSwap(r.Key, r.Val, r.ExpectVersion)
 		if err == nil {
 			//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
 			s.forward(r.Key, map[string]Versioned{r.Key: {Value: r.Val, Version: ver}}, nil)
 		}
-		unlock()
+		stripe.Unlock()
 		if err != nil {
 			return nil, err
 		}
@@ -544,15 +552,15 @@ var methods = map[string]method{
 		return &casReply{Version: ver}, nil
 	})},
 	"Add": {serve: rpc(func(s *Server, _ *transport.Request, r *addReq) (*addReply, error) {
-		unlock := s.stripeFor(r.Key)
+		stripe := s.stripeFor(r.Key)
 		v, err := s.store.AddInt64(r.Key, r.Delta)
 		if err == nil {
-			if cur, gerr := s.store.Get(r.Key); gerr == nil {
+			if cur, gerr := s.store.view(r.Key); gerr == nil {
 				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
 				s.forward(r.Key, map[string]Versioned{r.Key: cur}, nil)
 			}
 		}
-		unlock()
+		stripe.Unlock()
 		if err != nil {
 			return nil, err
 		}
@@ -564,7 +572,7 @@ var methods = map[string]method{
 		return &keysReply{Keys: s.store.Keys(r.Prefix)}, nil
 	})},
 	"TryLock": {serve: rpc(func(s *Server, _ *transport.Request, r *lockReq) (*lockReply, error) {
-		unlock := s.stripeFor(lockRouteKey(r.Name))
+		stripe := s.stripeFor(lockRouteKey(r.Name))
 		err := s.store.TryLock(r.Name, r.Owner, r.Lease)
 		if err == nil {
 			if snap, ok := s.store.LockSnapshot(r.Name); ok {
@@ -572,7 +580,7 @@ var methods = map[string]method{
 				s.forward(lockRouteKey(r.Name), nil, map[string]LockInfo{r.Name: snap})
 			}
 		}
-		unlock()
+		stripe.Unlock()
 		if err != nil {
 			return nil, err
 		}
@@ -581,7 +589,7 @@ var methods = map[string]method{
 		return &lockReply{}, nil
 	})},
 	"Unlock": {serve: rpc(func(s *Server, _ *transport.Request, r *unlockReq) (*unlockReply, error) {
-		unlock := s.stripeFor(lockRouteKey(r.Name))
+		stripe := s.stripeFor(lockRouteKey(r.Name))
 		err := s.store.Unlock(r.Name, r.Owner)
 		if err == nil {
 			if snap, ok := s.store.LockSnapshot(r.Name); ok {
@@ -589,7 +597,7 @@ var methods = map[string]method{
 				s.forward(lockRouteKey(r.Name), nil, map[string]LockInfo{r.Name: snap})
 			}
 		}
-		unlock()
+		stripe.Unlock()
 		if err != nil {
 			return nil, err
 		}
@@ -614,18 +622,18 @@ var methods = map[string]method{
 		// the interest and carry a sequence above the snapshot, so the
 		// client's install guard can tell "already reflected in this value"
 		// from "revokes this value".
-		snap, noCache, err := s.sessions.lease(r.ID, r.Key)
+		snap, gen, noCache, err := s.sessions.lease(r.ID, r.Key)
 		if err != nil {
 			return nil, err
 		}
-		v, err := s.store.Get(r.Key)
+		v, err := s.store.view(r.Key)
 		if err != nil {
 			if !noCache {
-				s.sessions.forget(r.ID, r.Key)
+				s.sessions.forget(r.ID, r.Key, gen)
 			}
 			return nil, err
 		}
-		return &leaseReply{Val: v, Snapshot: snap, NoCache: noCache}, nil
+		return &leaseReply{Val: v, Snapshot: snap, NoCache: noCache, Gen: gen}, nil
 	})},
 	"SessWatch":   {serve: rpc(sessWatch(true))},
 	"SessUnwatch": {serve: rpc(sessWatch(false))},
@@ -649,7 +657,7 @@ var methods = map[string]method{
 		return &sessAckReply{}, nil
 	})},
 	"SessForget": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessForgetReq) (*sessForgetReply, error) {
-		s.sessions.forget(r.ID, r.Key)
+		s.sessions.forget(r.ID, r.Key, r.Gen)
 		return &sessForgetReply{}, nil
 	})},
 	"SessClose": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessCloseReq) (*sessCloseReply, error) {

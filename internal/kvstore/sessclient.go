@@ -1,9 +1,9 @@
 package kvstore
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,11 +33,13 @@ type SessionOptions struct {
 	Clock simclock.Clock
 }
 
-// cacheEntry is one cached key (list.Element value; the list is the LRU
-// order, front = most recently used).
+// cacheEntry is one cached key. The entry is its own node in the session's
+// LRU list, so an install allocates one object.
 type cacheEntry struct {
-	key string
-	val Versioned
+	key        string
+	val        Versioned
+	gen        uint64 // the lease grant (leaseReply.Gen) an eviction forgets
+	prev, next *cacheEntry
 }
 
 // Session is a keepalive-backed session with one store node, holding a
@@ -60,8 +62,10 @@ type Session struct {
 	// open reply's value and tracks each keepalive reply thereafter, so the
 	// serving window follows the server's current setting.
 	ttl     time.Duration
-	entries map[string]*list.Element
-	lru     list.List
+	entries map[string]*cacheEntry
+	// lru is the sentinel of the circular LRU list: lru.next is the most
+	// recently used entry, lru.prev the least.
+	lru cacheEntry
 	// lastInval[k] is the newest invalidation sequence seen for k;
 	// invalFloor is a lower bound applying to every key (set by flush
 	// events and by folding lastInval when it outgrows the cache). A
@@ -107,12 +111,13 @@ func NewSession(addr string, opts SessionOptions) (*Session, error) {
 		addr:       addr,
 		clock:      clock,
 		maxEntries: maxEntries,
-		entries:    make(map[string]*list.Element),
+		entries:    make(map[string]*cacheEntry),
 		lastInval:  make(map[string]uint64),
 		watchers:   make(map[string][]chan string),
 		ackCh:      make(chan uint64, 4096),
 		done:       make(chan struct{}),
 	}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	conn, err := transport.DialOpts(addr, transport.DialOptions{OnEvent: s.onEvent})
 	if err != nil {
 		return nil, fmt.Errorf("kvstore session: %w", err)
@@ -164,8 +169,8 @@ func (s *Session) onEvent(ev transport.Event) {
 		s.enqueueAck(ev.Seq)
 	case evFlush:
 		s.mu.Lock()
-		s.entries = make(map[string]*list.Element)
-		s.lru.Init()
+		s.entries = make(map[string]*cacheEntry)
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
 		s.lastInval = make(map[string]uint64)
 		if ev.Seq > s.invalFloor {
 			s.invalFloor = ev.Seq
@@ -203,9 +208,12 @@ func (s *Session) enqueueAck(seq uint64) {
 }
 
 // acker delivers invalidation acknowledgments. Acks are cumulative, so a
-// burst coalesces into one call carrying the highest sequence.
+// burst coalesces into one call carrying the highest sequence. One request
+// and reply serve every ack of the session.
 func (s *Session) acker() {
 	defer s.wg.Done()
+	req := sessAckReq{ID: s.id}
+	var rep sessAckReply
 	for {
 		var seq uint64
 		select {
@@ -223,8 +231,8 @@ func (s *Session) acker() {
 				drained = true
 			}
 		}
-		var rep sessAckReply
-		if err := call(s.conn, "SessAck", &sessAckReq{ID: s.id, Seq: seq}, &rep); err != nil {
+		req.Seq = seq
+		if err := call(s.conn, "SessAck", &req, &rep); err != nil {
 			s.markDead()
 			return
 		}
@@ -286,10 +294,22 @@ func (s *Session) keepaliveLoop() {
 }
 
 func (s *Session) removeLocked(key string) {
-	if el, ok := s.entries[key]; ok {
+	if e, ok := s.entries[key]; ok {
 		delete(s.entries, key)
-		s.lru.Remove(el)
+		e.unlink()
 	}
+}
+
+// pushFrontLocked links e in as the most recently used entry.
+func (s *Session) pushFrontLocked(e *cacheEntry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink takes e out of the LRU list.
+func (e *cacheEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // boundInvalLocked keeps lastInval from growing without bound (keys churn
@@ -309,9 +329,43 @@ func (s *Session) boundInvalLocked() {
 	s.lastInval = make(map[string]uint64)
 }
 
+// leaseCall is one GetLease round trip's request and reply. Both escape
+// into the transport's codec interfaces, so getLease recycles the pair
+// instead of allocating it on every miss.
+type leaseCall struct {
+	req leaseReq
+	rep leaseReply
+}
+
+var leaseCalls = sync.Pool{New: func() any { return new(leaseCall) }}
+
+// getLease runs one GetLease round trip. The reply's value is a view into
+// the returned response frame. Unlike CallDecode, which must leave such a
+// frame to the GC, getLease hands it to the caller, which releases it once
+// the value is copied.
+func (s *Session) getLease(key string) (rep leaseReply, frame []byte, err error) {
+	lc := leaseCalls.Get().(*leaseCall)
+	defer func() {
+		*lc = leaseCall{}
+		leaseCalls.Put(lc)
+	}()
+	lc.req = leaseReq{ID: s.id, Key: key}
+	payload := transport.Encode(&lc.req)
+	err = unwireError(callShedRetry(time.Sleep, func() (err error) {
+		frame, err = s.conn.Call(ServiceName, "GetLease", payload, defaultCallTimeout)
+		return err
+	}))
+	transport.ReleasePayload(payload)
+	if err == nil {
+		err = transport.Decode(frame, &lc.rep)
+	}
+	return lc.rep, frame, err
+}
+
 // Get returns key's value — from the cache when the lease is live and the
 // entry has not been invalidated, otherwise via GetLease (installing the
-// result for the next hit).
+// result for the next hit). It borrows key (see Shared): the cache keeps a
+// copy.
 func (s *Session) Get(key string) (Versioned, error) {
 	s.mu.Lock()
 	if s.dead {
@@ -319,9 +373,10 @@ func (s *Session) Get(key string) (Versioned, error) {
 		return Versioned{}, ErrNoSession
 	}
 	if s.clock.Now().Before(s.leaseUntil) {
-		if el, ok := s.entries[key]; ok {
-			s.lru.MoveToFront(el)
-			v := el.Value.(*cacheEntry).val
+		if e, ok := s.entries[key]; ok {
+			e.unlink()
+			s.pushFrontLocked(e)
+			v := e.val
 			s.mu.Unlock()
 			s.hits.Add(1)
 			return v, nil
@@ -329,43 +384,53 @@ func (s *Session) Get(key string) (Versioned, error) {
 	}
 	s.mu.Unlock()
 	s.misses.Add(1)
-	var rep leaseReply
-	if err := call(s.conn, "GetLease", &leaseReq{ID: s.id, Key: key}, &rep); err != nil {
+	rep, frame, err := s.getLease(key)
+	if err != nil {
 		return Versioned{}, err
 	}
-	var evicted string
+	v := rep.Val
+	var evicted *cacheEntry
 	s.mu.Lock()
-	if !s.dead && !rep.NoCache &&
-		s.invalFloor <= rep.Snapshot && s.lastInval[key] <= rep.Snapshot {
-		evicted = s.installLocked(key, rep.Val)
+	cached := !s.dead && !rep.NoCache &&
+		s.invalFloor <= rep.Snapshot && s.lastInval[key] <= rep.Snapshot
+	if cached {
+		v, evicted = s.installLocked(key, rep.Val, rep.Gen)
 	}
 	s.mu.Unlock()
-	if evicted != "" {
+	if cached {
+		// v is the cache's copy, so the frame goes back to the arena. An
+		// uncached value still views it and leaves it to the GC.
+		transport.ReleasePayload(frame)
+	}
+	if evicted != nil {
 		// Fire-and-forget: a lost forget leaves a harmless stale interest
 		// (the next write pushes one spurious, immediately-acked inval).
-		_ = s.conn.OneWay(ServiceName, "SessForget", transport.Encode(&sessForgetReq{ID: s.id, Key: evicted}))
+		_ = s.conn.OneWay(ServiceName, "SessForget", transport.Encode(&sessForgetReq{ID: s.id, Key: evicted.key, Gen: evicted.gen}))
 	}
-	return rep.Val, nil
+	return v, nil
 }
 
-// installLocked inserts (or refreshes) a cache entry, copying the value out
-// of the transport frame, and returns the key evicted to make room ("" if
-// none).
-func (s *Session) installLocked(key string, v Versioned) (evicted string) {
+// installLocked inserts (or refreshes) a cache entry under lease grant
+// gen, copying the value out of the transport frame and a new key out of
+// the caller's borrowed one. It returns the cached copy of the value and
+// the entry evicted to make room (nil if none).
+func (s *Session) installLocked(key string, v Versioned, gen uint64) (Versioned, *cacheEntry) {
 	val := Versioned{Value: append([]byte(nil), v.Value...), Version: v.Version, Deleted: v.Deleted}
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		s.lru.MoveToFront(el)
-		return ""
+	if e, ok := s.entries[key]; ok {
+		e.val, e.gen = val, max(e.gen, gen)
+		e.unlink()
+		s.pushFrontLocked(e)
+		return val, nil
 	}
-	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, val: val})
+	e := &cacheEntry{key: strings.Clone(key), val: val, gen: gen}
+	s.entries[e.key] = e
+	s.pushFrontLocked(e)
 	if len(s.entries) <= s.maxEntries {
-		return ""
+		return val, nil
 	}
-	tail := s.lru.Back()
-	ent := tail.Value.(*cacheEntry)
-	s.removeLocked(ent.key)
-	return ent.key
+	tail := s.lru.prev
+	s.removeLocked(tail.key)
+	return val, tail
 }
 
 // Watch subscribes to lossy change notifications for a data key: the

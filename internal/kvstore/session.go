@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,6 +110,10 @@ type (
 		// NoCache means the value may be served but not cached: the
 		// session's interest table is full.
 		NoCache bool
+		// Gen identifies this grant of the key's interest. The client
+		// sends it back when it evicts the entry, so the forget cannot
+		// drop a later grant it raced with.
+		Gen uint64
 	}
 	sessAckReq struct {
 		ID uint64
@@ -120,6 +125,7 @@ type (
 	sessForgetReq struct {
 		ID  uint64
 		Key string
+		Gen uint64 // the evicted entry's lease grant (leaseReply.Gen)
 	}
 	sessForgetReply struct{}
 	sessWatchReq    struct {
@@ -156,8 +162,11 @@ type serverSession struct {
 	// increments under the manager mutex, so the sequence a GetLease
 	// snapshot observes and the sequence an invalidation issues are totally
 	// ordered.
-	seq      uint64
-	interest map[string]struct{}
+	seq uint64
+	// interest maps each key the session may cache to its latest lease
+	// grant, numbered by grants (one per GetLease).
+	interest map[string]uint64
+	grants   uint64
 	topics   map[string]struct{}
 	acks     map[uint64]chan struct{}
 	dead     chan struct{}
@@ -187,8 +196,13 @@ type sessionMgr struct {
 	maxInterest int
 	nextID      uint64
 	sessions    map[uint64]*serverSession
-	byKey       map[string]map[*serverSession]struct{}
-	watches     map[string]map[*serverSession]struct{}
+	// byKey and watches index sessions by key and by topic, as unordered
+	// slices with swap-remove. A key is typically cached by few sessions
+	// (one per client that reads it), where a slice costs one allocation
+	// per lease round and a set two. A session appears at most once per
+	// slice.
+	byKey   map[string][]*serverSession
+	watches map[string][]*serverSession
 	// fence is the instant before which no write may be acknowledged (see
 	// Server.FenceWrites). Zero when no fence is active.
 	fence time.Time
@@ -203,8 +217,8 @@ func newSessionMgr(clock simclock.Clock) *sessionMgr {
 		ttl:         DefaultSessionTTL,
 		maxInterest: defaultMaxInterest,
 		sessions:    make(map[uint64]*serverSession),
-		byKey:       make(map[string]map[*serverSession]struct{}),
-		watches:     make(map[string]map[*serverSession]struct{}),
+		byKey:       make(map[string][]*serverSession),
+		watches:     make(map[string][]*serverSession),
 	}
 }
 
@@ -227,7 +241,7 @@ func (m *sessionMgr) open(p eventPusher) (id uint64, ttl time.Duration) {
 		id:       m.nextID,
 		pusher:   p,
 		expires:  m.clock.Now().Add(m.ttl),
-		interest: make(map[string]struct{}),
+		interest: make(map[string]uint64),
 		topics:   make(map[string]struct{}),
 		acks:     make(map[uint64]chan struct{}),
 		dead:     make(chan struct{}),
@@ -254,8 +268,11 @@ func (m *sessionMgr) queueEventLocked(sess *serverSession, kind, seq uint64, top
 // sender is the session's single transmission goroutine: it drains the
 // outbox in FIFO order so events hit the wire in seq order, and kills the
 // session on the first failed push (the connection is gone; writers
-// waiting on its acks are released through dead).
+// waiting on its acks are released through dead). The drained batch's
+// array becomes the next outbox, so a steady event stream reuses two
+// arrays instead of growing a fresh one per batch.
 func (m *sessionMgr) sender(sess *serverSession) {
+	var spare []outEvent
 	for {
 		select {
 		case <-sess.sendSig:
@@ -263,10 +280,13 @@ func (m *sessionMgr) sender(sess *serverSession) {
 			return
 		}
 		for {
+			// spare and the outbox never share an array: spare is handed
+			// over only on the next pass, after this batch is sent.
 			m.mu.Lock()
 			evs := sess.outbox
-			sess.outbox = nil
+			sess.outbox = spare
 			m.mu.Unlock()
+			spare = evs[:0]
 			if len(evs) == 0 {
 				break
 			}
@@ -276,6 +296,7 @@ func (m *sessionMgr) sender(sess *serverSession) {
 					return
 				}
 			}
+			clear(evs) // drop the topics
 		}
 	}
 }
@@ -347,49 +368,65 @@ func (m *sessionMgr) kill(sess *serverSession) {
 	m.mu.Unlock()
 }
 
-func (m *sessionMgr) dropIndexLocked(idx map[string]map[*serverSession]struct{}, key string, sess *serverSession) {
-	if set := idx[key]; set != nil {
-		delete(set, sess)
-		if len(set) == 0 {
-			delete(idx, key)
-		}
+// addIndexLocked records sess under key in idx; the caller ensures it is
+// not there yet (the session's own interest or topic set says so).
+func (m *sessionMgr) addIndexLocked(idx map[string][]*serverSession, key string, sess *serverSession) {
+	set := idx[key]
+	if set == nil {
+		set = make([]*serverSession, 0, 4)
 	}
+	idx[key] = append(set, sess)
+}
+
+func (m *sessionMgr) dropIndexLocked(idx map[string][]*serverSession, key string, sess *serverSession) {
+	set := idx[key]
+	i := slices.Index(set, sess)
+	if i < 0 {
+		return
+	}
+	last := len(set) - 1
+	set[i], set[last] = set[last], nil
+	if last == 0 {
+		delete(idx, key)
+		return
+	}
+	idx[key] = set[:last]
 }
 
 // lease registers the session's interest in key and returns the event-
-// sequence snapshot the client's install guard needs. It MUST be called
-// before the store read it covers: registration and invalidation issue are
-// ordered by the manager mutex, so a write applied after the read is
-// guaranteed to find the interest (sequence > snapshot), and any event with
-// sequence <= snapshot belongs to a write the read already observed.
-func (m *sessionMgr) lease(id uint64, key string) (snapshot uint64, noCache bool, err error) {
+// sequence snapshot the client's install guard needs, plus the grant that
+// a later forget must name. It MUST be called before the store read it
+// covers: registration and invalidation issue are ordered by the manager
+// mutex, so a write applied after the read is guaranteed to find the
+// interest (sequence > snapshot), and any event with sequence <= snapshot
+// belongs to a write the read already observed.
+func (m *sessionMgr) lease(id uint64, key string) (snapshot, gen uint64, noCache bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sess := m.liveLocked(id)
 	if sess == nil {
-		return 0, false, ErrNoSession
+		return 0, 0, false, ErrNoSession
 	}
 	if _, have := sess.interest[key]; !have {
 		if len(sess.interest) >= m.maxInterest {
-			return sess.seq, true, nil
+			return sess.seq, 0, true, nil
 		}
-		sess.interest[key] = struct{}{}
-		set := m.byKey[key]
-		if set == nil {
-			set = make(map[*serverSession]struct{})
-			m.byKey[key] = set
-		}
-		set[sess] = struct{}{}
+		m.addIndexLocked(m.byKey, key, sess)
 	}
-	return sess.seq, false, nil
+	sess.grants++
+	sess.interest[key] = sess.grants
+	return sess.seq, sess.grants, false, nil
 }
 
-// forget drops the session's interest in key (client-side eviction). The
-// client keeps its install guard, so a forget racing an in-flight
-// invalidation is harmless on both sides.
-func (m *sessionMgr) forget(id uint64, key string) {
+// forget drops the session's interest in key (client-side eviction) if gen
+// is still its latest grant. A forget is a one-way express call, so it can
+// reach the server after a GetLease the client sent later for the same
+// key; dropping that newer grant would leave the re-cached entry with
+// nobody to invalidate it. The client keeps its install guard, so a forget
+// racing an in-flight invalidation is harmless on both sides.
+func (m *sessionMgr) forget(id uint64, key string, gen uint64) {
 	m.mu.Lock()
-	if sess := m.sessions[id]; sess != nil {
+	if sess := m.sessions[id]; sess != nil && sess.interest[key] == gen {
 		delete(sess.interest, key)
 		m.dropIndexLocked(m.byKey, key, sess)
 	}
@@ -425,13 +462,10 @@ func (m *sessionMgr) watch(id uint64, topic string, on bool) error {
 		m.dropIndexLocked(m.watches, topic, sess)
 		return nil
 	}
-	sess.topics[topic] = struct{}{}
-	set := m.watches[topic]
-	if set == nil {
-		set = make(map[*serverSession]struct{})
-		m.watches[topic] = set
+	if _, have := sess.topics[topic]; !have {
+		sess.topics[topic] = struct{}{}
+		m.addIndexLocked(m.watches, topic, sess)
 	}
-	set[sess] = struct{}{}
 	return nil
 }
 
@@ -454,10 +488,11 @@ type pendingAck struct {
 // outstanding. Watchers of the key get a (non-blocking) notification.
 func (m *sessionMgr) invalidate(key string) {
 	m.mu.Lock()
-	var pend []pendingAck
+	var pendBuf [4]pendingAck
+	pend := pendBuf[:0]
 	if set := m.byKey[key]; len(set) > 0 {
 		now := m.clock.Now()
-		for sess := range set {
+		for _, sess := range set {
 			delete(sess.interest, key)
 			if !sess.expires.After(now) || sess.pusher.Closed() {
 				m.killLocked(sess)
@@ -471,7 +506,7 @@ func (m *sessionMgr) invalidate(key string) {
 		}
 		delete(m.byKey, key)
 	}
-	for _, sess := range m.watchersLocked(key) {
+	for _, sess := range m.watches[key] {
 		m.queueEventLocked(sess, evNotify, 0, key)
 	}
 	m.mu.Unlock()
@@ -493,7 +528,7 @@ func (m *sessionMgr) flushAll() {
 		for k := range sess.interest {
 			m.dropIndexLocked(m.byKey, k, sess)
 		}
-		sess.interest = make(map[string]struct{})
+		sess.interest = make(map[string]uint64)
 		sess.seq++
 		ch := make(chan struct{})
 		sess.acks[sess.seq] = ch
@@ -510,19 +545,54 @@ func (m *sessionMgr) flushAll() {
 // client either never processed the event (then its own lease, anchored at
 // or before ours, has ended) or processed it (the keepalive gate admits no
 // other renewal), so the entry is gone from its cache either way.
+//
+// One clock timer serves the whole wait: it is armed for the earliest
+// deadline still pending, and re-armed only after it fires, which settles
+// every entry whose deadline has passed. It reorders pend in place.
 func (m *sessionMgr) await(pend []pendingAck) {
+	var timeout <-chan time.Time
+	for len(pend) > 0 {
+		if timeout == nil {
+			earliest := pend[0].deadline
+			for _, p := range pend[1:] {
+				if p.deadline.Before(earliest) {
+					earliest = p.deadline
+				}
+			}
+			timeout = m.clock.After(max(earliest.Sub(m.clock.Now()), 0))
+		}
+		p := pend[0]
+		select {
+		case <-p.ch:
+		case <-p.sess.dead:
+		case <-timeout:
+			timeout = nil
+			pend = m.settleOverdue(pend)
+			continue
+		}
+		pend = pend[1:]
+	}
+}
+
+// settleOverdue resolves every pending invalidation whose deadline has
+// passed and is still unacknowledged, and returns the ones left to wait
+// for.
+func (m *sessionMgr) settleOverdue(pend []pendingAck) []pendingAck {
+	now := m.clock.Now()
+	left := pend[:0]
 	for _, p := range pend {
-		d := p.deadline.Sub(m.clock.Now())
-		if d < 0 {
-			d = 0
+		if p.deadline.After(now) {
+			left = append(left, p)
+			continue
 		}
 		select {
 		case <-p.ch:
 		case <-p.sess.dead:
-		case <-m.clock.After(d):
+		default:
 			m.resolveOverdue(p)
 		}
 	}
+	return left
 }
 
 // resolveOverdue settles an invalidation whose ack missed the lease
@@ -546,23 +616,10 @@ func (m *sessionMgr) resolveOverdue(p pendingAck) {
 	m.killLocked(p.sess)
 }
 
-// watchersLocked snapshots the sessions watching topic.
-func (m *sessionMgr) watchersLocked(topic string) []*serverSession {
-	set := m.watches[topic]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]*serverSession, 0, len(set))
-	for sess := range set {
-		out = append(out, sess)
-	}
-	return out
-}
-
 // notify pushes a lossy change notification to every watcher of topic.
 func (m *sessionMgr) notify(topic string) {
 	m.mu.Lock()
-	for _, sess := range m.watchersLocked(topic) {
+	for _, sess := range m.watches[topic] {
 		m.queueEventLocked(sess, evNotify, 0, topic)
 	}
 	m.mu.Unlock()

@@ -609,7 +609,7 @@ func TestSessionEventOrderUnderConcurrentWrites(t *testing.T) {
 	const rounds = 50
 	for round := 0; round < rounds; round++ {
 		for _, k := range keys {
-			if _, _, err := m.lease(id, k); err != nil {
+			if _, _, _, err := m.lease(id, k); err != nil {
 				t.Fatalf("lease round %d: %v", round, err)
 			}
 		}
@@ -831,5 +831,33 @@ func TestClusterSessionDialStallIsolation(t *testing.T) {
 	<-stallDone
 	if failure != "" {
 		t.Fatal(failure)
+	}
+}
+
+// TestSessionStaleForgetKeepsNewerLease pins the forget/re-lease race. A
+// client evicts a key and sends the forget one-way on the express lane;
+// when it re-reads the key before the forget lands, the forget reaches the
+// server after the new GetLease. Dropping the interest then would leave
+// the re-cached entry with nobody to invalidate it, so a forget names the
+// grant it evicted and a newer grant survives it.
+func TestSessionStaleForgetKeepsNewerLease(t *testing.T) {
+	m := newSessionMgr(nil)
+	defer m.closeAll()
+	id, _ := m.open(nopPusher{})
+	_, evictedGen, _, err := m.lease(id, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gen, _, err := m.lease(id, "k") // the re-read, ahead of the forget
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.forget(id, "k", evictedGen)
+	if n := m.interestCount("k"); n != 1 {
+		t.Fatalf("a stale forget dropped the newer lease: interestCount = %d, want 1", n)
+	}
+	m.forget(id, "k", gen)
+	if n := m.interestCount("k"); n != 0 {
+		t.Fatalf("forget of the latest grant: interestCount = %d, want 0", n)
 	}
 }

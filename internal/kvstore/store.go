@@ -62,7 +62,10 @@
 // server registers interest and snapshots its event sequence before the
 // read, and the client installs the entry only if no invalidation at or
 // below that snapshot touched the key — a write that raced the read can
-// never leave a stale entry behind.
+// never leave a stale entry behind. Evicting an entry tells the server to
+// forget the key's interest, naming the lease grant it evicted: the forget
+// travels one-way on the express lane, so it can arrive after a later
+// GetLease of the same key, and the newer grant must survive it.
 //
 // Failures: when a node crashes, the leases it granted cannot be revoked,
 // so the cluster fences — survivors delay conflicting write acks until one
@@ -112,6 +115,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -168,7 +172,7 @@ type LockInfo struct {
 }
 
 type entry struct {
-	value   []byte
+	value   []byte // never written in place: every write installs a fresh slice
 	version uint64
 	deleted bool
 	tombAt  time.Time // when the tombstone was installed here (GC horizon)
@@ -260,17 +264,28 @@ func (s *Store) maybeGCLocked() {
 	}
 }
 
-// Get returns the value and version stored at key.
+// Get returns the value and version stored at key; the value is the
+// caller's own copy.
 func (s *Store) Get(key string) (Versioned, error) {
+	v, err := s.view(key)
+	if err == nil {
+		v.Value = bytes.Clone(v.Value)
+	}
+	return v, err
+}
+
+// view is Get without the copy, for the server's handlers, which only
+// encode or forward the value. The value is the store's own slice: no write
+// changes a stored value in place (each installs a fresh slice), so it
+// stays valid, but it must not be written.
+func (s *Store) view(key string) (Versioned, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.data[key]
 	if !ok || e.deleted {
 		return Versioned{}, fmt.Errorf("get %q: %w", key, ErrNotFound)
 	}
-	val := make([]byte, len(e.value))
-	copy(val, e.value)
-	return Versioned{Value: val, Version: e.version}, nil
+	return Versioned{Value: e.value, Version: e.version}, nil
 }
 
 // Put stores value at key and returns the new version. On a durable store

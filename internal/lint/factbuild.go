@@ -310,7 +310,7 @@ func scanFunction(pkg *Package, fd *ast.FuncDecl) *fnState {
 			}
 			if pkgBase == "transport" && recv == "Client" {
 				if slot, checked := budgetArg[name]; checked && pkg.Types.Name() != "transport" {
-					if slot < 0 || slot >= len(t.Args) {
+					if slot >= len(t.Args) {
 						st.fact.Unbudgeted = true
 					} else {
 						st.classifyBudgetArg(info, t.Args[slot])

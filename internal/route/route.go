@@ -16,6 +16,7 @@ package route
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -183,21 +184,27 @@ func (r *Ring) Owner(key string) int { return r.Lookup(key, nil) }
 // distinct members on the ring yields a shorter list; an empty ring yields
 // nil.
 func (r *Ring) Owners(key string, n int) []int {
+	if len(r.points) == 0 || n <= 0 {
+		return nil
+	}
+	return r.AppendOwners(make([]int, 0, n), key, n)
+}
+
+// AppendOwners appends Owners(key, n) to dst and returns the extended
+// slice: the allocation-free form, for callers that bring a buffer.
+func (r *Ring) AppendOwners(dst []int, key string, n int) []int {
 	np := len(r.points)
 	if np == 0 || n <= 0 {
-		return nil
+		return dst
 	}
 	kh := KeyHash(key)
 	start := sort.Search(np, func(i int) bool { return r.points[i].hash >= kh })
-	out := make([]int, 0, n)
-	seen := make(map[int]struct{}, n)
-	for i := 0; i < np && len(out) < n; i++ {
+	base := len(dst)
+	for i := 0; i < np && len(dst)-base < n; i++ {
 		p := r.points[(start+i)%np]
-		if _, dup := seen[p.idx]; dup {
-			continue
+		if !slices.Contains(dst[base:], p.idx) {
+			dst = append(dst, p.idx)
 		}
-		seen[p.idx] = struct{}{}
-		out = append(out, p.idx)
 	}
-	return out
+	return dst
 }

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -275,6 +276,23 @@ func TestRingOwnersReplicaSet(t *testing.T) {
 	}
 	if BuildRing(Table{}).Owners("x", 2) != nil {
 		t.Fatal("empty ring must return nil")
+	}
+}
+
+// TestAppendOwnersAllocsNothing pins the replica-set lookup a replicated
+// write makes at zero allocations when the caller brings the buffer, and
+// checks it agrees with Owners.
+func TestAppendOwnersAllocsNothing(t *testing.T) {
+	r := BuildRing(table(1, "a:1", "b:2", "c:3"))
+	var buf [4]int
+	if got, want := r.AppendOwners(buf[:0], "C$f01", 2), r.Owners("C$f01", 2); !slices.Equal(got, want) {
+		t.Fatalf("AppendOwners = %v, Owners = %v", got, want)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if n := testing.AllocsPerRun(1000, func() { r.AppendOwners(buf[:0], "C$f01", 3) }); n != 0 {
+		t.Fatalf("AppendOwners = %v allocs, want 0", n)
 	}
 }
 

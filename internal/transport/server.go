@@ -92,6 +92,7 @@ type workItem struct {
 // deadline budget expires is dropped without ever invoking the handler.
 type Server struct {
 	lis     net.Listener
+	addr    string // lis.Addr().String(), computed once: Addr is on hot paths
 	handler Handler
 	opts    ServerOptions
 	routes  atomic.Pointer[RouteSource]
@@ -185,6 +186,7 @@ func ServeListener(lis net.Listener, handler Handler, opts ServerOptions) (*Serv
 	opts = opts.withDefaults()
 	s := &Server{
 		lis:     lis,
+		addr:    lis.Addr().String(),
 		handler: handler,
 		opts:    opts,
 		work:    make(chan workItem, opts.MaxQueue),
@@ -203,7 +205,7 @@ func ServeListener(lis net.Listener, handler Handler, opts ServerOptions) (*Serv
 }
 
 // Addr returns the listener's address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
