@@ -378,28 +378,29 @@ func (v *Status) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		b = rest
-		v.ByVenue = nil
-		if cnt > 0 {
+		if v.ByVenue != nil {
+			clear(v.ByVenue)
+		} else if cnt > 0 {
 			v.ByVenue = make(map[string]int64, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				var k1 string
-				var e1 int64
-				{
-					x, rest, err := ermic.ConsumeString(b)
-					if err != nil {
-						return nil, err
-					}
-					k1, b = string(x), rest
+		}
+		for i1 := 0; i1 < cnt; i1++ {
+			var k1 string
+			var e1 int64
+			{
+				x, rest, err := ermic.ConsumeString(b)
+				if err != nil {
+					return nil, err
 				}
-				{
-					x, rest, err := ermic.ConsumeVarint(b)
-					if err != nil {
-						return nil, err
-					}
-					e1, b = int64(x), rest
-				}
-				v.ByVenue[k1] = e1
+				k1, b = string(x), rest
 			}
+			{
+				x, rest, err := ermic.ConsumeVarint(b)
+				if err != nil {
+					return nil, err
+				}
+				e1, b = int64(x), rest
+			}
+			v.ByVenue[k1] = e1
 		}
 	}
 	return b, nil

@@ -84,9 +84,10 @@ func (s *State) Key(field string) string {
 	return s.class + "$" + field
 }
 
-// keyBufs recycles the buffers field reads build their key in. A read's key
-// lives only for the store's Get, which borrows it (kvstore.Shared), so a
-// read that hits the session cache allocates nothing.
+// keyBufs recycles the buffers field reads and writes build their key in.
+// The key lives only for the store's Get, Put or AddInt64, which borrow it
+// (kvstore.Shared), so a read that hits the session cache allocates
+// nothing, and a write allocates no key.
 var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledKey caps the buffers keyBufs keeps: field names may be dynamic,
@@ -143,9 +144,11 @@ func (s *State) get(field string) (value []byte, ok bool, err error) {
 
 // PutBytes writes a field's raw value.
 func (s *State) PutBytes(field string, value []byte) error {
-	err := s.withRetry(func() error {
-		_, err := s.store.Put(s.Key(field), value)
-		return err
+	err := s.withKey(field, func(key string) error {
+		return s.withRetry(func() error {
+			_, err := s.store.Put(key, value)
+			return err
+		})
 	})
 	if err != nil {
 		return fmt.Errorf("state put %s: %w", field, err)
@@ -177,9 +180,11 @@ func (s *State) PutInt(field string, value int64) error {
 // idempotent). State has no counter that stays exact across failover;
 // ROADMAP item 11 (exactly-once state operations) tracks one.
 func (s *State) AddInt(field string, delta int64) (v int64, err error) {
-	err = s.withRetry(func() (err error) {
-		v, err = s.store.AddInt64(s.Key(field), delta)
-		return err
+	err = s.withKey(field, func(key string) error {
+		return s.withRetry(func() (err error) {
+			v, err = s.store.AddInt64(key, delta)
+			return err
+		})
 	})
 	return v, err
 }

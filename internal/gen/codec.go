@@ -593,16 +593,19 @@ func (e *codecEmitter) consume(expr string, wt *wireType, depth int) {
 		e.pf(depth+2, "return nil, err")
 		e.pf(depth+1, "}")
 		e.pf(depth+1, "b = rest")
-		e.pf(depth+1, "%s = nil", expr)
-		e.pf(depth+1, "if cnt > 0 {")
+		// A non-nil target map is cleared and refilled, so a recycled
+		// message keeps its buckets; a nil one stays nil on a zero count.
+		e.pf(depth+1, "if %s != nil {", expr)
+		e.pf(depth+2, "clear(%s)", expr)
+		e.pf(depth+1, "} else if cnt > 0 {")
 		e.pf(depth+2, "%s = make(%s, cnt)", expr, wt.goType)
-		e.pf(depth+2, "for %s := 0; %s < cnt; %s++ {", i, i, i)
-		e.pf(depth+3, "var %s %s", k, wt.key.goType)
-		e.pf(depth+3, "var %s %s", ev, wt.val.goType)
-		e.consume(k, wt.key, depth+3)
-		e.consume(ev, wt.val, depth+3)
-		e.pf(depth+3, "%s[%s] = %s", expr, k, ev)
-		e.pf(depth+2, "}")
+		e.pf(depth+1, "}")
+		e.pf(depth+1, "for %s := 0; %s < cnt; %s++ {", i, i, i)
+		e.pf(depth+2, "var %s %s", k, wt.key.goType)
+		e.pf(depth+2, "var %s %s", ev, wt.val.goType)
+		e.consume(k, wt.key, depth+2)
+		e.consume(ev, wt.val, depth+2)
+		e.pf(depth+2, "%s[%s] = %s", expr, k, ev)
 		e.pf(depth+1, "}")
 		e.pf(depth, "}")
 	}

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"elasticrmi/internal/transport"
@@ -63,6 +64,22 @@ func call(conn *transport.Client, method string, req transport.Marshaler, reply 
 	}))
 }
 
+// pair is one call's request and reply. Both escape into the transport's
+// codec interfaces, so the hot call paths recycle pairs through a pool
+// instead of allocating them per call: the server's rpc adapter (one pool
+// per method), and on the client Put, AddInt64 and Session.getLease. A
+// pair is zeroed before it goes back, since decoded []byte fields view a
+// frame.
+type pair[Q, R any] struct {
+	req Q
+	rep R
+}
+
+var (
+	putCalls = sync.Pool{New: func() any { return new(pair[putReq, putReply]) }}
+	addCalls = sync.Pool{New: func() any { return new(pair[addReq, addReply]) }}
+)
+
 // Get fetches key.
 func (c *Client) Get(key string) (Versioned, error) {
 	var rep getReply
@@ -72,13 +89,19 @@ func (c *Client) Get(key string) (Versioned, error) {
 	return rep.Val, nil
 }
 
-// Put stores value at key and returns the new version.
+// Put stores value at key and returns the new version. It borrows key and
+// value (see Shared).
 func (c *Client) Put(key string, value []byte) (uint64, error) {
-	var rep putReply
-	if err := call(c.conn, "Put", &putReq{Key: key, Val: value}, &rep); err != nil {
+	pc := putCalls.Get().(*pair[putReq, putReply])
+	pc.req = putReq{Key: key, Val: value}
+	err := call(c.conn, "Put", &pc.req, &pc.rep)
+	ver := pc.rep.Version
+	*pc = pair[putReq, putReply]{}
+	putCalls.Put(pc)
+	if err != nil {
 		return 0, err
 	}
-	return rep.Version, nil
+	return ver, nil
 }
 
 // Delete removes key.
@@ -96,13 +119,19 @@ func (c *Client) CompareAndSwap(key string, value []byte, expectVersion uint64) 
 	return rep.Version, nil
 }
 
-// AddInt64 atomically adds delta to the integer at key.
+// AddInt64 atomically adds delta to the integer at key. It borrows key
+// (see Shared).
 func (c *Client) AddInt64(key string, delta int64) (int64, error) {
-	var rep addReply
-	if err := call(c.conn, "Add", &addReq{Key: key, Delta: delta}, &rep); err != nil {
+	ac := addCalls.Get().(*pair[addReq, addReply])
+	ac.req = addReq{Key: key, Delta: delta}
+	err := call(c.conn, "Add", &ac.req, &ac.rep)
+	v := ac.rep.Value
+	*ac = pair[addReq, addReply]{}
+	addCalls.Put(ac)
+	if err != nil {
 		return 0, err
 	}
-	return rep.Value, nil
+	return v, nil
 }
 
 // Keys lists keys with the given prefix.
@@ -161,7 +190,7 @@ func (c *Client) ImportLocks(locks map[string]LockInfo) error {
 // replicate forwards one write's resulting state to a backup. It uses a
 // timeout much shorter than ordinary calls so a hung backup costs the
 // primary one bounded stall, not one per acknowledged write.
-func (c *Client) replicate(r replReq) error {
+func (c *Client) replicate(r *replReq) error {
 	var rep replReply
-	return unwireError(c.conn.CallDecode(ServiceName, "Replicate", &r, &rep, replicateTimeout))
+	return unwireError(c.conn.CallDecode(ServiceName, "Replicate", r, &rep, replicateTimeout))
 }

@@ -866,7 +866,7 @@ snapshot:
 		// gates) and the next rebalance re-cleans.
 		for i, p := range plans {
 			if len(p.dels) > 0 || len(p.lockDrops) > 0 {
-				_ = c.nodes[i].cli.replicate(replReq{Dels: p.dels, LockDrops: p.lockDrops})
+				_ = c.nodes[i].cli.replicate(&replReq{Dels: p.dels, LockDrops: p.lockDrops})
 			}
 		}
 		return c.rebalanceResult(exportFailed)
@@ -949,11 +949,12 @@ func (c *Cluster) Close() {
 // (a Cluster read through session caches) implement it. Typed field access
 // (strings, integers) is core.State's job, over Get and Put.
 //
-// Get borrows its key: the caller may reuse the key's memory as soon as Get
-// returns (core.State builds read keys in a pooled buffer), so an
-// implementation that keeps the key — a cache entry, an index, an error
-// value — must keep a copy (strings.Clone). Formatting the key into a new
-// string is a copy too.
+// Get, Put and AddInt64 borrow their key: the caller may reuse the key's
+// memory as soon as the call returns (core.State builds field keys in a
+// pooled buffer), so an implementation that keeps the key — a cache entry,
+// an index, an error value — must keep a copy (strings.Clone). Formatting
+// the key into a new string is a copy too. Put borrows its value the same
+// way.
 type Shared interface {
 	Get(key string) (Versioned, error)
 	Put(key string, value []byte) (uint64, error)

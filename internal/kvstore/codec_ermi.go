@@ -799,28 +799,29 @@ func (v *exportReply) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		b = rest
-		v.Entries = nil
-		if cnt > 0 {
+		if v.Entries != nil {
+			clear(v.Entries)
+		} else if cnt > 0 {
 			v.Entries = make(map[string]Versioned, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				var k1 string
-				var e1 Versioned
-				{
-					x, rest, err := ermic.ConsumeString(b)
-					if err != nil {
-						return nil, err
-					}
-					k1, b = string(x), rest
+		}
+		for i1 := 0; i1 < cnt; i1++ {
+			var k1 string
+			var e1 Versioned
+			{
+				x, rest, err := ermic.ConsumeString(b)
+				if err != nil {
+					return nil, err
 				}
-				{
-					rest, err := e1.consumeERMI(b)
-					if err != nil {
-						return nil, err
-					}
-					b = rest
-				}
-				v.Entries[k1] = e1
+				k1, b = string(x), rest
 			}
+			{
+				rest, err := e1.consumeERMI(b)
+				if err != nil {
+					return nil, err
+				}
+				b = rest
+			}
+			v.Entries[k1] = e1
 		}
 	}
 	return b, nil
@@ -875,28 +876,29 @@ func (v *importReq) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		b = rest
-		v.Entries = nil
-		if cnt > 0 {
+		if v.Entries != nil {
+			clear(v.Entries)
+		} else if cnt > 0 {
 			v.Entries = make(map[string]Versioned, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				var k1 string
-				var e1 Versioned
-				{
-					x, rest, err := ermic.ConsumeString(b)
-					if err != nil {
-						return nil, err
-					}
-					k1, b = string(x), rest
+		}
+		for i1 := 0; i1 < cnt; i1++ {
+			var k1 string
+			var e1 Versioned
+			{
+				x, rest, err := ermic.ConsumeString(b)
+				if err != nil {
+					return nil, err
 				}
-				{
-					rest, err := e1.consumeERMI(b)
-					if err != nil {
-						return nil, err
-					}
-					b = rest
-				}
-				v.Entries[k1] = e1
+				k1, b = string(x), rest
 			}
+			{
+				rest, err := e1.consumeERMI(b)
+				if err != nil {
+					return nil, err
+				}
+				b = rest
+			}
+			v.Entries[k1] = e1
 		}
 	}
 	return b, nil
@@ -1020,28 +1022,29 @@ func (v *exportLocksReply) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		b = rest
-		v.Locks = nil
-		if cnt > 0 {
+		if v.Locks != nil {
+			clear(v.Locks)
+		} else if cnt > 0 {
 			v.Locks = make(map[string]LockInfo, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				var k1 string
-				var e1 LockInfo
-				{
-					x, rest, err := ermic.ConsumeString(b)
-					if err != nil {
-						return nil, err
-					}
-					k1, b = string(x), rest
+		}
+		for i1 := 0; i1 < cnt; i1++ {
+			var k1 string
+			var e1 LockInfo
+			{
+				x, rest, err := ermic.ConsumeString(b)
+				if err != nil {
+					return nil, err
 				}
-				{
-					rest, err := e1.consumeERMI(b)
-					if err != nil {
-						return nil, err
-					}
-					b = rest
-				}
-				v.Locks[k1] = e1
+				k1, b = string(x), rest
 			}
+			{
+				rest, err := e1.consumeERMI(b)
+				if err != nil {
+					return nil, err
+				}
+				b = rest
+			}
+			v.Locks[k1] = e1
 		}
 	}
 	return b, nil
@@ -1092,28 +1095,29 @@ func (v *importLocksReq) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		b = rest
-		v.Locks = nil
-		if cnt > 0 {
+		if v.Locks != nil {
+			clear(v.Locks)
+		} else if cnt > 0 {
 			v.Locks = make(map[string]LockInfo, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				var k1 string
-				var e1 LockInfo
-				{
-					x, rest, err := ermic.ConsumeString(b)
-					if err != nil {
-						return nil, err
-					}
-					k1, b = string(x), rest
+		}
+		for i1 := 0; i1 < cnt; i1++ {
+			var k1 string
+			var e1 LockInfo
+			{
+				x, rest, err := ermic.ConsumeString(b)
+				if err != nil {
+					return nil, err
 				}
-				{
-					rest, err := e1.consumeERMI(b)
-					if err != nil {
-						return nil, err
-					}
-					b = rest
-				}
-				v.Locks[k1] = e1
+				k1, b = string(x), rest
 			}
+			{
+				rest, err := e1.consumeERMI(b)
+				if err != nil {
+					return nil, err
+				}
+				b = rest
+			}
+			v.Locks[k1] = e1
 		}
 	}
 	return b, nil
@@ -1222,28 +1226,29 @@ func (v *replReq) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		b = rest
-		v.Entries = nil
-		if cnt > 0 {
+		if v.Entries != nil {
+			clear(v.Entries)
+		} else if cnt > 0 {
 			v.Entries = make(map[string]Versioned, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				var k1 string
-				var e1 Versioned
-				{
-					x, rest, err := ermic.ConsumeString(b)
-					if err != nil {
-						return nil, err
-					}
-					k1, b = string(x), rest
+		}
+		for i1 := 0; i1 < cnt; i1++ {
+			var k1 string
+			var e1 Versioned
+			{
+				x, rest, err := ermic.ConsumeString(b)
+				if err != nil {
+					return nil, err
 				}
-				{
-					rest, err := e1.consumeERMI(b)
-					if err != nil {
-						return nil, err
-					}
-					b = rest
-				}
-				v.Entries[k1] = e1
+				k1, b = string(x), rest
 			}
+			{
+				rest, err := e1.consumeERMI(b)
+				if err != nil {
+					return nil, err
+				}
+				b = rest
+			}
+			v.Entries[k1] = e1
 		}
 	}
 	{
@@ -1252,28 +1257,29 @@ func (v *replReq) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		b = rest
-		v.Locks = nil
-		if cnt > 0 {
+		if v.Locks != nil {
+			clear(v.Locks)
+		} else if cnt > 0 {
 			v.Locks = make(map[string]LockInfo, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				var k1 string
-				var e1 LockInfo
-				{
-					x, rest, err := ermic.ConsumeString(b)
-					if err != nil {
-						return nil, err
-					}
-					k1, b = string(x), rest
+		}
+		for i1 := 0; i1 < cnt; i1++ {
+			var k1 string
+			var e1 LockInfo
+			{
+				x, rest, err := ermic.ConsumeString(b)
+				if err != nil {
+					return nil, err
 				}
-				{
-					rest, err := e1.consumeERMI(b)
-					if err != nil {
-						return nil, err
-					}
-					b = rest
-				}
-				v.Locks[k1] = e1
+				k1, b = string(x), rest
 			}
+			{
+				rest, err := e1.consumeERMI(b)
+				if err != nil {
+					return nil, err
+				}
+				b = rest
+			}
+			v.Locks[k1] = e1
 		}
 	}
 	{

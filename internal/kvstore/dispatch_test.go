@@ -19,7 +19,7 @@ func TestDispatchTables(t *testing.T) {
 			return nil, errors.New("disk on fire")
 		}
 		for _, w := range wireErrors {
-			if w.code == req.Method {
+			if w.code.Error() == req.Method {
 				return nil, wireError(fmt.Errorf("op failed: %w", w.err))
 			}
 		}
@@ -40,7 +40,7 @@ func TestDispatchTables(t *testing.T) {
 	}
 
 	for _, w := range wireErrors {
-		if err := roundTrip(w.code); !errors.Is(err, w.err) {
+		if err := roundTrip(w.code.Error()); !errors.Is(err, w.err) {
 			t.Errorf("%s over the wire = %v, want errors.Is %v", w.code, err, w.err)
 		}
 	}
@@ -105,4 +105,50 @@ func FuzzKVDispatch(f *testing.F) {
 		}
 		transport.ReleasePayload(out)
 	})
+}
+
+// TestReplReqDecodeReusesMaps pins the generated map decode the Replicate
+// handler's recycled requests depend on: a non-nil target map is cleared
+// and refilled in place, so nothing from the last request survives, while
+// a fresh target decodes exactly as before — nil on a zero count.
+func TestReplReqDecodeReusesMaps(t *testing.T) {
+	var fresh replReq
+	if err := transport.Decode(transport.Encode(&replReq{}), &fresh); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if fresh.Entries != nil || fresh.Locks != nil {
+		t.Fatalf("zero counts decoded into a fresh target as non-nil maps: %+v", fresh)
+	}
+
+	r := replReq{
+		Entries: map[string]Versioned{"stale": {Version: 1}},
+		Locks:   map[string]LockInfo{"stale": {Owner: "x", Seq: 1}},
+	}
+	entries := reflect.ValueOf(r.Entries).UnsafePointer()
+	want := map[string]Versioned{"a": {Value: []byte("1"), Version: 2}, "b": {Value: []byte("2"), Version: 3}}
+	if err := transport.Decode(transport.Encode(&replReq{Entries: want}), &r); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if reflect.ValueOf(r.Entries).UnsafePointer() != entries {
+		t.Error("decode replaced a non-nil target map instead of refilling it")
+	}
+	if !reflect.DeepEqual(r.Entries, want) {
+		t.Errorf("Entries = %v, want %v", r.Entries, want)
+	}
+	if r.Locks == nil || len(r.Locks) != 0 {
+		t.Errorf("Locks = %v, want the target map emptied by a zero count", r.Locks)
+	}
+
+	r.reset()
+	if r.Entries == nil || len(r.Entries) != 0 {
+		t.Errorf("reset: Entries = %v, want kept and empty", r.Entries)
+	}
+	big := make(map[string]Versioned, replKeep+1)
+	for i := range replKeep + 1 {
+		big[fmt.Sprint(i)] = Versioned{}
+	}
+	r.Entries = big
+	if r.reset(); r.Entries != nil {
+		t.Errorf("reset kept a map of %d entries, past replKeep", replKeep+1)
+	}
 }

@@ -101,24 +101,22 @@ func lockRouteKey(name string) string { return "lock/" + name }
 
 // wireErrors is the one sentinel<->code table. A handler error matching a
 // sentinel travels as its code (a remote error carries only a message),
-// and clients map the code back, so errors.Is works across the wire.
-var wireErrors = [...]struct {
-	err  error
-	code string
-}{
-	{ErrNotFound, "NOT_FOUND"},
-	{ErrCASMismatch, "CAS_MISMATCH"},
-	{ErrLockHeld, "LOCK_HELD"},
-	{ErrNotLockOwner, "NOT_LOCK_OWNER"},
-	{ErrNoSession, "NO_SESSION"},
-	{ErrWrongOwner, "WRONG_OWNER"},
+// and clients map the code back, so errors.Is works across the wire. The
+// code errors are built once, so an error reply allocates no error value.
+var wireErrors = [...]struct{ err, code error }{
+	{ErrNotFound, errors.New("NOT_FOUND")},
+	{ErrCASMismatch, errors.New("CAS_MISMATCH")},
+	{ErrLockHeld, errors.New("LOCK_HELD")},
+	{ErrNotLockOwner, errors.New("NOT_LOCK_OWNER")},
+	{ErrNoSession, errors.New("NO_SESSION")},
+	{ErrWrongOwner, errors.New("WRONG_OWNER")},
 }
 
 // wireError replaces a sentinel error by its wire code.
 func wireError(err error) error {
 	for _, w := range wireErrors {
 		if errors.Is(err, w.err) {
-			return errors.New(w.code)
+			return w.code
 		}
 	}
 	return err
@@ -133,7 +131,7 @@ func unwireError(err error) error {
 	var remote *transport.RemoteError
 	if errors.As(err, &remote) {
 		for _, w := range wireErrors {
-			if remote.Msg == w.code {
+			if remote.Msg == w.code.Error() {
 				return w.err
 			}
 		}
@@ -146,6 +144,35 @@ func unwireError(err error) error {
 // deltas for one key reach a backup in apply order (two stripes never
 // conflict semantically — a collision just serializes two unrelated keys).
 const replStripes = 64
+
+// replStripe is one ordering stripe. scratch is the request its writes
+// forward to the backups: the stripe mutex already serializes those
+// writes, so one request, maps included, serves every forward under it.
+type replStripe struct {
+	sync.Mutex
+	scratch replReq
+}
+
+// replKeep bounds the entries a recycled replReq map may have held and
+// still be kept: a rebalance batch must not pin its map in a pool.
+const replKeep = 64
+
+// reset readies a recycled replReq for its next use: the maps are cleared
+// but kept (the codec refills a non-nil map), dropping the views they held
+// into the last frame, unless a bulk batch grew them past replKeep.
+func (r *replReq) reset() {
+	r.Entries = clearOrDrop(r.Entries)
+	r.Locks = clearOrDrop(r.Locks)
+	r.Dels, r.LockDrops = nil, nil
+}
+
+func clearOrDrop[M ~map[K]V, K comparable, V any](m M) M {
+	if len(m) > replKeep {
+		return nil
+	}
+	clear(m)
+	return m
+}
 
 // replicateTimeout bounds one primary→backup forward. It is deliberately
 // much shorter than the client call timeout: a hung backup costs writers
@@ -178,7 +205,7 @@ type Server struct {
 	// change.
 	onReplFailure func(addr string)
 
-	stripes [replStripes]sync.Mutex
+	stripes [replStripes]replStripe
 }
 
 // OnReplFailure installs the replication-failure callback. Call before the
@@ -399,7 +426,7 @@ func (s *Server) isPrimary(routeKey string) bool {
 // stripeFor locks the ordering stripe of routeKey and returns it for the
 // caller to unlock. The stripe is the key's 32-bit FNV-1a hash modulo
 // replStripes, computed inline so a write allocates no hash state.
-func (s *Server) stripeFor(routeKey string) *sync.Mutex {
+func (s *Server) stripeFor(routeKey string) *replStripe {
 	h := uint32(2166136261)
 	for i := 0; i < len(routeKey); i++ {
 		h ^= uint32(routeKey[i])
@@ -410,13 +437,38 @@ func (s *Server) stripeFor(routeKey string) *sync.Mutex {
 	return m
 }
 
+// forwardEntry replicates the state a write left at key (a value or a
+// tombstone) through the stripe's scratch request. The caller holds st.
+func (s *Server) forwardEntry(st *replStripe, key string, v Versioned) {
+	r := &st.scratch
+	if r.Entries == nil {
+		r.Entries = make(map[string]Versioned, 1)
+	}
+	//ermi:ignore codecstrict the scratch map holds v only for the forward's encode, and is cleared before the stripe is released
+	r.Entries[key] = v
+	s.forward(key, r)
+	clear(r.Entries)
+}
+
+// forwardLock replicates the lock state a lock transition left, like
+// forwardEntry.
+func (s *Server) forwardLock(st *replStripe, name string, info LockInfo) {
+	r := &st.scratch
+	if r.Locks == nil {
+		r.Locks = make(map[string]LockInfo, 1)
+	}
+	r.Locks[name] = info
+	s.forward(lockRouteKey(name), r)
+	clear(r.Locks)
+}
+
 // forward synchronously replicates one write's resulting state to the
 // backups of routeKey. It is called with routeKey's stripe held, so a
 // backup observes this key's deltas in apply order. A backup that fails a
 // forward is marked suspect and skipped until the next view install — the
 // write is still acknowledged (availability over strict R; the router's
 // next repair restores the replica).
-func (s *Server) forward(routeKey string, entries map[string]Versioned, locks map[string]LockInfo) {
+func (s *Server) forward(routeKey string, r *replReq) {
 	s.viewMu.Lock()
 	ring, rf := s.ring, s.rf
 	if ring == nil || rf <= 1 {
@@ -442,7 +494,7 @@ func (s *Server) forward(routeKey string, entries map[string]Versioned, locks ma
 	}
 	s.viewMu.Unlock()
 	for i, cli := range targets {
-		if err := cli.replicate(replReq{Entries: entries, Locks: locks}); err != nil {
+		if err := cli.replicate(r); err != nil {
 			s.viewMu.Lock()
 			newlySuspect := s.suspects != nil && !s.suspects[addrs[i]]
 			if s.suspects != nil {
@@ -479,27 +531,44 @@ type method struct {
 }
 
 // rpc adapts a typed handler to the dispatch table: decode the request,
-// call, map a sentinel error to its wire code, encode the reply. Request
-// values decode as views into the frame and are not retained: the store
-// copies what it keeps (Put, CompareAndSwap, Import).
+// call the handler to fill the reply, map a sentinel error to its wire
+// code, encode the reply. Each method recycles its request/reply pairs
+// through a pool of its own, zeroing a pair before reuse: request values
+// decode as views into the frame, and nothing may keep them past the
+// handler — the store copies what it keeps (Put, CompareAndSwap, Import).
+// A request type with a reset method (replReq) keeps what reset leaves.
 func rpc[Q any, PQ interface {
 	*Q
 	transport.Unmarshaler
-}, R transport.Marshaler](fn func(*Server, *transport.Request, PQ) (R, error)) func(*Server, *transport.Request) ([]byte, error) {
+}, R any, PR interface {
+	*R
+	transport.Marshaler
+}](fn func(*Server, *transport.Request, PQ, PR) error) func(*Server, *transport.Request) ([]byte, error) {
+	pairs := &sync.Pool{New: func() any { return new(pair[Q, R]) }}
 	return func(s *Server, req *transport.Request) ([]byte, error) {
-		r := PQ(new(Q))
-		if err := transport.Decode(req.Payload, r); err != nil {
+		p := pairs.Get().(*pair[Q, R])
+		defer func() {
+			if r, ok := any(PQ(&p.req)).(interface{ reset() }); ok {
+				r.reset()
+			} else {
+				var zero Q
+				p.req = zero
+			}
+			var zero R
+			p.rep = zero
+			pairs.Put(p)
+		}()
+		if err := transport.Decode(req.Payload, PQ(&p.req)); err != nil {
 			return nil, err
 		}
-		rep, err := fn(s, req, r)
-		if err != nil {
+		if err := fn(s, req, &p.req, &p.rep); err != nil {
 			return nil, wireError(err)
 		}
 		// The reply is Encode output handed over outright: the server
 		// returns it to the payload arena once the response frame is
 		// written.
 		req.ReleaseReply = true
-		return transport.Encode(rep), nil
+		return transport.Encode(PR(&p.rep)), nil
 	}
 }
 
@@ -508,114 +577,115 @@ func rpc[Q any, PQ interface {
 // copies (waiting for the acks) and respects any write fence before its
 // ack can escape.
 var methods = map[string]method{
-	"Get": {serve: rpc(func(s *Server, _ *transport.Request, r *getReq) (*getReply, error) {
-		v, err := s.store.view(r.Key)
-		if err != nil {
-			return nil, err
-		}
-		return &getReply{Val: v}, nil
+	"Get": {serve: rpc(func(s *Server, _ *transport.Request, r *getReq, rep *getReply) (err error) {
+		rep.Val, err = s.store.view(r.Key)
+		return err
 	})},
-	"Put": {serve: rpc(func(s *Server, _ *transport.Request, r *putReq) (*putReply, error) {
-		stripe := s.stripeFor(r.Key)
+	"Put": {serve: rpc(func(s *Server, _ *transport.Request, r *putReq, rep *putReply) error {
+		st := s.stripeFor(r.Key)
 		ver := s.store.Put(r.Key, r.Val)
 		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-		s.forward(r.Key, map[string]Versioned{r.Key: {Value: r.Val, Version: ver}}, nil)
-		stripe.Unlock()
+		s.forwardEntry(st, r.Key, Versioned{Value: r.Val, Version: ver})
+		st.Unlock()
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return &putReply{Version: ver}, nil
+		rep.Version = ver
+		return nil
 	})},
-	"Delete": {serve: rpc(func(s *Server, _ *transport.Request, r *delReq) (*delReply, error) {
-		stripe := s.stripeFor(r.Key)
+	"Delete": {serve: rpc(func(s *Server, _ *transport.Request, r *delReq, _ *delReply) error {
+		st := s.stripeFor(r.Key)
 		if tomb, ok := s.store.DeleteV(r.Key); ok {
 			//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-			s.forward(r.Key, map[string]Versioned{r.Key: tomb}, nil)
+			s.forwardEntry(st, r.Key, tomb)
 		}
-		stripe.Unlock()
+		st.Unlock()
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return &delReply{}, nil
+		return nil
 	})},
-	"CAS": {serve: rpc(func(s *Server, _ *transport.Request, r *casReq) (*casReply, error) {
-		stripe := s.stripeFor(r.Key)
+	"CAS": {serve: rpc(func(s *Server, _ *transport.Request, r *casReq, rep *casReply) error {
+		st := s.stripeFor(r.Key)
 		ver, _, err := s.store.CompareAndSwap(r.Key, r.Val, r.ExpectVersion)
 		if err == nil {
 			//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-			s.forward(r.Key, map[string]Versioned{r.Key: {Value: r.Val, Version: ver}}, nil)
+			s.forwardEntry(st, r.Key, Versioned{Value: r.Val, Version: ver})
 		}
-		stripe.Unlock()
+		st.Unlock()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return &casReply{Version: ver}, nil
+		rep.Version = ver
+		return nil
 	})},
-	"Add": {serve: rpc(func(s *Server, _ *transport.Request, r *addReq) (*addReply, error) {
-		stripe := s.stripeFor(r.Key)
+	"Add": {serve: rpc(func(s *Server, _ *transport.Request, r *addReq, rep *addReply) error {
+		st := s.stripeFor(r.Key)
 		v, err := s.store.AddInt64(r.Key, r.Delta)
 		if err == nil {
 			if cur, gerr := s.store.view(r.Key); gerr == nil {
 				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-				s.forward(r.Key, map[string]Versioned{r.Key: cur}, nil)
+				s.forwardEntry(st, r.Key, cur)
 			}
 		}
-		stripe.Unlock()
+		st.Unlock()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		return &addReply{Value: v}, nil
+		rep.Value = v
+		return nil
 	})},
-	"Keys": {serve: rpc(func(s *Server, _ *transport.Request, r *keysReq) (*keysReply, error) {
-		return &keysReply{Keys: s.store.Keys(r.Prefix)}, nil
+	"Keys": {serve: rpc(func(s *Server, _ *transport.Request, r *keysReq, rep *keysReply) error {
+		rep.Keys = s.store.Keys(r.Prefix)
+		return nil
 	})},
-	"TryLock": {serve: rpc(func(s *Server, _ *transport.Request, r *lockReq) (*lockReply, error) {
-		stripe := s.stripeFor(lockRouteKey(r.Name))
+	"TryLock": {serve: rpc(func(s *Server, _ *transport.Request, r *lockReq, _ *lockReply) error {
+		st := s.stripeFor(lockRouteKey(r.Name))
 		err := s.store.TryLock(r.Name, r.Owner, r.Lease)
 		if err == nil {
 			if snap, ok := s.store.LockSnapshot(r.Name); ok {
 				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-				s.forward(lockRouteKey(r.Name), nil, map[string]LockInfo{r.Name: snap})
+				s.forwardLock(st, r.Name, snap)
 			}
 		}
-		stripe.Unlock()
+		st.Unlock()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.sessions.notify(lockWatchTopic(r.Name))
 		s.sessions.barrier()
-		return &lockReply{}, nil
+		return nil
 	})},
-	"Unlock": {serve: rpc(func(s *Server, _ *transport.Request, r *unlockReq) (*unlockReply, error) {
-		stripe := s.stripeFor(lockRouteKey(r.Name))
+	"Unlock": {serve: rpc(func(s *Server, _ *transport.Request, r *unlockReq, _ *unlockReply) error {
+		st := s.stripeFor(lockRouteKey(r.Name))
 		err := s.store.Unlock(r.Name, r.Owner)
 		if err == nil {
 			if snap, ok := s.store.LockSnapshot(r.Name); ok {
 				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-				s.forward(lockRouteKey(r.Name), nil, map[string]LockInfo{r.Name: snap})
+				s.forwardLock(st, r.Name, snap)
 			}
 		}
-		stripe.Unlock()
+		st.Unlock()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.sessions.notify(lockWatchTopic(r.Name))
 		s.sessions.barrier()
-		return &unlockReply{}, nil
+		return nil
 	})},
-	"SessOpen": {serve: rpc(func(s *Server, req *transport.Request, _ *sessOpenReq) (*sessOpenReply, error) {
+	"SessOpen": {serve: rpc(func(s *Server, req *transport.Request, _ *sessOpenReq, rep *sessOpenReply) error {
 		p := req.Pusher()
 		if p == nil {
-			return nil, errors.New("sessions require a pushable connection")
+			return errors.New("sessions require a pushable connection")
 		}
-		id, ttl := s.sessions.open(p)
-		return &sessOpenReply{ID: id, TTL: ttl}, nil
+		rep.ID, rep.TTL = s.sessions.open(p)
+		return nil
 	})},
-	"GetLease": {serve: rpc(func(s *Server, _ *transport.Request, r *leaseReq) (*leaseReply, error) {
+	"GetLease": {serve: rpc(func(s *Server, _ *transport.Request, r *leaseReq, rep *leaseReply) error {
 		if !s.isPrimary(r.Key) {
-			return nil, ErrWrongOwner
+			return ErrWrongOwner
 		}
 		// Interest registration (and its sequence snapshot) precedes the
 		// read: a write applied after the read is then guaranteed to find
@@ -624,16 +694,17 @@ var methods = map[string]method{
 		// from "revokes this value".
 		snap, gen, noCache, err := s.sessions.lease(r.ID, r.Key)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v, err := s.store.view(r.Key)
 		if err != nil {
 			if !noCache {
 				s.sessions.forget(r.ID, r.Key, gen)
 			}
-			return nil, err
+			return err
 		}
-		return &leaseReply{Val: v, Snapshot: snap, NoCache: noCache, Gen: gen}, nil
+		*rep = leaseReply{Val: v, Snapshot: snap, NoCache: noCache, Gen: gen}
+		return nil
 	})},
 	"SessWatch":   {serve: rpc(sessWatch(true))},
 	"SessUnwatch": {serve: rpc(sessWatch(false))},
@@ -644,56 +715,56 @@ var methods = map[string]method{
 	// worker and shed the acks that would release them — each write would
 	// then degrade to a full lease-deadline wait, and keepalives shed past
 	// their retry budget would kill healthy sessions. All four handlers are
-	// sub-microsecond map updates that never block, as the lane requires.
-	"SessKeep": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessKeepReq) (*sessKeepReply, error) {
-		seq, ttl, err := s.sessions.keepalive(r.ID, r.Processed)
-		if err != nil {
-			return nil, err
-		}
-		return &sessKeepReply{EventSeq: seq, TTL: ttl}, nil
+	// sub-microsecond map updates that never block, as the lane requires:
+	// they run inline on the connection's read loop.
+	"SessKeep": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessKeepReq, rep *sessKeepReply) (err error) {
+		rep.EventSeq, rep.TTL, err = s.sessions.keepalive(r.ID, r.Processed)
+		return err
 	})},
-	"SessAck": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessAckReq) (*sessAckReply, error) {
+	"SessAck": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessAckReq, _ *sessAckReply) error {
 		s.sessions.ack(r.ID, r.Seq)
-		return &sessAckReply{}, nil
+		return nil
 	})},
-	"SessForget": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessForgetReq) (*sessForgetReply, error) {
+	"SessForget": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessForgetReq, _ *sessForgetReply) error {
 		s.sessions.forget(r.ID, r.Key, r.Gen)
-		return &sessForgetReply{}, nil
+		return nil
 	})},
-	"SessClose": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessCloseReq) (*sessCloseReply, error) {
+	"SessClose": {express: true, serve: rpc(func(s *Server, _ *transport.Request, r *sessCloseReq, _ *sessCloseReply) error {
 		s.sessions.close(r.ID)
-		return &sessCloseReply{}, nil
+		return nil
 	})},
 	// Migration and replication installs are applied directly, never
 	// re-forwarded: membership changes run under the cluster's write gate
 	// and the router writes every replica itself, and a Replicate is
 	// already the primary's forward.
-	"Export": {serve: rpc(func(s *Server, _ *transport.Request, r *exportReq) (*exportReply, error) {
-		return &exportReply{Entries: s.store.Export(func(k string) bool { return strings.HasPrefix(k, r.Prefix) })}, nil
+	"Export": {serve: rpc(func(s *Server, _ *transport.Request, r *exportReq, rep *exportReply) error {
+		rep.Entries = s.store.Export(func(k string) bool { return strings.HasPrefix(k, r.Prefix) })
+		return nil
 	})},
-	"Import": {serve: rpc(func(s *Server, _ *transport.Request, r *importReq) (*importReply, error) {
+	"Import": {serve: rpc(func(s *Server, _ *transport.Request, r *importReq, _ *importReply) error {
 		s.store.Import(r.Entries)
-		return &importReply{}, nil
+		return nil
 	})},
-	"ExportLocks": {serve: rpc(func(s *Server, _ *transport.Request, r *exportLocksReq) (*exportLocksReply, error) {
-		return &exportLocksReply{Locks: s.store.ExportLocks(func(k string) bool { return strings.HasPrefix(k, r.Prefix) })}, nil
+	"ExportLocks": {serve: rpc(func(s *Server, _ *transport.Request, r *exportLocksReq, rep *exportLocksReply) error {
+		rep.Locks = s.store.ExportLocks(func(k string) bool { return strings.HasPrefix(k, r.Prefix) })
+		return nil
 	})},
-	"ImportLocks": {serve: rpc(func(s *Server, _ *transport.Request, r *importLocksReq) (*importLocksReply, error) {
+	"ImportLocks": {serve: rpc(func(s *Server, _ *transport.Request, r *importLocksReq, _ *importLocksReply) error {
 		s.store.ImportLocks(r.Locks)
-		return &importLocksReply{}, nil
+		return nil
 	})},
-	"Replicate": {serve: rpc(func(s *Server, _ *transport.Request, r *replReq) (*replReply, error) {
+	"Replicate": {serve: rpc(func(s *Server, _ *transport.Request, r *replReq, _ *replReply) error {
 		s.store.Import(r.Entries)
 		s.store.Drop(r.Dels)
 		s.store.ImportLocks(r.Locks)
 		s.store.DropLocks(r.LockDrops)
-		return &replReply{}, nil
+		return nil
 	})},
 }
 
 // sessWatch is the SessWatch (on) or SessUnwatch (off) handler.
-func sessWatch(on bool) func(*Server, *transport.Request, *sessWatchReq) (*sessWatchReply, error) {
-	return func(s *Server, _ *transport.Request, r *sessWatchReq) (*sessWatchReply, error) {
-		return &sessWatchReply{}, s.sessions.watch(r.ID, r.Topic, on)
+func sessWatch(on bool) func(*Server, *transport.Request, *sessWatchReq, *sessWatchReply) error {
+	return func(s *Server, _ *transport.Request, r *sessWatchReq, _ *sessWatchReply) error {
+		return s.sessions.watch(r.ID, r.Topic, on)
 	}
 }

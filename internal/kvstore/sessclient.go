@@ -34,7 +34,8 @@ type SessionOptions struct {
 }
 
 // cacheEntry is one cached key. The entry is its own node in the session's
-// LRU list, so an install allocates one object.
+// LRU list, and entries freed by invalidation, eviction or flush are kept
+// on a bounded free list (linked through next), so an install reuses one.
 type cacheEntry struct {
 	key        string
 	val        Versioned
@@ -66,6 +67,9 @@ type Session struct {
 	// lru is the sentinel of the circular LRU list: lru.next is the most
 	// recently used entry, lru.prev the least.
 	lru cacheEntry
+	// free heads the free list of zeroed entries, nfree long.
+	free  *cacheEntry
+	nfree int
 	// lastInval[k] is the newest invalidation sequence seen for k;
 	// invalFloor is a lower bound applying to every key (set by flush
 	// events and by folding lastInval when it outgrows the cache). A
@@ -151,14 +155,21 @@ func (s *Session) markDead() {
 }
 
 // onEvent runs on the connection's read loop: it must not block, so acks
-// are handed to the acker goroutine through a buffered channel.
+// are handed to the acker goroutine through a buffered channel. The topic
+// views the read buffer (see transport.Event), so it is copied wherever it
+// is kept — and never assigned through as a map key, since assigning to an
+// existing string key rebinds the stored key to the assigned string.
 func (s *Session) onEvent(ev transport.Event) {
 	switch ev.Kind {
 	case evInval:
 		s.mu.Lock()
-		s.removeLocked(ev.Topic)
+		key, cached := s.removeLocked(ev.Topic)
 		if ev.Seq > s.lastInval[ev.Topic] {
-			s.lastInval[ev.Topic] = ev.Seq
+			// The removed entry's key equals the topic and is owned.
+			if !cached {
+				key = strings.Clone(ev.Topic)
+			}
+			s.lastInval[key] = ev.Seq
 		}
 		s.boundInvalLocked()
 		if ev.Seq > s.processedSeq {
@@ -169,9 +180,14 @@ func (s *Session) onEvent(ev transport.Event) {
 		s.enqueueAck(ev.Seq)
 	case evFlush:
 		s.mu.Lock()
-		s.entries = make(map[string]*cacheEntry)
+		for e := s.lru.next; e != &s.lru; {
+			next := e.next
+			s.freeLocked(e)
+			e = next
+		}
+		clear(s.entries)
 		s.lru.prev, s.lru.next = &s.lru, &s.lru
-		s.lastInval = make(map[string]uint64)
+		clear(s.lastInval)
 		if ev.Seq > s.invalFloor {
 			s.invalFloor = ev.Seq
 		}
@@ -185,9 +201,13 @@ func (s *Session) onEvent(ev transport.Event) {
 		s.mu.Lock()
 		chans := append([]chan string(nil), s.watchers[ev.Topic]...)
 		s.mu.Unlock()
+		if len(chans) == 0 {
+			return
+		}
+		topic := strings.Clone(ev.Topic)
 		for _, ch := range chans {
 			select { // lossy by contract: a slow watcher drops, never blocks
-			case ch <- ev.Topic:
+			case ch <- topic:
 			default:
 			}
 		}
@@ -293,11 +313,44 @@ func (s *Session) keepaliveLoop() {
 	}
 }
 
-func (s *Session) removeLocked(key string) {
-	if e, ok := s.entries[key]; ok {
-		delete(s.entries, key)
-		e.unlink()
+// removeLocked drops key's entry, if any, to the free list and returns
+// the entry's own copy of the key.
+func (s *Session) removeLocked(key string) (owned string, ok bool) {
+	e, ok := s.entries[key]
+	if !ok {
+		return "", false
 	}
+	delete(s.entries, key)
+	e.unlink()
+	owned = e.key
+	s.freeLocked(e)
+	return owned, true
+}
+
+// maxFreeEntries bounds the session's free list of cache entries.
+const maxFreeEntries = 64
+
+// freeLocked zeroes an unlinked entry — its value may still be aliased by
+// a caller a cache hit returned it to, so the buffer goes to the GC, never
+// to reuse — and keeps it for the next install while the list has room.
+func (s *Session) freeLocked(e *cacheEntry) {
+	*e = cacheEntry{}
+	if s.nfree < maxFreeEntries {
+		e.next = s.free
+		s.free = e
+		s.nfree++
+	}
+}
+
+// newEntryLocked takes a zeroed entry from the free list, or allocates one.
+func (s *Session) newEntryLocked() *cacheEntry {
+	e := s.free
+	if e == nil {
+		return new(cacheEntry)
+	}
+	s.free, e.next = e.next, nil
+	s.nfree--
+	return e
 }
 
 // pushFrontLocked links e in as the most recently used entry.
@@ -329,24 +382,17 @@ func (s *Session) boundInvalLocked() {
 	s.lastInval = make(map[string]uint64)
 }
 
-// leaseCall is one GetLease round trip's request and reply. Both escape
-// into the transport's codec interfaces, so getLease recycles the pair
-// instead of allocating it on every miss.
-type leaseCall struct {
-	req leaseReq
-	rep leaseReply
-}
-
-var leaseCalls = sync.Pool{New: func() any { return new(leaseCall) }}
+// leaseCalls recycles getLease's request/reply pairs (see pair).
+var leaseCalls = sync.Pool{New: func() any { return new(pair[leaseReq, leaseReply]) }}
 
 // getLease runs one GetLease round trip. The reply's value is a view into
 // the returned response frame. Unlike CallDecode, which must leave such a
 // frame to the GC, getLease hands it to the caller, which releases it once
 // the value is copied.
 func (s *Session) getLease(key string) (rep leaseReply, frame []byte, err error) {
-	lc := leaseCalls.Get().(*leaseCall)
+	lc := leaseCalls.Get().(*pair[leaseReq, leaseReply])
 	defer func() {
-		*lc = leaseCall{}
+		*lc = pair[leaseReq, leaseReply]{}
 		leaseCalls.Put(lc)
 	}()
 	lc.req = leaseReq{ID: s.id, Key: key}
@@ -389,12 +435,16 @@ func (s *Session) Get(key string) (Versioned, error) {
 		return Versioned{}, err
 	}
 	v := rep.Val
-	var evicted *cacheEntry
+	var (
+		evictedKey string
+		evictedGen uint64
+		evicted    bool
+	)
 	s.mu.Lock()
 	cached := !s.dead && !rep.NoCache &&
 		s.invalFloor <= rep.Snapshot && s.lastInval[key] <= rep.Snapshot
 	if cached {
-		v, evicted = s.installLocked(key, rep.Val, rep.Gen)
+		v, evictedKey, evictedGen, evicted = s.installLocked(key, rep.Val, rep.Gen)
 	}
 	s.mu.Unlock()
 	if cached {
@@ -402,35 +452,36 @@ func (s *Session) Get(key string) (Versioned, error) {
 		// uncached value still views it and leaves it to the GC.
 		transport.ReleasePayload(frame)
 	}
-	if evicted != nil {
+	if evicted {
 		// Fire-and-forget: a lost forget leaves a harmless stale interest
 		// (the next write pushes one spurious, immediately-acked inval).
-		_ = s.conn.OneWay(ServiceName, "SessForget", transport.Encode(&sessForgetReq{ID: s.id, Key: evicted.key, Gen: evicted.gen}))
+		_ = s.conn.OneWay(ServiceName, "SessForget", transport.Encode(&sessForgetReq{ID: s.id, Key: evictedKey, Gen: evictedGen}))
 	}
 	return v, nil
 }
 
 // installLocked inserts (or refreshes) a cache entry under lease grant
 // gen, copying the value out of the transport frame and a new key out of
-// the caller's borrowed one. It returns the cached copy of the value and
-// the entry evicted to make room (nil if none).
-func (s *Session) installLocked(key string, v Versioned, gen uint64) (Versioned, *cacheEntry) {
-	val := Versioned{Value: append([]byte(nil), v.Value...), Version: v.Version, Deleted: v.Deleted}
+// the caller's borrowed one. It returns the cached copy of the value and,
+// when an entry was evicted to make room, that entry's key and lease grant.
+func (s *Session) installLocked(key string, v Versioned, gen uint64) (val Versioned, evictedKey string, evictedGen uint64, evicted bool) {
+	val = Versioned{Value: append([]byte(nil), v.Value...), Version: v.Version, Deleted: v.Deleted}
 	if e, ok := s.entries[key]; ok {
 		e.val, e.gen = val, max(e.gen, gen)
 		e.unlink()
 		s.pushFrontLocked(e)
-		return val, nil
+		return val, "", 0, false
 	}
-	e := &cacheEntry{key: strings.Clone(key), val: val, gen: gen}
+	e := s.newEntryLocked()
+	e.key, e.val, e.gen = strings.Clone(key), val, gen
 	s.entries[e.key] = e
 	s.pushFrontLocked(e)
 	if len(s.entries) <= s.maxEntries {
-		return val, nil
+		return val, "", 0, false
 	}
-	tail := s.lru.prev
-	s.removeLocked(tail.key)
-	return val, tail
+	evictedGen = s.lru.prev.gen
+	evictedKey, _ = s.removeLocked(s.lru.prev.key)
+	return val, evictedKey, evictedGen, true
 }
 
 // Watch subscribes to lossy change notifications for a data key: the

@@ -153,7 +153,7 @@ type outEvent struct {
 // serverSession is one client session. All fields are guarded by the
 // owning sessionMgr's mutex except pusher and dead, which are safe to use
 // outside it (the pusher is internally synchronized; dead is only closed
-// once, under the mutex, via killLocked).
+// once, under the mutex, via killLocked, and retires the sender).
 type serverSession struct {
 	id      uint64
 	pusher  eventPusher
@@ -168,8 +168,11 @@ type serverSession struct {
 	interest map[string]uint64
 	grants   uint64
 	topics   map[string]struct{}
-	acks     map[uint64]chan struct{}
-	dead     chan struct{}
+	// acks holds the session's issued, unacknowledged invalidations in
+	// sequence order (sequences are assigned under the mutex, so appending
+	// keeps the order and a cumulative ack settles a prefix).
+	acks []pendingAck
+	dead chan struct{}
 	// outbox holds queued events in seq-assignment order; sendSig (capacity
 	// 1) wakes the session's sender goroutine. Events are appended under
 	// the manager mutex and drained by that single goroutine, so they reach
@@ -203,9 +206,26 @@ type sessionMgr struct {
 	// slice.
 	byKey   map[string][]*serverSession
 	watches map[string][]*serverSession
+	// spareSets recycles the index slices of keys whose last session left
+	// (an invalidation, a forget), so the lease that re-registers a key
+	// reuses one instead of allocating it.
+	spareSets [][]*serverSession
 	// fence is the instant before which no write may be acknowledged (see
 	// Server.FenceWrites). Zero when no fence is active.
 	fence time.Time
+	// orphans are pending invalidations of sessions killed while their
+	// clients may still be serving (see killLocked); the sweeper settles
+	// each at its deadline.
+	orphans []pendingAck
+
+	// The deadline sweeper (see sweeper) runs while any invalidation is
+	// pending: sweeping says it is running, armed is the deadline it sleeps
+	// toward, and wake (capacity 1) cuts that sleep short. closeAll waits
+	// on sweepers for its exit.
+	sweeping bool
+	armed    time.Time
+	wake     chan struct{}
+	sweepers sync.WaitGroup
 }
 
 func newSessionMgr(clock simclock.Clock) *sessionMgr {
@@ -219,6 +239,7 @@ func newSessionMgr(clock simclock.Clock) *sessionMgr {
 		sessions:    make(map[uint64]*serverSession),
 		byKey:       make(map[string][]*serverSession),
 		watches:     make(map[string][]*serverSession),
+		wake:        make(chan struct{}, 1),
 	}
 }
 
@@ -243,7 +264,6 @@ func (m *sessionMgr) open(p eventPusher) (id uint64, ttl time.Duration) {
 		expires:  m.clock.Now().Add(m.ttl),
 		interest: make(map[string]uint64),
 		topics:   make(map[string]struct{}),
-		acks:     make(map[uint64]chan struct{}),
 		dead:     make(chan struct{}),
 		sendSig:  make(chan struct{}, 1),
 	}
@@ -309,7 +329,7 @@ func (m *sessionMgr) liveLocked(id uint64) *serverSession {
 		return nil
 	}
 	if !sess.expires.After(m.clock.Now()) || sess.pusher.Closed() {
-		m.killLocked(sess)
+		m.killLocked(sess, false)
 		return nil
 	}
 	return sess
@@ -327,32 +347,41 @@ func (m *sessionMgr) keepalive(id, processed uint64) (eventSeq uint64, ttl time.
 		return 0, 0, ErrNoSession
 	}
 	sess.expires = m.clock.Now().Add(m.ttl)
-	for q, ch := range sess.acks {
-		if q <= processed {
-			close(ch)
-			delete(sess.acks, q)
-		}
-	}
+	m.ackLocked(sess, processed)
 	return sess.seq, m.ttl, nil
 }
 
-// close tears the session down: interest and watches dropped, writers
-// waiting on its acks released.
+// close tears the session down at its client's request: interest and
+// watches dropped, writers waiting on its acks released (the client stopped
+// serving its cache before it asked).
 func (m *sessionMgr) close(id uint64) {
 	m.mu.Lock()
 	if sess := m.sessions[id]; sess != nil {
-		m.killLocked(sess)
+		m.killLocked(sess, true)
 	}
 	m.mu.Unlock()
 }
 
-// killLocked removes the session and wakes every writer waiting on one of
-// its acknowledgments (they select on dead).
-func (m *sessionMgr) killLocked(sess *serverSession) {
+// killLocked removes the session. Its pending invalidations settle at once
+// when its client provably serves nothing any more — ended (the client
+// closed the session, or the server shut down), or the lease lapsed.
+// Otherwise they wait out their deadlines as orphans: a broken connection
+// says nothing about the client, which keeps serving its cache until its
+// own lease runs out, so releasing a writer on it would let the write's
+// ack overtake a cached copy still being served.
+func (m *sessionMgr) killLocked(sess *serverSession, ended bool) {
 	if _, live := m.sessions[sess.id]; !live {
 		return
 	}
 	delete(m.sessions, sess.id)
+	if ended || !sess.expires.After(m.clock.Now()) {
+		for _, p := range sess.acks {
+			p.w.settle()
+		}
+	} else {
+		m.orphans = append(m.orphans, sess.acks...)
+	}
+	sess.acks = nil
 	for k := range sess.interest {
 		m.dropIndexLocked(m.byKey, k, sess)
 	}
@@ -364,7 +393,7 @@ func (m *sessionMgr) killLocked(sess *serverSession) {
 
 func (m *sessionMgr) kill(sess *serverSession) {
 	m.mu.Lock()
-	m.killLocked(sess)
+	m.killLocked(sess, false)
 	m.mu.Unlock()
 }
 
@@ -373,9 +402,28 @@ func (m *sessionMgr) kill(sess *serverSession) {
 func (m *sessionMgr) addIndexLocked(idx map[string][]*serverSession, key string, sess *serverSession) {
 	set := idx[key]
 	if set == nil {
-		set = make([]*serverSession, 0, 4)
+		if n := len(m.spareSets); n > 0 {
+			set, m.spareSets = m.spareSets[n-1], m.spareSets[:n-1]
+		} else {
+			set = make([]*serverSession, 0, 4)
+		}
 	}
 	idx[key] = append(set, sess)
+}
+
+// Bounds of the spare index slices: how many are kept, and the largest
+// capacity kept (a hot key's slice must not be pinned once it cools).
+const (
+	maxSpareSets   = 1024
+	maxSpareSetCap = 16
+)
+
+// spareSetLocked keeps an index slice whose key left its index for reuse.
+func (m *sessionMgr) spareSetLocked(set []*serverSession) {
+	if len(m.spareSets) < maxSpareSets && cap(set) <= maxSpareSetCap {
+		clear(set)
+		m.spareSets = append(m.spareSets, set[:0])
+	}
 }
 
 func (m *sessionMgr) dropIndexLocked(idx map[string][]*serverSession, key string, sess *serverSession) {
@@ -388,6 +436,7 @@ func (m *sessionMgr) dropIndexLocked(idx map[string][]*serverSession, key string
 	set[i], set[last] = set[last], nil
 	if last == 0 {
 		delete(idx, key)
+		m.spareSetLocked(set)
 		return
 	}
 	idx[key] = set[:last]
@@ -438,14 +487,24 @@ func (m *sessionMgr) forget(id uint64, key string, gen uint64) {
 func (m *sessionMgr) ack(id, upTo uint64) {
 	m.mu.Lock()
 	if sess := m.sessions[id]; sess != nil {
-		for q, ch := range sess.acks {
-			if q <= upTo {
-				close(ch)
-				delete(sess.acks, q)
-			}
-		}
+		m.ackLocked(sess, upTo)
 	}
 	m.mu.Unlock()
+}
+
+// ackLocked settles the session's pending invalidations with sequence <=
+// upTo — a prefix of acks — keeping the slice's array for the next ones.
+func (m *sessionMgr) ackLocked(sess *serverSession, upTo uint64) {
+	n := 0
+	for n < len(sess.acks) && sess.acks[n].seq <= upTo {
+		sess.acks[n].w.settle()
+		n++
+	}
+	if n > 0 {
+		left := copy(sess.acks, sess.acks[n:])
+		clear(sess.acks[left:])
+		sess.acks = sess.acks[:left]
+	}
 }
 
 // watch registers (or, with on=false, removes) the session's interest in
@@ -469,16 +528,53 @@ func (m *sessionMgr) watch(id uint64, topic string, on bool) error {
 	return nil
 }
 
+// ackWaiter is one writer's wait on its invalidation round: pending counts
+// the round's unsettled invalidations, and done receives once when the
+// last one settles — by its ack, by its session's death, or by the
+// sweeper past its deadline. pending is guarded by the manager mutex.
+// Waiters are pooled: a round allocates no channel and no timer.
+type ackWaiter struct {
+	pending int
+	done    chan struct{}
+}
+
+var ackWaiters = sync.Pool{New: func() any { return &ackWaiter{done: make(chan struct{}, 1)} }}
+
+// settle counts down one invalidation of the round. The caller holds the
+// manager mutex and has already removed the invalidation from its
+// session, so nothing references w once done is sent. The send never
+// blocks: done has room for the one send a round makes, and the writer
+// drains it before w goes back to the pool.
+func (w *ackWaiter) settle() {
+	w.pending--
+	if w.pending == 0 {
+		select {
+		case w.done <- struct{}{}:
+		default:
+		}
+	}
+}
+
 // pendingAck is one issued invalidation awaiting its client ack.
 type pendingAck struct {
-	sess *serverSession
-	seq  uint64
+	seq uint64
 	// deadline is the session's lease end captured at issue time. Later
 	// keepalives never extend the wait: the client's own lease anchor is at
 	// or before the server's, so once deadline passes the client has
 	// provably stopped serving the revoked entry.
 	deadline time.Time
-	ch       chan struct{}
+	w        *ackWaiter
+}
+
+// issueLocked assigns the session's next sequence to an acknowledged event
+// (evInval or evFlush) whose settlement w waits on, queues the event, and
+// makes sure the sweeper will settle it by its deadline.
+func (m *sessionMgr) issueLocked(sess *serverSession, w *ackWaiter, kind uint64, topic string) {
+	sess.seq++
+	w.pending++
+	sess.acks = append(sess.acks, pendingAck{seq: sess.seq, deadline: sess.expires, w: w})
+	m.armLocked(sess.expires)
+	m.queueEventLocked(sess, kind, sess.seq, topic)
 }
 
 // invalidate revokes key from every session caching it and blocks until
@@ -487,133 +583,169 @@ type pendingAck struct {
 // dropped at issue, so at most one invalidation per key per session is ever
 // outstanding. Watchers of the key get a (non-blocking) notification.
 func (m *sessionMgr) invalidate(key string) {
+	var w *ackWaiter
 	m.mu.Lock()
-	var pendBuf [4]pendingAck
-	pend := pendBuf[:0]
 	if set := m.byKey[key]; len(set) > 0 {
 		now := m.clock.Now()
 		for _, sess := range set {
 			delete(sess.interest, key)
-			if !sess.expires.After(now) || sess.pusher.Closed() {
-				m.killLocked(sess)
+			if !sess.expires.After(now) {
+				m.killLocked(sess, false) // lapsed: it serves nothing
 				continue
 			}
-			sess.seq++
-			ch := make(chan struct{})
-			sess.acks[sess.seq] = ch
-			pend = append(pend, pendingAck{sess: sess, seq: sess.seq, deadline: sess.expires, ch: ch})
-			m.queueEventLocked(sess, evInval, sess.seq, key)
+			if w == nil {
+				w = ackWaiters.Get().(*ackWaiter)
+			}
+			m.issueLocked(sess, w, evInval, key)
+			if sess.pusher.Closed() {
+				// Nobody will deliver the event: the round waits out the
+				// lease instead (see killLocked).
+				m.killLocked(sess, false)
+			}
 		}
 		delete(m.byKey, key)
+		m.spareSetLocked(set)
 	}
 	for _, sess := range m.watches[key] {
 		m.queueEventLocked(sess, evNotify, 0, key)
 	}
 	m.mu.Unlock()
-	m.await(pend)
+	await(w)
 }
 
 // flushAll revokes every cached entry of every session and waits for the
 // acks — the coherence hammer membership changes swing: after a view
 // change, lock migration, or rebalance, no pre-change cache entry survives.
 func (m *sessionMgr) flushAll() {
+	var w *ackWaiter
 	m.mu.Lock()
-	var pend []pendingAck
 	now := m.clock.Now()
 	for _, sess := range m.sessions {
-		if !sess.expires.After(now) || sess.pusher.Closed() {
-			m.killLocked(sess)
+		if !sess.expires.After(now) {
+			m.killLocked(sess, false)
 			continue
 		}
 		for k := range sess.interest {
 			m.dropIndexLocked(m.byKey, k, sess)
 		}
 		sess.interest = make(map[string]uint64)
-		sess.seq++
-		ch := make(chan struct{})
-		sess.acks[sess.seq] = ch
-		pend = append(pend, pendingAck{sess: sess, seq: sess.seq, deadline: sess.expires, ch: ch})
-		m.queueEventLocked(sess, evFlush, sess.seq, "")
+		if w == nil {
+			w = ackWaiters.Get().(*ackWaiter)
+		}
+		m.issueLocked(sess, w, evFlush, "")
+		if sess.pusher.Closed() {
+			m.killLocked(sess, false)
+		}
 	}
 	m.mu.Unlock()
-	m.await(pend)
+	await(w)
 }
 
-// await blocks until every pending invalidation is acknowledged, its
-// session dies, or its lease deadline passes. Whichever fires, the entry
-// under revocation is provably no longer served — past the deadline the
-// client either never processed the event (then its own lease, anchored at
-// or before ours, has ended) or processed it (the keepalive gate admits no
-// other renewal), so the entry is gone from its cache either way.
+// await blocks until every invalidation of w's round has settled, then
+// returns w to its pool. A nil w (a round that issued nothing) returns at
+// once.
+func await(w *ackWaiter) {
+	if w == nil {
+		return
+	}
+	<-w.done
+	ackWaiters.Put(w)
+}
+
+// armLocked makes sure the sweeper wakes by deadline: it starts the
+// sweeper when none is running, and cuts its sleep short when deadline is
+// earlier than the one it sleeps toward. A deadline at or after the armed
+// one costs nothing, and keepalives move deadlines forward, so a steady
+// stream of writes arms no timer of its own.
+func (m *sessionMgr) armLocked(deadline time.Time) {
+	switch {
+	case !m.sweeping:
+		m.sweeping = true
+		m.armed = deadline
+		m.sweepers.Add(1)
+		go m.sweeper()
+	case deadline.Before(m.armed):
+		m.armed = deadline
+		m.wakeSweeper()
+	}
+}
+
+func (m *sessionMgr) wakeSweeper() {
+	select {
+	case m.wake <- struct{}{}:
+	default: // a wake-up is already pending; the sweeper rescans
+	}
+}
+
+// sweeper settles overdue invalidations for the whole manager: it sleeps
+// until the earliest pending deadline (on the manager's clock, so it runs
+// under simulated time too), settles every invalidation past its deadline,
+// re-arms for the earliest one left, and exits once none is pending.
+func (m *sessionMgr) sweeper() {
+	defer m.sweepers.Done()
+	for {
+		m.mu.Lock()
+		next, ok := m.sweepLocked(m.clock.Now())
+		if !ok {
+			m.sweeping = false
+			m.mu.Unlock()
+			return
+		}
+		m.armed = next
+		m.mu.Unlock()
+		select {
+		case <-m.clock.After(max(next.Sub(m.clock.Now()), 0)):
+		case <-m.wake:
+		}
+	}
+}
+
+// sweepLocked settles every pending invalidation whose deadline has passed
+// at now, orphans included, and returns the earliest deadline still
+// pending (ok is false when none is).
 //
-// One clock timer serves the whole wait: it is armed for the earliest
-// deadline still pending, and re-armed only after it fires, which settles
-// every entry whose deadline has passed. It reorders pend in place.
-func (m *sessionMgr) await(pend []pendingAck) {
-	var timeout <-chan time.Time
-	for len(pend) > 0 {
-		if timeout == nil {
-			earliest := pend[0].deadline
-			for _, p := range pend[1:] {
-				if p.deadline.Before(earliest) {
-					earliest = p.deadline
+// Past its deadline an invalidation's entry is provably no longer served:
+// the client either never processed the event (then its own lease, anchored
+// at or before ours, has ended) or processed it (the keepalive gate admits
+// no other renewal). The session is killed ONLY if its lease really lapsed:
+// a renewal since issue passes the client's EventSeq gate only after this
+// event was applied, so the entry is already dropped and merely the ack is
+// slow or lost — killing such a session would silently drop its other
+// interests while the client, holding a valid lease, keeps serving them
+// with nobody left to invalidate (a coherence hole, not a cleanup).
+func (m *sessionMgr) sweepLocked(now time.Time) (next time.Time, ok bool) {
+	for _, sess := range m.sessions {
+		for i := 0; i < len(sess.acks); {
+			p := sess.acks[i]
+			if p.deadline.After(now) {
+				if !ok || p.deadline.Before(next) {
+					next, ok = p.deadline, true
 				}
+				i++
+				continue
 			}
-			timeout = m.clock.After(max(earliest.Sub(m.clock.Now()), 0))
+			if !sess.expires.After(now) {
+				m.killLocked(sess, false) // lapsed: settles the rest of its acks
+				break
+			}
+			sess.acks = slices.Delete(sess.acks, i, i+1)
+			p.w.settle()
 		}
-		p := pend[0]
-		select {
-		case <-p.ch:
-		case <-p.sess.dead:
-		case <-timeout:
-			timeout = nil
-			pend = m.settleOverdue(pend)
+	}
+	left := m.orphans[:0]
+	for _, p := range m.orphans {
+		if !p.deadline.After(now) {
+			p.w.settle()
 			continue
 		}
-		pend = pend[1:]
-	}
-}
-
-// settleOverdue resolves every pending invalidation whose deadline has
-// passed and is still unacknowledged, and returns the ones left to wait
-// for.
-func (m *sessionMgr) settleOverdue(pend []pendingAck) []pendingAck {
-	now := m.clock.Now()
-	left := pend[:0]
-	for _, p := range pend {
-		if p.deadline.After(now) {
-			left = append(left, p)
-			continue
+		if !ok || p.deadline.Before(next) {
+			next, ok = p.deadline, true
 		}
-		select {
-		case <-p.ch:
-		case <-p.sess.dead:
-		default:
-			m.resolveOverdue(p)
-		}
+		left = append(left, p)
 	}
-	return left
-}
-
-// resolveOverdue settles an invalidation whose ack missed the lease
-// deadline captured at issue. The session is killed ONLY if its lease
-// really lapsed: a renewal since issue passes the client's EventSeq gate
-// only after this event was applied, so the entry is already dropped and
-// merely the ack is slow or lost — killing such a session would silently
-// drop its other interests while the client, holding a valid lease, keeps
-// serving them with nobody left to invalidate (a coherence hole, not a
-// cleanup).
-func (m *sessionMgr) resolveOverdue(p pendingAck) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, live := m.sessions[p.sess.id]; !live {
-		return
-	}
-	if p.sess.expires.After(m.clock.Now()) {
-		delete(p.sess.acks, p.seq)
-		return
-	}
-	m.killLocked(p.sess)
+	clear(m.orphans[len(left):])
+	m.orphans = left
+	return next, ok
 }
 
 // notify pushes a lossy change notification to every watcher of topic.
@@ -649,14 +781,24 @@ func (m *sessionMgr) barrier() {
 	}
 }
 
-// closeAll kills every session (server shutdown), releasing any writer
-// still waiting on an acknowledgment.
+// closeAll kills every session (server shutdown: the transport is down, so
+// no write ack can escape any more), releasing every writer still waiting
+// on an acknowledgment, and waits for the sweeper, woken to find nothing
+// pending, to exit.
 func (m *sessionMgr) closeAll() {
 	m.mu.Lock()
 	for _, sess := range m.sessions {
-		m.killLocked(sess)
+		m.killLocked(sess, true)
+	}
+	for _, p := range m.orphans {
+		p.w.settle()
+	}
+	m.orphans = nil
+	if m.sweeping {
+		m.wakeSweeper()
 	}
 	m.mu.Unlock()
+	m.sweepers.Wait()
 }
 
 // Test hooks (in-package tests only).

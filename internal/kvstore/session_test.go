@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"elasticrmi/internal/simclock"
 	"elasticrmi/internal/transport"
 )
 
@@ -859,5 +860,115 @@ func TestSessionStaleForgetKeepsNewerLease(t *testing.T) {
 	m.forget(id, "k", gen)
 	if n := m.interestCount("k"); n != 0 {
 		t.Fatalf("forget of the latest grant: interestCount = %d, want 0", n)
+	}
+}
+
+// TestSweeperSettlesOverdueUnderSimClock drives the invalidation deadline
+// on simulated time. Two sessions cache a key; a write revokes it from
+// both and neither acks. One session renews its lease (a keepalive that
+// acknowledges nothing); the other lets it lapse. When the deadline
+// captured at issue passes, the sweeper kills only the lapsed session,
+// settles the renewed one's invalidation without killing it, and the
+// writer is released.
+func TestSweeperSettlesOverdueUnderSimClock(t *testing.T) {
+	clock := simclock.NewSim(time.Unix(1_000_000, 0))
+	m := newSessionMgr(clock)
+	const ttl = time.Second
+	m.setTTL(ttl)
+	lapsed, _ := m.open(nopPusher{})
+	renewed, _ := m.open(nopPusher{})
+	for _, id := range []uint64{lapsed, renewed} {
+		if _, _, _, err := m.lease(id, "C$k"); err != nil {
+			t.Fatalf("lease: %v", err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		m.invalidate("C$k")
+		close(done)
+	}()
+	pending := func() (n int) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, sess := range m.sessions {
+			n += len(sess.acks)
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); pending() != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d invalidations pending, want 2", pending())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	clock.Advance(ttl / 2)
+	if _, _, err := m.keepalive(renewed, 0); err != nil {
+		t.Fatalf("keepalive: %v", err)
+	}
+	select {
+	case <-done:
+		t.Fatal("writer released before the deadline")
+	case <-time.After(20 * time.Millisecond):
+	}
+	clock.Advance(ttl / 2)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer still waiting past the deadline")
+	}
+	if n := m.sessionCount(); n != 1 {
+		t.Fatalf("%d sessions live, want only the renewed one", n)
+	}
+	m.mu.Lock()
+	_, renewedLive := m.sessions[renewed]
+	m.mu.Unlock()
+	if !renewedLive {
+		t.Fatal("the renewed session was killed; only a lapsed lease may be")
+	}
+	if n := pending(); n != 0 {
+		t.Fatalf("%d invalidations still pending", n)
+	}
+	m.closeAll()
+}
+
+// TestSessionBrokenConnectionHoldsWriteUntilLeaseEnd: a caching session
+// whose connection breaks is killed, but its client keeps serving the
+// cached copy until its own lease runs out, so a conflicting write must
+// not be acknowledged before the session's lease end. Releasing the
+// writer when the connection broke let a crashing node's write ack escape
+// on a connection it had not closed yet while a client still served the
+// old value.
+func TestSessionBrokenConnectionHoldsWriteUntilLeaseEnd(t *testing.T) {
+	srv, cli := newSessionNode(t)
+	srv.SetSessionTTL(300 * time.Millisecond)
+	sess := openSession(t, srv.Addr(), SessionOptions{})
+	if _, err := cli.Put("C$k", []byte("v1")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if _, err := sess.Get("C$k"); err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	sess.noKeepalive.Store(true)
+	srv.sessions.mu.Lock()
+	leaseEnd := srv.sessions.sessions[sess.id].expires
+	pusher := srv.sessions.sessions[sess.id].pusher
+	srv.sessions.mu.Unlock()
+	sess.conn.Close() // the connection breaks; the session is never closed
+	for deadline := time.Now().Add(5 * time.Second); !pusher.Closed(); {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never saw the connection break")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, err := cli.Put("C$k", []byte("v2")); err != nil {
+		t.Fatalf("Put over the broken session: %v", err)
+	}
+	if acked := time.Now(); acked.Before(leaseEnd) {
+		t.Fatalf("write acked %v before the broken session's lease ended", leaseEnd.Sub(acked))
+	}
+	if n := srv.sessions.sessionCount(); n != 0 {
+		t.Fatalf("%d sessions live, want the broken one killed", n)
 	}
 }

@@ -46,6 +46,24 @@
 // ack within its lease is killed instead of waited on forever, which bounds
 // write latency at one session TTL in the worst case.
 //
+// The wait allocates nothing per write. The writer holds one pooled waiter
+// that counts its round's invalidations down as each settles: by the
+// session's ack (cumulative, so one ack or keepalive settles a prefix of
+// the session's pending list), by the session's death, or past its
+// deadline — the session's lease end captured at issue. Deadlines belong to
+// one sweeper per server rather than to a timer per write: it sleeps on the
+// server's clock (simulated time drives it too) until the earliest pending
+// deadline, is woken early only by an earlier one, and exits when nothing
+// is pending. Past a deadline it kills the session only if its lease really
+// lapsed; a session renewed since the issue has provably applied the event
+// (the EventSeq gate below), so only its ack is late and the writer is just
+// released. A session whose connection breaks is killed at once, but its
+// pending invalidations still wait out their deadlines: a broken connection
+// does not stop the client from serving its cache until its own lease
+// ends. Only a session the client closed itself, or a server shutting down
+// (its transport already closed, so no ack can escape), releases writers
+// early.
+//
 // The lease is session-wide and renewed by keepalives. The client anchors
 // each lease extension at the time it SENT the keepalive on its own clock,
 // which is necessarily earlier than the server's receipt anchor — so the

@@ -148,9 +148,8 @@ func (c *Client) readLoop() {
 		switch kind {
 		case frameEvent:
 			var ev Event
-			perr := parseEvent(meta, payload, &ev)
-			arenaPut(meta)
-			if perr != nil {
+			if perr := parseEvent(meta, payload, &ev); perr != nil {
+				arenaPut(meta)
 				arenaPut(payload)
 				c.failAll(perr)
 				return
@@ -158,8 +157,10 @@ func (c *Client) readLoop() {
 			if c.onEvent != nil {
 				c.onEvent(ev)
 			}
-			// The payload slab is done once the handler returns (it copies
-			// what it keeps); a handlerless client just drops the event.
+			// The topic views the metadata slab and the payload is its own
+			// slab: both are done once the handler returns (it copies what
+			// it keeps); a handlerless client just drops the event.
+			arenaPut(meta)
 			arenaPut(payload)
 			continue
 		case frameRequest, frameOneWay:

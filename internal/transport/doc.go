@@ -173,14 +173,16 @@
 // thresholds.
 //
 // Methods matched by ServerOptions.Express bypass the admission controller
-// entirely and run on their own goroutines — never queued, never shed, not
-// counted against MaxConcurrent. The lane exists for cheap control-plane
-// calls whose completion is what lets pool workers finish: the kvstore
-// session layer routes its keepalives and invalidation acks here, since a
-// write handler occupying a worker slot blocks exactly until the ack it is
-// waiting for gets through. Express handlers must therefore be fast and
-// non-blocking; routing a slow method here trades a bounded queue for
-// unbounded goroutines.
+// entirely and run inline on the connection's read loop — never queued,
+// never shed, not counted against MaxConcurrent, and costing no goroutine
+// or closure per request. The lane exists for cheap control-plane calls
+// whose completion is what lets pool workers finish: the kvstore session
+// layer routes its keepalives and invalidation acks here, since a write
+// handler occupying a worker slot blocks exactly until the ack it is
+// waiting for gets through. Express handlers must therefore be
+// sub-microsecond and never block: while one runs its connection reads
+// nothing else, so a slow method routed here stalls every call behind it
+// on that connection.
 //
 // # Graceful shutdown
 //

@@ -39,6 +39,31 @@ func TestEventFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseEventAllocsNothing pins the client's event parse at zero
+// allocations: the topic views the metadata slab instead of being copied,
+// and Session-style handlers copy only what they keep.
+func TestParseEventAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	raw := frameBytes(t, func(w *connWriter) error {
+		return w.writeEvent(7, 1, "C$some-field", nil)
+	})
+	_, meta, payload := reparse(t, raw)
+	var ev Event
+	n := testing.AllocsPerRun(1000, func() {
+		if err := parseEvent(meta, payload, &ev); err != nil {
+			t.Fatalf("parseEvent: %v", err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("parseEvent = %v allocs, want 0", n)
+	}
+	if ev.Topic != "C$some-field" || ev.Seq != 7 || ev.Kind != 1 {
+		t.Errorf("parsed %+v", ev)
+	}
+}
+
 func TestEventWriterRefusesOversize(t *testing.T) {
 	var buf bytes.Buffer
 	w := newConnWriter(&buf)
@@ -87,9 +112,10 @@ func TestEventPushDelivery(t *testing.T) {
 	c, err := DialOpts(srv.Addr(), DialOptions{
 		Timeout: time.Second,
 		OnEvent: func(ev Event) {
-			// Payload is only valid during the callback: copy it out.
-			p := append([]byte(nil), ev.Payload...)
-			ev.Payload = p
+			// Topic and Payload are only valid during the callback: copy
+			// them out.
+			ev.Topic = strings.Clone(ev.Topic)
+			ev.Payload = append([]byte(nil), ev.Payload...)
 			got <- ev
 		},
 	})
@@ -184,7 +210,7 @@ func TestEventWithoutHandlerDropped(t *testing.T) {
 	// push on its own connection.
 	got := make(chan Event, 1)
 	c2, err := DialOpts(srv.Addr(), DialOptions{OnEvent: func(ev Event) {
-		got <- Event{Seq: ev.Seq, Kind: ev.Kind, Topic: ev.Topic}
+		got <- Event{Seq: ev.Seq, Kind: ev.Kind, Topic: strings.Clone(ev.Topic)}
 	}})
 	if err != nil {
 		t.Fatalf("DialOpts: %v", err)

@@ -37,14 +37,15 @@ type ServerOptions struct {
 	// caller awaits no reply). <= 0 selects DefaultMaxQueue.
 	MaxQueue int
 	// Express selects requests that bypass the admission controller: a
-	// matching request runs immediately in its own goroutine instead of
-	// waiting for — or being shed by — the worker pool. It exists for cheap
-	// control-plane methods that UNBLOCK pool workers: a handler parked in
-	// the pool waiting for a peer's follow-up call deadlocks (until its own
-	// timeout) if that follow-up must be admitted through the pool it is
-	// clogging. Express handlers must be fast and must never block; they
-	// are exempt from MaxConcurrent/MaxQueue, so a method routed here gains
-	// no overload protection. Nil disables the lane.
+	// matching request runs immediately, inline on its connection's read
+	// loop, instead of waiting for — or being shed by — the worker pool. It
+	// exists for cheap control-plane methods that UNBLOCK pool workers: a
+	// handler parked in the pool waiting for a peer's follow-up call
+	// deadlocks (until its own timeout) if that follow-up must be admitted
+	// through the pool it is clogging. Express handlers must be fast and
+	// must never block: while one runs, its connection reads nothing else.
+	// They are exempt from MaxConcurrent/MaxQueue, so a method routed here
+	// gains no overload protection. Nil disables the lane.
 	Express func(service, method string) bool
 }
 
@@ -383,11 +384,9 @@ func (s *Server) ingestRequest(st *connState, req *Request, arrival time.Time) {
 		req.Deadline = arrival.Add(req.Budget)
 	}
 	if s.express(req) {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.process(workItem{st: st, req: req})
-		}()
+		// Inline on the read loop: express handlers are sub-microsecond
+		// and never block, so the lane needs no goroutine or closure.
+		s.process(workItem{st: st, req: req})
 		return
 	}
 	if !s.admit(workItem{st: st, req: req}) {
@@ -416,11 +415,7 @@ func (s *Server) ingestOneWay(req *Request, arrival time.Time) {
 		req.Deadline = arrival.Add(req.Budget)
 	}
 	if s.express(req) {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.process(workItem{req: req, oneway: true})
-		}()
+		s.process(workItem{req: req, oneway: true}) // inline, as in ingestRequest
 		return
 	}
 	if !s.admit(workItem{req: req, oneway: true}) {

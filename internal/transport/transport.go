@@ -125,6 +125,12 @@ func (r *Request) Pusher() *Pusher { return r.pusher }
 // the application layer — the transport assigns no meaning to any of them
 // (Seq is typically an acknowledgment token: the session layer above
 // assigns it and the client echoes it back on its ack call).
+//
+// Topic and Payload view the connection's read buffers and are valid only
+// during the DialOptions.OnEvent callback: a handler that keeps either
+// past its return must copy it (strings.Clone, bytes.Clone). A handler
+// must not assign through Topic as a map key either, even for a key the
+// map holds — Go rebinds the stored key to the assigned string.
 type Event struct {
 	Seq     uint64
 	Kind    uint64

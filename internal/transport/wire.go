@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"elasticrmi/internal/route"
 )
@@ -383,10 +384,10 @@ func (w *connWriter) writeEvent(seq, kind uint64, topic string, payload []byte) 
 }
 
 // parseEvent decodes an event's metadata section into ev and attaches the
-// payload section. The topic is copied out of meta (it outlives the frame);
-// ev.Payload is the arena slab readFrame produced. Like every parser it is
-// total on hostile input: malformed metadata returns errMalformed and
-// never panics.
+// payload section. Nothing is copied: the topic views meta and ev.Payload
+// is the arena slab readFrame produced, so both stay valid only while the
+// caller holds those slabs (see Event). Like every parser it is total on
+// hostile input: malformed metadata returns errMalformed and never panics.
 func parseEvent(meta, payload []byte, ev *Event) error {
 	seq, rest, ok := takeUvarint(meta)
 	if !ok {
@@ -402,7 +403,7 @@ func parseEvent(meta, payload []byte, ev *Event) error {
 	}
 	ev.Seq = seq
 	ev.Kind = kind
-	ev.Topic = string(topic)
+	ev.Topic = unsafe.String(unsafe.SliceData(topic), len(topic))
 	ev.Payload = payload
 	return nil
 }
