@@ -69,14 +69,15 @@ fmt-check:
 # fuzz-smoke runs each fuzz target briefly; `go test -fuzz` accepts exactly
 # one target per invocation, hence the loop. Entries are pkg:Target pairs:
 # the wire codec (frame/request/response/event parsers), the kvstore
-# dispatch table fed arbitrary payloads, the generated payload codec round
-# trip in gentest, and WAL replay.
+# dispatch table fed arbitrary payloads, the kvstore state-record apply
+# path, the generated payload codec round trip in gentest, and WAL replay.
 FUZZ_TARGETS := \
 	./internal/transport/:FuzzReadFrame \
 	./internal/transport/:FuzzParseRequest \
 	./internal/transport/:FuzzParseResponse \
 	./internal/transport/:FuzzEventFrame \
 	./internal/kvstore/:FuzzKVDispatch \
+	./internal/kvstore/:FuzzApplyRecords \
 	./internal/gen/gentest/:FuzzCodecRoundTrip \
 	./internal/wal/:FuzzWALReplay
 FUZZTIME ?= 10s

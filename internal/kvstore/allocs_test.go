@@ -72,7 +72,7 @@ func TestServerHotPathAllocs(t *testing.T) {
 		t.Errorf("isPrimary = %v allocs, want 0", n)
 	}
 
-	srv.store.Put(key, []byte("value"))
+	srv.store.Put(key, []byte("value"), nil)
 	id, _ := srv.sessions.open(nopPusher{})
 	for _, h := range []struct {
 		method  string
@@ -84,8 +84,8 @@ func TestServerHotPathAllocs(t *testing.T) {
 		{"Put", transport.Encode(&putReq{Key: key, Val: []byte("value")}), 2},
 		{"GetLease", transport.Encode(&leaseReq{ID: id, Key: key}), 1},
 		// A backup installing one forwarded write keeps the key and a copy
-		// of the value; the decoded request's map is recycled.
-		{"Replicate", transport.Encode(&replReq{Entries: map[string]Versioned{key: {Value: []byte("value"), Version: 1 << 40}}}), 2},
+		// of the value; the record is read in place.
+		{"Replicate", transport.Encode(&replReq{Recs: entryRec(key, entry{value: []byte("value"), version: 1 << 40})}), 2},
 	} {
 		serve := serveFunc(t, srv, h.method, h.payload)
 		serve() // registers the session's interest on the first lease
@@ -162,9 +162,9 @@ func TestPutInvalidationRoundAllocs(t *testing.T) {
 }
 
 // TestForwardAllocs pins one replicated write's forward at R=2. The
-// primary fills its stripe's scratch request, so the forward builds no
-// map and no request; what the run counts is the backup (in process here)
-// keeping the key and the value copy.
+// primary's record sits in its stripe's request, so the forward builds no
+// request; what the run counts is the backup (in process here) keeping the
+// key and the value copy.
 func TestForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -194,11 +194,12 @@ func TestForwardAllocs(t *testing.T) {
 	if key == "" {
 		t.Fatal("the primary heads none of 100 keys")
 	}
-	v := Versioned{Value: []byte("value"), Version: 1 << 40}
+	rec := entryRec(key, entry{value: []byte("value"), version: 1 << 40})
 	forward := func() {
 		st := primary.stripeFor(key)
-		primary.forwardEntry(st, key, v)
-		st.Unlock()
+		st.req.Recs = append(st.req.Recs, rec...)
+		primary.forward(key, &st.req)
+		st.release()
 	}
 	forward()
 	if got, err := backup.store.Get(key); err != nil || string(got.Value) != "value" {

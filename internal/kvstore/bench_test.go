@@ -12,16 +12,17 @@ import (
 func BenchmarkStorePut(b *testing.B) {
 	s := NewStore(nil)
 	val := []byte("value-payload-0123456789")
+	var rec []byte // the record buffer a server's stripe reuses
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Put(fmt.Sprintf("key-%d", i%1024), val)
+		s.Put(fmt.Sprintf("key-%d", i%1024), val, &rec)
 	}
 }
 
 func BenchmarkStoreGet(b *testing.B) {
 	s := NewStore(nil)
 	for i := 0; i < 1024; i++ {
-		s.Put(fmt.Sprintf("key-%d", i), []byte("v"))
+		s.Put(fmt.Sprintf("key-%d", i), []byte("v"), nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -33,9 +34,10 @@ func BenchmarkStoreGet(b *testing.B) {
 
 func BenchmarkStoreAddInt64(b *testing.B) {
 	s := NewStore(nil)
+	var rec []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.AddInt64("ctr", 1); err != nil {
+		if _, err := s.AddInt64("ctr", 1, &rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,12 +81,13 @@ func BenchmarkClusterRouting(b *testing.B) {
 
 func BenchmarkLockAcquireRelease(b *testing.B) {
 	s := NewStore(nil)
+	var rec []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.TryLock("L", "owner", time.Minute); err != nil {
+		if err := s.TryLock("L", "owner", time.Minute, &rec); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Unlock("L", "owner"); err != nil {
+		if err := s.Unlock("L", "owner", &rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,9 +179,10 @@ func benchStorePutDur(b *testing.B, opts DurOptions) {
 	b.SetParallelism(16)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		var rec []byte
 		for pb.Next() {
 			i := ctr.Add(1)
-			s.Put(fmt.Sprintf("key-%d", i%1024), val)
+			s.Put(fmt.Sprintf("key-%d", i%1024), val, &rec)
 		}
 	})
 }

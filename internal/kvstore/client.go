@@ -155,41 +155,17 @@ func (c *Client) Unlock(name, owner string) error {
 	return call(c.conn, "Unlock", &unlockReq{Name: name, Owner: owner}, &rep)
 }
 
-// Export snapshots entries with the prefix (used by shard migration).
-func (c *Client) Export(prefix string) (map[string]Versioned, error) {
-	var rep exportReply
-	if err := call(c.conn, "Export", &exportReq{Prefix: prefix}, &rep); err != nil {
-		return nil, err
-	}
-	return rep.Entries, nil
+// apply ships a record stream, a rebalance import or cleanup, to the
+// node's Replicate handler. Unlike a forward it runs under the ordinary
+// call timeout: a bulk stream may be large, and no write waits on it.
+func (c *Client) apply(recs []byte) error {
+	var rep replReply
+	return call(c.conn, "Replicate", &replReq{Recs: recs}, &rep)
 }
 
-// Import installs entries preserving versions (used by shard migration).
-func (c *Client) Import(entries map[string]Versioned) error {
-	var rep importReply
-	return call(c.conn, "Import", &importReq{Entries: entries}, &rep)
-}
-
-// ExportLocks snapshots unexpired lock leases with the prefix (owner,
-// absolute expiry and sequence intact) — the lock-table counterpart of
-// Export, used by shard migration.
-func (c *Client) ExportLocks(prefix string) (map[string]LockInfo, error) {
-	var rep exportLocksReply
-	if err := call(c.conn, "ExportLocks", &exportLocksReq{Prefix: prefix}, &rep); err != nil {
-		return nil, err
-	}
-	return rep.Locks, nil
-}
-
-// ImportLocks installs lock leases (used by shard migration).
-func (c *Client) ImportLocks(locks map[string]LockInfo) error {
-	var rep importLocksReply
-	return call(c.conn, "ImportLocks", &importLocksReq{Locks: locks}, &rep)
-}
-
-// replicate forwards one write's resulting state to a backup. It uses a
-// timeout much shorter than ordinary calls so a hung backup costs the
-// primary one bounded stall, not one per acknowledged write.
+// replicate forwards one write's record to a backup. It uses a timeout
+// much shorter than ordinary calls so a hung backup costs the primary one
+// bounded stall, not one per acknowledged write.
 func (c *Client) replicate(r *replReq) error {
 	var rep replReply
 	return unwireError(c.conn.CallDecode(ServiceName, "Replicate", r, &rep, replicateTimeout))

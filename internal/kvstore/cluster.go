@@ -3,8 +3,10 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -176,7 +178,7 @@ func NewDurable(n, rf int, clock simclock.Clock, dur DurOptions) (*Cluster, erro
 	// shards, but the restarted ring assigns keys by the NEW addresses.
 	// Rebalance re-derives placement from the union of recovered states
 	// (newest version/sequence wins, exactly as after a failover).
-	if err := c.rebalanceLocked(nil, nil); err != nil {
+	if err := c.rebalanceLocked(nil); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("kvstore cluster: restart merge: %w", err)
 	}
@@ -286,7 +288,7 @@ func (c *Cluster) handleReplFailure(addr string) {
 		return
 	}
 	c.rebuildViewLocked()
-	_ = c.rebalanceLocked(nil, nil)
+	_ = c.rebalanceLocked(nil)
 }
 
 // effRF is the effective replication factor for the current node count.
@@ -528,7 +530,7 @@ func (c *Cluster) AddNode() error {
 		return err
 	}
 	c.rebuildViewLocked()
-	return c.rebalanceLocked(nil, nil)
+	return c.rebalanceLocked(nil)
 }
 
 // RemoveNode is the planned departure of the node at addr: its shards —
@@ -556,15 +558,12 @@ func (c *Cluster) RemoveNode(addr string) error {
 	}
 	victim := c.nodes[idx]
 	// Snapshot the victim while it is still serving. If it is already dead
-	// this degrades to the crash path: replicas (R>1) cover its shards.
-	extraData, derr := victim.cli.Export("")
-	extraLocks, lerr := victim.cli.ExportLocks("")
-	if derr != nil || lerr != nil {
-		extraData, extraLocks = nil, nil
-	}
+	// (no snapshot) this degrades to the crash path: replicas (R>1) cover
+	// its shards.
+	extra, _ := exportState(victim.cli)
 	c.nodes = append(c.nodes[:idx], c.nodes[idx+1:]...)
 	c.rebuildViewLocked()
-	err := c.rebalanceLocked(extraData, extraLocks)
+	err := c.rebalanceLocked(extra)
 	victim.cli.Close()
 	victim.srv.Close()
 	if err == nil && victim.dir != "" {
@@ -646,7 +645,7 @@ func (c *Cluster) failNode(uid int64) {
 	// Repair is best-effort here: the promoted replicas already hold every
 	// acknowledged write, and a failed repair just means a later membership
 	// change redoes it.
-	_ = c.rebalanceLocked(nil, nil)
+	_ = c.rebalanceLocked(nil)
 }
 
 // registerSession records a ClusterSession so node deaths know caching
@@ -710,43 +709,38 @@ func (c *Cluster) fenceForFailover() {
 
 // rebalanceLocked moves the cluster to the placement the current ring
 // prescribes: every key and lock lives on exactly its min(rf, nodes)
-// owners, at the newest version/sequence any node (or the extra snapshot
-// of a departing node) holds. Runs under the write gate, so it never races
-// an operation; bulk transfers go through Import/ImportLocks/Replicate,
-// which apply directly and never re-forward.
+// owners, at the newest version/sequence any node (or extra, the state of
+// a departing node) holds. Runs under the write gate, so it never races
+// an operation; the transfers are record streams through Replicate, which
+// applies them directly and never re-forwards.
 //
 // Snapshots are full per-node exports (as the pre-replication migration's
 // were) while actual transfers are only the moved/missing/outdated
-// entries, so network cost tracks the churn, not the keyspace. The export
+// records, so network cost tracks the churn, not the keyspace. The export
 // and the merge are O(total data) on the router, though — an incremental
 // per-arc transfer (export only the hash ranges whose owner sets changed)
 // is the known next step if membership changes under large keyspaces
 // become frequent.
-func (c *Cluster) rebalanceLocked(extraData map[string]Versioned, extraLocks map[string]LockInfo) error {
+func (c *Cluster) rebalanceLocked(extra map[stateKey]stateRec) error {
 	// Snapshot every source. A node that fails its export is probed: if
 	// provably dead (a lingering crash nobody has routed to yet) it is
 	// pruned from the membership and the snapshot restarts — exactly what
 	// failover would do, without wedging a planned membership change behind
 	// it. A node that is merely slow makes the whole change fail fast
-	// (exportFailed) rather than silently dropping its keys from the
-	// authoritative merge.
+	// (exportFailed) rather than silently dropping its state from the
+	// authoritative merge; its snapshot stays nil, so it is planned to
+	// receive everything it owns.
 	var (
-		perData      []map[string]Versioned
-		perLocks     []map[string]LockInfo
-		reached      []bool
+		per          []map[stateKey]stateRec
 		exportFailed bool
 	)
 snapshot:
 	for {
-		perData = make([]map[string]Versioned, len(c.nodes))
-		perLocks = make([]map[string]LockInfo, len(c.nodes))
-		reached = make([]bool, len(c.nodes))
+		per = make([]map[stateKey]stateRec, len(c.nodes))
 		exportFailed = false
 		for i, nd := range c.nodes {
-			d, derr := nd.cli.Export("")
-			l, lerr := nd.cli.ExportLocks("")
-			if derr == nil && lerr == nil {
-				perData[i], perLocks[i], reached[i] = d, l, true
+			var err error
+			if per[i], err = exportState(nd.cli); err == nil {
 				continue
 			}
 			if len(c.nodes) > 1 && c.probeDead(nd) {
@@ -761,76 +755,40 @@ snapshot:
 		break
 	}
 	eff := c.effRF()
-	n := len(c.nodes)
 
 	// Authoritative merged state: newest version / sequence wins.
-	data := make(map[string]Versioned)
-	for k, v := range extraData {
-		data[k] = v
-	}
-	for i := range c.nodes {
-		for k, v := range perData[i] {
-			if cur, ok := data[k]; !ok || v.Version > cur.Version {
-				data[k] = v
-			}
-		}
-	}
-	locks := make(map[string]LockInfo)
-	for name, info := range extraLocks {
-		locks[name] = info
-	}
-	for i := range c.nodes {
-		for name, info := range perLocks[i] {
-			if cur, ok := locks[name]; !ok || info.Seq > cur.Seq {
-				locks[name] = info
+	merged := make(map[stateKey]stateRec, len(extra))
+	maps.Copy(merged, extra)
+	for _, state := range per {
+		for k, h := range state {
+			if cur, ok := merged[k]; !ok || h.seq > cur.seq {
+				merged[k] = h
 			}
 		}
 	}
 
+	// Plan: every owner lacking the newest state imports its record; every
+	// other holder drops its copy.
 	type plan struct {
-		imports     map[string]Versioned
-		lockImports map[string]LockInfo
-		dels        []string
-		lockDrops   []string
+		imports          []byte
+		drops, lockDrops []string
 	}
-	plans := make([]plan, n)
-	for k, v := range data {
-		owners := c.ring.Owners(k, eff)
-		ownerSet := make(map[int]bool, len(owners))
+	plans := make([]plan, len(c.nodes))
+	for k, h := range merged {
+		owners := c.ring.Owners(k.routeKey(), eff)
 		for _, o := range owners {
-			ownerSet[o] = true
-			cur, held := perData[o][k]
-			if reached[o] && held && cur.Version >= v.Version {
+			if cur, ok := per[o][k]; !ok || cur.seq < h.seq {
+				plans[o].imports = append(plans[o].imports, h.rec...)
+			}
+		}
+		for i, state := range per {
+			if _, ok := state[k]; !ok || slices.Contains(owners, i) {
 				continue
 			}
-			if plans[o].imports == nil {
-				plans[o].imports = make(map[string]Versioned)
-			}
-			plans[o].imports[k] = v
-		}
-		for i := range c.nodes {
-			if _, held := perData[i][k]; held && !ownerSet[i] {
-				plans[i].dels = append(plans[i].dels, k)
-			}
-		}
-	}
-	for name, info := range locks {
-		owners := c.ring.Owners(lockRouteKey(name), eff)
-		ownerSet := make(map[int]bool, len(owners))
-		for _, o := range owners {
-			ownerSet[o] = true
-			cur, held := perLocks[o][name]
-			if reached[o] && held && cur.Seq >= info.Seq {
-				continue
-			}
-			if plans[o].lockImports == nil {
-				plans[o].lockImports = make(map[string]LockInfo)
-			}
-			plans[o].lockImports[name] = info
-		}
-		for i := range c.nodes {
-			if _, held := perLocks[i][name]; held && !ownerSet[i] {
-				plans[i].lockDrops = append(plans[i].lockDrops, name)
+			if k.kind == recLock {
+				plans[i].lockDrops = append(plans[i].lockDrops, k.name)
+			} else {
+				plans[i].drops = append(plans[i].drops, k.name)
 			}
 		}
 	}
@@ -839,24 +797,12 @@ snapshot:
 	// death no operation has observed yet) is skipped, not fatal: its
 	// shards stay covered by the other owners, and the next membership
 	// change repairs it — or the router's failover drops it for good.
-	importFailed := make([]bool, n)
-	for i, p := range plans {
-		cli := c.nodes[i].cli
-		if len(p.imports) > 0 {
-			if err := cli.Import(p.imports); err != nil {
-				importFailed[i] = true
-				continue
-			}
-		}
-		if len(p.lockImports) > 0 {
-			if err := cli.ImportLocks(p.lockImports); err != nil {
-				importFailed[i] = true
-			}
-		}
-	}
+	importFailed := make([]bool, len(c.nodes))
 	anyFailed := false
-	for _, f := range importFailed {
-		anyFailed = anyFailed || f
+	for i, p := range plans {
+		if len(p.imports) > 0 && c.nodes[i].cli.apply(p.imports) != nil {
+			importFailed[i], anyFailed = true, true
+		}
 	}
 	if !anyFailed {
 		// Cleanup of off-owner copies runs only after every planned import
@@ -865,53 +811,32 @@ snapshot:
 		// extra copies never win over newer owner state (version/sequence
 		// gates) and the next rebalance re-cleans.
 		for i, p := range plans {
-			if len(p.dels) > 0 || len(p.lockDrops) > 0 {
-				_ = c.nodes[i].cli.replicate(&replReq{Dels: p.dels, LockDrops: p.lockDrops})
+			recs := appendDropRec(appendDropRec(nil, recDrop, p.drops), recLockDrop, p.lockDrops)
+			if len(recs) > 0 {
+				_ = c.nodes[i].cli.apply(recs)
 			}
 		}
 		return c.rebalanceResult(exportFailed)
 	}
 	// Redundancy audit: the change is an error only if some key or lock
-	// ended up with zero live replicas among its owners.
-	placedData := func(k string, v Versioned) bool {
-		for _, o := range c.ring.Owners(k, eff) {
-			if importFailed[o] {
-				continue
-			}
-			if _, planned := plans[o].imports[k]; planned {
-				return true
-			}
-			if cur, held := perData[o][k]; reached[o] && held && cur.Version >= v.Version {
-				return true
-			}
-		}
-		return false
-	}
-	placedLock := func(name string, info LockInfo) bool {
-		for _, o := range c.ring.Owners(lockRouteKey(name), eff) {
-			if importFailed[o] {
-				continue
-			}
-			if _, planned := plans[o].lockImports[name]; planned {
-				return true
-			}
-			if cur, held := perLocks[o][name]; reached[o] && held && cur.Seq >= info.Seq {
-				return true
-			}
-		}
-		return false
-	}
-	for k, v := range data {
-		if !placedData(k, v) {
-			return fmt.Errorf("rebalance: key %q has no live replica: %w", k, ErrUnavailable)
-		}
-	}
-	for name, info := range locks {
-		if !placedLock(name, info) {
-			return fmt.Errorf("rebalance: lock %q has no live replica: %w", name, ErrUnavailable)
+	// ended up with zero live replicas among its owners. Every owner held
+	// the newest state or was planned to import it, so one whose import
+	// did not fail holds it.
+	for k := range merged {
+		if !slices.ContainsFunc(c.ring.Owners(k.routeKey(), eff), func(o int) bool { return !importFailed[o] }) {
+			return fmt.Errorf("rebalance: %v has no live replica: %w", k, ErrUnavailable)
 		}
 	}
 	return c.rebalanceResult(exportFailed)
+}
+
+// exportState fetches one node's whole state, indexed for the merge.
+func exportState(cli *Client) (map[stateKey]stateRec, error) {
+	var rep exportReply
+	if err := call(cli.conn, "Export", &exportReq{}, &rep); err != nil {
+		return nil, err
+	}
+	return indexExport(rep.Recs)
 }
 
 // rebalanceResult surfaces a partial snapshot: a slow-but-alive node whose
@@ -944,10 +869,12 @@ func (c *Cluster) Close() {
 }
 
 // Shared is the store surface the ElasticRMI core needs: keyed reads and
-// writes, compare-and-swap, atomic add, leased locks and prefix scans.
-// *Client (one node), *Cluster (sharded, replicated) and *ClusterSession
-// (a Cluster read through session caches) implement it. Typed field access
-// (strings, integers) is core.State's job, over Get and Put.
+// writes, atomic add, leased locks and prefix scans. *Client (one node),
+// *Cluster (sharded, replicated) and *ClusterSession (a Cluster read
+// through session caches) implement it; compare-and-swap is not part of
+// it, since the core never calls it, and only *Client and *Cluster offer
+// it. Typed field access (strings, integers) is core.State's job, over Get
+// and Put.
 //
 // Get, Put and AddInt64 borrow their key: the caller may reuse the key's
 // memory as soon as the call returns (core.State builds field keys in a
@@ -959,7 +886,6 @@ type Shared interface {
 	Get(key string) (Versioned, error)
 	Put(key string, value []byte) (uint64, error)
 	Delete(key string) error
-	CompareAndSwap(key string, value []byte, expectVersion uint64) (uint64, error)
 	AddInt64(key string, delta int64) (int64, error)
 	TryLock(name, owner string, lease time.Duration) error
 	Unlock(name, owner string) error

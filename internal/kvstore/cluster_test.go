@@ -317,7 +317,7 @@ func TestDeleteNotResurrectedByRebalance(t *testing.T) {
 	// Plant the stale copy on the non-owner node, simulating a replica that
 	// missed the delete.
 	stale := cl.nodes[1-cl.ring.Owner("zombie")]
-	stale.srv.store.Import(map[string]Versioned{"zombie": {Value: []byte("alive"), Version: 1}})
+	mustApply(t, stale.srv.store, entryRec("zombie", entry{value: []byte("alive"), version: 1}))
 
 	if err := cl.AddNode(); err != nil {
 		t.Fatalf("AddNode: %v", err)

@@ -718,13 +718,11 @@ func (v *unlockReply) consumeERMI(b []byte) ([]byte, error) {
 // SizeERMI returns the exact encoded size of v (transport.Marshaler).
 func (v *exportReq) SizeERMI() int {
 	n := 0
-	n += ermic.SizeBytes(len(v.Prefix))
 	return n
 }
 
 // MarshalERMI appends v's encoding to b (transport.Marshaler).
 func (v *exportReq) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendString(b, string(v.Prefix))
 	return b
 }
 
@@ -744,36 +742,19 @@ func (v *exportReq) UnmarshalERMI(b []byte) error {
 // consumeERMI decodes v from the front of b, returning the remainder
 // (shared by UnmarshalERMI and codecs that nest exportReq).
 func (v *exportReq) consumeERMI(b []byte) ([]byte, error) {
-	{
-		x, rest, err := ermic.ConsumeString(b)
-		if err != nil {
-			return nil, err
-		}
-		v.Prefix, b = string(x), rest
-	}
 	return b, nil
 }
 
 // SizeERMI returns the exact encoded size of v (transport.Marshaler).
 func (v *exportReply) SizeERMI() int {
 	n := 0
-	n += ermic.SizeUvarint(uint64(len(v.Entries)))
-	for k1 := range v.Entries {
-		n += ermic.SizeBytes(len(k1))
-		e1 := v.Entries[k1]
-		n += e1.SizeERMI()
-	}
+	n += ermic.SizeBytes(len(v.Recs))
 	return n
 }
 
 // MarshalERMI appends v's encoding to b (transport.Marshaler).
 func (v *exportReply) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendUvarint(b, uint64(len(v.Entries)))
-	for k1 := range v.Entries {
-		e1 := v.Entries[k1]
-		b = ermic.AppendString(b, string(k1))
-		b = e1.MarshalERMI(b)
-	}
+	b = ermic.AppendBytes(b, v.Recs)
 	return b
 }
 
@@ -794,35 +775,11 @@ func (v *exportReply) UnmarshalERMI(b []byte) error {
 // (shared by UnmarshalERMI and codecs that nest exportReply).
 func (v *exportReply) consumeERMI(b []byte) ([]byte, error) {
 	{
-		cnt, rest, err := ermic.ConsumeCount(b)
+		x, rest, err := ermic.ConsumeBytesView(b)
 		if err != nil {
 			return nil, err
 		}
-		b = rest
-		if v.Entries != nil {
-			clear(v.Entries)
-		} else if cnt > 0 {
-			v.Entries = make(map[string]Versioned, cnt)
-		}
-		for i1 := 0; i1 < cnt; i1++ {
-			var k1 string
-			var e1 Versioned
-			{
-				x, rest, err := ermic.ConsumeString(b)
-				if err != nil {
-					return nil, err
-				}
-				k1, b = string(x), rest
-			}
-			{
-				rest, err := e1.consumeERMI(b)
-				if err != nil {
-					return nil, err
-				}
-				b = rest
-			}
-			v.Entries[k1] = e1
-		}
+		v.Recs, b = x, rest
 	}
 	return b, nil
 }
@@ -832,375 +789,15 @@ func (v *exportReply) consumeERMI(b []byte) ([]byte, error) {
 func (*exportReply) ERMIViews() {}
 
 // SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *importReq) SizeERMI() int {
-	n := 0
-	n += ermic.SizeUvarint(uint64(len(v.Entries)))
-	for k1 := range v.Entries {
-		n += ermic.SizeBytes(len(k1))
-		e1 := v.Entries[k1]
-		n += e1.SizeERMI()
-	}
-	return n
-}
-
-// MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *importReq) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendUvarint(b, uint64(len(v.Entries)))
-	for k1 := range v.Entries {
-		e1 := v.Entries[k1]
-		b = ermic.AppendString(b, string(k1))
-		b = e1.MarshalERMI(b)
-	}
-	return b
-}
-
-// UnmarshalERMI decodes an encoding produced by MarshalERMI
-// (transport.Unmarshaler). It is total on arbitrary input.
-func (v *importReq) UnmarshalERMI(b []byte) error {
-	rest, err := v.consumeERMI(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ermic.ErrMalformed
-	}
-	return nil
-}
-
-// consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest importReq).
-func (v *importReq) consumeERMI(b []byte) ([]byte, error) {
-	{
-		cnt, rest, err := ermic.ConsumeCount(b)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		if v.Entries != nil {
-			clear(v.Entries)
-		} else if cnt > 0 {
-			v.Entries = make(map[string]Versioned, cnt)
-		}
-		for i1 := 0; i1 < cnt; i1++ {
-			var k1 string
-			var e1 Versioned
-			{
-				x, rest, err := ermic.ConsumeString(b)
-				if err != nil {
-					return nil, err
-				}
-				k1, b = string(x), rest
-			}
-			{
-				rest, err := e1.consumeERMI(b)
-				if err != nil {
-					return nil, err
-				}
-				b = rest
-			}
-			v.Entries[k1] = e1
-		}
-	}
-	return b, nil
-}
-
-// ERMIViews marks importReq as aliasing its decode buffer: []byte fields
-// are zero-copy views into the payload it was decoded from.
-func (*importReq) ERMIViews() {}
-
-// SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *importReply) SizeERMI() int {
-	n := 0
-	return n
-}
-
-// MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *importReply) MarshalERMI(b []byte) []byte {
-	return b
-}
-
-// UnmarshalERMI decodes an encoding produced by MarshalERMI
-// (transport.Unmarshaler). It is total on arbitrary input.
-func (v *importReply) UnmarshalERMI(b []byte) error {
-	rest, err := v.consumeERMI(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ermic.ErrMalformed
-	}
-	return nil
-}
-
-// consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest importReply).
-func (v *importReply) consumeERMI(b []byte) ([]byte, error) {
-	return b, nil
-}
-
-// SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *exportLocksReq) SizeERMI() int {
-	n := 0
-	n += ermic.SizeBytes(len(v.Prefix))
-	return n
-}
-
-// MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *exportLocksReq) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendString(b, string(v.Prefix))
-	return b
-}
-
-// UnmarshalERMI decodes an encoding produced by MarshalERMI
-// (transport.Unmarshaler). It is total on arbitrary input.
-func (v *exportLocksReq) UnmarshalERMI(b []byte) error {
-	rest, err := v.consumeERMI(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ermic.ErrMalformed
-	}
-	return nil
-}
-
-// consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest exportLocksReq).
-func (v *exportLocksReq) consumeERMI(b []byte) ([]byte, error) {
-	{
-		x, rest, err := ermic.ConsumeString(b)
-		if err != nil {
-			return nil, err
-		}
-		v.Prefix, b = string(x), rest
-	}
-	return b, nil
-}
-
-// SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *exportLocksReply) SizeERMI() int {
-	n := 0
-	n += ermic.SizeUvarint(uint64(len(v.Locks)))
-	for k1 := range v.Locks {
-		n += ermic.SizeBytes(len(k1))
-		e1 := v.Locks[k1]
-		n += e1.SizeERMI()
-	}
-	return n
-}
-
-// MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *exportLocksReply) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendUvarint(b, uint64(len(v.Locks)))
-	for k1 := range v.Locks {
-		e1 := v.Locks[k1]
-		b = ermic.AppendString(b, string(k1))
-		b = e1.MarshalERMI(b)
-	}
-	return b
-}
-
-// UnmarshalERMI decodes an encoding produced by MarshalERMI
-// (transport.Unmarshaler). It is total on arbitrary input.
-func (v *exportLocksReply) UnmarshalERMI(b []byte) error {
-	rest, err := v.consumeERMI(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ermic.ErrMalformed
-	}
-	return nil
-}
-
-// consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest exportLocksReply).
-func (v *exportLocksReply) consumeERMI(b []byte) ([]byte, error) {
-	{
-		cnt, rest, err := ermic.ConsumeCount(b)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		if v.Locks != nil {
-			clear(v.Locks)
-		} else if cnt > 0 {
-			v.Locks = make(map[string]LockInfo, cnt)
-		}
-		for i1 := 0; i1 < cnt; i1++ {
-			var k1 string
-			var e1 LockInfo
-			{
-				x, rest, err := ermic.ConsumeString(b)
-				if err != nil {
-					return nil, err
-				}
-				k1, b = string(x), rest
-			}
-			{
-				rest, err := e1.consumeERMI(b)
-				if err != nil {
-					return nil, err
-				}
-				b = rest
-			}
-			v.Locks[k1] = e1
-		}
-	}
-	return b, nil
-}
-
-// SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *importLocksReq) SizeERMI() int {
-	n := 0
-	n += ermic.SizeUvarint(uint64(len(v.Locks)))
-	for k1 := range v.Locks {
-		n += ermic.SizeBytes(len(k1))
-		e1 := v.Locks[k1]
-		n += e1.SizeERMI()
-	}
-	return n
-}
-
-// MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *importLocksReq) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendUvarint(b, uint64(len(v.Locks)))
-	for k1 := range v.Locks {
-		e1 := v.Locks[k1]
-		b = ermic.AppendString(b, string(k1))
-		b = e1.MarshalERMI(b)
-	}
-	return b
-}
-
-// UnmarshalERMI decodes an encoding produced by MarshalERMI
-// (transport.Unmarshaler). It is total on arbitrary input.
-func (v *importLocksReq) UnmarshalERMI(b []byte) error {
-	rest, err := v.consumeERMI(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ermic.ErrMalformed
-	}
-	return nil
-}
-
-// consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest importLocksReq).
-func (v *importLocksReq) consumeERMI(b []byte) ([]byte, error) {
-	{
-		cnt, rest, err := ermic.ConsumeCount(b)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		if v.Locks != nil {
-			clear(v.Locks)
-		} else if cnt > 0 {
-			v.Locks = make(map[string]LockInfo, cnt)
-		}
-		for i1 := 0; i1 < cnt; i1++ {
-			var k1 string
-			var e1 LockInfo
-			{
-				x, rest, err := ermic.ConsumeString(b)
-				if err != nil {
-					return nil, err
-				}
-				k1, b = string(x), rest
-			}
-			{
-				rest, err := e1.consumeERMI(b)
-				if err != nil {
-					return nil, err
-				}
-				b = rest
-			}
-			v.Locks[k1] = e1
-		}
-	}
-	return b, nil
-}
-
-// SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *importLocksReply) SizeERMI() int {
-	n := 0
-	return n
-}
-
-// MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *importLocksReply) MarshalERMI(b []byte) []byte {
-	return b
-}
-
-// UnmarshalERMI decodes an encoding produced by MarshalERMI
-// (transport.Unmarshaler). It is total on arbitrary input.
-func (v *importLocksReply) UnmarshalERMI(b []byte) error {
-	rest, err := v.consumeERMI(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ermic.ErrMalformed
-	}
-	return nil
-}
-
-// consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest importLocksReply).
-func (v *importLocksReply) consumeERMI(b []byte) ([]byte, error) {
-	return b, nil
-}
-
-// SizeERMI returns the exact encoded size of v (transport.Marshaler).
 func (v *replReq) SizeERMI() int {
 	n := 0
-	n += ermic.SizeUvarint(uint64(len(v.Entries)))
-	for k1 := range v.Entries {
-		n += ermic.SizeBytes(len(k1))
-		e1 := v.Entries[k1]
-		n += e1.SizeERMI()
-	}
-	n += ermic.SizeUvarint(uint64(len(v.Locks)))
-	for k1 := range v.Locks {
-		n += ermic.SizeBytes(len(k1))
-		e1 := v.Locks[k1]
-		n += e1.SizeERMI()
-	}
-	n += ermic.SizeUvarint(uint64(len(v.Dels)))
-	for i1 := range v.Dels {
-		n += ermic.SizeBytes(len(v.Dels[i1]))
-	}
-	n += ermic.SizeUvarint(uint64(len(v.LockDrops)))
-	for i1 := range v.LockDrops {
-		n += ermic.SizeBytes(len(v.LockDrops[i1]))
-	}
+	n += ermic.SizeBytes(len(v.Recs))
 	return n
 }
 
 // MarshalERMI appends v's encoding to b (transport.Marshaler).
 func (v *replReq) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendUvarint(b, uint64(len(v.Entries)))
-	for k1 := range v.Entries {
-		e1 := v.Entries[k1]
-		b = ermic.AppendString(b, string(k1))
-		b = e1.MarshalERMI(b)
-	}
-	b = ermic.AppendUvarint(b, uint64(len(v.Locks)))
-	for k1 := range v.Locks {
-		e1 := v.Locks[k1]
-		b = ermic.AppendString(b, string(k1))
-		b = e1.MarshalERMI(b)
-	}
-	b = ermic.AppendUvarint(b, uint64(len(v.Dels)))
-	for i1 := range v.Dels {
-		b = ermic.AppendString(b, string(v.Dels[i1]))
-	}
-	b = ermic.AppendUvarint(b, uint64(len(v.LockDrops)))
-	for i1 := range v.LockDrops {
-		b = ermic.AppendString(b, string(v.LockDrops[i1]))
-	}
+	b = ermic.AppendBytes(b, v.Recs)
 	return b
 }
 
@@ -1221,106 +818,11 @@ func (v *replReq) UnmarshalERMI(b []byte) error {
 // (shared by UnmarshalERMI and codecs that nest replReq).
 func (v *replReq) consumeERMI(b []byte) ([]byte, error) {
 	{
-		cnt, rest, err := ermic.ConsumeCount(b)
+		x, rest, err := ermic.ConsumeBytesView(b)
 		if err != nil {
 			return nil, err
 		}
-		b = rest
-		if v.Entries != nil {
-			clear(v.Entries)
-		} else if cnt > 0 {
-			v.Entries = make(map[string]Versioned, cnt)
-		}
-		for i1 := 0; i1 < cnt; i1++ {
-			var k1 string
-			var e1 Versioned
-			{
-				x, rest, err := ermic.ConsumeString(b)
-				if err != nil {
-					return nil, err
-				}
-				k1, b = string(x), rest
-			}
-			{
-				rest, err := e1.consumeERMI(b)
-				if err != nil {
-					return nil, err
-				}
-				b = rest
-			}
-			v.Entries[k1] = e1
-		}
-	}
-	{
-		cnt, rest, err := ermic.ConsumeCount(b)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		if v.Locks != nil {
-			clear(v.Locks)
-		} else if cnt > 0 {
-			v.Locks = make(map[string]LockInfo, cnt)
-		}
-		for i1 := 0; i1 < cnt; i1++ {
-			var k1 string
-			var e1 LockInfo
-			{
-				x, rest, err := ermic.ConsumeString(b)
-				if err != nil {
-					return nil, err
-				}
-				k1, b = string(x), rest
-			}
-			{
-				rest, err := e1.consumeERMI(b)
-				if err != nil {
-					return nil, err
-				}
-				b = rest
-			}
-			v.Locks[k1] = e1
-		}
-	}
-	{
-		cnt, rest, err := ermic.ConsumeCount(b)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		v.Dels = nil
-		if cnt > 0 {
-			v.Dels = make([]string, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				{
-					x, rest, err := ermic.ConsumeString(b)
-					if err != nil {
-						return nil, err
-					}
-					v.Dels[i1], b = string(x), rest
-				}
-			}
-		}
-	}
-	{
-		cnt, rest, err := ermic.ConsumeCount(b)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		v.LockDrops = nil
-		if cnt > 0 {
-			v.LockDrops = make([]string, cnt)
-			for i1 := 0; i1 < cnt; i1++ {
-				{
-					x, rest, err := ermic.ConsumeString(b)
-					if err != nil {
-						return nil, err
-					}
-					v.LockDrops[i1], b = string(x), rest
-				}
-			}
-		}
+		v.Recs, b = x, rest
 	}
 	return b, nil
 }
@@ -1364,7 +866,6 @@ func (v *Versioned) SizeERMI() int {
 	n := 0
 	n += ermic.SizeBytes(len(v.Value))
 	n += ermic.SizeUvarint(uint64(v.Version))
-	n++
 	return n
 }
 
@@ -1372,7 +873,6 @@ func (v *Versioned) SizeERMI() int {
 func (v *Versioned) MarshalERMI(b []byte) []byte {
 	b = ermic.AppendBytes(b, v.Value)
 	b = ermic.AppendUvarint(b, uint64(v.Version))
-	b = ermic.AppendBool(b, bool(v.Deleted))
 	return b
 }
 
@@ -1406,76 +906,12 @@ func (v *Versioned) consumeERMI(b []byte) ([]byte, error) {
 		}
 		v.Version, b = uint64(x), rest
 	}
-	{
-		x, rest, err := ermic.ConsumeBool(b)
-		if err != nil {
-			return nil, err
-		}
-		v.Deleted, b = bool(x), rest
-	}
 	return b, nil
 }
 
 // ERMIViews marks Versioned as aliasing its decode buffer: []byte fields
 // are zero-copy views into the payload it was decoded from.
 func (*Versioned) ERMIViews() {}
-
-// SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *LockInfo) SizeERMI() int {
-	n := 0
-	n += ermic.SizeBytes(len(v.Owner))
-	n += ermic.SizeTime(v.Expires)
-	n += ermic.SizeUvarint(uint64(v.Seq))
-	return n
-}
-
-// MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *LockInfo) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendString(b, string(v.Owner))
-	b = ermic.AppendTime(b, v.Expires)
-	b = ermic.AppendUvarint(b, uint64(v.Seq))
-	return b
-}
-
-// UnmarshalERMI decodes an encoding produced by MarshalERMI
-// (transport.Unmarshaler). It is total on arbitrary input.
-func (v *LockInfo) UnmarshalERMI(b []byte) error {
-	rest, err := v.consumeERMI(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ermic.ErrMalformed
-	}
-	return nil
-}
-
-// consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest LockInfo).
-func (v *LockInfo) consumeERMI(b []byte) ([]byte, error) {
-	{
-		x, rest, err := ermic.ConsumeString(b)
-		if err != nil {
-			return nil, err
-		}
-		v.Owner, b = string(x), rest
-	}
-	{
-		x, rest, err := ermic.ConsumeTime(b)
-		if err != nil {
-			return nil, err
-		}
-		v.Expires, b = time.Time(x), rest
-	}
-	{
-		x, rest, err := ermic.ConsumeUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		v.Seq, b = uint64(x), rest
-	}
-	return b, nil
-}
 
 // SizeERMI returns the exact encoded size of v (transport.Marshaler).
 func (v *sessOpenReq) SizeERMI() int {

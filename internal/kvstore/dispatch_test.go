@@ -92,10 +92,11 @@ func FuzzKVDispatch(f *testing.F) {
 	f.Add(index("CAS"), transport.Encode(&casReq{Key: "k", Val: []byte("w"), ExpectVersion: 1}))
 	f.Add(index("Add"), transport.Encode(&addReq{Key: "n", Delta: -7}))
 	f.Add(index("TryLock"), transport.Encode(&lockReq{Name: "L", Owner: "a", Lease: time.Minute}))
-	f.Add(index("Replicate"), transport.Encode(&replReq{
-		Entries: map[string]Versioned{"k": {Value: []byte("r"), Version: 9}},
-		Dels:    []string{"gone"},
-	}))
+	f.Add(index("Unlock"), transport.Encode(&unlockReq{Name: "L", Owner: "a"}))
+	f.Add(index("Delete"), transport.Encode(&delReq{Key: "k"}))
+	recs := seedStream()
+	f.Add(index("Replicate"), transport.Encode(&replReq{Recs: recs}))
+	f.Add(index("Replicate"), transport.Encode(&replReq{Recs: recs[:len(recs)-1]}))
 
 	f.Fuzz(func(t *testing.T, m uint8, payload []byte) {
 		req := &transport.Request{Service: ServiceName, Method: names[int(m)%len(names)], Payload: payload}
@@ -105,50 +106,4 @@ func FuzzKVDispatch(f *testing.F) {
 		}
 		transport.ReleasePayload(out)
 	})
-}
-
-// TestReplReqDecodeReusesMaps pins the generated map decode the Replicate
-// handler's recycled requests depend on: a non-nil target map is cleared
-// and refilled in place, so nothing from the last request survives, while
-// a fresh target decodes exactly as before — nil on a zero count.
-func TestReplReqDecodeReusesMaps(t *testing.T) {
-	var fresh replReq
-	if err := transport.Decode(transport.Encode(&replReq{}), &fresh); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if fresh.Entries != nil || fresh.Locks != nil {
-		t.Fatalf("zero counts decoded into a fresh target as non-nil maps: %+v", fresh)
-	}
-
-	r := replReq{
-		Entries: map[string]Versioned{"stale": {Version: 1}},
-		Locks:   map[string]LockInfo{"stale": {Owner: "x", Seq: 1}},
-	}
-	entries := reflect.ValueOf(r.Entries).UnsafePointer()
-	want := map[string]Versioned{"a": {Value: []byte("1"), Version: 2}, "b": {Value: []byte("2"), Version: 3}}
-	if err := transport.Decode(transport.Encode(&replReq{Entries: want}), &r); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if reflect.ValueOf(r.Entries).UnsafePointer() != entries {
-		t.Error("decode replaced a non-nil target map instead of refilling it")
-	}
-	if !reflect.DeepEqual(r.Entries, want) {
-		t.Errorf("Entries = %v, want %v", r.Entries, want)
-	}
-	if r.Locks == nil || len(r.Locks) != 0 {
-		t.Errorf("Locks = %v, want the target map emptied by a zero count", r.Locks)
-	}
-
-	r.reset()
-	if r.Entries == nil || len(r.Entries) != 0 {
-		t.Errorf("reset: Entries = %v, want kept and empty", r.Entries)
-	}
-	big := make(map[string]Versioned, replKeep+1)
-	for i := range replKeep + 1 {
-		big[fmt.Sprint(i)] = Versioned{}
-	}
-	r.Entries = big
-	if r.reset(); r.Entries != nil {
-		t.Errorf("reset kept a map of %d entries, past replKeep", replKeep+1)
-	}
 }

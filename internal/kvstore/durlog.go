@@ -1,18 +1,20 @@
 package kvstore
 
-// Durability layer: every Store mutation appends a binary record to an
-// internal/wal log and returns only after the record is fsynced (group
-// committed when DurOptions.GroupCommit). Periodically the store writes a
-// compacted snapshot — the Export/ExportLocks image at a recorded log
-// position — and drops the covered log segments. See the package comment's
-// "Durability contract" section for the externally visible guarantees.
+// Durability layer: every Store mutation appends its state record (see
+// record.go) to an internal/wal log and returns only after the record is
+// fsynced (group committed when DurOptions.GroupCommit); a backup logs the
+// record stream it applies as received. Periodically the store writes a
+// compacted snapshot — its whole state as a record stream, at a recorded
+// log position — and drops the covered log segments. See the package
+// comment's "Durability contract" section for the externally visible
+// guarantees.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"elasticrmi/internal/ermic"
 	"elasticrmi/internal/simclock"
@@ -32,14 +34,6 @@ type DurOptions struct {
 	// SegmentSize overrides the log segment size (default wal's).
 	SegmentSize int
 }
-
-// WAL record kinds.
-const (
-	durEntry    = 1 // key, version, deleted, value
-	durLock     = 2 // name, owner, expires, seq
-	durDrop     = 3 // hard-removed keys (rebalance cleanup)
-	durLockDrop = 4 // hard-removed lock names
-)
 
 type durability struct {
 	log   *wal.Log
@@ -95,9 +89,8 @@ func NewStoreDur(clock simclock.Clock, opts DurOptions) (*Store, error) {
 			return nil, fmt.Errorf("kvstore: recover %s: %w", opts.Dir, err)
 		}
 	}
-	now := s.clock.Now()
-	if err := log.Replay(snapLSN, func(_ uint64, rec []byte) error {
-		return s.applyRecord(rec, now)
+	if err := log.Replay(snapLSN, func(_ uint64, recs []byte) error {
+		return s.applyRecords(recs)
 	}); err != nil {
 		log.Close()
 		return nil, fmt.Errorf("kvstore: recover %s: %w", opts.Dir, err)
@@ -130,34 +123,41 @@ func (s *Store) Crash() error {
 	return d.log.Crash()
 }
 
-// durCommit appends the non-nil records and blocks until they are durable,
-// then triggers a snapshot if enough mutations accumulated. A closed log
-// (concurrent Crash/Close) is tolerated — the caller is past its ack point
-// or will never ack; any other log failure is fatal, because returning
-// would silently break the ack-implies-durable contract.
-func (s *Store) durCommit(recs ...[]byte) {
+// durCommit logs a stream of n records and blocks until it is durable,
+// then triggers a snapshot if enough mutations accumulated. A stream
+// longer than one log record takes several, cut between records. A closed
+// log (concurrent Crash/Close) is tolerated — the caller is past its ack
+// point or will never ack; any other log failure is fatal, because
+// returning would silently break the ack-implies-durable contract.
+func (s *Store) durCommit(recs []byte, n int) {
 	d := s.dur
-	if d == nil {
+	if d == nil || n == 0 {
 		return
 	}
 	var last uint64
-	n := 0
-	for _, rec := range recs {
-		if rec == nil {
-			continue
+	for len(recs) > 0 {
+		cut := len(recs)
+		if cut > wal.MaxRecord {
+			// The longest run of whole records that fits, but at least
+			// one record (an oversized one fails its append).
+			cut = 0
+			for {
+				_, rest, _ := consumeRecord(recs[cut:])
+				next := len(recs) - len(rest)
+				if next > wal.MaxRecord && cut > 0 {
+					break
+				}
+				cut = next
+			}
 		}
-		lsn, err := d.log.Append(rec)
+		lsn, err := d.log.Append(recs[:cut])
 		if err != nil {
 			if errors.Is(err, wal.ErrClosed) {
 				return
 			}
 			panic(fmt.Sprintf("kvstore: wal append: %v", err))
 		}
-		last = lsn
-		n++
-	}
-	if n == 0 {
-		return
+		last, recs = lsn, recs[cut:]
 	}
 	if err := d.log.Commit(last); err != nil {
 		if errors.Is(err, wal.ErrClosed) {
@@ -219,7 +219,10 @@ func (s *Store) snapshotNow() error {
 	defer d.snapMu.Unlock()
 	lsn := d.log.LSN()
 	s.CompactTombstones()
-	img := s.encodeImage()
+	s.mu.Lock()
+	lockSeq := s.lockSeq
+	s.mu.Unlock()
+	img := s.appendExport(ermic.AppendUvarint([]byte(imageTag), lockSeq))
 	if err := wal.SaveSnapshot(d.dir, lsn, img); err != nil {
 		return err
 	}
@@ -230,212 +233,29 @@ func (s *Store) snapshotNow() error {
 	return nil
 }
 
-// --- record and image encoding (internal/ermic primitives) ---
-
-// entryRecLocked encodes one data entry's post-state; nil when the store
-// is not durable. Caller holds s.mu.
-func (s *Store) entryRecLocked(key string, e entry) []byte {
-	if s.dur == nil {
-		return nil
-	}
-	b := make([]byte, 0, 2+len(key)+len(e.value)+12)
-	b = ermic.AppendUvarint(b, durEntry)
-	b = ermic.AppendString(b, key)
-	b = ermic.AppendUvarint(b, e.version)
-	b = ermic.AppendBool(b, e.deleted)
-	b = ermic.AppendBytes(b, e.value)
-	return b
-}
-
-// lockRecLocked encodes one lock's post-state; nil when not durable.
-func (s *Store) lockRecLocked(name string, st lockState) []byte {
-	if s.dur == nil {
-		return nil
-	}
-	b := make([]byte, 0, 2+len(name)+len(st.owner)+20)
-	b = ermic.AppendUvarint(b, durLock)
-	b = ermic.AppendString(b, name)
-	b = ermic.AppendString(b, st.owner)
-	b = ermic.AppendTime(b, st.expires)
-	b = ermic.AppendUvarint(b, st.seq)
-	return b
-}
-
-// dropRecLocked encodes a hard-removal (kind durDrop or durLockDrop).
-func (s *Store) dropRecLocked(kind uint64, names []string) []byte {
-	if s.dur == nil || len(names) == 0 {
-		return nil
-	}
-	size := 4
-	for _, n := range names {
-		size += len(n) + 2
-	}
-	b := make([]byte, 0, size)
-	b = ermic.AppendUvarint(b, kind)
-	b = ermic.AppendUvarint(b, uint64(len(names)))
-	for _, n := range names {
-		b = ermic.AppendString(b, n)
-	}
-	return b
-}
-
-// applyRecord replays one log record through the same gates as
-// replication. now stamps recovered tombstones, restarting their GC
-// horizon at recovery time (conservative: never earlier than original).
-func (s *Store) applyRecord(rec []byte, now time.Time) error {
-	kind, rec, err := ermic.ConsumeUvarint(rec)
-	if err != nil {
-		return fmt.Errorf("kvstore: wal record: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch kind {
-	case durEntry:
-		key, rec, err := ermic.ConsumeString(rec)
-		if err != nil {
-			return fmt.Errorf("kvstore: wal entry record: %w", err)
-		}
-		version, rec, err := ermic.ConsumeUvarint(rec)
-		if err != nil {
-			return fmt.Errorf("kvstore: wal entry record: %w", err)
-		}
-		deleted, rec, err := ermic.ConsumeBool(rec)
-		if err != nil {
-			return fmt.Errorf("kvstore: wal entry record: %w", err)
-		}
-		value, _, err := ermic.ConsumeBytesView(rec)
-		if err != nil {
-			return fmt.Errorf("kvstore: wal entry record: %w", err)
-		}
-		s.installEntryLocked(key, Versioned{Value: value, Version: version, Deleted: deleted}, now)
-	case durLock:
-		name, rec, err := ermic.ConsumeString(rec)
-		if err != nil {
-			return fmt.Errorf("kvstore: wal lock record: %w", err)
-		}
-		owner, rec, err := ermic.ConsumeString(rec)
-		if err != nil {
-			return fmt.Errorf("kvstore: wal lock record: %w", err)
-		}
-		expires, rec, err := ermic.ConsumeTime(rec)
-		if err != nil {
-			return fmt.Errorf("kvstore: wal lock record: %w", err)
-		}
-		seq, _, err := ermic.ConsumeUvarint(rec)
-		if err != nil {
-			return fmt.Errorf("kvstore: wal lock record: %w", err)
-		}
-		s.installLockLocked(name, LockInfo{Owner: owner, Expires: expires, Seq: seq}, now)
-	case durDrop, durLockDrop:
-		count, rec, err := ermic.ConsumeCount(rec)
-		if err != nil {
-			return fmt.Errorf("kvstore: wal drop record: %w", err)
-		}
-		for i := 0; i < count; i++ {
-			var name string
-			name, rec, err = ermic.ConsumeString(rec)
-			if err != nil {
-				return fmt.Errorf("kvstore: wal drop record: %w", err)
-			}
-			if kind == durDrop {
-				delete(s.data, name)
-			} else {
-				delete(s.locks, name)
-			}
-		}
-	default:
-		return fmt.Errorf("kvstore: wal record: unknown kind %d", kind)
-	}
-	return nil
-}
-
-// encodeImage serializes the full store state for a snapshot. Reads the
-// maps through the chunked exporters, so a large image never stalls the
-// write path.
-func (s *Store) encodeImage() []byte {
-	entries := s.Export(nil)
-	locks := s.ExportLocks(nil)
-	s.mu.Lock()
-	lockSeq := s.lockSeq
-	s.mu.Unlock()
-	b := make([]byte, 0, 1024)
-	b = ermic.AppendUvarint(b, lockSeq)
-	b = ermic.AppendUvarint(b, uint64(len(entries)))
-	for k, v := range entries {
-		b = ermic.AppendString(b, k)
-		b = ermic.AppendUvarint(b, v.Version)
-		b = ermic.AppendBool(b, v.Deleted)
-		b = ermic.AppendBytes(b, v.Value)
-	}
-	b = ermic.AppendUvarint(b, uint64(len(locks)))
-	for name, info := range locks {
-		b = ermic.AppendString(b, name)
-		b = ermic.AppendString(b, info.Owner)
-		b = ermic.AppendTime(b, info.Expires)
-		b = ermic.AppendUvarint(b, info.Seq)
-	}
-	return b
-}
+// imageTag opens a snapshot image: the layout is the tag, the store's
+// lock sequence counter, then a record stream of the whole state. The
+// layout before it opened with a canonical uvarint, which never ends in a
+// zero byte after a continuation byte, so no image in that layout starts
+// with this tag and recovery refuses one rather than misreading it.
+const imageTag = "\x80\x00rec"
 
 // installImage loads a snapshot image into an empty store (recovery,
 // before the log tail replays on top).
 func (s *Store) installImage(img []byte) error {
-	now := s.clock.Now()
+	body, ok := bytes.CutPrefix(img, []byte(imageTag))
+	if !ok {
+		return errors.New("snapshot image: not in the record layout (written by an older version?)")
+	}
+	lockSeq, body, err := ermic.ConsumeUvarint(body)
+	if err != nil {
+		return fmt.Errorf("snapshot image: %w", err)
+	}
+	if err := s.applyRecords(body); err != nil {
+		return fmt.Errorf("snapshot image: %w", err)
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	lockSeq, img, err := ermic.ConsumeUvarint(img)
-	if err != nil {
-		return fmt.Errorf("snapshot image: %w", err)
-	}
-	n, img, err := ermic.ConsumeCount(img)
-	if err != nil {
-		return fmt.Errorf("snapshot image: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		var key string
-		var version uint64
-		var deleted bool
-		var value []byte
-		key, img, err = ermic.ConsumeString(img)
-		if err == nil {
-			version, img, err = ermic.ConsumeUvarint(img)
-		}
-		if err == nil {
-			deleted, img, err = ermic.ConsumeBool(img)
-		}
-		if err == nil {
-			value, img, err = ermic.ConsumeBytesView(img)
-		}
-		if err != nil {
-			return fmt.Errorf("snapshot image entry: %w", err)
-		}
-		s.installEntryLocked(key, Versioned{Value: value, Version: version, Deleted: deleted}, now)
-	}
-	n, img, err = ermic.ConsumeCount(img)
-	if err != nil {
-		return fmt.Errorf("snapshot image: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		var name, owner string
-		var expires time.Time
-		var seq uint64
-		name, img, err = ermic.ConsumeString(img)
-		if err == nil {
-			owner, img, err = ermic.ConsumeString(img)
-		}
-		if err == nil {
-			expires, img, err = ermic.ConsumeTime(img)
-		}
-		if err == nil {
-			seq, img, err = ermic.ConsumeUvarint(img)
-		}
-		if err != nil {
-			return fmt.Errorf("snapshot image lock: %w", err)
-		}
-		s.installLockLocked(name, LockInfo{Owner: owner, Expires: expires, Seq: seq}, now)
-	}
-	if lockSeq > s.lockSeq {
-		s.lockSeq = lockSeq
-	}
+	s.lockSeq = max(s.lockSeq, lockSeq)
+	s.mu.Unlock()
 	return nil
 }

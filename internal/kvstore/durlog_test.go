@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"elasticrmi/internal/simclock"
+	"elasticrmi/internal/wal"
 )
 
 func mustStoreDur(t *testing.T, clock simclock.Clock, opts DurOptions) *Store {
@@ -24,17 +25,17 @@ func mustStoreDur(t *testing.T, clock simclock.Clock, opts DurOptions) *Store {
 func TestDurRecoveryPreservesData(t *testing.T) {
 	dir := t.TempDir()
 	s := mustStoreDur(t, nil, DurOptions{Dir: dir})
-	s.Put("a", []byte("one"))
-	s.Put("a", []byte("two")) // version 2
-	s.Put("b", []byte("x"))
-	s.Delete("b")
-	if _, _, err := s.CompareAndSwap("c", []byte("cas"), 0); err != nil {
+	s.Put("a", []byte("one"), nil)
+	s.Put("a", []byte("two"), nil) // version 2
+	s.Put("b", []byte("x"), nil)
+	s.Delete("b", nil)
+	if _, _, err := s.CompareAndSwap("c", []byte("cas"), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddInt64("n", 41); err != nil {
+	if _, err := s.AddInt64("n", 41, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddInt64("n", 1); err != nil {
+	if _, err := s.AddInt64("n", 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -53,12 +54,12 @@ func TestDurRecoveryPreservesData(t *testing.T) {
 	if got, _ := r.Get("c"); string(got.Value) != "cas" {
 		t.Fatalf(`recovered Get("c") = %+v`, got)
 	}
-	if v, _ := r.AddInt64("n", 0); v != 42 {
+	if v, _ := r.AddInt64("n", 0, nil); v != 42 {
 		t.Fatalf("recovered counter = %d, want 42", v)
 	}
 	// The deletion tombstone's version must survive too: a re-create
 	// continues above it.
-	if v, _, err := r.CompareAndSwap("b", []byte("re"), 0); err != nil || v != 3 {
+	if v, _, err := r.CompareAndSwap("b", []byte("re"), 0, nil); err != nil || v != 3 {
 		t.Fatalf("re-create over recovered tombstone: v=%d err=%v, want 3", v, err)
 	}
 }
@@ -68,13 +69,13 @@ func TestDurRecoveryPreservesLocks(t *testing.T) {
 	clock := simclock.NewSim(start)
 	dir := t.TempDir()
 	s := mustStoreDur(t, clock, DurOptions{Dir: dir})
-	if err := s.TryLock("held", "alice", 30*time.Second); err != nil {
+	if err := s.TryLock("held", "alice", 30*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.TryLock("released", "bob", 30*time.Second); err != nil {
+	if err := s.TryLock("released", "bob", 30*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Unlock("released", "bob"); err != nil {
+	if err := s.Unlock("released", "bob", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -89,18 +90,20 @@ func TestDurRecoveryPreservesLocks(t *testing.T) {
 	}
 	// Exact expiry preserved: 25s of lease remain, an intruder fails now
 	// and succeeds after the original expiry passes.
-	if err := r.TryLock("held", "mallory", time.Second); !errors.Is(err, ErrLockHeld) {
+	if err := r.TryLock("held", "mallory", time.Second, nil); !errors.Is(err, ErrLockHeld) {
 		t.Fatalf("intruder on recovered lease: %v, want ErrLockHeld", err)
 	}
-	info, ok := r.LockSnapshot("held")
-	if !ok || !info.Expires.Equal(start.Add(30*time.Second)) {
-		t.Fatalf("recovered expiry = %v, want %v", info.Expires, start.Add(30*time.Second))
+	r.mu.Lock()
+	info, ok := r.locks["held"]
+	r.mu.Unlock()
+	if !ok || !info.expires.Equal(start.Add(30*time.Second)) {
+		t.Fatalf("recovered expiry = %v, want %v", info.expires, start.Add(30*time.Second))
 	}
 	// A released lock must not come back held.
 	if _, held := r.LockOwner("released"); held {
 		t.Fatal("released lock resurrected as held")
 	}
-	if err := r.TryLock("released", "carol", time.Second); err != nil {
+	if err := r.TryLock("released", "carol", time.Second, nil); err != nil {
 		t.Fatalf("acquiring released lock after recovery: %v", err)
 	}
 }
@@ -109,7 +112,7 @@ func TestDurCrashKeepsAckedDropsBuffered(t *testing.T) {
 	dir := t.TempDir()
 	s := mustStoreDur(t, nil, DurOptions{Dir: dir, GroupCommit: true})
 	for i := 0; i < 100; i++ {
-		s.Put(fmt.Sprintf("k%03d", i), []byte("v"))
+		s.Put(fmt.Sprintf("k%03d", i), []byte("v"), nil)
 	}
 	// Every Put above returned, i.e. was acked: all must survive a crash.
 	if err := s.Crash(); err != nil {
@@ -128,7 +131,7 @@ func TestDurSnapshotCompactsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s := mustStoreDur(t, nil, DurOptions{Dir: dir, SnapshotEvery: 64})
 	for i := 0; i < 500; i++ {
-		s.Put(fmt.Sprintf("k%03d", i%50), []byte(fmt.Sprintf("v%d", i)))
+		s.Put(fmt.Sprintf("k%03d", i%50), []byte(fmt.Sprintf("v%d", i)), nil)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -155,7 +158,7 @@ func TestDurConcurrentGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				s.Put(fmt.Sprintf("w%d-%03d", w, i), []byte("v"))
+				s.Put(fmt.Sprintf("w%d-%03d", w, i), []byte("v"), nil)
 			}
 		}(w)
 	}
@@ -184,8 +187,8 @@ func TestTombstoneGCBoundsSteadyState(t *testing.T) {
 	const cycles = 20000
 	for i := 0; i < cycles; i++ {
 		key := fmt.Sprintf("churn-%05d", i)
-		s.Put(key, []byte("v"))
-		s.Delete(key)
+		s.Put(key, []byte("v"), nil)
+		s.Delete(key, nil)
 		clock.Advance(10 * time.Millisecond)
 	}
 	s.mu.Lock()
@@ -206,10 +209,10 @@ func TestLockTombstoneGC(t *testing.T) {
 	s.tombTTL = 10 * time.Second // shorter than defaultTombTTL, for tests only
 	for i := 0; i < 5000; i++ {
 		name := fmt.Sprintf("lock-%05d", i)
-		if err := s.TryLock(name, "w", time.Second); err != nil {
+		if err := s.TryLock(name, "w", time.Second, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Unlock(name, "w"); err != nil {
+		if err := s.Unlock(name, "w", nil); err != nil {
 			t.Fatal(err)
 		}
 		clock.Advance(10 * time.Millisecond)
@@ -229,10 +232,9 @@ func TestLockTombstoneGC(t *testing.T) {
 func TestImportLocksSkipsExpiredLeases(t *testing.T) {
 	clock := simclock.NewSim(time.Unix(1_000_000, 0))
 	dst := NewStore(clock)
-	dst.ImportLocks(map[string]LockInfo{
-		"stale": {Owner: "ghost", Expires: clock.Now().Add(-time.Minute), Seq: 7},
-		"live":  {Owner: "alice", Expires: clock.Now().Add(time.Minute), Seq: 9},
-	})
+	mustApply(t, dst, append(
+		lockRec("stale", lockState{owner: "ghost", expires: clock.Now().Add(-time.Minute), seq: 7}),
+		lockRec("live", lockState{owner: "alice", expires: clock.Now().Add(time.Minute), seq: 9})...))
 	if owner, held := dst.LockOwner("stale"); held {
 		t.Fatalf("expired lease imported as held by %q", owner)
 	}
@@ -244,9 +246,7 @@ func TestImportLocksSkipsExpiredLeases(t *testing.T) {
 	}
 	// The tombstone's sequence still gates: a staler replicated update
 	// must not win.
-	dst.ImportLocks(map[string]LockInfo{
-		"stale": {Owner: "older", Expires: clock.Now().Add(time.Hour), Seq: 5},
-	})
+	mustApply(t, dst, lockRec("stale", lockState{owner: "older", expires: clock.Now().Add(time.Hour), seq: 5}))
 	if _, held := dst.LockOwner("stale"); held {
 		t.Fatal("staler update won over the expired lease's tombstone")
 	}
@@ -261,14 +261,14 @@ func TestImportLocksSkipsExpiredLeases(t *testing.T) {
 func TestExportDoesNotStallWrites(t *testing.T) {
 	s := NewStore(nil)
 	for i := 0; i < 4*exportChunkSize; i++ {
-		s.Put(fmt.Sprintf("bulk-%05d", i), []byte("v"))
+		s.Put(fmt.Sprintf("bulk-%05d", i), []byte("v"), nil)
 	}
 	pauses := 0
 	done := make(chan struct{})
 	exportPause = func() {
 		if pauses == 0 {
 			go func() {
-				s.Put("mid-export", []byte("v"))
+				s.Put("mid-export", []byte("v"), nil)
 				close(done)
 			}()
 			select {
@@ -280,7 +280,7 @@ func TestExportDoesNotStallWrites(t *testing.T) {
 		pauses++
 	}
 	defer func() { exportPause = nil }()
-	out := s.Export(nil)
+	out := exported(t, s)
 	if pauses == 0 {
 		t.Fatal("export took no chunk pauses; chunking regressed")
 	}
@@ -294,11 +294,12 @@ func TestExportDoesNotStallWrites(t *testing.T) {
 	}
 }
 
-// TestExportLocksDoesNotStallWrites is the lock-table counterpart.
+// TestExportLocksDoesNotStallWrites is the lock-table counterpart: the
+// export's chunks span the lock table too.
 func TestExportLocksDoesNotStallWrites(t *testing.T) {
 	s := NewStore(nil)
 	for i := 0; i < 2*exportChunkSize; i++ {
-		if err := s.TryLock(fmt.Sprintf("bulk-%05d", i), "w", time.Minute); err != nil {
+		if err := s.TryLock(fmt.Sprintf("bulk-%05d", i), "w", time.Minute, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +309,7 @@ func TestExportLocksDoesNotStallWrites(t *testing.T) {
 		if !fired {
 			fired = true
 			go func() {
-				if err := s.TryLock("mid-export", "w", time.Minute); err != nil {
+				if err := s.TryLock("mid-export", "w", time.Minute, nil); err != nil {
 					t.Errorf("TryLock mid-export: %v", err)
 				}
 				close(done)
@@ -321,7 +322,7 @@ func TestExportLocksDoesNotStallWrites(t *testing.T) {
 		}
 	}
 	defer func() { exportPause = nil }()
-	out := s.ExportLocks(nil)
+	out := exported(t, s)
 	if !fired {
 		t.Fatal("lock export took no chunk pauses; chunking regressed")
 	}
@@ -392,8 +393,8 @@ func TestSnapshotStatsSurfacesBackgroundFailure(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	s.Put("a", []byte("1"))
-	s.Put("b", []byte("2")) // crosses SnapshotEvery: background snapshot fires
+	s.Put("a", []byte("1"), nil)
+	s.Put("b", []byte("2"), nil) // crosses SnapshotEvery: background snapshot fires
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if fails, last := s.SnapshotStats(); fails >= 1 && last != nil {
@@ -412,8 +413,8 @@ func TestSnapshotStatsSurfacesBackgroundFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		s.Put("c", []byte("3"))
-		s.Put("d", []byte("4"))
+		s.Put("c", []byte("3"), nil)
+		s.Put("d", []byte("4"), nil)
 		if fails, last := s.SnapshotStats(); last == nil && fails >= 1 {
 			break
 		}
@@ -427,5 +428,29 @@ func TestSnapshotStatsSurfacesBackgroundFailure(t *testing.T) {
 	// recreate files under the TempDir while the harness removes it.
 	for s.dur.snapping.Load() {
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDurLogsLongStreamInPieces: a stream applied on a durable store that
+// is longer than one log record is logged in pieces cut between records,
+// and recovers whole.
+func TestDurLogsLongStreamInPieces(t *testing.T) {
+	dir := t.TempDir()
+	s := mustStoreDur(t, nil, DurOptions{Dir: dir})
+	big := make([]byte, wal.MaxRecord/2+1)
+	var recs []byte
+	for i := range 3 {
+		recs = appendEntryRec(recs, fmt.Sprint("big", i), entry{value: big, version: 1})
+	}
+	mustApply(t, s, recs)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustStoreDur(t, nil, DurOptions{Dir: dir})
+	defer r.Close()
+	for i := range 3 {
+		if v, err := r.Get(fmt.Sprint("big", i)); err != nil || len(v.Value) != len(big) {
+			t.Fatalf("big%d after recovery: %d bytes, %v", i, len(v.Value), err)
+		}
 	}
 }

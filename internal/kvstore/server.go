@@ -3,7 +3,6 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -65,34 +64,18 @@ type (
 	unlockReply struct{}
 )
 
-// Bulk migration/replication messages. replReq rides every replicated
-// write (R >= 2); LockInfo's absolute expiries travel as ermic times.
-// Entries' values decode as views into the frame, and Store.Import copies
-// them before the handler returns.
+// State-transfer messages. Both carry a record stream (record.go): Export
+// returns a node's whole state for migration, and Replicate delivers a
+// primary's forward of one write, or a rebalance's import or cleanup.
+// Recs decodes as a view into the frame; applyRecords copies what it
+// keeps.
 //
 //ermi:codec
 type (
-	exportReq   struct{ Prefix string }
-	exportReply struct{ Entries map[string]Versioned }
-	importReq   struct{ Entries map[string]Versioned }
-	importReply struct{}
-	// exportLocksReq/importLocksReq migrate the lock table alongside the
-	// data; replReq carries primary→backup write deltas and rebalance
-	// cleanup directives.
-	exportLocksReq   struct{ Prefix string }
-	exportLocksReply struct{ Locks map[string]LockInfo }
-	importLocksReq   struct{ Locks map[string]LockInfo }
-	importLocksReply struct{}
-	replReq          struct {
-		Entries map[string]Versioned // write deltas: live values and deletion tombstones
-		Locks   map[string]LockInfo
-		// Dels/LockDrops hard-remove state (history included) from a node
-		// leaving a shard's replica set — rebalance cleanup only, never a
-		// client-visible delete (those travel as tombstoned Entries).
-		Dels      []string
-		LockDrops []string
-	}
-	replReply struct{}
+	exportReq   struct{}
+	exportReply struct{ Recs []byte }
+	replReq     struct{ Recs []byte }
+	replReply   struct{}
 )
 
 // lockRouteKey is the routing key of a named lock: locks shard (and
@@ -145,34 +128,18 @@ func unwireError(err error) error {
 // conflict semantically — a collision just serializes two unrelated keys).
 const replStripes = 64
 
-// replStripe is one ordering stripe. scratch is the request its writes
+// replStripe is one ordering stripe. req is the request its writes
 // forward to the backups: the stripe mutex already serializes those
-// writes, so one request, maps included, serves every forward under it.
+// writes, so one request, and the record buffer in it, serves every
+// forward under it.
 type replStripe struct {
 	sync.Mutex
-	scratch replReq
+	req replReq
 }
 
-// replKeep bounds the entries a recycled replReq map may have held and
-// still be kept: a rebalance batch must not pin its map in a pool.
-const replKeep = 64
-
-// reset readies a recycled replReq for its next use: the maps are cleared
-// but kept (the codec refills a non-nil map), dropping the views they held
-// into the last frame, unless a bulk batch grew them past replKeep.
-func (r *replReq) reset() {
-	r.Entries = clearOrDrop(r.Entries)
-	r.Locks = clearOrDrop(r.Locks)
-	r.Dels, r.LockDrops = nil, nil
-}
-
-func clearOrDrop[M ~map[K]V, K comparable, V any](m M) M {
-	if len(m) > replKeep {
-		return nil
-	}
-	clear(m)
-	return m
-}
+// stripeKeep bounds the record buffer a stripe keeps between writes: one
+// large value must not pin its copy in every stripe it touched.
+const stripeKeep = 16 << 10
 
 // replicateTimeout bounds one primary→backup forward. It is deliberately
 // much shorter than the client call timeout: a hung backup costs writers
@@ -423,9 +390,10 @@ func (s *Server) isPrimary(routeKey string) bool {
 	return idx >= 0 && idx < len(s.members) && s.members[idx].Addr == s.Addr()
 }
 
-// stripeFor locks the ordering stripe of routeKey and returns it for the
-// caller to unlock. The stripe is the key's 32-bit FNV-1a hash modulo
-// replStripes, computed inline so a write allocates no hash state.
+// stripeFor locks the ordering stripe of routeKey, empties its record
+// buffer, and returns it for the caller to release. The stripe is the key's
+// 32-bit FNV-1a hash modulo replStripes, computed inline so a write
+// allocates no hash state.
 func (s *Server) stripeFor(routeKey string) *replStripe {
 	h := uint32(2166136261)
 	for i := 0; i < len(routeKey); i++ {
@@ -434,41 +402,31 @@ func (s *Server) stripeFor(routeKey string) *replStripe {
 	}
 	m := &s.stripes[h%replStripes]
 	m.Lock()
+	m.req.Recs = m.req.Recs[:0]
 	return m
 }
 
-// forwardEntry replicates the state a write left at key (a value or a
-// tombstone) through the stripe's scratch request. The caller holds st.
-func (s *Server) forwardEntry(st *replStripe, key string, v Versioned) {
-	r := &st.scratch
-	if r.Entries == nil {
-		r.Entries = make(map[string]Versioned, 1)
+// release unlocks the stripe, first dropping a record buffer that a large
+// write grew past stripeKeep.
+func (m *replStripe) release() {
+	if cap(m.req.Recs) > stripeKeep {
+		m.req.Recs = nil
 	}
-	//ermi:ignore codecstrict the scratch map holds v only for the forward's encode, and is cleared before the stripe is released
-	r.Entries[key] = v
-	s.forward(key, r)
-	clear(r.Entries)
+	m.Unlock()
 }
 
-// forwardLock replicates the lock state a lock transition left, like
-// forwardEntry.
-func (s *Server) forwardLock(st *replStripe, name string, info LockInfo) {
-	r := &st.scratch
-	if r.Locks == nil {
-		r.Locks = make(map[string]LockInfo, 1)
-	}
-	r.Locks[name] = info
-	s.forward(lockRouteKey(name), r)
-	clear(r.Locks)
-}
-
-// forward synchronously replicates one write's resulting state to the
-// backups of routeKey. It is called with routeKey's stripe held, so a
-// backup observes this key's deltas in apply order. A backup that fails a
-// forward is marked suspect and skipped until the next view install — the
-// write is still acknowledged (availability over strict R; the router's
-// next repair restores the replica).
+// forward synchronously replicates the record a write left in its
+// stripe's request to the backups of routeKey; a write that failed, or
+// changed nothing, left none, and forwards nothing. It is called with
+// routeKey's stripe held, so a backup observes this key's records in
+// apply order. A backup that fails a forward is marked suspect and skipped
+// until the next view install — the write is still acknowledged
+// (availability over strict R; the router's next repair restores the
+// replica).
 func (s *Server) forward(routeKey string, r *replReq) {
+	if len(r.Recs) == 0 {
+		return
+	}
 	s.viewMu.Lock()
 	ring, rf := s.ring, s.rf
 	if ring == nil || rf <= 1 {
@@ -535,8 +493,8 @@ type method struct {
 // code, encode the reply. Each method recycles its request/reply pairs
 // through a pool of its own, zeroing a pair before reuse: request values
 // decode as views into the frame, and nothing may keep them past the
-// handler — the store copies what it keeps (Put, CompareAndSwap, Import).
-// A request type with a reset method (replReq) keeps what reset leaves.
+// handler — the store copies what it keeps (Put, CompareAndSwap,
+// applyRecords).
 func rpc[Q any, PQ interface {
 	*Q
 	transport.Unmarshaler
@@ -548,14 +506,7 @@ func rpc[Q any, PQ interface {
 	return func(s *Server, req *transport.Request) ([]byte, error) {
 		p := pairs.Get().(*pair[Q, R])
 		defer func() {
-			if r, ok := any(PQ(&p.req)).(interface{ reset() }); ok {
-				r.reset()
-			} else {
-				var zero Q
-				p.req = zero
-			}
-			var zero R
-			p.rep = zero
+			*p = pair[Q, R]{}
 			pairs.Put(p)
 		}()
 		if err := transport.Decode(req.Payload, PQ(&p.req)); err != nil {
@@ -583,58 +534,48 @@ var methods = map[string]method{
 	})},
 	"Put": {serve: rpc(func(s *Server, _ *transport.Request, r *putReq, rep *putReply) error {
 		st := s.stripeFor(r.Key)
-		ver := s.store.Put(r.Key, r.Val)
+		rep.Version = s.store.Put(r.Key, r.Val, &st.req.Recs)
 		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-		s.forwardEntry(st, r.Key, Versioned{Value: r.Val, Version: ver})
-		st.Unlock()
+		s.forward(r.Key, &st.req)
+		st.release()
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		rep.Version = ver
 		return nil
 	})},
 	"Delete": {serve: rpc(func(s *Server, _ *transport.Request, r *delReq, _ *delReply) error {
 		st := s.stripeFor(r.Key)
-		if tomb, ok := s.store.DeleteV(r.Key); ok {
-			//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-			s.forwardEntry(st, r.Key, tomb)
-		}
-		st.Unlock()
+		s.store.Delete(r.Key, &st.req.Recs)
+		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
+		s.forward(r.Key, &st.req)
+		st.release()
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
 		return nil
 	})},
-	"CAS": {serve: rpc(func(s *Server, _ *transport.Request, r *casReq, rep *casReply) error {
+	"CAS": {serve: rpc(func(s *Server, _ *transport.Request, r *casReq, rep *casReply) (err error) {
 		st := s.stripeFor(r.Key)
-		ver, _, err := s.store.CompareAndSwap(r.Key, r.Val, r.ExpectVersion)
-		if err == nil {
-			//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-			s.forwardEntry(st, r.Key, Versioned{Value: r.Val, Version: ver})
-		}
-		st.Unlock()
+		rep.Version, _, err = s.store.CompareAndSwap(r.Key, r.Val, r.ExpectVersion, &st.req.Recs)
+		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
+		s.forward(r.Key, &st.req)
+		st.release()
 		if err != nil {
 			return err
 		}
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		rep.Version = ver
 		return nil
 	})},
-	"Add": {serve: rpc(func(s *Server, _ *transport.Request, r *addReq, rep *addReply) error {
+	"Add": {serve: rpc(func(s *Server, _ *transport.Request, r *addReq, rep *addReply) (err error) {
 		st := s.stripeFor(r.Key)
-		v, err := s.store.AddInt64(r.Key, r.Delta)
-		if err == nil {
-			if cur, gerr := s.store.view(r.Key); gerr == nil {
-				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-				s.forwardEntry(st, r.Key, cur)
-			}
-		}
-		st.Unlock()
+		rep.Value, err = s.store.AddInt64(r.Key, r.Delta, &st.req.Recs)
+		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
+		s.forward(r.Key, &st.req)
+		st.release()
 		if err != nil {
 			return err
 		}
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
-		rep.Value = v
 		return nil
 	})},
 	"Keys": {serve: rpc(func(s *Server, _ *transport.Request, r *keysReq, rep *keysReply) error {
@@ -642,15 +583,12 @@ var methods = map[string]method{
 		return nil
 	})},
 	"TryLock": {serve: rpc(func(s *Server, _ *transport.Request, r *lockReq, _ *lockReply) error {
-		st := s.stripeFor(lockRouteKey(r.Name))
-		err := s.store.TryLock(r.Name, r.Owner, r.Lease)
-		if err == nil {
-			if snap, ok := s.store.LockSnapshot(r.Name); ok {
-				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-				s.forwardLock(st, r.Name, snap)
-			}
-		}
-		st.Unlock()
+		routeKey := lockRouteKey(r.Name)
+		st := s.stripeFor(routeKey)
+		err := s.store.TryLock(r.Name, r.Owner, r.Lease, &st.req.Recs)
+		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
+		s.forward(routeKey, &st.req)
+		st.release()
 		if err != nil {
 			return err
 		}
@@ -659,15 +597,12 @@ var methods = map[string]method{
 		return nil
 	})},
 	"Unlock": {serve: rpc(func(s *Server, _ *transport.Request, r *unlockReq, _ *unlockReply) error {
-		st := s.stripeFor(lockRouteKey(r.Name))
-		err := s.store.Unlock(r.Name, r.Owner)
-		if err == nil {
-			if snap, ok := s.store.LockSnapshot(r.Name); ok {
-				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-				s.forwardLock(st, r.Name, snap)
-			}
-		}
-		st.Unlock()
+		routeKey := lockRouteKey(r.Name)
+		st := s.stripeFor(routeKey)
+		err := s.store.Unlock(r.Name, r.Owner, &st.req.Recs)
+		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
+		s.forward(routeKey, &st.req)
+		st.release()
 		if err != nil {
 			return err
 		}
@@ -733,32 +668,16 @@ var methods = map[string]method{
 		s.sessions.close(r.ID)
 		return nil
 	})},
-	// Migration and replication installs are applied directly, never
-	// re-forwarded: membership changes run under the cluster's write gate
-	// and the router writes every replica itself, and a Replicate is
-	// already the primary's forward.
-	"Export": {serve: rpc(func(s *Server, _ *transport.Request, r *exportReq, rep *exportReply) error {
-		rep.Entries = s.store.Export(func(k string) bool { return strings.HasPrefix(k, r.Prefix) })
-		return nil
-	})},
-	"Import": {serve: rpc(func(s *Server, _ *transport.Request, r *importReq, _ *importReply) error {
-		s.store.Import(r.Entries)
-		return nil
-	})},
-	"ExportLocks": {serve: rpc(func(s *Server, _ *transport.Request, r *exportLocksReq, rep *exportLocksReply) error {
-		rep.Locks = s.store.ExportLocks(func(k string) bool { return strings.HasPrefix(k, r.Prefix) })
-		return nil
-	})},
-	"ImportLocks": {serve: rpc(func(s *Server, _ *transport.Request, r *importLocksReq, _ *importLocksReply) error {
-		s.store.ImportLocks(r.Locks)
+	// State transfers are applied directly, never re-forwarded: membership
+	// changes run under the cluster's write gate and the router writes
+	// every replica itself, and a Replicate is already the primary's
+	// forward.
+	"Export": {serve: rpc(func(s *Server, _ *transport.Request, _ *exportReq, rep *exportReply) error {
+		rep.Recs = s.store.appendExport(nil)
 		return nil
 	})},
 	"Replicate": {serve: rpc(func(s *Server, _ *transport.Request, r *replReq, _ *replReply) error {
-		s.store.Import(r.Entries)
-		s.store.Drop(r.Dels)
-		s.store.ImportLocks(r.Locks)
-		s.store.DropLocks(r.LockDrops)
-		return nil
+		return s.store.applyRecords(r.Recs)
 	})},
 }
 

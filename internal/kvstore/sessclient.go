@@ -465,7 +465,7 @@ func (s *Session) Get(key string) (Versioned, error) {
 // the caller's borrowed one. It returns the cached copy of the value and,
 // when an entry was evicted to make room, that entry's key and lease grant.
 func (s *Session) installLocked(key string, v Versioned, gen uint64) (val Versioned, evictedKey string, evictedGen uint64, evicted bool) {
-	val = Versioned{Value: append([]byte(nil), v.Value...), Version: v.Version, Deleted: v.Deleted}
+	val = Versioned{Value: append([]byte(nil), v.Value...), Version: v.Version}
 	if e, ok := s.entries[key]; ok {
 		e.val, e.gen = val, max(e.gen, gen)
 		e.unlink()

@@ -23,8 +23,15 @@
 // afterwards — a second acquirer keeps getting ErrLockHeld until the lease
 // expires or the owner unlocks.
 //
+// State moves in one format, the state record (record.go): a key's value,
+// version and tombstone flag, or a lock's owner, absolute expiry and
+// sequence, plus hard removals for rebalance cleanup. A write's record is
+// what the primary logs and forwards; a migration is a stream of them; a
+// snapshot image is one; and every receiver applies them through one path
+// with the same version and sequence gates.
+//
 // Departures come in two flavors. Planned (Cluster.RemoveNode): the
-// departing node's shards are handed off — exported with versions and
+// departing node's shards are handed off — its records, versions and
 // unexpired lock leases intact — before the node leaves the ring, so
 // nothing is lost even at R=1. Unplanned (crash): the router classifies the
 // failed operation, drops the dead node from the ring, promotes the next
@@ -109,15 +116,17 @@
 // each still returns only after ITS record is durable, but a batch of N
 // concurrent writers pays ~1 fsync rather than N.
 //
+// A backup logs the record stream it applies the same way, as received.
+//
 // Every DurOptions.SnapshotEvery mutations the store writes a compacted
-// snapshot — the Export/ExportLocks image captured at a recorded log
-// position, atomically renamed into place — and drops the log segments the
-// snapshot covers. Snapshotting never blocks the write path: the image is
-// read in chunks (see Export), and mutations admitted while the image is
-// being read are harmless to recovery because replay is version/sequence
-// gated (Import semantics) — re-applying a logged mutation an image
-// already contains converges to the same state. Snapshot compaction is
-// also where tombstone GC runs (see defaultTombTTL).
+// snapshot — its whole state as a record stream, captured at a recorded
+// log position and atomically renamed into place — and drops the log
+// segments the snapshot covers. Snapshotting never blocks the write path:
+// the image is read in chunks (see appendExport), and mutations admitted
+// while the image is being read are harmless to recovery because replay is
+// version/sequence gated — re-applying a logged mutation an image already
+// contains converges to the same state. Snapshot compaction is also where
+// tombstone GC runs (see defaultTombTTL).
 //
 // Recovery (NewStoreDur on a non-empty directory) loads the newest intact
 // snapshot, replays the log tail past it, and only then exposes the store:
@@ -125,11 +134,13 @@
 // original version/owner/expiry; released or expired leases come back only
 // as invisible tombstones; a torn or corrupt log tail is truncated at the
 // last intact record (those records were never acked — Commit had not
-// returned). Recovery is per node and composes with replication: a cluster
-// restart (Cluster.NewDurable over existing node directories) first
-// recovers each node from its own disk, then runs the normal rebalance
-// merge, so per-key max-version / per-lock max-seq wins across replicas
-// exactly as it does after a failover.
+// returned); a snapshot image in the layout that preceded the record
+// stream is refused with an error rather than misread. Recovery is per
+// node and composes with replication: a cluster restart
+// (Cluster.NewDurable over existing node directories) first recovers each
+// node from its own disk, then runs the normal rebalance merge, so per-key
+// max-version / per-lock max-seq wins across replicas exactly as it does
+// after a failover.
 package kvstore
 
 import (
@@ -157,13 +168,9 @@ var (
 	ErrNotLockOwner = errors.New("kvstore: not lock owner")
 )
 
-// Versioned is a value with its monotonically increasing version. Deleted
-// marks a deletion tombstone: readers see the key as missing, but the
-// tombstone's version keeps replicated and migrated states ordered — a
-// stale live copy on a node that missed the delete can never outrank the
-// deletion in a rebalance merge and resurrect the key. Versions are
-// monotonic across a key's whole history, deletions included (a re-created
-// key continues above its tombstone).
+// Versioned is a value with its version. Versions are monotonic across a
+// key's whole history, deletions included (a re-created key continues
+// above its tombstone).
 //
 // The //ermi:codec mark gives it a generated binary codec (nested in the
 // hot wire messages); Value decodes as a zero-copy view into the frame.
@@ -172,23 +179,12 @@ var (
 type Versioned struct {
 	Value   []byte
 	Version uint64
-	Deleted bool
 }
 
-// LockInfo is the exportable state of one named lock: the holder, the
-// absolute lease expiry, and a store-local monotonic mutation sequence.
-// The sequence orders replicated lock updates (a backup installs an update
-// only if it is newer than what it already holds), so a delayed
-// re-delivery can never resurrect a released or superseded lease. An empty
-// Owner is a release tombstone.
-//
-//ermi:codec
-type LockInfo struct {
-	Owner   string
-	Expires time.Time
-	Seq     uint64
-}
-
+// entry is one key's state. A deleted entry is a tombstone: readers see
+// the key as missing, but its version keeps replicated and migrated states
+// ordered — a stale live copy on a node that missed the delete can never
+// outrank the deletion in a rebalance merge and resurrect the key.
 type entry struct {
 	value   []byte // never written in place: every write installs a fresh slice
 	version uint64
@@ -196,6 +192,11 @@ type entry struct {
 	tombAt  time.Time // when the tombstone was installed here (GC horizon)
 }
 
+// lockState is one named lock: the holder, the absolute lease expiry, and
+// a store-local monotonic mutation sequence. The sequence orders
+// replicated lock updates (a backup installs an update only if it is newer
+// than what it already holds), so a delayed re-delivery can never
+// resurrect a released or superseded lease.
 type lockState struct {
 	owner   string // "" = released tombstone (kept for its seq)
 	expires time.Time
@@ -306,9 +307,23 @@ func (s *Store) view(key string) (Versioned, error) {
 	return Versioned{Value: e.value, Version: e.version}, nil
 }
 
-// Put stores value at key and returns the new version. On a durable store
-// it returns only after the write's log record is fsynced.
-func (s *Store) Put(key string, value []byte) uint64 {
+// The mutations below store the write's post-state record in *rec, in
+// its storage, for the caller to forward; a nil rec is for a caller that
+// ships nothing. A mutation that fails, or changes nothing, leaves *rec
+// alone. On a durable store a mutation returns only after its record is
+// fsynced.
+
+// scratch is rec, or storage of its own for a caller that passed none.
+func scratch(rec *[]byte) *[]byte {
+	if rec == nil {
+		return new([]byte)
+	}
+	return rec
+}
+
+// Put stores value at key and returns the new version.
+func (s *Store) Put(key string, value []byte, rec *[]byte) uint64 {
+	rec = scratch(rec)
 	s.mu.Lock()
 	e := s.data[key]
 	e.version++
@@ -317,58 +332,40 @@ func (s *Store) Put(key string, value []byte) uint64 {
 	e.value = make([]byte, len(value))
 	copy(e.value, value)
 	s.data[key] = e
-	rec := s.entryRecLocked(key, e)
+	*rec = appendEntryRec((*rec)[:0], key, e)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
+	s.durCommit(*rec, 1)
 	return e.version
 }
 
 // Delete removes key, leaving a version-stamped tombstone so replicas and
 // rebalance merges order the deletion against stale live copies (see
-// Versioned.Deleted). Deleting a missing key is a no-op.
-func (s *Store) Delete(key string) {
-	s.DeleteV(key)
-}
-
-// DeleteV is Delete returning the resulting tombstone (for replication);
-// ok is false when the key did not exist.
-func (s *Store) DeleteV(key string) (Versioned, bool) {
+// entry). Deleting a missing key is a no-op.
+func (s *Store) Delete(key string, rec *[]byte) {
+	rec = scratch(rec)
 	s.mu.Lock()
 	e, ok := s.data[key]
 	if !ok || e.deleted {
 		s.mu.Unlock()
-		return Versioned{}, false
+		return
 	}
 	e.version++
 	e.deleted = true
 	e.value = nil
 	e.tombAt = s.clock.Now()
 	s.data[key] = e
-	rec := s.entryRecLocked(key, e)
+	*rec = appendEntryRec((*rec)[:0], key, e)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
-	return Versioned{Version: e.version, Deleted: true}, true
-}
-
-// Drop hard-removes keys — values, tombstones and version history. Used by
-// rebalance cleanup on nodes leaving a key's replica set, so no stale copy
-// survives to resurface in a later membership change.
-func (s *Store) Drop(keys []string) {
-	s.mu.Lock()
-	for _, k := range keys {
-		delete(s.data, k)
-	}
-	rec := s.dropRecLocked(durDrop, keys)
-	s.mu.Unlock()
-	s.durCommit(rec)
+	s.durCommit(*rec, 1)
 }
 
 // CompareAndSwap stores value at key iff the current version equals
 // expectVersion (0 means "key must not exist"). On success it returns the
 // new version; on conflict it returns ErrCASMismatch and the current value.
-func (s *Store) CompareAndSwap(key string, value []byte, expectVersion uint64) (uint64, Versioned, error) {
+func (s *Store) CompareAndSwap(key string, value []byte, expectVersion uint64, rec *[]byte) (uint64, Versioned, error) {
+	rec = scratch(rec)
 	s.mu.Lock()
 	e, exists := s.data[key]
 	cur := uint64(0)
@@ -390,17 +387,18 @@ func (s *Store) CompareAndSwap(key string, value []byte, expectVersion uint64) (
 	e.value = make([]byte, len(value))
 	copy(e.value, value)
 	s.data[key] = e
-	rec := s.entryRecLocked(key, e)
+	*rec = appendEntryRec((*rec)[:0], key, e)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
+	s.durCommit(*rec, 1)
 	return e.version, Versioned{}, nil
 }
 
 // AddInt64 atomically adds delta to the integer stored at key (missing keys
 // count as 0) and returns the new value. The value is stored in decimal form
 // so it remains readable through Get.
-func (s *Store) AddInt64(key string, delta int64) (int64, error) {
+func (s *Store) AddInt64(key string, delta int64, rec *[]byte) (int64, error) {
+	rec = scratch(rec)
 	s.mu.Lock()
 	e := s.data[key]
 	var cur int64
@@ -418,10 +416,10 @@ func (s *Store) AddInt64(key string, delta int64) (int64, error) {
 	e.tombAt = time.Time{}
 	e.value = []byte(strconv.FormatInt(cur, 10))
 	s.data[key] = e
-	rec := s.entryRecLocked(key, e)
+	*rec = appendEntryRec((*rec)[:0], key, e)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
+	s.durCommit(*rec, 1)
 	return cur, nil
 }
 
@@ -455,10 +453,11 @@ func (s *Store) Len() int {
 // TryLock attempts to acquire the named lock for owner with the given lease.
 // Expired leases are broken. Re-acquiring a held lock by the same owner
 // renews the lease.
-func (s *Store) TryLock(name, owner string, lease time.Duration) error {
+func (s *Store) TryLock(name, owner string, lease time.Duration, rec *[]byte) error {
 	if lease <= 0 {
 		lease = 30 * time.Second
 	}
+	rec = scratch(rec)
 	now := s.clock.Now()
 	s.mu.Lock()
 	st, held := s.locks[name]
@@ -469,17 +468,18 @@ func (s *Store) TryLock(name, owner string, lease time.Duration) error {
 	s.lockSeq++
 	st = lockState{owner: owner, expires: now.Add(lease), seq: s.lockSeq, stamp: now}
 	s.locks[name] = st
-	rec := s.lockRecLocked(name, st)
+	*rec = appendLockRec((*rec)[:0], name, st)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
+	s.durCommit(*rec, 1)
 	return nil
 }
 
 // Unlock releases the named lock held by owner. The release leaves a
 // sequence-stamped tombstone so replicas can order it against in-flight
 // lease updates.
-func (s *Store) Unlock(name, owner string) error {
+func (s *Store) Unlock(name, owner string, rec *[]byte) error {
+	rec = scratch(rec)
 	s.mu.Lock()
 	st, held := s.locks[name]
 	if !held || st.owner != owner {
@@ -489,10 +489,10 @@ func (s *Store) Unlock(name, owner string) error {
 	s.lockSeq++
 	st = lockState{owner: "", expires: time.Time{}, seq: s.lockSeq, stamp: s.clock.Now()}
 	s.locks[name] = st
-	rec := s.lockRecLocked(name, st)
+	*rec = appendLockRec((*rec)[:0], name, st)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
+	s.durCommit(*rec, 1)
 	return nil
 }
 
@@ -505,201 +505,4 @@ func (s *Store) LockOwner(name string) (string, bool) {
 		return "", false
 	}
 	return st.owner, true
-}
-
-// LockSnapshot returns the replication image of one lock (including release
-// tombstones) for forwarding to backups. ok is false when the lock was
-// never touched on this store.
-func (s *Store) LockSnapshot(name string) (LockInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, held := s.locks[name]
-	if !held {
-		return LockInfo{}, false
-	}
-	return LockInfo{Owner: st.owner, Expires: st.expires, Seq: st.seq}, true
-}
-
-// exportChunkSize bounds how many entries are copied per lock
-// acquisition in Export/ExportLocks, so a large snapshot never stalls
-// the write path for more than one chunk's copy time.
-const exportChunkSize = 512
-
-// exportPause is a test hook invoked between export chunks with the store
-// mutex released; it lets tests prove concurrent mutations are admitted
-// mid-export.
-var exportPause func()
-
-// Export returns a snapshot of all entries whose key satisfies keep —
-// live values and deletion tombstones alike, so migration and repair
-// preserve deletion ordering. Used when the cluster membership changes and
-// by the durability snapshotter.
-//
-// The image is taken in chunks, releasing the store mutex between them,
-// so a concurrent Put never waits behind a full-image copy. The result is
-// therefore a consistent-per-key (not point-in-time) snapshot: a key
-// mutated mid-export may appear at either version. Every consumer merges
-// with version/sequence gating (Import semantics), for which
-// per-key-atomic is sufficient — a newer version observed early can only
-// win again later.
-func (s *Store) Export(keep func(key string) bool) map[string]Versioned {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		if keep == nil || keep(k) {
-			keys = append(keys, k)
-		}
-	}
-	s.mu.Unlock()
-	out := make(map[string]Versioned, len(keys))
-	for start := 0; start < len(keys); start += exportChunkSize {
-		end := min(start+exportChunkSize, len(keys))
-		s.mu.Lock()
-		for _, k := range keys[start:end] {
-			e, ok := s.data[k]
-			if !ok {
-				continue // dropped between chunks
-			}
-			val := make([]byte, len(e.value))
-			copy(val, e.value)
-			out[k] = Versioned{Value: val, Version: e.version, Deleted: e.deleted}
-		}
-		s.mu.Unlock()
-		if exportPause != nil && end < len(keys) {
-			exportPause()
-		}
-	}
-	return out
-}
-
-// Import installs entries preserving versions; newer-or-equal versions win,
-// so re-delivered or overlapping imports (migration retries, replica
-// repair) are idempotent and can never roll a key back — nor resurrect a
-// deletion, since tombstones outrank the values they superseded.
-func (s *Store) Import(entries map[string]Versioned) {
-	now := s.clock.Now()
-	s.mu.Lock()
-	var recs [][]byte
-	for k, v := range entries {
-		if !s.installEntryLocked(k, v, now) {
-			continue
-		}
-		if rec := s.entryRecLocked(k, s.data[k]); rec != nil {
-			recs = append(recs, rec)
-		}
-	}
-	s.maybeGCLocked()
-	s.mu.Unlock()
-	s.durCommit(recs...)
-}
-
-// installEntryLocked applies one versioned entry with the Import gate
-// (newer-or-equal versions win). Shared by Import and WAL replay.
-func (s *Store) installEntryLocked(k string, v Versioned, now time.Time) bool {
-	if cur, ok := s.data[k]; ok && cur.version > v.Version {
-		return false
-	}
-	e := entry{version: v.Version, deleted: v.Deleted}
-	if v.Deleted {
-		e.tombAt = now
-	} else {
-		e.value = make([]byte, len(v.Value))
-		copy(e.value, v.Value)
-	}
-	s.data[k] = e
-	return true
-}
-
-// ExportLocks snapshots the lock states whose name satisfies keep: the
-// unexpired held leases with owners, absolute expiries and mutation
-// sequences intact, plus release tombstones and expired leases (invisible
-// to readers, but their sequences keep replicated updates ordered). It is
-// the lock-table counterpart of Export: AddNode/RemoveNode migration must
-// carry it alongside the data, or a held lock whose routed owner changes
-// would appear free on the node that takes the name over. Chunked like
-// Export: per-name-atomic, never stalls the write path.
-func (s *Store) ExportLocks(keep func(name string) bool) map[string]LockInfo {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.locks))
-	for name := range s.locks {
-		if keep == nil || keep(name) {
-			names = append(names, name)
-		}
-	}
-	s.mu.Unlock()
-	out := make(map[string]LockInfo, len(names))
-	for start := 0; start < len(names); start += exportChunkSize {
-		end := min(start+exportChunkSize, len(names))
-		s.mu.Lock()
-		for _, name := range names[start:end] {
-			st, ok := s.locks[name]
-			if !ok {
-				continue // dropped between chunks
-			}
-			out[name] = LockInfo{Owner: st.owner, Expires: st.expires, Seq: st.seq}
-		}
-		s.mu.Unlock()
-		if exportPause != nil && end < len(names) {
-			exportPause()
-		}
-	}
-	return out
-}
-
-// DropLocks removes the named locks' state entirely (leases, tombstones
-// and their sequence history). Used by rebalance cleanup on nodes leaving
-// a lock's replica set, so no stale copy survives to resurface in a later
-// membership change.
-func (s *Store) DropLocks(names []string) {
-	s.mu.Lock()
-	for _, name := range names {
-		delete(s.locks, name)
-	}
-	rec := s.dropRecLocked(durLockDrop, names)
-	s.mu.Unlock()
-	s.durCommit(rec)
-}
-
-// ImportLocks installs lock leases (held states and release tombstones).
-// Per name, a newer sequence wins; the store's own sequence counter is
-// advanced past every installed value so local mutations made after a
-// promotion keep winning over anything replicated before it.
-func (s *Store) ImportLocks(locks map[string]LockInfo) {
-	now := s.clock.Now()
-	s.mu.Lock()
-	var recs [][]byte
-	for name, info := range locks {
-		if !s.installLockLocked(name, info, now) {
-			continue
-		}
-		if rec := s.lockRecLocked(name, s.locks[name]); rec != nil {
-			recs = append(recs, rec)
-		}
-	}
-	s.maybeGCLocked()
-	s.mu.Unlock()
-	s.durCommit(recs...)
-}
-
-// installLockLocked applies one lock state with the ImportLocks gate (a
-// newer sequence wins) and advances the local sequence counter past it.
-// A lease that is already expired on arrival is installed as a release
-// tombstone instead of verbatim: it is invisible to readers either way,
-// but installing it held would let a dead lease occupy the table and win
-// sequence comparisons as if it were live state. Shared by ImportLocks
-// and WAL replay.
-func (s *Store) installLockLocked(name string, info LockInfo, now time.Time) bool {
-	if cur, ok := s.locks[name]; ok && cur.seq >= info.Seq {
-		return false
-	}
-	st := lockState{owner: info.Owner, expires: info.Expires, seq: info.Seq, stamp: now}
-	if st.owner != "" && !st.expires.After(now) {
-		st.owner = ""
-		st.expires = time.Time{}
-	}
-	s.locks[name] = st
-	if info.Seq > s.lockSeq {
-		s.lockSeq = info.Seq
-	}
-	return true
 }

@@ -16,7 +16,7 @@ func TestStorePutGetDelete(t *testing.T) {
 	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
 	}
-	v1 := s.Put("k", []byte("a"))
+	v1 := s.Put("k", []byte("a"), nil)
 	if v1 != 1 {
 		t.Fatalf("first version = %d, want 1", v1)
 	}
@@ -24,21 +24,21 @@ func TestStorePutGetDelete(t *testing.T) {
 	if err != nil || string(got.Value) != "a" || got.Version != 1 {
 		t.Fatalf("Get = %+v, %v", got, err)
 	}
-	v2 := s.Put("k", []byte("b"))
+	v2 := s.Put("k", []byte("b"), nil)
 	if v2 != 2 {
 		t.Fatalf("second version = %d, want 2", v2)
 	}
-	s.Delete("k")
+	s.Delete("k", nil)
 	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(deleted) = %v, want ErrNotFound", err)
 	}
-	s.Delete("k") // idempotent
+	s.Delete("k", nil) // idempotent
 }
 
 func TestStoreValueIsolation(t *testing.T) {
 	s := NewStore(nil)
 	buf := []byte("abc")
-	s.Put("k", buf)
+	s.Put("k", buf, nil)
 	buf[0] = 'X' // caller mutation must not leak in
 	got, _ := s.Get("k")
 	if string(got.Value) != "abc" {
@@ -54,12 +54,12 @@ func TestStoreValueIsolation(t *testing.T) {
 func TestCompareAndSwap(t *testing.T) {
 	s := NewStore(nil)
 	// Create iff absent.
-	v, _, err := s.CompareAndSwap("k", []byte("a"), 0)
+	v, _, err := s.CompareAndSwap("k", []byte("a"), 0, nil)
 	if err != nil || v != 1 {
 		t.Fatalf("CAS create = %d, %v", v, err)
 	}
 	// Wrong version fails and reports current.
-	_, cur, err := s.CompareAndSwap("k", []byte("b"), 0)
+	_, cur, err := s.CompareAndSwap("k", []byte("b"), 0, nil)
 	if !errors.Is(err, ErrCASMismatch) {
 		t.Fatalf("CAS stale = %v, want mismatch", err)
 	}
@@ -67,7 +67,7 @@ func TestCompareAndSwap(t *testing.T) {
 		t.Fatalf("current = %+v", cur)
 	}
 	// Correct version succeeds.
-	v, _, err = s.CompareAndSwap("k", []byte("b"), 1)
+	v, _, err = s.CompareAndSwap("k", []byte("b"), 1, nil)
 	if err != nil || v != 2 {
 		t.Fatalf("CAS update = %d, %v", v, err)
 	}
@@ -76,17 +76,17 @@ func TestCompareAndSwap(t *testing.T) {
 func TestAddInt64(t *testing.T) {
 	s := NewStore(nil)
 	for i := int64(1); i <= 5; i++ {
-		got, err := s.AddInt64("n", 1)
+		got, err := s.AddInt64("n", 1, nil)
 		if err != nil || got != i {
 			t.Fatalf("Add #%d = %d, %v", i, got, err)
 		}
 	}
-	got, err := s.AddInt64("n", -10)
+	got, err := s.AddInt64("n", -10, nil)
 	if err != nil || got != -5 {
 		t.Fatalf("Add(-10) = %d, %v", got, err)
 	}
-	s.Put("s", []byte("not-a-number"))
-	if _, err := s.AddInt64("s", 1); err == nil {
+	s.Put("s", []byte("not-a-number"), nil)
+	if _, err := s.AddInt64("s", 1, nil); err == nil {
 		t.Fatal("Add on non-integer succeeded")
 	}
 }
@@ -100,7 +100,7 @@ func TestAddInt64Concurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := s.AddInt64("c", 1); err != nil {
+				if _, err := s.AddInt64("c", 1, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -108,7 +108,7 @@ func TestAddInt64Concurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got, _ := s.AddInt64("c", 0)
+	got, _ := s.AddInt64("c", 0, nil)
 	if got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
@@ -116,9 +116,9 @@ func TestAddInt64Concurrent(t *testing.T) {
 
 func TestKeysPrefix(t *testing.T) {
 	s := NewStore(nil)
-	s.Put("a/1", nil)
-	s.Put("a/2", nil)
-	s.Put("b/1", nil)
+	s.Put("a/1", nil, nil)
+	s.Put("a/2", nil, nil)
+	s.Put("b/1", nil, nil)
 	keys := s.Keys("a/")
 	if len(keys) != 2 || keys[0] != "a/1" || keys[1] != "a/2" {
 		t.Fatalf("Keys(a/) = %v", keys)
@@ -130,23 +130,23 @@ func TestKeysPrefix(t *testing.T) {
 
 func TestLocksMutualExclusion(t *testing.T) {
 	s := NewStore(nil)
-	if err := s.TryLock("L", "alice", time.Minute); err != nil {
+	if err := s.TryLock("L", "alice", time.Minute, nil); err != nil {
 		t.Fatalf("alice lock: %v", err)
 	}
-	if err := s.TryLock("L", "bob", time.Minute); !errors.Is(err, ErrLockHeld) {
+	if err := s.TryLock("L", "bob", time.Minute, nil); !errors.Is(err, ErrLockHeld) {
 		t.Fatalf("bob lock = %v, want ErrLockHeld", err)
 	}
 	// Same owner renews.
-	if err := s.TryLock("L", "alice", time.Minute); err != nil {
+	if err := s.TryLock("L", "alice", time.Minute, nil); err != nil {
 		t.Fatalf("alice renew: %v", err)
 	}
-	if err := s.Unlock("L", "bob"); !errors.Is(err, ErrNotLockOwner) {
+	if err := s.Unlock("L", "bob", nil); !errors.Is(err, ErrNotLockOwner) {
 		t.Fatalf("bob unlock = %v, want ErrNotLockOwner", err)
 	}
-	if err := s.Unlock("L", "alice"); err != nil {
+	if err := s.Unlock("L", "alice", nil); err != nil {
 		t.Fatalf("alice unlock: %v", err)
 	}
-	if err := s.TryLock("L", "bob", time.Minute); err != nil {
+	if err := s.TryLock("L", "bob", time.Minute, nil); err != nil {
 		t.Fatalf("bob lock after release: %v", err)
 	}
 }
@@ -154,15 +154,15 @@ func TestLocksMutualExclusion(t *testing.T) {
 func TestLockLeaseExpiry(t *testing.T) {
 	clock := simclock.NewSim(time.Unix(0, 0))
 	s := NewStore(clock)
-	if err := s.TryLock("L", "alice", 10*time.Second); err != nil {
+	if err := s.TryLock("L", "alice", 10*time.Second, nil); err != nil {
 		t.Fatalf("lock: %v", err)
 	}
 	clock.Advance(5 * time.Second)
-	if err := s.TryLock("L", "bob", time.Second); !errors.Is(err, ErrLockHeld) {
+	if err := s.TryLock("L", "bob", time.Second, nil); !errors.Is(err, ErrLockHeld) {
 		t.Fatalf("bob before expiry = %v, want held", err)
 	}
 	clock.Advance(6 * time.Second)
-	if err := s.TryLock("L", "bob", time.Second); err != nil {
+	if err := s.TryLock("L", "bob", time.Second, nil); err != nil {
 		t.Fatalf("bob after expiry: %v (lease must break)", err)
 	}
 	if owner, held := s.LockOwner("L"); !held || owner != "bob" {
@@ -172,18 +172,22 @@ func TestLockLeaseExpiry(t *testing.T) {
 
 func TestExportImport(t *testing.T) {
 	s := NewStore(nil)
-	s.Put("x/1", []byte("a"))
-	s.Put("x/1", []byte("b")) // version 2
-	s.Put("y/1", []byte("c"))
-	snap := s.Export(func(k string) bool { return k[0] == 'x' })
-	if len(snap) != 1 || snap["x/1"].Version != 2 {
+	s.Put("x/1", []byte("a"), nil)
+	s.Put("x/1", []byte("b"), nil) // version 2
+	s.Put("y/1", []byte("c"), nil)
+	snap := exported(t, s)
+	x := snap[stateKey{recEntry, "x/1"}]
+	if len(snap) != 2 || x.seq != 2 {
 		t.Fatalf("export = %+v", snap)
 	}
 	dst := NewStore(nil)
-	dst.Import(snap)
+	mustApply(t, dst, x.rec)
 	got, err := dst.Get("x/1")
 	if err != nil || string(got.Value) != "b" || got.Version != 2 {
 		t.Fatalf("imported = %+v, %v (version must be preserved)", got, err)
+	}
+	if _, err := dst.Get("y/1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(y/1) = %v, want ErrNotFound: only x/1's record was applied", err)
 	}
 }
 
@@ -193,7 +197,7 @@ func TestPutGetProperty(t *testing.T) {
 	s := NewStore(nil)
 	prop := func(key string, value []byte) bool {
 		before, _ := s.Get(key)
-		v := s.Put(key, value)
+		v := s.Put(key, value, nil)
 		if v != before.Version+1 {
 			return false
 		}
@@ -212,7 +216,7 @@ func TestAddInt64Property(t *testing.T) {
 		var sum int64
 		for _, d := range deltas {
 			sum += int64(d)
-			got, err := s.AddInt64("k", int64(d))
+			got, err := s.AddInt64("k", int64(d), nil)
 			if err != nil || got != sum {
 				return false
 			}
@@ -315,28 +319,31 @@ func TestClusterShardingAndMigration(t *testing.T) {
 func TestExportImportLocks(t *testing.T) {
 	clock := simclock.NewSim(time.Unix(0, 0))
 	src := NewStore(clock)
-	if err := src.TryLock("A", "alice", time.Minute); err != nil {
+	if err := src.TryLock("A", "alice", time.Minute, nil); err != nil {
 		t.Fatalf("TryLock A: %v", err)
 	}
-	if err := src.TryLock("B", "bob", time.Second); err != nil {
+	if err := src.TryLock("B", "bob", time.Second, nil); err != nil {
 		t.Fatalf("TryLock B: %v", err)
 	}
-	if err := src.TryLock("other", "carol", time.Minute); err != nil {
+	if err := src.TryLock("other", "carol", time.Minute, nil); err != nil {
 		t.Fatalf("TryLock other: %v", err)
 	}
 	clock.Advance(2 * time.Second) // B's lease expires
 
-	snap := src.ExportLocks(func(name string) bool { return name != "other" })
-	if _, ok := snap["other"]; ok {
-		t.Fatal("filter ignored")
+	snap := exported(t, src)
+	if _, ok := snap[stateKey{recLock, "other"}]; !ok {
+		t.Fatal("export left out a lock")
 	}
-	a, ok := snap["A"]
-	if !ok || a.Owner != "alice" || !a.Expires.Equal(time.Unix(60, 0)) {
+	a := decoded(t, snap[stateKey{recLock, "A"}])
+	if string(a.owner) != "alice" || !a.expires.Equal(time.Unix(60, 0)) {
 		t.Fatalf("exported A = %+v (owner and absolute expiry must be carried)", a)
 	}
 
 	dst := NewStore(clock)
-	dst.ImportLocks(snap)
+	mustApply(t, dst, append(snap[stateKey{recLock, "A"}].rec, snap[stateKey{recLock, "B"}].rec...))
+	if _, held := dst.LockOwner("other"); held {
+		t.Fatal("a lock whose record was not applied is held")
+	}
 	if owner, held := dst.LockOwner("A"); !held || owner != "alice" {
 		t.Fatalf("imported A owner = %q/%v, want alice", owner, held)
 	}
@@ -344,10 +351,10 @@ func TestExportImportLocks(t *testing.T) {
 	if _, held := dst.LockOwner("B"); held {
 		t.Fatal("expired lease imported as held")
 	}
-	if err := dst.TryLock("A", "mallory", time.Minute); !errors.Is(err, ErrLockHeld) {
+	if err := dst.TryLock("A", "mallory", time.Minute, nil); !errors.Is(err, ErrLockHeld) {
 		t.Fatalf("TryLock(mallory) on imported lease = %v, want ErrLockHeld", err)
 	}
-	if err := dst.Unlock("A", "alice"); err != nil {
+	if err := dst.Unlock("A", "alice", nil); err != nil {
 		t.Fatalf("Unlock(alice) on imported lease: %v", err)
 	}
 }
@@ -357,43 +364,43 @@ func TestExportImportLocks(t *testing.T) {
 // resurrect a released lock.
 func TestImportLocksOrdering(t *testing.T) {
 	src := NewStore(nil)
-	if err := src.TryLock("L", "alice", time.Minute); err != nil {
+	if err := src.TryLock("L", "alice", time.Minute, nil); err != nil {
 		t.Fatal(err)
 	}
-	heldSnap := src.ExportLocks(nil) // lease at seq 1
-	if err := src.Unlock("L", "alice"); err != nil {
+	heldSnap := exported(t, src)[stateKey{recLock, "L"}].rec // lease at seq 1
+	if err := src.Unlock("L", "alice", nil); err != nil {
 		t.Fatal(err)
 	}
-	releasedSnap := src.ExportLocks(nil) // tombstone at seq 2
+	releasedSnap := exported(t, src)[stateKey{recLock, "L"}].rec // tombstone at seq 2
 
 	dst := NewStore(nil)
-	dst.ImportLocks(releasedSnap)
-	dst.ImportLocks(heldSnap) // delayed re-delivery of the older lease
+	mustApply(t, dst, releasedSnap)
+	mustApply(t, dst, heldSnap) // delayed re-delivery of the older lease
 	if owner, held := dst.LockOwner("L"); held {
 		t.Fatalf("released lock resurrected by stale import (owner %q)", owner)
 	}
 	// Local mutations after an import must outrank everything imported.
-	if err := dst.TryLock("L", "bob", time.Minute); err != nil {
+	if err := dst.TryLock("L", "bob", time.Minute, nil); err != nil {
 		t.Fatal(err)
 	}
-	dst.ImportLocks(releasedSnap)
+	mustApply(t, dst, releasedSnap)
 	if owner, held := dst.LockOwner("L"); !held || owner != "bob" {
 		t.Fatalf("local acquisition lost to stale import: %q/%v", owner, held)
 	}
 }
 
-// TestImportVersionGate: Import is idempotent and can never roll a key
-// back to an older version.
+// TestImportVersionGate: applying records is idempotent and can never
+// roll a key back to an older version.
 func TestImportVersionGate(t *testing.T) {
 	s := NewStore(nil)
-	s.Put("k", []byte("v1"))
-	s.Put("k", []byte("v2")) // version 2
-	s.Import(map[string]Versioned{"k": {Value: []byte("stale"), Version: 1}})
+	s.Put("k", []byte("v1"), nil)
+	s.Put("k", []byte("v2"), nil) // version 2
+	mustApply(t, s, entryRec("k", entry{value: []byte("stale"), version: 1}))
 	got, err := s.Get("k")
 	if err != nil || string(got.Value) != "v2" || got.Version != 2 {
 		t.Fatalf("stale import rolled key back: %+v, %v", got, err)
 	}
-	s.Import(map[string]Versioned{"k": {Value: []byte("v5"), Version: 5}})
+	mustApply(t, s, entryRec("k", entry{value: []byte("v5"), version: 5}))
 	if got, _ := s.Get("k"); got.Version != 5 {
 		t.Fatalf("newer import rejected: %+v", got)
 	}
@@ -422,34 +429,34 @@ func TestClusterLocksRouteByName(t *testing.T) {
 // continues above its tombstone.
 func TestDeleteTombstoneOrdering(t *testing.T) {
 	s := NewStore(nil)
-	s.Put("k", []byte("a")) // v1
-	s.Delete("k")           // tombstone v2
+	s.Put("k", []byte("a"), nil) // v1
+	s.Delete("k", nil)           // tombstone v2
 	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(deleted) = %v, want ErrNotFound", err)
 	}
 	if s.Len() != 0 || len(s.Keys("")) != 0 {
 		t.Fatalf("tombstone visible: Len=%d Keys=%v", s.Len(), s.Keys(""))
 	}
-	snap := s.Export(nil)
-	if e, ok := snap["k"]; !ok || !e.Deleted || e.Version != 2 {
-		t.Fatalf("exported tombstone = %+v, %v", snap["k"], ok)
+	h, ok := exported(t, s)[stateKey{recEntry, "k"}]
+	if e := decoded(t, h); !ok || !e.deleted || e.seq != 2 {
+		t.Fatalf("exported tombstone = %+v, %v", e, ok)
 	}
 	// A stale live copy (the pre-delete value) must not resurrect the key.
-	s.Import(map[string]Versioned{"k": {Value: []byte("stale"), Version: 1}})
+	mustApply(t, s, entryRec("k", entry{value: []byte("stale"), version: 1}))
 	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("stale import resurrected deleted key: %v", err)
 	}
 	// Re-creation continues above the tombstone.
-	if v := s.Put("k", []byte("b")); v != 3 {
+	if v := s.Put("k", []byte("b"), nil); v != 3 {
 		t.Fatalf("re-created version = %d, want 3 (must continue above tombstone)", v)
 	}
-	s.Delete("k") // tombstone v4
-	v, _, err := s.CompareAndSwap("k", []byte("c"), 0)
+	s.Delete("k", nil) // tombstone v4
+	v, _, err := s.CompareAndSwap("k", []byte("c"), 0, nil)
 	if err != nil || v != 5 {
 		t.Fatalf("CAS create after delete = %d, %v (deleted key counts as absent)", v, err)
 	}
-	s.Delete("k") // tombstone v6
-	if n, err := s.AddInt64("k", 4); err != nil || n != 4 {
+	s.Delete("k", nil) // tombstone v6
+	if n, err := s.AddInt64("k", 4, nil); err != nil || n != 4 {
 		t.Fatalf("Add after delete = %d, %v (deleted key counts as 0)", n, err)
 	}
 	if got, _ := s.Get("k"); got.Version != 7 {
