@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test race ci fuzz-smoke kv-chaos kv-restart kv-sessions generate-check loc
+.PHONY: all build vet lint fmt-check test race ci bench-smoke fuzz-smoke kv-chaos kv-restart kv-sessions generate-check loc
 
 all: vet test
 
@@ -9,10 +9,10 @@ all: vet test
 # of the benchmark module (a separate module, so ./... at the root skips it,
 # yet it is the one caller of internal/ outside this module), the whole
 # test suite under the race detector, then a short fuzz smoke over the wire
-# codec and the generated payload codecs. The explicit -timeout makes a
-# deadlocked test (e.g. an overload/quiesce scenario wedging on a blocked
-# handler) fail the job in minutes instead of hanging the workflow until
-# its global limit.
+# codec and the generated payload codecs, and one iteration of each root
+# invocation benchmark. The explicit -timeout makes a deadlocked test (e.g.
+# an overload/quiesce scenario wedging on a blocked handler) fail the job in
+# minutes instead of hanging the workflow until its global limit.
 ci: fmt-check build lint generate-check
 	cd benchmark && $(GO) vet ./...
 	$(GO) test -race -timeout 300s ./...
@@ -20,6 +20,13 @@ ci: fmt-check build lint generate-check
 	$(MAKE) kv-restart
 	$(MAKE) kv-sessions
 	$(MAKE) fuzz-smoke
+	$(MAKE) bench-smoke
+
+# bench-smoke runs each root invocation benchmark (BenchmarkInvoke*) for one
+# iteration: `go test ./...` compiles bench_test.go but never runs it, so a
+# benchmark that fails at run time would otherwise stay green.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '^BenchmarkInvoke' -benchtime 1x .
 
 # generate-check fails when rerunning ermi-gen over the annotated sources is
 # not a no-op: a generated file that differs from the index, or one the

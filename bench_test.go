@@ -21,6 +21,7 @@ import (
 	"elasticrmi/internal/cluster"
 	"elasticrmi/internal/core"
 	"elasticrmi/internal/kvstore"
+	"elasticrmi/internal/transport"
 	"elasticrmi/internal/workload"
 )
 
@@ -332,7 +333,7 @@ func BenchmarkInvokeParallel(b *testing.B) {
 
 // BenchmarkInvokeAsyncPipelined measures the asynchronous invocation
 // pipeline end to end through the elastic pool: a stub keeps a window of
-// 64 typed futures in flight against the same workload
+// 64 InvokeAsync futures in flight against the same workload
 // BenchmarkInvokeGet drives one call at a time.
 func BenchmarkInvokeAsyncPipelined(b *testing.B) {
 	env := startLive(b, 2, 2)
@@ -351,7 +352,7 @@ func BenchmarkInvokeAsyncPipelined(b *testing.B) {
 		}
 	}
 	b.ResetTimer()
-	futures := make([]*core.Future[cache.GetReply], 0, window)
+	futures := make([]*core.AsyncCall, 0, window)
 	for done := 0; done < b.N; {
 		n := window
 		if rem := b.N - done; n > rem {
@@ -359,12 +360,11 @@ func BenchmarkInvokeAsyncPipelined(b *testing.B) {
 		}
 		futures = futures[:0]
 		for j := 0; j < n; j++ {
-			futures = append(futures,
-				core.GoCall[cache.GetArgs, cache.GetReply](stub, cache.MethodGet,
-					cache.GetArgs{Key: fmt.Sprintf("k%d", (done+j)%keys)}))
+			futures = append(futures, stub.InvokeAsync(cache.MethodGet,
+				transport.Encode(&cache.GetArgs{Key: fmt.Sprintf("k%d", (done+j)%keys)})))
 		}
 		for _, f := range futures {
-			if _, err := f.Get(); err != nil {
+			if err := f.Decode(&cache.GetReply{}); err != nil {
 				b.Fatal(err)
 			}
 		}

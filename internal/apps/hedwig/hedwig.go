@@ -438,22 +438,6 @@ func (h *Hub) topicList() ([]string, error) {
 	return topics, nil
 }
 
-// PublishAsync pipelines a publish through the stub: many publishes can be
-// in flight while the publisher keeps producing. The future resolves to the
-// receipt.
-func PublishAsync(s *core.Stub, a PublishArgs) *core.Future[PublishReply] {
-	return core.GoCall[PublishArgs, PublishReply](s, MethodPublish, a)
-}
-
-// PublishOneWay fires a publish without waiting for — or the hub ever
-// sending — the receipt: the at-most-once delivery contract Hedwig already
-// gives subscribers extends to the publish path, so a high-rate publisher
-// pays one frame and zero round trips per message. Sequencing and retention
-// still happen hub-side exactly as for Publish.
-func PublishOneWay(s *core.Stub, a PublishArgs) error {
-	return core.OneWayCall[PublishArgs](s, MethodPublish, a)
-}
-
 // ChangePoolSize implements core.PoolSizer with Hedwig-specific signals:
 // undelivered backlog per hub and publish rate.
 func (h *Hub) ChangePoolSize() int {

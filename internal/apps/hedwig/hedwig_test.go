@@ -306,37 +306,45 @@ func TestDeliveryAcrossScaleUp(t *testing.T) {
 	}
 }
 
-// TestPublishOneWayDelivers: fire-and-forget publishes still sequence,
-// retain and deliver exactly like acknowledged ones — the publisher just
-// stops paying round trips.
-func TestPublishOneWayDelivers(t *testing.T) {
-	env := ermitest.New(t, 10)
-	env.StartPool(t, core.Config{
-		Name: "hedwig-oneway", MinPoolSize: 2, MaxPoolSize: 4,
-		BurstInterval: time.Hour, DisableBroadcast: true,
-	}, hedwig.New(hedwig.Config{}))
-	stub := env.Stub(t, "hedwig-oneway")
-
+// TestConcurrentPublishesDeliverExactlyOnce: publishers racing each other
+// and a consumer draining the topic at the same time still see every
+// message sequenced, retained and delivered exactly once — consumes that
+// land between a publish's sequence claim and its retention must neither
+// skip nor repeat it.
+func TestConcurrentPublishesDeliverExactlyOnce(t *testing.T) {
+	_, stub := startRegion(t, 2, 4)
 	subscribe(t, stub, "news", "alice")
-	const n = 40
-	for i := 0; i < n; i++ {
-		if err := hedwig.PublishOneWay(stub, hedwig.PublishArgs{
-			Topic: "news", Body: []byte(fmt.Sprintf("msg-%d", i)),
-		}); err != nil {
-			t.Fatalf("PublishOneWay %d: %v", i, err)
-		}
+	const publishers, per = 4, 10
+	const n = publishers * per
+	errs := make(chan error, publishers)
+	for p := 0; p < publishers; p++ {
+		go func() {
+			for i := 0; i < per; i++ {
+				if _, err := core.Call[hedwig.PublishArgs, hedwig.PublishReply](stub, hedwig.MethodPublish,
+					hedwig.PublishArgs{Topic: "news", Body: []byte(fmt.Sprintf("msg-%d-%d", p, i))}); err != nil {
+					errs <- fmt.Errorf("publisher %d publish %d: %w", p, i, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
 	}
-	// One-way publishes carry no receipt; poll consumption until all have
-	// been sequenced and claimed.
+	// Consume while the publishes are still arriving.
 	var got []hedwig.Message
 	deadline := time.Now().Add(10 * time.Second)
 	for len(got) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("consumed %d/%d one-way publishes", len(got), n)
+			t.Fatalf("consumed %d/%d concurrent publishes", len(got), n)
 		}
 		got = append(got, consume(t, stub, "news", "alice", n)...)
 		time.Sleep(2 * time.Millisecond)
 	}
+	for p := 0; p < publishers; p++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	got = append(got, consume(t, stub, "news", "alice", n)...)
 	seen := make(map[int64]bool)
 	for _, m := range got {
 		if seen[m.Seq] {
@@ -349,27 +357,34 @@ func TestPublishOneWayDelivers(t *testing.T) {
 	}
 }
 
-// TestPublishAsyncPipelines: a publisher keeps a window of publishes in
-// flight and every receipt carries a distinct sequence number.
+// TestPublishAsyncPipelines: concurrent publishers share one stub, so their
+// publishes are in flight together on its member connections, and every
+// receipt carries a distinct sequence number.
 func TestPublishAsyncPipelines(t *testing.T) {
 	_, stub := startRegion(t, 2, 4)
 	subscribe(t, stub, "ticks", "bob")
 	const n = 32
-	futures := make([]*core.Future[hedwig.PublishReply], n)
-	for i := range futures {
-		futures[i] = hedwig.PublishAsync(stub, hedwig.PublishArgs{
-			Topic: "ticks", Body: []byte{byte(i)},
-		})
+	seqs := make([]int64, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := core.Call[hedwig.PublishArgs, hedwig.PublishReply](stub, hedwig.MethodPublish,
+				hedwig.PublishArgs{Topic: "ticks", Body: []byte{byte(i)}})
+			seqs[i], errs[i] = rep.Seq, err
+		}()
 	}
+	wg.Wait()
 	seen := make(map[int64]bool)
-	for i, f := range futures {
-		rep, err := f.Get()
-		if err != nil {
-			t.Fatalf("PublishAsync %d: %v", i, err)
+	for i, seq := range seqs {
+		if errs[i] != nil {
+			t.Fatalf("publish %d: %v", i, errs[i])
 		}
-		if seen[rep.Seq] {
-			t.Fatalf("sequence %d assigned twice", rep.Seq)
+		if seen[seq] {
+			t.Fatalf("sequence %d assigned twice", seq)
 		}
-		seen[rep.Seq] = true
+		seen[seq] = true
 	}
 }

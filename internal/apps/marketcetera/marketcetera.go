@@ -354,14 +354,6 @@ func (r *Router) ChangePoolSize() int {
 	}
 }
 
-// RouteAsync pipelines an order through the elastic routing pool: a
-// strategy engine submits its whole burst without waiting for receipts,
-// then collects them — the two-node persistence of each order overlaps with
-// the submission of the next instead of serializing behind it.
-func RouteAsync(s *core.Stub, o Order) *core.Future[Receipt] {
-	return core.GoCall[Order, Receipt](s, MethodRoute, o)
-}
-
 // list encoding helpers: the shared store holds flat strings.
 
 func splitList(s string) []string {

@@ -11,6 +11,7 @@ import (
 	"elasticrmi/internal/apps/marketcetera"
 	"elasticrmi/internal/core"
 	"elasticrmi/internal/ermitest"
+	"elasticrmi/internal/transport"
 )
 
 func startRouting(t *testing.T) (*core.Pool, *core.Stub) {
@@ -204,7 +205,7 @@ func TestRouteWithoutVenuesFails(t *testing.T) {
 }
 
 // TestRouteAsyncPipelinesOrderFlow: a strategy engine submits its whole
-// burst through RouteAsync before collecting receipts; every order must be
+// burst through InvokeAsync before collecting receipts; every order must be
 // routed exactly once and persisted on both nodes, exactly as in the
 // synchronous path.
 func TestRouteAsyncPipelinesOrderFlow(t *testing.T) {
@@ -212,16 +213,16 @@ func TestRouteAsyncPipelinesOrderFlow(t *testing.T) {
 	addVenue(t, stub, marketcetera.Venue{Name: "ARCA"})
 
 	const n = 64
-	futures := make([]*core.Future[marketcetera.Receipt], n)
+	futures := make([]*core.AsyncCall, n)
 	for i := 0; i < n; i++ {
-		futures[i] = marketcetera.RouteAsync(stub, marketcetera.Order{
+		futures[i] = stub.InvokeAsync(marketcetera.MethodRoute, transport.Encode(&marketcetera.Order{
 			ID:     marketcetera.OrderID("engine", int64(i)),
 			Trader: "engine", Symbol: "IBM", Side: marketcetera.Buy, Qty: 10,
-		})
+		}))
 	}
 	for i, f := range futures {
-		rec, err := f.Get()
-		if err != nil {
+		var rec marketcetera.Receipt
+		if err := f.Decode(&rec); err != nil {
 			t.Fatalf("order %d: %v", i, err)
 		}
 		if rec.OrderID != marketcetera.OrderID("engine", int64(i)) || rec.Venue != "ARCA" {
@@ -242,7 +243,8 @@ func TestRouteAsyncPipelinesOrderFlow(t *testing.T) {
 func TestRouteAsyncRejectsBadOrderThroughFuture(t *testing.T) {
 	_, stub := startRouting(t)
 	addVenue(t, stub, marketcetera.Venue{Name: "ARCA"})
-	_, err := marketcetera.RouteAsync(stub, marketcetera.Order{ID: "", Symbol: "IBM", Side: marketcetera.Buy, Qty: 1}).Get()
+	bad := transport.Encode(&marketcetera.Order{ID: "", Symbol: "IBM", Side: marketcetera.Buy, Qty: 1})
+	err := stub.InvokeAsync(marketcetera.MethodRoute, bad).Decode(&marketcetera.Receipt{})
 	if err == nil || !strings.Contains(err.Error(), "empty ID") {
 		t.Fatalf("err = %v, want validation error through future", err)
 	}

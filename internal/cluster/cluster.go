@@ -98,7 +98,6 @@ type Manager struct {
 	closed   bool
 	failed   map[string]bool
 	notifyCh chan Notification
-	revoked  chan *Slice
 	revSubs  []chan *Slice
 	wasHigh  bool
 	wasLow   bool
@@ -128,7 +127,6 @@ func New(cfg Config) (*Manager, error) {
 		nodeUsed: make(map[string]int),
 		failed:   make(map[string]bool),
 		notifyCh: make(chan Notification, 16),
-		revoked:  make(chan *Slice, 16),
 	}
 	id := 0
 	for n := 0; n < cfg.Nodes; n++ {
@@ -167,12 +165,9 @@ func (m *Manager) utilizationLocked() float64 {
 // buffered; alerts are dropped if nobody drains it.
 func (m *Manager) Notifications() <-chan Notification { return m.notifyCh }
 
-// Revoked delivers slices revoked by node failure (failure injection).
-func (m *Manager) Revoked() <-chan *Slice { return m.revoked }
-
-// SubscribeRevoked returns an additional revocation stream. Every
-// subscriber (e.g. each elastic pool holding slices) receives every revoked
-// slice; buffered, dropped if not drained.
+// SubscribeRevoked returns a stream of the slices revoked by node failure
+// (failure injection). Every subscriber (e.g. each elastic pool holding
+// slices) receives every revoked slice; buffered, dropped if not drained.
 func (m *Manager) SubscribeRevoked() <-chan *Slice {
 	ch := make(chan *Slice, 16)
 	m.mu.Lock()
@@ -230,15 +225,6 @@ func (m *Manager) Acquire(n int) ([]*Slice, error) {
 	return granted, nil
 }
 
-// AcquireOne grants a single slice.
-func (m *Manager) AcquireOne() (*Slice, error) {
-	slices, err := m.Acquire(1)
-	if err != nil {
-		return nil, err
-	}
-	return slices[0], nil
-}
-
 // Release returns a slice to the pool, making it available to other elastic
 // objects in the cluster (§2.5).
 func (m *Manager) Release(s *Slice) error {
@@ -263,7 +249,8 @@ func (m *Manager) Release(s *Slice) error {
 }
 
 // FailNode simulates the failure of a node: its free slices disappear and
-// its granted slices are revoked (delivered on Revoked).
+// its granted slices are revoked (delivered to every SubscribeRevoked
+// stream).
 func (m *Manager) FailNode(node string) {
 	m.mu.Lock()
 	if m.failed[node] {
@@ -294,42 +281,12 @@ func (m *Manager) FailNode(node string) {
 	subs := append([]chan *Slice(nil), m.revSubs...)
 	m.mu.Unlock()
 	for _, s := range revoked {
-		select {
-		case m.revoked <- s:
-		default:
-		}
 		for _, sub := range subs {
 			select {
 			case sub <- s:
 			default:
 			}
 		}
-	}
-}
-
-// RecoverNode undoes FailNode; the node's slices rejoin the free pool.
-func (m *Manager) RecoverNode(node string, slicesPerNode int, spec SliceSpec) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.failed[node] {
-		return
-	}
-	delete(m.failed, node)
-	maxID := 0
-	for _, s := range m.free {
-		if s.ID > maxID {
-			maxID = s.ID
-		}
-	}
-	for id := range m.inUse {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	for i := 0; i < slicesPerNode; i++ {
-		maxID++
-		m.free = append(m.free, &Slice{ID: maxID, Node: node, Spec: spec})
-		m.total++
 	}
 }
 

@@ -133,6 +133,7 @@ func TestFailNodeRevokesSlices(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	revokedCh := m.SubscribeRevoked()
 	slices, err := m.Acquire(4)
 	if err != nil || len(slices) != 4 {
 		t.Fatalf("Acquire = %d, %v", len(slices), err)
@@ -142,7 +143,10 @@ func TestFailNodeRevokesSlices(t *testing.T) {
 	revoked := 0
 	for {
 		select {
-		case <-m.Revoked():
+		case s := <-revokedCh:
+			if s.Node != victim {
+				t.Fatalf("revoked slice %d on %s, want only %s", s.ID, s.Node, victim)
+			}
 			revoked++
 			continue
 		default:
@@ -155,21 +159,25 @@ func TestFailNodeRevokesSlices(t *testing.T) {
 	if m.Total() != 2 {
 		t.Fatalf("total after failure = %d, want 2", m.Total())
 	}
-	// Releasing a revoked slice must not return it to the free pool.
+	// Releasing a revoked slice must not return it to the free pool: after
+	// every slice is handed back, only the survivor node's can be granted.
 	for _, s := range slices {
-		if s.Node == victim {
-			continue
+		err := m.Release(s)
+		if s.Node == victim && err == nil {
+			t.Fatalf("Release of revoked slice %d succeeded", s.ID)
 		}
-		if err := m.Release(s); err != nil {
+		if s.Node != victim && err != nil {
 			t.Fatalf("Release: %v", err)
 		}
 	}
-	m.RecoverNode(victim, 2, SliceSpec{CPUs: 2, MemMB: 2048})
-	if m.Total() != 4 {
-		t.Fatalf("total after recovery = %d, want 4", m.Total())
+	got, err := m.Acquire(4)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("Acquire after failure = %d, %v; want the survivor's 2", len(got), err)
 	}
-	if got, err := m.Acquire(4); err != nil || len(got) != 4 {
-		t.Fatalf("Acquire after recovery = %d, %v", len(got), err)
+	for _, s := range got {
+		if s.Node == victim {
+			t.Fatalf("granted slice %d on failed node %s", s.ID, victim)
+		}
 	}
 }
 
@@ -197,10 +205,11 @@ func TestClosedManager(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	s, err := m.AcquireOne()
+	got, err := m.Acquire(1)
 	if err != nil {
-		t.Fatalf("AcquireOne: %v", err)
+		t.Fatalf("Acquire(1): %v", err)
 	}
+	s := got[0]
 	m.Close()
 	if _, err := m.Acquire(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Acquire after close = %v, want ErrClosed", err)

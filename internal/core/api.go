@@ -10,11 +10,11 @@
 // CPU/RAM thresholds, fine-grained ChangePoolSize, or application-level
 // Decider).
 //
-// Invocation is synchronous (Stub.Invoke, Call) or asynchronous: InvokeAsync
-// returns a future so one caller can pipeline many invocations against the
-// pool, and InvokeOneWay submits fire-and-forget work (see async.go);
-// concurrent invocations bound for the same member coalesce in that
-// connection's write buffer (internal/transport).
+// Invocation is synchronous (Stub.Invoke, Call, and their keyed forms) or
+// asynchronous: InvokeAsync returns a future so one caller can pipeline
+// many invocations against the pool (see async.go); concurrent invocations
+// bound for the same member coalesce in that connection's write buffer
+// (internal/transport).
 package core
 
 import (

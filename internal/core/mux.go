@@ -9,11 +9,10 @@ import (
 //go:generate go run elasticrmi/cmd/ermi-gen -in mux.go,member.go,registry.go -out core_ermi.go
 
 // Payload constrains the argument and reply types of the typed call
-// helpers (Call, CallKeyed, GoCall, OneWayCall, Handle): the pointer form
-// must carry the generated codec of an `//ermi:codec` struct, so an
-// un-annotated payload type is a compile error. Callers name only the
-// payload types — core.Call[Args, Reply](...) — and the pointer parameters
-// are inferred.
+// helpers (Call, CallKeyed, Handle): the pointer form must carry the
+// generated codec of an `//ermi:codec` struct, so an un-annotated payload
+// type is a compile error. Callers name only the payload types —
+// core.Call[Args, Reply](...) — and the pointer parameters are inferred.
 type Payload[T any] interface {
 	*T
 	transport.Marshaler

@@ -37,11 +37,6 @@ type Stub struct {
 	// route updates back into routes.
 	conns *transport.ConnCache
 
-	// pendingN counts asynchronous invocations started but not yet
-	// completed, so callers (and scaling policies polling Pending) can see
-	// queued async work that has not reached a member's meter yet.
-	pendingN atomic.Int64
-
 	// asyncq hands an asynchronous invocation to a parked async worker;
 	// unbuffered, so a send succeeds only when one is waiting.
 	// asyncWorkers counts live async workers, asyncIdle the parked ones.

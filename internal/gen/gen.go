@@ -324,18 +324,6 @@ func (s *{{.Name}}Stub) Close() error { return s.stub.Close() }
 func (s *{{$svc}}Stub) {{.Name}}(arg {{.ArgType}}) ({{.ReplyType}}, error) {
 	return core.Call[{{.ArgType}}, {{.ReplyType}}](s.stub, {{printf "%q" .Name}}, arg)
 }
-
-// {{.Name}}Async starts the invocation without blocking and returns its
-// typed future; many calls can be pipelined from one goroutine.
-func (s *{{$svc}}Stub) {{.Name}}Async(arg {{.ArgType}}) *core.Future[{{.ReplyType}}] {
-	return core.GoCall[{{.ArgType}}, {{.ReplyType}}](s.stub, {{printf "%q" .Name}}, arg)
-}
-
-// {{.Name}}OneWay fires the invocation without waiting for — or the pool
-// ever sending — a response. Delivery is at-most-once.
-func (s *{{$svc}}Stub) {{.Name}}OneWay(arg {{.ArgType}}) error {
-	return core.OneWayCall[{{.ArgType}}](s.stub, {{printf "%q" .Name}}, arg)
-}
 {{if .KeyField}}
 // {{.Name}}WithAffinity invokes {{.Name}} routed by consistent-hash key
 // affinity on arg.{{.KeyField}}: every invocation carrying the same key

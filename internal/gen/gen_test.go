@@ -99,10 +99,6 @@ func TestGenerateCompilesAndContainsAPI(t *testing.T) {
 		"func LookupCalc(name string, reg *core.RegistryClient",
 		"func (s *CalcStub) Double(arg Args) (Reply, error)",
 		"core.Call[Args, Reply](s.stub, \"Double\", arg)",
-		"func (s *CalcStub) DoubleAsync(arg Args) *core.Future[Reply]",
-		"core.GoCall[Args, Reply](s.stub, \"Double\", arg)",
-		"func (s *CalcStub) DoubleOneWay(arg Args) error",
-		"core.OneWayCall[Args](s.stub, \"Double\", arg)",
 		"func RegisterCalc(mux *core.Mux, impl Calc)",
 		"func NewCalcFactory(",
 		"var _ Calc = (*CalcStub)(nil)",
@@ -110,6 +106,13 @@ func TestGenerateCompilesAndContainsAPI(t *testing.T) {
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated code missing %q", want)
+		}
+	}
+	// A stub method is synchronous (M) or keyed (MWithAffinity); the typed
+	// future and fire-and-forget variants are not generated.
+	for _, absent := range []string{"DoubleAsync", "DoubleOneWay", "core.Future", "core.GoCall", "core.OneWayCall"} {
+		if strings.Contains(src, absent) {
+			t.Errorf("generated code contains %q", absent)
 		}
 	}
 	// The output must itself parse as valid Go.

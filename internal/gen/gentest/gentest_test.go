@@ -73,48 +73,6 @@ func TestGeneratedFactoryForwardsPoolSizer(t *testing.T) {
 	}
 }
 
-// TestGeneratedAsyncVariants drives the generated async and one-way stub
-// methods against a live pool: pipelined futures resolve to typed replies,
-// and one-way bumps land in shared state without a response.
-func TestGeneratedAsyncVariants(t *testing.T) {
-	env := ermitest.New(t, 8)
-	env.StartPool(t, core.Config{
-		Name: "gen-async", MinPoolSize: 2, MaxPoolSize: 4,
-		BurstInterval: time.Hour, DisableBroadcast: true,
-	}, NewCounterFactory(NewImpl))
-
-	svc, err := LookupCounter("gen-async", env.RegCli)
-	if err != nil {
-		t.Fatalf("LookupCounter: %v", err)
-	}
-	defer svc.Close()
-
-	const n = 32
-	futures := make([]*core.Future[BumpReply], n)
-	for i := range futures {
-		futures[i] = svc.BumpAsync(BumpArgs{N: 1})
-	}
-	for i, f := range futures {
-		if _, err := f.Get(); err != nil {
-			t.Fatalf("BumpAsync %d: %v", i, err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if err := svc.BumpOneWay(BumpArgs{N: 1}); err != nil {
-			t.Fatalf("BumpOneWay %d: %v", i, err)
-		}
-	}
-	// One-way bumps carry no response; poll the shared counter for their
-	// arrival instead of sleeping.
-	ermitest.WaitUntil(t, "one-way bumps to land in shared state", 10*time.Second, func() bool {
-		rep, err := svc.Peek(PeekArgs{})
-		if err != nil {
-			t.Fatalf("Peek: %v", err)
-		}
-		return rep.Total == 2*n
-	})
-}
-
 // TestGeneratedAffinityVariant drives the //ermi:affinity output against a
 // live pool: same-key invocations through TagWithAffinity must land on the
 // same member, and the keyspace must spread across more than one member.

@@ -46,50 +46,14 @@ func (s *CounterStub) Bump(arg BumpArgs) (BumpReply, error) {
 	return core.Call[BumpArgs, BumpReply](s.stub, "Bump", arg)
 }
 
-// BumpAsync starts the invocation without blocking and returns its
-// typed future; many calls can be pipelined from one goroutine.
-func (s *CounterStub) BumpAsync(arg BumpArgs) *core.Future[BumpReply] {
-	return core.GoCall[BumpArgs, BumpReply](s.stub, "Bump", arg)
-}
-
-// BumpOneWay fires the invocation without waiting for — or the pool
-// ever sending — a response. Delivery is at-most-once.
-func (s *CounterStub) BumpOneWay(arg BumpArgs) error {
-	return core.OneWayCall[BumpArgs](s.stub, "Bump", arg)
-}
-
 // Peek invokes the remote method on the elastic pool.
 func (s *CounterStub) Peek(arg PeekArgs) (BumpReply, error) {
 	return core.Call[PeekArgs, BumpReply](s.stub, "Peek", arg)
 }
 
-// PeekAsync starts the invocation without blocking and returns its
-// typed future; many calls can be pipelined from one goroutine.
-func (s *CounterStub) PeekAsync(arg PeekArgs) *core.Future[BumpReply] {
-	return core.GoCall[PeekArgs, BumpReply](s.stub, "Peek", arg)
-}
-
-// PeekOneWay fires the invocation without waiting for — or the pool
-// ever sending — a response. Delivery is at-most-once.
-func (s *CounterStub) PeekOneWay(arg PeekArgs) error {
-	return core.OneWayCall[PeekArgs](s.stub, "Peek", arg)
-}
-
 // Tag invokes the remote method on the elastic pool.
 func (s *CounterStub) Tag(arg TagArgs) (TagReply, error) {
 	return core.Call[TagArgs, TagReply](s.stub, "Tag", arg)
-}
-
-// TagAsync starts the invocation without blocking and returns its
-// typed future; many calls can be pipelined from one goroutine.
-func (s *CounterStub) TagAsync(arg TagArgs) *core.Future[TagReply] {
-	return core.GoCall[TagArgs, TagReply](s.stub, "Tag", arg)
-}
-
-// TagOneWay fires the invocation without waiting for — or the pool
-// ever sending — a response. Delivery is at-most-once.
-func (s *CounterStub) TagOneWay(arg TagArgs) error {
-	return core.OneWayCall[TagArgs](s.stub, "Tag", arg)
 }
 
 // TagWithAffinity invokes Tag routed by consistent-hash key
@@ -103,18 +67,6 @@ func (s *CounterStub) TagWithAffinity(arg TagArgs) (TagReply, error) {
 // Sink invokes the remote method on the elastic pool.
 func (s *CounterStub) Sink(arg BlobArgs) (BlobReply, error) {
 	return core.Call[BlobArgs, BlobReply](s.stub, "Sink", arg)
-}
-
-// SinkAsync starts the invocation without blocking and returns its
-// typed future; many calls can be pipelined from one goroutine.
-func (s *CounterStub) SinkAsync(arg BlobArgs) *core.Future[BlobReply] {
-	return core.GoCall[BlobArgs, BlobReply](s.stub, "Sink", arg)
-}
-
-// SinkOneWay fires the invocation without waiting for — or the pool
-// ever sending — a response. Delivery is at-most-once.
-func (s *CounterStub) SinkOneWay(arg BlobArgs) error {
-	return core.OneWayCall[BlobArgs](s.stub, "Sink", arg)
 }
 
 // RegisterCounter binds an implementation to the method table of a

@@ -365,12 +365,13 @@ func BenchmarkSessionGetUncached(b *testing.B) {
 // BenchmarkSessionInvalidationStorm: 16 sessions all hold one hot key
 // under lease, and a single writer updates it — every Put pushes 16
 // invalidations and withholds its ack until all are acknowledged. Each
-// reader watches the key and re-leases on the change notification, so the
-// next write again finds a full house of interested sessions. Readers are
-// event-driven, not spinning: a polling loop would measure scheduler
-// starvation on small machines, not invalidation cost. Reported per-op
-// time is the storm-write ack latency; p50-us/p99-us give the
-// distribution.
+// reader re-reads the key in a loop, so an invalidated session re-leases
+// it, and the writer (timer stopped) waits for all 16 leases before its
+// next Put, so every write finds a full house of interested sessions. A
+// cached re-read is a map lookup, so readers pause between reads: spinning
+// on 16 goroutines would measure scheduler starvation on small machines,
+// not invalidation cost. Reported per-op time is the storm-write ack
+// latency; p50-us/p99-us give the distribution.
 func BenchmarkSessionInvalidationStorm(b *testing.B) {
 	srv, err := NewServer("127.0.0.1:0", nil)
 	if err != nil {
@@ -393,33 +394,40 @@ func BenchmarkSessionInvalidationStorm(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer sess.Close()
-		ch, cancel, err := sess.Watch("hot")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cancel()
 		if _, err := sess.Get("hot"); err != nil {
 			b.Fatal(err)
 		}
 		wg.Add(1)
-		go func(sess *Session, ch <-chan string) {
+		go func() {
 			defer wg.Done()
+			tick := time.NewTicker(50 * time.Microsecond)
+			defer tick.Stop()
 			for {
 				select {
 				case <-stop:
 					return
-				case <-ch:
+				case <-tick.C:
 					if _, err := sess.Get("hot"); err != nil {
 						return
 					}
 				}
 			}
-		}(sess, ch)
+		}()
 	}
 	defer func() { close(stop); wg.Wait() }()
 
+	fullHouse := func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.sessions.interestCount("hot") < sessionBenchWorkers {
+			if time.Now().After(deadline) {
+				b.Fatalf("readers hold %d/%d leases on the hot key", srv.sessions.interestCount("hot"), sessionBenchWorkers)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
 	lat := make([]time.Duration, b.N)
 	val := []byte("value-payload-0123456789")
+	fullHouse()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
@@ -427,6 +435,9 @@ func BenchmarkSessionInvalidationStorm(b *testing.B) {
 			b.Fatal(err)
 		}
 		lat[i] = time.Since(t0)
+		b.StopTimer()
+		fullHouse()
+		b.StartTimer()
 	}
 	b.StopTimer()
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })

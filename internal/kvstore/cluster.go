@@ -343,14 +343,14 @@ func (c *Cluster) Table() route.Table {
 
 // isUnavailable classifies an operation error: true for transport-level
 // failures (dead connection, timeout, dial refusal) that failover can
-// cure, false for application results (sentinel errors, remote errors) and
-// for admission refusals (the node is alive, just busy).
+// cure, false for application results (the wire sentinels, remote errors)
+// and for admission refusals (the node is alive, just busy).
 func isUnavailable(err error) bool {
 	if err == nil {
 		return false
 	}
-	for _, sentinel := range []error{ErrNotFound, ErrCASMismatch, ErrLockHeld, ErrNotLockOwner} {
-		if errors.Is(err, sentinel) {
+	for _, w := range wireErrors {
+		if errors.Is(err, w.err) {
 			return false
 		}
 	}

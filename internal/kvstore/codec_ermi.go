@@ -1438,81 +1438,3 @@ func (v *sessForgetReply) UnmarshalERMI(b []byte) error {
 func (v *sessForgetReply) consumeERMI(b []byte) ([]byte, error) {
 	return b, nil
 }
-
-// SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *sessWatchReq) SizeERMI() int {
-	n := 0
-	n += ermic.SizeUvarint(uint64(v.ID))
-	n += ermic.SizeBytes(len(v.Topic))
-	return n
-}
-
-// MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *sessWatchReq) MarshalERMI(b []byte) []byte {
-	b = ermic.AppendUvarint(b, uint64(v.ID))
-	b = ermic.AppendString(b, string(v.Topic))
-	return b
-}
-
-// UnmarshalERMI decodes an encoding produced by MarshalERMI
-// (transport.Unmarshaler). It is total on arbitrary input.
-func (v *sessWatchReq) UnmarshalERMI(b []byte) error {
-	rest, err := v.consumeERMI(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ermic.ErrMalformed
-	}
-	return nil
-}
-
-// consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest sessWatchReq).
-func (v *sessWatchReq) consumeERMI(b []byte) ([]byte, error) {
-	{
-		x, rest, err := ermic.ConsumeUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		v.ID, b = uint64(x), rest
-	}
-	{
-		x, rest, err := ermic.ConsumeString(b)
-		if err != nil {
-			return nil, err
-		}
-		v.Topic, b = string(x), rest
-	}
-	return b, nil
-}
-
-// SizeERMI returns the exact encoded size of v (transport.Marshaler).
-func (v *sessWatchReply) SizeERMI() int {
-	n := 0
-	return n
-}
-
-// MarshalERMI appends v's encoding to b (transport.Marshaler).
-func (v *sessWatchReply) MarshalERMI(b []byte) []byte {
-	return b
-}
-
-// UnmarshalERMI decodes an encoding produced by MarshalERMI
-// (transport.Unmarshaler). It is total on arbitrary input.
-func (v *sessWatchReply) UnmarshalERMI(b []byte) error {
-	rest, err := v.consumeERMI(b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ermic.ErrMalformed
-	}
-	return nil
-}
-
-// consumeERMI decodes v from the front of b, returning the remainder
-// (shared by UnmarshalERMI and codecs that nest sessWatchReply).
-func (v *sessWatchReply) consumeERMI(b []byte) ([]byte, error) {
-	return b, nil
-}

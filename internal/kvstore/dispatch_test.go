@@ -94,6 +94,8 @@ func FuzzKVDispatch(f *testing.F) {
 	f.Add(index("TryLock"), transport.Encode(&lockReq{Name: "L", Owner: "a", Lease: time.Minute}))
 	f.Add(index("Unlock"), transport.Encode(&unlockReq{Name: "L", Owner: "a"}))
 	f.Add(index("Delete"), transport.Encode(&delReq{Key: "k"}))
+	f.Add(index("Get"), transport.Encode(&getReq{Key: "k"}))
+	f.Add(index("Keys"), transport.Encode(&keysReq{Prefix: "k"}))
 	recs := seedStream()
 	f.Add(index("Replicate"), transport.Encode(&replReq{Recs: recs}))
 	f.Add(index("Replicate"), transport.Encode(&replReq{Recs: recs[:len(recs)-1]}))

@@ -454,3 +454,165 @@ func TestDurLogsLongStreamInPieces(t *testing.T) {
 		}
 	}
 }
+
+// logFiles reads every file under dir, keyed by name.
+func logFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestDurOversizeWriteRefused: a write whose record cannot fit one log
+// record fails with ErrTooLarge before the store changes — no value
+// installed, nothing logged — and the store restarts cleanly. (It used to
+// install the value and then panic in the log append.)
+func TestDurOversizeWriteRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := mustStoreDur(t, nil, DurOptions{Dir: dir})
+	if _, err := s.Put("k", []byte("v"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TryLock("l", "owner", time.Minute, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := logFiles(t, dir)
+
+	big := make([]byte, wal.MaxRecord)
+	bigName := string(big)
+	var rec []byte
+	for _, w := range []struct {
+		name string
+		do   func() error
+	}{
+		{"Put value", func() error { _, err := s.Put("k", big, &rec); return err }},
+		{"Put key", func() error { _, err := s.Put(bigName, nil, &rec); return err }},
+		{"CAS value", func() error { _, _, err := s.CompareAndSwap("k", big, 1, &rec); return err }},
+		{"AddInt64 key", func() error { _, err := s.AddInt64(bigName, 1, &rec); return err }},
+		{"TryLock name", func() error { return s.TryLock(bigName, "owner", time.Minute, &rec) }},
+		{"TryLock owner", func() error { return s.TryLock("l2", bigName, time.Minute, &rec) }},
+	} {
+		if err := w.do(); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%s: err = %v, want ErrTooLarge", w.name, err)
+		}
+		if len(rec) != 0 {
+			t.Fatalf("%s: refused write left a %d-byte record to forward", w.name, len(rec))
+		}
+	}
+	check := func(s *Store) {
+		t.Helper()
+		if v, err := s.Get("k"); err != nil || string(v.Value) != "v" || v.Version != 1 {
+			t.Fatalf(`Get("k") = %q v%d, %v; want "v" v1`, v.Value, v.Version, err)
+		}
+		if n := s.Len(); n != 1 {
+			t.Fatalf("Len = %d, want 1", n)
+		}
+		if owner, ok := s.LockOwner("l"); !ok || owner != "owner" {
+			t.Fatalf(`LockOwner("l") = %q, %v`, owner, ok)
+		}
+		if _, ok := s.LockOwner("l2"); ok {
+			t.Fatal(`refused TryLock("l2") holds the lock`)
+		}
+	}
+	check(s)
+	after := logFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("log files %d -> %d across refused writes", len(before), len(after))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Fatalf("%s changed across refused writes", name)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustStoreDur(t, nil, DurOptions{Dir: dir})
+	defer r.Close()
+	check(r)
+
+	// The largest accepted write still fits one log record.
+	edge := make([]byte, wal.MaxRecord-recordOverhead-len("edge"))
+	if _, err := r.Put("edge", edge, nil); err != nil {
+		t.Fatalf("largest accepted Put: %v", err)
+	}
+	if err := r.TryLock(string(edge), "o", time.Minute, nil); err != nil {
+		t.Fatalf("largest accepted TryLock: %v", err)
+	}
+}
+
+// TestServerOversizeWriteRefused: the same refusal through the server. The
+// client gets ErrTooLarge back across the wire, the server keeps serving,
+// and its durable store restarts with only the accepted writes.
+func TestServerOversizeWriteRefused(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := NewServerDur("127.0.0.1:0", nil, DurOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := NewClient(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, wal.MaxRecord+1)
+	if _, err := cli.Put("k", big); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversize Put: err = %v, want ErrTooLarge", err)
+	}
+	if err := cli.TryLock("l", string(big), time.Minute); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversize TryLock: err = %v, want ErrTooLarge", err)
+	}
+	if v, err := cli.Get("k"); err != nil || string(v.Value) != "v" || v.Version != 1 {
+		t.Fatalf(`Get("k") after refusals = %q v%d, %v`, v.Value, v.Version, err)
+	}
+	cli.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := NewServerDur("127.0.0.1:0", nil, DurOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	cli2, err := NewClient(srv2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli2.Close()
+	if v, err := cli2.Get("k"); err != nil || string(v.Value) != "v" || v.Version != 1 {
+		t.Fatalf(`recovered Get("k") = %q v%d, %v`, v.Value, v.Version, err)
+	}
+	if err := cli2.TryLock("l", "owner", time.Minute); err != nil {
+		t.Fatalf("refused TryLock left the lock held: %v", err)
+	}
+}
+
+// TestClusterOversizeWriteKeepsNode: the router takes ErrTooLarge for the
+// application result it is, not for a dead primary — the write fails and
+// no node leaves the ring.
+func TestClusterOversizeWriteKeepsNode(t *testing.T) {
+	cl, err := NewReplicated(3, 2, nil)
+	if err != nil {
+		t.Fatalf("NewReplicated: %v", err)
+	}
+	defer cl.Close()
+	if _, err := cl.Put("k", make([]byte, wal.MaxRecord)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversize Put: err = %v, want ErrTooLarge", err)
+	}
+	if n := cl.Nodes(); n != 3 {
+		t.Fatalf("nodes = %d after an oversize write, want 3", n)
+	}
+}

@@ -93,6 +93,7 @@ var wireErrors = [...]struct{ err, code error }{
 	{ErrNotLockOwner, errors.New("NOT_LOCK_OWNER")},
 	{ErrNoSession, errors.New("NO_SESSION")},
 	{ErrWrongOwner, errors.New("WRONG_OWNER")},
+	{ErrTooLarge, errors.New("TOO_LARGE")},
 }
 
 // wireError replaces a sentinel error by its wire code.
@@ -532,12 +533,15 @@ var methods = map[string]method{
 		rep.Val, err = s.store.view(r.Key)
 		return err
 	})},
-	"Put": {serve: rpc(func(s *Server, _ *transport.Request, r *putReq, rep *putReply) error {
+	"Put": {serve: rpc(func(s *Server, _ *transport.Request, r *putReq, rep *putReply) (err error) {
 		st := s.stripeFor(r.Key)
-		rep.Version = s.store.Put(r.Key, r.Val, &st.req.Recs)
+		rep.Version, err = s.store.Put(r.Key, r.Val, &st.req.Recs)
 		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
 		s.forward(r.Key, &st.req)
 		st.release()
+		if err != nil {
+			return err
+		}
 		s.sessions.invalidate(r.Key)
 		s.sessions.barrier()
 		return nil
@@ -592,7 +596,6 @@ var methods = map[string]method{
 		if err != nil {
 			return err
 		}
-		s.sessions.notify(lockWatchTopic(r.Name))
 		s.sessions.barrier()
 		return nil
 	})},
@@ -606,7 +609,6 @@ var methods = map[string]method{
 		if err != nil {
 			return err
 		}
-		s.sessions.notify(lockWatchTopic(r.Name))
 		s.sessions.barrier()
 		return nil
 	})},
@@ -641,8 +643,6 @@ var methods = map[string]method{
 		*rep = leaseReply{Val: v, Snapshot: snap, NoCache: noCache, Gen: gen}
 		return nil
 	})},
-	"SessWatch":   {serve: rpc(sessWatch(true))},
-	"SessUnwatch": {serve: rpc(sessWatch(false))},
 	// The session control plane — keepalives, invalidation acks, interest
 	// drops, teardown — rides the express lane. Write handlers park in the
 	// admission pool waiting for exactly these calls: admitted through the
@@ -679,11 +679,4 @@ var methods = map[string]method{
 	"Replicate": {serve: rpc(func(s *Server, _ *transport.Request, r *replReq, _ *replReply) error {
 		return s.store.applyRecords(r.Recs)
 	})},
-}
-
-// sessWatch is the SessWatch (on) or SessUnwatch (off) handler.
-func sessWatch(on bool) func(*Server, *transport.Request, *sessWatchReq, *sessWatchReply) error {
-	return func(s *Server, _ *transport.Request, r *sessWatchReq, _ *sessWatchReply) error {
-		return s.sessions.watch(r.ID, r.Topic, on)
-	}
 }

@@ -87,7 +87,6 @@ type Session struct {
 	leaseUntil time.Time
 	dead       bool
 	closed     bool
-	watchers   map[string][]chan string
 
 	hits, misses, invals atomic.Uint64
 
@@ -117,7 +116,6 @@ func NewSession(addr string, opts SessionOptions) (*Session, error) {
 		maxEntries: maxEntries,
 		entries:    make(map[string]*cacheEntry),
 		lastInval:  make(map[string]uint64),
-		watchers:   make(map[string][]chan string),
 		ackCh:      make(chan uint64, 4096),
 		done:       make(chan struct{}),
 	}
@@ -197,20 +195,6 @@ func (s *Session) onEvent(ev transport.Event) {
 		s.mu.Unlock()
 		s.invals.Add(1)
 		s.enqueueAck(ev.Seq)
-	case evNotify:
-		s.mu.Lock()
-		chans := append([]chan string(nil), s.watchers[ev.Topic]...)
-		s.mu.Unlock()
-		if len(chans) == 0 {
-			return
-		}
-		topic := strings.Clone(ev.Topic)
-		for _, ch := range chans {
-			select { // lossy by contract: a slow watcher drops, never blocks
-			case ch <- topic:
-			default:
-			}
-		}
 	}
 }
 
@@ -482,64 +466,6 @@ func (s *Session) installLocked(key string, v Versioned, gen uint64) (val Versio
 	evictedGen = s.lru.prev.gen
 	evictedKey, _ = s.removeLocked(s.lru.prev.key)
 	return val, evictedKey, evictedGen, true
-}
-
-// Watch subscribes to lossy change notifications for a data key: the
-// channel receives the key after each committed write to it (coalesced
-// under load — notifications are a re-read hint, not a change log, and
-// never gate a write the way invalidations do). The returned cancel
-// releases the subscription.
-func (s *Session) Watch(key string) (<-chan string, func(), error) {
-	return s.watch(key)
-}
-
-// WatchLock is Watch for a named lock: a notification fires on every
-// acquire and release of the lock.
-func (s *Session) WatchLock(name string) (<-chan string, func(), error) {
-	return s.watch(lockWatchTopic(name))
-}
-
-func (s *Session) watch(topic string) (<-chan string, func(), error) {
-	ch := make(chan string, 16)
-	s.mu.Lock()
-	if s.dead {
-		s.mu.Unlock()
-		return nil, nil, ErrNoSession
-	}
-	s.watchers[topic] = append(s.watchers[topic], ch)
-	s.mu.Unlock()
-	var rep sessWatchReply
-	if err := call(s.conn, "SessWatch", &sessWatchReq{ID: s.id, Topic: topic}, &rep); err != nil {
-		s.unsubscribe(topic, ch)
-		return nil, nil, err
-	}
-	cancel := func() {
-		if s.unsubscribe(topic, ch) {
-			var rep sessWatchReply
-			_ = call(s.conn, "SessUnwatch", &sessWatchReq{ID: s.id, Topic: topic}, &rep)
-		}
-	}
-	return ch, cancel, nil
-}
-
-// unsubscribe removes ch from topic's watcher list and reports whether it
-// was the last one (so the server-side registration can be dropped).
-func (s *Session) unsubscribe(topic string, ch chan string) (last bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	chans := s.watchers[topic]
-	for i, c := range chans {
-		if c == ch {
-			chans = append(chans[:i], chans[i+1:]...)
-			break
-		}
-	}
-	if len(chans) == 0 {
-		delete(s.watchers, topic)
-		return true
-	}
-	s.watchers[topic] = chans
-	return false
 }
 
 // SessionStats reports a session's cache effectiveness.

@@ -47,15 +47,7 @@ const (
 	// evFlush invalidates the whole cache (view change, lock migration).
 	// Acknowledged like evInval.
 	evFlush = 2
-	// evNotify is a lossy watch notification (Topic = key or lock topic).
-	// Never acknowledged, never blocks a write; Seq is always 0.
-	evNotify = 3
 )
-
-// lockWatchTopic is the notification topic of a named lock. The \x00 prefix
-// keeps it out of the data keyspace, so watching lock "x" never aliases
-// watching data key "lock/x".
-func lockWatchTopic(name string) string { return "\x00lock:" + name }
 
 // Session-protocol wire messages (hot path: every cache miss is a GetLease,
 // every invalidation round trips a SessAck).
@@ -128,11 +120,6 @@ type (
 		Gen uint64 // the evicted entry's lease grant (leaseReply.Gen)
 	}
 	sessForgetReply struct{}
-	sessWatchReq    struct {
-		ID    uint64
-		Topic string
-	}
-	sessWatchReply struct{}
 )
 
 // eventPusher is the slice of transport.Pusher the session layer uses —
@@ -167,7 +154,6 @@ type serverSession struct {
 	// grant, numbered by grants (one per GetLease).
 	interest map[string]uint64
 	grants   uint64
-	topics   map[string]struct{}
 	// acks holds the session's issued, unacknowledged invalidations in
 	// sequence order (sequences are assigned under the mutex, so appending
 	// keeps the order and a cumulative ack settles a prefix).
@@ -187,10 +173,10 @@ type serverSession struct {
 }
 
 // sessionMgr tracks every live session of one Server: who caches which key,
-// who watches which topic, and the write fence. One invalidation may be
-// outstanding per key per session — interest is dropped at issue time, so a
-// later write to the same key finds no interest and pushes nothing until
-// the client re-leases the key.
+// and the write fence. One invalidation may be outstanding per key per
+// session — interest is dropped at issue time, so a later write to the same
+// key finds no interest and pushes nothing until the client re-leases the
+// key.
 type sessionMgr struct {
 	clock simclock.Clock
 
@@ -199,13 +185,11 @@ type sessionMgr struct {
 	maxInterest int
 	nextID      uint64
 	sessions    map[uint64]*serverSession
-	// byKey and watches index sessions by key and by topic, as unordered
-	// slices with swap-remove. A key is typically cached by few sessions
-	// (one per client that reads it), where a slice costs one allocation
-	// per lease round and a set two. A session appears at most once per
-	// slice.
-	byKey   map[string][]*serverSession
-	watches map[string][]*serverSession
+	// byKey indexes sessions by the keys they cache, as unordered slices
+	// with swap-remove. A key is typically cached by few sessions (one per
+	// client that reads it), where a slice costs one allocation per lease
+	// round and a set two. A session appears at most once per slice.
+	byKey map[string][]*serverSession
 	// spareSets recycles the index slices of keys whose last session left
 	// (an invalidation, a forget), so the lease that re-registers a key
 	// reuses one instead of allocating it.
@@ -238,7 +222,6 @@ func newSessionMgr(clock simclock.Clock) *sessionMgr {
 		maxInterest: defaultMaxInterest,
 		sessions:    make(map[uint64]*serverSession),
 		byKey:       make(map[string][]*serverSession),
-		watches:     make(map[string][]*serverSession),
 		wake:        make(chan struct{}, 1),
 	}
 }
@@ -263,7 +246,6 @@ func (m *sessionMgr) open(p eventPusher) (id uint64, ttl time.Duration) {
 		pusher:   p,
 		expires:  m.clock.Now().Add(m.ttl),
 		interest: make(map[string]uint64),
-		topics:   make(map[string]struct{}),
 		dead:     make(chan struct{}),
 		sendSig:  make(chan struct{}, 1),
 	}
@@ -351,9 +333,9 @@ func (m *sessionMgr) keepalive(id, processed uint64) (eventSeq uint64, ttl time.
 	return sess.seq, m.ttl, nil
 }
 
-// close tears the session down at its client's request: interest and
-// watches dropped, writers waiting on its acks released (the client stopped
-// serving its cache before it asked).
+// close tears the session down at its client's request: interest dropped,
+// writers waiting on its acks released (the client stopped serving its
+// cache before it asked).
 func (m *sessionMgr) close(id uint64) {
 	m.mu.Lock()
 	if sess := m.sessions[id]; sess != nil {
@@ -383,10 +365,7 @@ func (m *sessionMgr) killLocked(sess *serverSession, ended bool) {
 	}
 	sess.acks = nil
 	for k := range sess.interest {
-		m.dropIndexLocked(m.byKey, k, sess)
-	}
-	for t := range sess.topics {
-		m.dropIndexLocked(m.watches, t, sess)
+		m.dropIndexLocked(k, sess)
 	}
 	close(sess.dead)
 }
@@ -397,10 +376,10 @@ func (m *sessionMgr) kill(sess *serverSession) {
 	m.mu.Unlock()
 }
 
-// addIndexLocked records sess under key in idx; the caller ensures it is
-// not there yet (the session's own interest or topic set says so).
-func (m *sessionMgr) addIndexLocked(idx map[string][]*serverSession, key string, sess *serverSession) {
-	set := idx[key]
+// addIndexLocked records sess under key in byKey; the caller ensures it is
+// not there yet (the session's own interest set says so).
+func (m *sessionMgr) addIndexLocked(key string, sess *serverSession) {
+	set := m.byKey[key]
 	if set == nil {
 		if n := len(m.spareSets); n > 0 {
 			set, m.spareSets = m.spareSets[n-1], m.spareSets[:n-1]
@@ -408,7 +387,7 @@ func (m *sessionMgr) addIndexLocked(idx map[string][]*serverSession, key string,
 			set = make([]*serverSession, 0, 4)
 		}
 	}
-	idx[key] = append(set, sess)
+	m.byKey[key] = append(set, sess)
 }
 
 // Bounds of the spare index slices: how many are kept, and the largest
@@ -426,8 +405,8 @@ func (m *sessionMgr) spareSetLocked(set []*serverSession) {
 	}
 }
 
-func (m *sessionMgr) dropIndexLocked(idx map[string][]*serverSession, key string, sess *serverSession) {
-	set := idx[key]
+func (m *sessionMgr) dropIndexLocked(key string, sess *serverSession) {
+	set := m.byKey[key]
 	i := slices.Index(set, sess)
 	if i < 0 {
 		return
@@ -435,11 +414,11 @@ func (m *sessionMgr) dropIndexLocked(idx map[string][]*serverSession, key string
 	last := len(set) - 1
 	set[i], set[last] = set[last], nil
 	if last == 0 {
-		delete(idx, key)
+		delete(m.byKey, key)
 		m.spareSetLocked(set)
 		return
 	}
-	idx[key] = set[:last]
+	m.byKey[key] = set[:last]
 }
 
 // lease registers the session's interest in key and returns the event-
@@ -460,7 +439,7 @@ func (m *sessionMgr) lease(id uint64, key string) (snapshot, gen uint64, noCache
 		if len(sess.interest) >= m.maxInterest {
 			return sess.seq, 0, true, nil
 		}
-		m.addIndexLocked(m.byKey, key, sess)
+		m.addIndexLocked(key, sess)
 	}
 	sess.grants++
 	sess.interest[key] = sess.grants
@@ -477,7 +456,7 @@ func (m *sessionMgr) forget(id uint64, key string, gen uint64) {
 	m.mu.Lock()
 	if sess := m.sessions[id]; sess != nil && sess.interest[key] == gen {
 		delete(sess.interest, key)
-		m.dropIndexLocked(m.byKey, key, sess)
+		m.dropIndexLocked(key, sess)
 	}
 	m.mu.Unlock()
 }
@@ -505,27 +484,6 @@ func (m *sessionMgr) ackLocked(sess *serverSession, upTo uint64) {
 		clear(sess.acks[left:])
 		sess.acks = sess.acks[:left]
 	}
-}
-
-// watch registers (or, with on=false, removes) the session's interest in
-// lossy change notifications on topic.
-func (m *sessionMgr) watch(id uint64, topic string, on bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sess := m.liveLocked(id)
-	if sess == nil {
-		return ErrNoSession
-	}
-	if !on {
-		delete(sess.topics, topic)
-		m.dropIndexLocked(m.watches, topic, sess)
-		return nil
-	}
-	if _, have := sess.topics[topic]; !have {
-		sess.topics[topic] = struct{}{}
-		m.addIndexLocked(m.watches, topic, sess)
-	}
-	return nil
 }
 
 // ackWaiter is one writer's wait on its invalidation round: pending counts
@@ -581,7 +539,7 @@ func (m *sessionMgr) issueLocked(sess *serverSession, w *ackWaiter, kind uint64,
 // each has acknowledged or provably expired — the write that triggered it
 // must not be acknowledged before cached copies are gone. Interest is
 // dropped at issue, so at most one invalidation per key per session is ever
-// outstanding. Watchers of the key get a (non-blocking) notification.
+// outstanding.
 func (m *sessionMgr) invalidate(key string) {
 	var w *ackWaiter
 	m.mu.Lock()
@@ -606,9 +564,6 @@ func (m *sessionMgr) invalidate(key string) {
 		delete(m.byKey, key)
 		m.spareSetLocked(set)
 	}
-	for _, sess := range m.watches[key] {
-		m.queueEventLocked(sess, evNotify, 0, key)
-	}
 	m.mu.Unlock()
 	await(w)
 }
@@ -626,7 +581,7 @@ func (m *sessionMgr) flushAll() {
 			continue
 		}
 		for k := range sess.interest {
-			m.dropIndexLocked(m.byKey, k, sess)
+			m.dropIndexLocked(k, sess)
 		}
 		sess.interest = make(map[string]uint64)
 		if w == nil {
@@ -746,15 +701,6 @@ func (m *sessionMgr) sweepLocked(now time.Time) (next time.Time, ok bool) {
 	clear(m.orphans[len(left):])
 	m.orphans = left
 	return next, ok
-}
-
-// notify pushes a lossy change notification to every watcher of topic.
-func (m *sessionMgr) notify(topic string) {
-	m.mu.Lock()
-	for _, sess := range m.watches[topic] {
-		m.queueEventLocked(sess, evNotify, 0, topic)
-	}
-	m.mu.Unlock()
 }
 
 // fenceWrites forbids write acknowledgments before until (monotone: an

@@ -297,58 +297,6 @@ func TestSessionInterestTableFull(t *testing.T) {
 	}
 }
 
-func TestSessionWatch(t *testing.T) {
-	srv, cli := newSessionNode(t)
-	sess := openSession(t, srv.Addr(), SessionOptions{})
-
-	keyCh, cancelKey, err := sess.Watch("wk")
-	if err != nil {
-		t.Fatalf("Watch: %v", err)
-	}
-	lockCh, cancelLock, err := sess.WatchLock("wl")
-	if err != nil {
-		t.Fatalf("WatchLock: %v", err)
-	}
-	defer cancelLock()
-	if _, err := cli.Put("wk", []byte("x")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	select {
-	case got := <-keyCh:
-		if got != "wk" {
-			t.Fatalf("key notification drifted: %q", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("key write never notified")
-	}
-	if err := cli.TryLock("wl", "me", time.Minute); err != nil {
-		t.Fatalf("TryLock: %v", err)
-	}
-	select {
-	case <-lockCh:
-	case <-time.After(2 * time.Second):
-		t.Fatal("lock acquire never notified")
-	}
-	if err := cli.Unlock("wl", "me"); err != nil {
-		t.Fatalf("Unlock: %v", err)
-	}
-	select {
-	case <-lockCh:
-	case <-time.After(2 * time.Second):
-		t.Fatal("lock release never notified")
-	}
-
-	cancelKey()
-	if _, err := cli.Put("wk", []byte("y")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	select {
-	case got := <-keyCh:
-		t.Fatalf("cancelled watch still notified: %q", got)
-	case <-time.After(150 * time.Millisecond):
-	}
-}
-
 // TestClusterSessionCoherence drives the cached view of a replicated
 // cluster through the Shared surface and across a membership change.
 func TestClusterSessionCoherence(t *testing.T) {
@@ -572,9 +520,6 @@ type recordingPusher struct {
 }
 
 func (p *recordingPusher) Send(kind, seq uint64, topic string, payload []byte) error {
-	if kind == evNotify {
-		return nil
-	}
 	// Stagger odd sequences, standing in for network-send jitter: an
 	// implementation that pushes from the issuing goroutines concurrently
 	// (instead of through the per-session FIFO sender) then reliably lands

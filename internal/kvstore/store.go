@@ -46,12 +46,12 @@
 // reads then install lease-stamped entries in a bounded local cache, and
 // repeated reads of an unchanged key cost no round trip. Coherence is
 // server-pushed, Chubby-style: before acknowledging any conflicting write
-// (Put/Delete/CAS/AddInt64, or a lock transition for watched locks), the
-// key's primary pushes an invalidation event to every session holding that
-// key and waits for the acks — so by the time a writer's ack returns, no
-// live cache anywhere still holds the old value. A session that does not
-// ack within its lease is killed instead of waited on forever, which bounds
-// write latency at one session TTL in the worst case.
+// (Put/Delete/CAS/AddInt64), the key's primary pushes an invalidation
+// event to every session holding that key and waits for the acks — so by
+// the time a writer's ack returns, no live cache anywhere still holds the
+// old value. A session that does not ack within its lease is killed
+// instead of waited on forever, which bounds write latency at one session
+// TTL in the worst case.
 //
 // The wait allocates nothing per write. The writer holds one pooled waiter
 // that counts its round's invalidations down as each settles: by the
@@ -154,6 +154,7 @@ import (
 	"time"
 
 	"elasticrmi/internal/simclock"
+	"elasticrmi/internal/wal"
 )
 
 // Exported errors.
@@ -166,6 +167,9 @@ var (
 	ErrLockHeld = errors.New("kvstore: lock held")
 	// ErrNotLockOwner is returned by Unlock when the caller does not hold it.
 	ErrNotLockOwner = errors.New("kvstore: not lock owner")
+	// ErrTooLarge is returned by a write whose record would not fit one
+	// log record (wal.MaxRecord); the store is left unchanged.
+	ErrTooLarge = errors.New("kvstore: write too large")
 )
 
 // Versioned is a value with its version. Versions are monotonic across a
@@ -321,8 +325,27 @@ func scratch(rec *[]byte) *[]byte {
 	return rec
 }
 
+// recordOverhead bounds a write record's fixed fields: its kind, length
+// prefixes, version or expiry and sequence.
+const recordOverhead = 64
+
+// fitRecord fails a write whose caller-sized fields — a key and value, or
+// a lock name and owner, of lengths a and b — would make its record longer
+// than one log record. Every store checks, durable or not, so a primary
+// never forwards a record its backups could not log. Delete and Unlock
+// need no check: they only rewrite state a checked write created.
+func fitRecord(op string, a, b int) error {
+	if a+b > wal.MaxRecord-recordOverhead {
+		return fmt.Errorf("%s of %d+%d bytes: %w", op, a, b, ErrTooLarge)
+	}
+	return nil
+}
+
 // Put stores value at key and returns the new version.
-func (s *Store) Put(key string, value []byte, rec *[]byte) uint64 {
+func (s *Store) Put(key string, value []byte, rec *[]byte) (uint64, error) {
+	if err := fitRecord("put", len(key), len(value)); err != nil {
+		return 0, err
+	}
 	rec = scratch(rec)
 	s.mu.Lock()
 	e := s.data[key]
@@ -336,7 +359,7 @@ func (s *Store) Put(key string, value []byte, rec *[]byte) uint64 {
 	s.maybeGCLocked()
 	s.mu.Unlock()
 	s.durCommit(*rec, 1)
-	return e.version
+	return e.version, nil
 }
 
 // Delete removes key, leaving a version-stamped tombstone so replicas and
@@ -365,6 +388,9 @@ func (s *Store) Delete(key string, rec *[]byte) {
 // expectVersion (0 means "key must not exist"). On success it returns the
 // new version; on conflict it returns ErrCASMismatch and the current value.
 func (s *Store) CompareAndSwap(key string, value []byte, expectVersion uint64, rec *[]byte) (uint64, Versioned, error) {
+	if err := fitRecord("cas", len(key), len(value)); err != nil {
+		return 0, Versioned{}, err
+	}
 	rec = scratch(rec)
 	s.mu.Lock()
 	e, exists := s.data[key]
@@ -398,6 +424,9 @@ func (s *Store) CompareAndSwap(key string, value []byte, expectVersion uint64, r
 // count as 0) and returns the new value. The value is stored in decimal form
 // so it remains readable through Get.
 func (s *Store) AddInt64(key string, delta int64, rec *[]byte) (int64, error) {
+	if err := fitRecord("add", len(key), len("-9223372036854775808")); err != nil {
+		return 0, err
+	}
 	rec = scratch(rec)
 	s.mu.Lock()
 	e := s.data[key]
@@ -456,6 +485,9 @@ func (s *Store) Len() int {
 func (s *Store) TryLock(name, owner string, lease time.Duration, rec *[]byte) error {
 	if lease <= 0 {
 		lease = 30 * time.Second
+	}
+	if err := fitRecord("lock", len(name), len(owner)); err != nil {
+		return err
 	}
 	rec = scratch(rec)
 	now := s.clock.Now()

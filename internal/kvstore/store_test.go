@@ -16,16 +16,16 @@ func TestStorePutGetDelete(t *testing.T) {
 	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
 	}
-	v1 := s.Put("k", []byte("a"), nil)
-	if v1 != 1 {
+	v1, err := s.Put("k", []byte("a"), nil)
+	if err != nil || v1 != 1 {
 		t.Fatalf("first version = %d, want 1", v1)
 	}
 	got, err := s.Get("k")
 	if err != nil || string(got.Value) != "a" || got.Version != 1 {
 		t.Fatalf("Get = %+v, %v", got, err)
 	}
-	v2 := s.Put("k", []byte("b"), nil)
-	if v2 != 2 {
+	v2, err := s.Put("k", []byte("b"), nil)
+	if err != nil || v2 != 2 {
 		t.Fatalf("second version = %d, want 2", v2)
 	}
 	s.Delete("k", nil)
@@ -197,8 +197,8 @@ func TestPutGetProperty(t *testing.T) {
 	s := NewStore(nil)
 	prop := func(key string, value []byte) bool {
 		before, _ := s.Get(key)
-		v := s.Put(key, value, nil)
-		if v != before.Version+1 {
+		v, err := s.Put(key, value, nil)
+		if err != nil || v != before.Version+1 {
 			return false
 		}
 		got, err := s.Get(key)
@@ -447,7 +447,7 @@ func TestDeleteTombstoneOrdering(t *testing.T) {
 		t.Fatalf("stale import resurrected deleted key: %v", err)
 	}
 	// Re-creation continues above the tombstone.
-	if v := s.Put("k", []byte("b"), nil); v != 3 {
+	if v, _ := s.Put("k", []byte("b"), nil); v != 3 {
 		t.Fatalf("re-created version = %d, want 3 (must continue above tombstone)", v)
 	}
 	s.Delete("k", nil) // tombstone v4

@@ -129,11 +129,11 @@
 // Event metadata (kind 4; the event payload is the frame's payload
 // section): a server-initiated message on an established connection — the
 // push half of a lease/invalidation protocol layered above the transport
-// (e.g. the kvstore session layer's cache invalidations and watch
-// notifications). Events flow server→client only; a client-sent event frame
-// is a protocol violation that closes the connection. The server obtains a
-// push handle from any request on the connection (Request.Pusher) and may
-// hold it for the connection's lifetime:
+// (e.g. the kvstore session layer's cache invalidations and flushes).
+// Events flow server→client only; a client-sent event frame is a protocol
+// violation that closes the connection. The server obtains a push handle
+// from any request on the connection (Request.Pusher) and may hold it for
+// the connection's lifetime:
 //
 //	seq      uvarint   // application-assigned token (e.g. echoed on an ack call)
 //	kind     uvarint   // application-defined event discriminator

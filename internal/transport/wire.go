@@ -32,7 +32,7 @@ const MaxFrame = 64 << 20
 // an exactly-sized arena slab and writers emit large payloads by
 // scatter-gather without copying them through the connection buffer.
 // Version 5 added the event frame: a server-initiated message pushed on an
-// established connection (session invalidations and watch notifications),
+// established connection (the kvstore session layer's cache invalidations),
 // reusing the metadata/payload split of version 4. Version 6 deleted the
 // batch frame (kind 4) — concurrent and pipelined requests coalesce in the
 // connection buffer instead — and renumbered the event frame from 5 to 4 so
