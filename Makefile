@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test race ci bench-smoke fuzz-smoke kv-chaos kv-restart kv-sessions generate-check loc
+.PHONY: all build vet lint fmt-check test race ci bench-smoke fuzz-smoke kv-chaos kv-restart kv-sessions async-recycle generate-check loc
 
 all: vet test
 
@@ -19,6 +19,7 @@ ci: fmt-check build lint generate-check
 	$(MAKE) kv-chaos
 	$(MAKE) kv-restart
 	$(MAKE) kv-sessions
+	$(MAKE) async-recycle
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 
@@ -65,6 +66,15 @@ kv-restart:
 # repeated so the crash lands on different lease/invalidation interleavings.
 kv-sessions:
 	$(GO) test -race -timeout 300s -run 'TestKVSessionsNoStaleReadsAcrossCrash' -count 3 ./internal/ermitest/
+
+# async-recycle gates the recycled invocation futures: several goroutines
+# keep windows of InvokeAsync futures in flight against an echo pool, so
+# each terminal call hands its state (and reply payload) to another
+# invocation, asserting every reply is its own request's and every spent
+# handle stays spent, under the race detector and repeated so the recycling
+# lands on different interleavings.
+async-recycle:
+	$(GO) test -race -timeout 300s -run 'TestAsyncCallRecyclingStress' -count 3 ./internal/core/
 
 # fmt-check fails if any file is not gofmt-clean (gofmt -l lists offenders).
 fmt-check:

@@ -351,8 +351,9 @@ func BenchmarkInvokeAsyncPipelined(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
-	futures := make([]*core.AsyncCall, 0, window)
+	futures := make([]core.AsyncCall, 0, window)
 	for done := 0; done < b.N; {
 		n := window
 		if rem := b.N - done; n > rem {

@@ -213,7 +213,7 @@ func TestRouteAsyncPipelinesOrderFlow(t *testing.T) {
 	addVenue(t, stub, marketcetera.Venue{Name: "ARCA"})
 
 	const n = 64
-	futures := make([]*core.AsyncCall, n)
+	futures := make([]core.AsyncCall, n)
 	for i := 0; i < n; i++ {
 		futures[i] = stub.InvokeAsync(marketcetera.MethodRoute, transport.Encode(&marketcetera.Order{
 			ID:     marketcetera.OrderID("engine", int64(i)),

@@ -241,9 +241,10 @@ func (m *Manager) Release(s *Slice) error {
 	}
 	delete(m.inUse, s.ID)
 	m.nodeUsed[s.Node]--
-	if !m.failed[s.Node] {
-		m.free = append(m.free, s)
-	}
+	// A slice in use is never on a failed node: FailNode revokes every
+	// in-use slice of the node it fails, and nothing grants one there
+	// again, so the slice always goes back to the free list.
+	m.free = append(m.free, s)
 	m.checkThresholdsLocked(m.utilizationLocked())
 	return nil
 }

@@ -36,6 +36,9 @@ var (
 	ErrUnavailable = errors.New("core: elastic object pool unavailable")
 	// ErrNotBound is returned by registry lookups for unknown names.
 	ErrNotBound = errors.New("core: name not bound")
+	// ErrSpent is returned by a terminal call (Err, Result, Decode) on an
+	// AsyncCall that was already spent, or on the zero AsyncCall.
+	ErrSpent = errors.New("core: async call already spent")
 )
 
 // Object is one member instance of an elastic class: the application code

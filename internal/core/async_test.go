@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -27,7 +29,7 @@ func TestInvokeAsyncRoundTrip(t *testing.T) {
 
 	const n = 64
 	arg := transport.Encode(&addArgs{N: 1})
-	futures := make([]*AsyncCall, n)
+	futures := make([]AsyncCall, n)
 	for i := 0; i < n; i++ {
 		futures[i] = stub.InvokeAsync("Add", arg)
 	}
@@ -110,6 +112,132 @@ func TestInvokeAsyncAllDeadPropagates(t *testing.T) {
 	}
 }
 
+// TestAsyncCallSpentHandle: a future allows one terminal call. Any second
+// one returns ErrSpent, also once the state has been recycled into a later
+// invocation, and Done on a spent or zero handle is already closed.
+func TestAsyncCallSpentHandle(t *testing.T) {
+	stub, obj := newEchoStub(t)
+	terminal := map[string]func(AsyncCall) ([]byte, error){
+		"Err":    func(ac AsyncCall) ([]byte, error) { return nil, ac.Err() },
+		"Result": AsyncCall.Result,
+		"Decode": func(ac AsyncCall) ([]byte, error) { return nil, ac.Decode(nil) },
+	}
+	for first, spend := range terminal {
+		for second, again := range terminal {
+			ac := stub.InvokeAsync("Echo", []byte("first"))
+			if _, err := spend(ac); err != nil {
+				t.Fatalf("%s: %v", first, err)
+			}
+			next := stub.InvokeAsync("Echo", []byte("next")) // likely reuses ac's state
+			if out, err := again(ac); !errors.Is(err, ErrSpent) || out != nil {
+				t.Fatalf("%s after %s = %q, %v; want ErrSpent", second, first, out, err)
+			}
+			if out, err := next.Result(); err != nil || string(out) != "next" {
+				t.Fatalf("invocation after a spent handle = %q, %v", out, err)
+			}
+		}
+	}
+
+	// A spent handle whose state may now serve a pending invocation still
+	// reports done, and never that invocation's outcome.
+	ac := stub.InvokeAsync("Echo", []byte("first"))
+	if err := ac.Err(); err != nil {
+		t.Fatalf("Err: %v", err)
+	}
+	pending := stub.InvokeAsync("Block", []byte("blocked"))
+	select {
+	case <-ac.Done():
+	default:
+		t.Fatal("Done on a spent handle is open")
+	}
+	if out, err := ac.Result(); !errors.Is(err, ErrSpent) || out != nil {
+		t.Fatalf("Result on a spent handle = %q, %v; want ErrSpent", out, err)
+	}
+	close(obj.release)
+	if out, err := pending.Result(); err != nil || string(out) != "blocked" {
+		t.Fatalf("pending invocation = %q, %v", out, err)
+	}
+
+	var zero AsyncCall
+	select {
+	case <-zero.Done():
+	default:
+		t.Fatal("Done on the zero AsyncCall is open")
+	}
+	if err := zero.Err(); !errors.Is(err, ErrSpent) {
+		t.Fatalf("zero Err = %v, want ErrSpent", err)
+	}
+	if _, err := zero.Result(); !errors.Is(err, ErrSpent) {
+		t.Fatalf("zero Result = %v, want ErrSpent", err)
+	}
+	if err := zero.Decode(nil); !errors.Is(err, ErrSpent) {
+		t.Fatalf("zero Decode = %v, want ErrSpent", err)
+	}
+}
+
+// copyReply decodes by copying, so Decode recycles the payload after it.
+type copyReply struct{ b []byte }
+
+func (r *copyReply) UnmarshalERMI(b []byte) error {
+	r.b = append(r.b[:0], b...)
+	return nil
+}
+
+// TestAsyncCallRecyclingStress: several goroutines each keep a window of
+// futures in flight against an echo pool, so every terminal call recycles
+// a state (and Err and Decode a reply payload) into some goroutine's next
+// invocation. Every reply must equal its own request, and each spent
+// handle, tried again once its state has likely moved on, must return
+// ErrSpent. `make async-recycle` runs it under the race detector.
+func TestAsyncCallRecyclingStress(t *testing.T) {
+	stub, _ := newEchoStub(t)
+	const callers, window, rounds = 8, 16, 100
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			futures := make([]AsyncCall, window)
+			spent := make([]AsyncCall, 0, window)
+			reqs := make([][]byte, window)
+			var rep copyReply
+			for r := range rounds {
+				for i := range futures {
+					reqs[i] = binary.LittleEndian.AppendUint64(
+						binary.LittleEndian.AppendUint32(nil, uint32(g)), uint64(r*window+i))
+					futures[i] = stub.InvokeAsync("Echo", reqs[i])
+				}
+				for _, old := range spent {
+					if out, err := old.Result(); !errors.Is(err, ErrSpent) || out != nil {
+						t.Errorf("caller %d: spent handle = %x, %v; want ErrSpent", g, out, err)
+						return
+					}
+				}
+				for i, f := range futures {
+					var out []byte
+					var err error
+					switch i % 3 {
+					case 0:
+						out, err = f.Result()
+					case 1:
+						err = f.Decode(&rep)
+						out = rep.b
+					case 2:
+						err = f.Err()
+						out = reqs[i]
+					}
+					if err != nil || !bytes.Equal(out, reqs[i]) {
+						t.Errorf("caller %d: reply %x, %v to request %x", g, out, err, reqs[i])
+						return
+					}
+				}
+				spent = append(spent[:0], futures...)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestSentinelSeesAsyncPendingWork: in-flight async invocations must show
 // up in the member pending counts the sentinel broadcasts and the scaling
 // policies read — queued async work is real load.
@@ -144,7 +272,7 @@ func TestSentinelSeesAsyncPendingWork(t *testing.T) {
 
 	const n = 8
 	arg := transport.Encode(&Empty{})
-	futures := make([]*AsyncCall, n)
+	futures := make([]AsyncCall, n)
 	for i := 0; i < n; i++ {
 		futures[i] = stub.InvokeAsync("Block", arg)
 	}
@@ -194,7 +322,7 @@ func TestStubPipelinesConcurrentFutures(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			arg := transport.Encode(&addArgs{N: 1})
-			futures := make([]*AsyncCall, per)
+			futures := make([]AsyncCall, per)
 			for i := range futures {
 				futures[i] = stub.InvokeAsync("Add", arg)
 			}

@@ -54,9 +54,9 @@ func newEchoStub(t *testing.T) (stub *Stub, obj *blockingEcho) {
 
 // blockAsync starts n asynchronous Block invocations and returns once every
 // handler is running.
-func blockAsync(t *testing.T, stub *Stub, obj *blockingEcho, n int) []*AsyncCall {
+func blockAsync(t *testing.T, stub *Stub, obj *blockingEcho, n int) []AsyncCall {
 	t.Helper()
-	calls := make([]*AsyncCall, n)
+	calls := make([]AsyncCall, n)
 	for i := range calls {
 		calls[i] = stub.InvokeAsync("Block", nil)
 	}
@@ -145,8 +145,8 @@ func TestAsyncWorkersBoundedAndStoppedByClose(t *testing.T) {
 }
 
 // TestInvokeAsyncAllocCeiling pins the process-wide allocation cost of one
-// asynchronous invocation against a two-member pool: the AsyncCall, its
-// done channel and the transport call's done channel, with one to spare.
+// asynchronous invocation against a two-member pool: the future's done
+// channel, the one allocation its recycled state cannot avoid.
 func TestInvokeAsyncAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -165,7 +165,7 @@ func TestInvokeAsyncAllocCeiling(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(2000, call)
 	t.Logf("InvokeAsync+Result: %.2f allocs/op", allocs)
-	if allocs > 4 {
-		t.Fatalf("InvokeAsync+Result = %v allocs/op, want <= 4", allocs)
+	if allocs > 1 {
+		t.Fatalf("InvokeAsync+Result = %v allocs/op, want <= 1", allocs)
 	}
 }

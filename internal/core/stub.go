@@ -41,7 +41,7 @@ type Stub struct {
 	// unbuffered, so a send succeeds only when one is waiting.
 	// asyncWorkers counts live async workers, asyncIdle the parked ones.
 	// stop, closed by Close, ends the parked ones.
-	asyncq       chan *AsyncCall
+	asyncq       chan *asyncState
 	asyncWorkers atomic.Int32
 	asyncIdle    atomic.Int32
 	stop         chan struct{}
@@ -90,7 +90,7 @@ func NewStub(name string, endpoints []string, opts ...StubOption) (*Stub, error)
 		name:    name,
 		timeout: 10 * time.Second,
 		routes:  route.NewState(route.Seed(endpoints)),
-		asyncq:  make(chan *AsyncCall),
+		asyncq:  make(chan *asyncState),
 		stop:    make(chan struct{}),
 	}
 	for _, o := range opts {
