@@ -71,10 +71,12 @@ kv-sessions:
 # keep windows of InvokeAsync futures in flight against an echo pool, so
 # each terminal call hands its state (and reply payload) to another
 # invocation, asserting every reply is its own request's and every spent
-# handle stays spent, under the race detector and repeated so the recycling
-# lands on different interleavings.
+# handle stays spent; and budgets of 100–300µs race each future's budget
+# timer against the read loop completing it, asserting a recycled state
+# never sees a spurious Done or timeout. Both run under the race detector,
+# repeated so the recycling lands on different interleavings.
 async-recycle:
-	$(GO) test -race -timeout 300s -run 'TestAsyncCallRecyclingStress' -count 3 ./internal/core/
+	$(GO) test -race -timeout 300s -run 'TestAsyncCallRecyclingStress|TestAsyncTimerRaceStress' -count 3 ./internal/core/
 
 # fmt-check fails if any file is not gofmt-clean (gofmt -l lists offenders).
 fmt-check:

@@ -11,10 +11,11 @@
 // Decider).
 //
 // Invocation is synchronous (Stub.Invoke, Call, and their keyed forms) or
-// asynchronous: InvokeAsync returns a future so one caller can pipeline
-// many invocations against the pool (see async.go); concurrent invocations
-// bound for the same member coalesce in that connection's write buffer
-// (internal/transport).
+// asynchronous: InvokeAsync returns a recycled future so one caller can
+// pipeline many invocations against the pool. Both run one engine: the
+// member connection's read loop completes each attempt (see async.go), and
+// concurrent invocations bound for the same member coalesce in that
+// connection's write buffer (internal/transport).
 package core
 
 import (

@@ -3,45 +3,51 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"elasticrmi/internal/route"
 	"elasticrmi/internal/transport"
 )
 
-// This file is the stub half of the asynchronous invocation pipeline: the
-// synchronous Invoke of stub.go decouples into submission (InvokeAsync) and
-// completion (AsyncCall), so one caller can keep many invocations in flight
-// against the elastic pool. An asynchronous invocation runs Invoke's
-// failover loop (redirects, member retry, refresh) on an async worker: a
-// goroutine that parks between invocations, so a steady stream of them
-// reuses parked workers instead of starting one per call. Concurrent
-// attempts on one member connection coalesce in its write buffer, and the
-// paper's "error surfaces only when the whole pool is unreachable" contract
-// holds as for Invoke.
+// This file holds the stub's invocation state and its future. Every
+// invocation, synchronous or not, is driven by completions (see
+// Stub.start): the member connection's read loop completes a successful
+// attempt itself, so no goroutine waits on an attempt in flight.
 //
-// A future's state is recycled: AsyncCall is a value handle over a pooled
-// asyncState, and the handle's one terminal call (Err, Result or Decode)
-// takes the outcome and returns the state to the pool. A steady stream of
-// asynchronous invocations therefore allocates only each one's done
-// channel, which cannot be reused once closed. The state's generation
-// counter tells a live handle from a spent one, so a spent handle can
-// never observe the outcome of the invocation that reuses its state.
+// The state is pooled: the future's one terminal call recycles it, and a
+// generation counter tells a live handle from a spent one. Its done
+// channel is reused, so it is never closed: completion puts one token in
+// its one slot, Done puts one back whenever the slot is empty after
+// completion, and the terminal call drains it. An invocation allocates
+// nothing.
 
-// asyncState is the recycled body of one asynchronous invocation. The
-// worker reads method and payload, drops them, writes out and err, then
-// closes done; the handle's terminal call reads the outcome after done and
-// clears it before the state goes back to asyncStates.
-type asyncState struct {
+// invocation is the recycled body of one invocation.
+type invocation struct {
 	// gen counts the terminal calls this state has served: a handle is
 	// live while it holds the current value.
-	gen     atomic.Uint64
-	done    chan struct{}
-	out     []byte
-	err     error
-	method  string
-	payload []byte
+	gen atomic.Uint64
+
+	mu        sync.Mutex // orders completed with the tokens in done
+	completed bool       // the outcome is final; cleared by the terminal call
+	done      chan struct{}
+
+	stub        *Stub
+	method, key string
+	// payload is kept until the outcome is final: a retry re-sends it.
+	payload           []byte
+	deadline          time.Time
+	attempt, attempts int
+	addr              string      // the current attempt's member
+	lease             route.Lease // the current attempt's in-flight record
+	lastErr           error
+
+	out []byte
+	err error
 }
 
-var asyncStates = sync.Pool{New: func() any { return new(asyncState) }}
+var invocations = sync.Pool{New: func() any {
+	return &invocation{done: make(chan struct{}, 1)}
+}}
 
 // spentDone is the already-closed channel Done returns for a spent or zero
 // handle.
@@ -60,19 +66,31 @@ var spentDone = func() chan struct{} {
 // never spent is left to the GC. The handle is owned by one goroutine: a
 // terminal call must not run concurrently with another method on it.
 type AsyncCall struct {
-	st  *asyncState
+	inv *invocation
 	gen uint64
 }
 
 // live reports whether ac's state still belongs to ac's invocation.
-func (ac AsyncCall) live() bool { return ac.st != nil && ac.st.gen.Load() == ac.gen }
+func (ac AsyncCall) live() bool { return ac.inv != nil && ac.inv.gen.Load() == ac.gen }
 
-// Done returns a channel closed when the invocation completes.
+// Done returns a channel that is ready once the invocation completes. It
+// is not closed: after completion each call to Done makes it ready for one
+// receive, so `<-ac.Done()` may be repeated and then followed by a
+// terminal call.
 func (ac AsyncCall) Done() <-chan struct{} {
 	if !ac.live() {
 		return spentDone
 	}
-	return ac.st.done
+	inv := ac.inv
+	inv.mu.Lock()
+	if inv.completed {
+		select {
+		case inv.done <- struct{}{}:
+		default: // a token is already there
+		}
+	}
+	inv.mu.Unlock()
+	return inv.done
 }
 
 // spend is the terminal call: it waits for completion, takes the outcome
@@ -82,14 +100,21 @@ func (ac AsyncCall) spend() ([]byte, error) {
 	if !ac.live() {
 		return nil, ErrSpent
 	}
-	st := ac.st
-	<-st.done
-	if !st.gen.CompareAndSwap(ac.gen, ac.gen+1) {
+	inv := ac.inv
+	<-ac.Done()
+	if !inv.gen.CompareAndSwap(ac.gen, ac.gen+1) {
 		return nil, ErrSpent
 	}
-	out, err := st.out, st.err
-	st.done, st.out, st.err = nil, nil, nil
-	asyncStates.Put(st)
+	out, err := inv.out, inv.err
+	inv.out, inv.err = nil, nil
+	inv.mu.Lock()
+	select {
+	case <-inv.done:
+	default:
+	}
+	inv.completed = false
+	inv.mu.Unlock()
+	invocations.Put(inv)
 	return out, err
 }
 
@@ -115,57 +140,27 @@ func (ac AsyncCall) Decode(reply transport.Unmarshaler) error {
 	if err != nil {
 		return err
 	}
-	if reply != nil {
-		err = transport.Decode(out, reply)
-		if _, viewy := reply.(interface{ ERMIViews() }); viewy {
-			return err
-		}
-	}
-	transport.ReleasePayload(out)
-	return err
+	return transport.DecodeReply(out, reply)
 }
 
 // InvokeAsync starts one remote method invocation and returns its future
-// immediately. Semantics match Invoke: redirects are followed, failed
-// members retried, application errors propagated verbatim; only the waiting
-// moved off the caller.
+// without waiting for the reply. Semantics match Invoke: redirects are
+// followed, failed members retried, application errors propagated
+// verbatim; only the waiting moved off the caller.
 func (s *Stub) InvokeAsync(method string, payload []byte) AsyncCall {
-	st := asyncStates.Get().(*asyncState)
-	st.done = make(chan struct{})
-	st.method, st.payload = method, payload
-	ac := AsyncCall{st: st, gen: st.gen.Load()}
-	select {
-	case s.asyncq <- st:
-	default:
-		s.asyncWorkers.Add(1)
-		go s.asyncWorker(st)
-	}
-	return ac
+	return s.start(method, "", payload)
 }
 
-// maxIdleAsyncWorkers caps a stub's parked async workers: one that
-// finishes while this many others are parked exits, so a burst's workers
-// do not outlive it.
-const maxIdleAsyncWorkers = 64
-
-// asyncWorker runs st, then parks on the stub's hand-off channel for the
-// next invocation until the stub closes or enough others are parked.
-func (s *Stub) asyncWorker(st *asyncState) {
-	defer s.asyncWorkers.Add(-1)
-	for {
-		st.out, st.err = s.invoke(st.method, "", st.payload)
-		st.method, st.payload = "", nil
-		close(st.done)
-		if s.asyncIdle.Add(1) > maxIdleAsyncWorkers {
-			s.asyncIdle.Add(-1)
-			return
-		}
-		select {
-		case st = <-s.asyncq:
-			s.asyncIdle.Add(-1)
-		case <-s.stop:
-			s.asyncIdle.Add(-1)
-			return
-		}
+// complete makes the outcome final and signals it with one token.
+func (inv *invocation) complete(out []byte, err error) {
+	inv.out, inv.err = out, err
+	inv.stub, inv.method, inv.key, inv.payload = nil, "", "", nil
+	inv.addr, inv.lease, inv.lastErr = "", route.Lease{}, nil
+	inv.mu.Lock()
+	inv.completed = true
+	select {
+	case inv.done <- struct{}{}: // the slot is empty until completion
+	default:
 	}
+	inv.mu.Unlock()
 }

@@ -188,7 +188,8 @@ func (r *copyReply) UnmarshalERMI(b []byte) error {
 // a state (and Err and Decode a reply payload) into some goroutine's next
 // invocation. Every reply must equal its own request, and each spent
 // handle, tried again once its state has likely moved on, must return
-// ErrSpent. `make async-recycle` runs it under the race detector.
+// ErrSpent. `make async-recycle` runs it under the race detector, beside
+// TestAsyncTimerRaceStress.
 func TestAsyncCallRecyclingStress(t *testing.T) {
 	stub, _ := newEchoStub(t)
 	const callers, window, rounds = 8, 16, 100

@@ -37,15 +37,6 @@ type Stub struct {
 	// route updates back into routes.
 	conns *transport.ConnCache
 
-	// asyncq hands an asynchronous invocation to a parked async worker;
-	// unbuffered, so a send succeeds only when one is waiting.
-	// asyncWorkers counts live async workers, asyncIdle the parked ones.
-	// stop, closed by Close, ends the parked ones.
-	asyncq       chan *asyncState
-	asyncWorkers atomic.Int32
-	asyncIdle    atomic.Int32
-	stop         chan struct{}
-
 	// staleRetries counts failover attempts after the first pick of an
 	// invocation — the cost of acting on a stale or degraded view. Churn
 	// tests assert this stays bounded.
@@ -90,8 +81,6 @@ func NewStub(name string, endpoints []string, opts ...StubOption) (*Stub, error)
 		name:    name,
 		timeout: 10 * time.Second,
 		routes:  route.NewState(route.Seed(endpoints)),
-		asyncq:  make(chan *asyncState),
-		stop:    make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -159,20 +148,12 @@ func (s *Stub) pickFor(key string) (string, bool) {
 	return s.routes.PickAny()
 }
 
-func (s *Stub) conn(addr string) (*transport.Client, error) {
-	c, err := s.conns.Get(addr)
-	if errors.Is(err, transport.ErrClosed) {
-		return nil, ErrPoolClosed
-	}
-	return c, err
-}
-
 // Invoke executes one remote method invocation against the pool, balanced
 // by the stub's strategy. Failed members are excluded and retried on
 // others; the error is propagated only if all attempts to communicate with
 // the pool fail.
 func (s *Stub) Invoke(method string, payload []byte) ([]byte, error) {
-	return s.invoke(method, "", payload)
+	return s.start(method, "", payload).Result()
 }
 
 // InvokeKeyed executes one remote method invocation routed by key
@@ -182,125 +163,149 @@ func (s *Stub) Invoke(method string, payload []byte) ([]byte, error) {
 // is draining or unreachable the key fails over to the next member
 // clockwise on the ring and snaps back on the next epoch.
 func (s *Stub) InvokeKeyed(method, key string, payload []byte) ([]byte, error) {
-	return s.invoke(method, key, payload)
+	return s.start(method, key, payload).Result()
 }
 
-// invocationDeadline anchors the stub's per-invocation budget at the wall
-// clock (zero time = no deadline).
-func (s *Stub) invocationDeadline() time.Time {
-	if s.timeout <= 0 {
-		return time.Time{}
+// start begins one invocation and returns its future.
+func (s *Stub) start(method, key string, payload []byte) AsyncCall {
+	inv := invocations.Get().(*invocation)
+	inv.stub, inv.method, inv.key, inv.payload = s, method, key, payload
+	inv.deadline = time.Time{} // none
+	if s.timeout > 0 {
+		inv.deadline = time.Now().Add(s.timeout)
 	}
-	return time.Now().Add(s.timeout)
+	// Bound the failover loop: each attempt either ends the invocation, or
+	// excludes the picked member so it cannot be picked again until a newer
+	// epoch arrives. The slack beyond the member count absorbs an epoch
+	// advance (which clears exclusions) landing mid-invocation.
+	inv.attempt, inv.attempts = 0, 2*s.routes.Len()+2
+	ac := AsyncCall{inv: inv, gen: inv.gen.Load()}
+	inv.next()
+	return ac
 }
 
-func (s *Stub) invoke(method, key string, payload []byte) ([]byte, error) {
-	return s.invokeDeadline(method, key, payload, s.invocationDeadline())
-}
-
-// invokeDeadline runs the failover loop under one shared deadline: every
-// attempt is granted only what remains of the invocation's budget (and
-// stamps that remainder on the wire), so the worst case is bounded by the
-// budget itself, never by attempts × timeout.
-func (s *Stub) invokeDeadline(method, key string, payload []byte, deadline time.Time) ([]byte, error) {
-	if s.closed.Load() {
-		return nil, ErrPoolClosed
-	}
-	var lastErr error
-	// Bound the failover loop: each iteration either returns, or excludes
-	// the picked member so it cannot be picked again until a newer epoch
-	// arrives. The slack beyond the member count absorbs an epoch advance
-	// (which clears exclusions) landing mid-invocation.
-	attempts := 2*s.routes.Len() + 2
-	for i := 0; i < attempts; i++ {
+// next makes the invocation's next attempt, or ends the invocation when
+// none is left. Every attempt is granted only what remains of the
+// invocation's budget (and stamps that remainder on the wire), so the
+// worst case is bounded by the budget itself, never by attempts × timeout.
+// The attempt's outcome arrives in Complete. An attempt on a member the
+// stub holds no connection to dials it on a goroutine (see dial), so next
+// never blocks on a peer.
+func (inv *invocation) next() {
+	s := inv.stub
+	for ; inv.attempt < inv.attempts; inv.attempt, inv.addr = inv.attempt+1, "" {
 		if s.closed.Load() {
-			return nil, ErrPoolClosed
+			inv.complete(nil, ErrPoolClosed)
+			return
 		}
 		remaining := time.Duration(0) // 0 = unbounded
-		if !deadline.IsZero() {
-			if remaining = time.Until(deadline); remaining <= 0 {
-				if lastErr == nil {
-					lastErr = transport.ErrTimeout
+		if !inv.deadline.IsZero() {
+			if remaining = time.Until(inv.deadline); remaining <= 0 {
+				if inv.lastErr == nil {
+					inv.lastErr = transport.ErrTimeout
 				}
 				break
 			}
 		}
-		addr, ok := s.pickFor(key)
-		if !ok {
-			break
-		}
-		if i > 0 {
-			s.staleRetries.Add(1)
-		}
-		c, err := s.conn(addr)
-		if err != nil {
-			if errors.Is(err, ErrPoolClosed) {
-				return nil, err
+		if inv.addr == "" {
+			var ok bool
+			if inv.addr, ok = s.pickFor(inv.key); !ok {
+				break
 			}
-			// The member may have been removed after its identity reached
-			// this stub (§4.3): exclude it until a newer table says
-			// otherwise and try the next candidate.
-			lastErr = err
-			s.routes.Exclude(addr)
-			continue
+			if inv.attempt > 0 {
+				s.staleRetries.Add(1)
+			}
 		}
-		lease := s.routes.Acquire(addr)
-		out, err := c.Call(s.name, method, payload, remaining)
-		lease.Release()
-		if err == nil {
-			s.routes.Readmit(addr)
-			return out, nil
+		c := s.conns.Cached(inv.addr)
+		if c == nil {
+			go inv.dial()
+			return
 		}
-		switch {
-		case isRemoteAppError(err):
-			// The method executed and returned an application error; do not
-			// retry elsewhere.
-			return nil, err
-		case errors.Is(err, transport.ErrFrameTooLarge):
-			// Caller-side payload bug: the request cannot be framed for any
-			// member and the connection is still healthy. Fail just this
-			// call instead of dropping members.
-			return nil, err
-		case errors.Is(err, transport.ErrOverloaded), errors.Is(err, transport.ErrExpired):
-			// The member's admission controller refused the work: it is
-			// saturated, not gone. Feed the balancer's load signal instead of
-			// tombstoning the member, and try a less-loaded one. Checked
-			// before ErrTimeout, which an expired reply also matches.
-			s.routes.MarkLoaded(addr)
-			lastErr = err
-		case errors.Is(err, transport.ErrTimeout):
-			// Slow is not dead: the connection is healthy and multiplexes
-			// other callers' in-flight invocations, so dropping it would fail
-			// them all, and the member itself may answer everyone else
-			// promptly. Keep both; the shared budget (charged above) is what
-			// bounds how long this invocation keeps trying.
-			lastErr = err
-		default:
-			// Transport failure: exclude the member and fail over.
-			lastErr = err
-			s.routes.Exclude(addr)
-			s.conns.Drop(addr)
-		}
+		inv.lease = s.routes.Acquire(inv.addr)
+		c.Start(s.name, inv.method, inv.payload, remaining, inv)
+		return
 	}
-	if lastErr == nil {
-		lastErr = errors.New("core: no members left to try")
+	if inv.lastErr == nil {
+		inv.lastErr = errors.New("core: no members left to try")
 	}
-	return nil, fmt.Errorf("%w: %s.%s: %v", ErrUnavailable, s.name, method, lastErr)
+	inv.complete(nil, fmt.Errorf("%w: %s.%s: %v", ErrUnavailable, s.name, inv.method, inv.lastErr))
 }
 
-// isRemoteAppError distinguishes an error raised by the application method
-// (which must propagate) from infrastructure failures (which are retried).
-func isRemoteAppError(err error) bool {
+// dial connects to the current attempt's member, then makes the attempt
+// with what is left of the budget, or moves on to the next candidate when
+// the member cannot be reached.
+func (inv *invocation) dial() {
+	s := inv.stub
+	if _, err := s.conns.Get(inv.addr); errors.Is(err, transport.ErrClosed) {
+		inv.complete(nil, ErrPoolClosed)
+		return
+	} else if err != nil {
+		// The member may have been removed after its identity reached
+		// this stub (§4.3): exclude it until a newer table says otherwise
+		// and try the next candidate.
+		inv.lastErr = err
+		s.routes.Exclude(inv.addr)
+		inv.attempt, inv.addr = inv.attempt+1, ""
+	}
+	inv.next()
+}
+
+// Complete implements transport.Completer for the current attempt. It
+// usually runs on the read loop (or the budget timer, or a failing
+// connection's teardown), so any outcome but success goes to retry, off
+// it.
+func (inv *invocation) Complete(payload []byte, err error) {
+	inv.lease.Release()
+	if err != nil {
+		go inv.retry(err)
+		return
+	}
+	inv.stub.routes.Readmit(inv.addr)
+	inv.complete(payload, nil)
+}
+
+// retry classifies a failed attempt's error, adjusts the routing view and
+// makes the next attempt, unless the error is final for the invocation. A
+// transport failure drops the member's connection, which waits for its
+// read loop to exit, so retry must not run on a read loop.
+func (inv *invocation) retry(err error) {
+	s, addr := inv.stub, inv.addr
 	var remote *transport.RemoteError
-	return errors.As(err, &remote)
+	switch {
+	case errors.As(err, &remote), errors.Is(err, transport.ErrFrameTooLarge):
+		// The method executed and returned an application error, or the
+		// request cannot be framed for any member (a caller-side payload
+		// bug; the connection is still healthy): retrying cannot help.
+		inv.complete(nil, err)
+		return
+	case errors.Is(err, transport.ErrOverloaded), errors.Is(err, transport.ErrExpired):
+		// The member's admission controller refused the work: it is
+		// saturated, not gone. Feed the balancer's load signal instead of
+		// tombstoning the member, and try a less-loaded one. Checked
+		// before ErrTimeout, which an expired reply also matches.
+		s.routes.MarkLoaded(addr)
+	case errors.Is(err, transport.ErrTimeout):
+		// Slow is not dead: the connection is healthy and multiplexes
+		// other callers' in-flight invocations, so dropping it would fail
+		// them all, and the member itself may answer everyone else
+		// promptly. Keep both; the shared budget is what bounds how long
+		// this invocation keeps trying.
+	default:
+		// Transport failure: exclude the member and fail over.
+		s.routes.Exclude(addr)
+		s.conns.Drop(addr)
+	}
+	inv.lastErr = err
+	inv.attempt, inv.addr = inv.attempt+1, ""
+	inv.next()
 }
 
-// Close releases all connections and ends the parked async workers.
+// Close releases all connections. Invocations in flight on them, async
+// ones included, fail with ErrPoolClosed.
 func (s *Stub) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	close(s.stop)
 	return s.conns.Close()
 }
 
@@ -326,21 +331,15 @@ func CallKeyed[Arg, Reply any, PA Payload[Arg], PR Payload[Reply]](s *Stub, meth
 	return decodeReply[Reply, PR](out, err)
 }
 
-// decodeReply decodes an invocation's reply payload and recycles it,
-// unless the reply type keeps zero-copy views into it (the generated codec
-// marks such types with an ERMIViews method).
+// decodeReply decodes an invocation's reply payload (see
+// transport.DecodeReply).
 func decodeReply[Reply any, PR Payload[Reply]](out []byte, err error) (Reply, error) {
 	var reply Reply
-	if err != nil {
-		return reply, err
-	}
-	err = transport.Decode(out, PR(&reply))
-	if _, viewy := any(PR(nil)).(interface{ ERMIViews() }); !viewy {
-		transport.ReleasePayload(out)
+	if err == nil {
+		err = transport.DecodeReply(out, PR(&reply))
 	}
 	if err != nil {
-		var zero Reply
-		return zero, err
+		return *new(Reply), err
 	}
 	return reply, nil
 }

@@ -17,6 +17,7 @@ import (
 //
 //	Call(svc, m, payload, timeout)   — timeout doubles as the wire budget; must derive
 //	CallDecode(svc, m, a, r, timeout) — same
+//	Start(svc, m, payload, budget, done) — same
 //
 // "Derives from the request" means the argument expression mentions the
 // request variable (req.Budget, time.Until(req.Deadline),
@@ -41,6 +42,7 @@ var Budgetprop = &Analyzer{
 var budgetArg = map[string]int{
 	"Call":       3,
 	"CallDecode": 4,
+	"Start":      3,
 }
 
 func runBudgetprop(pass *Pass) {

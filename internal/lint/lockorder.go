@@ -119,7 +119,7 @@ func blockingCall(pkgBase, recv, name string) (string, bool) {
 	case strings.HasPrefix(name, "Dial") && (pkgBase == "transport" || pkgBase == "net" || pkgBase == "kvstore"):
 		return pkgBase + "." + name + " (connection setup)", true
 	case pkgBase == "transport" && recv == "Client" &&
-		(name == "Call" || name == "CallDecode" || name == "OneWay"):
+		(name == "Start" || name == "Call" || name == "CallDecode" || name == "OneWay"):
 		return "transport call " + name, true
 	case name == "Sleep":
 		who := recv

@@ -18,6 +18,9 @@ func relay(req *transport.Request, c *transport.Client) ([]byte, error) {
 	_ = c.CallDecode("kv", "Get", nil, nil, time.Until(req.Deadline))
 	_ = c.CallDecode("kv", "Get", nil, nil, 5*time.Second) // want `does not propagate the request budget`
 
+	c.Start("kv", "Get", nil, req.Budget, nil)
+	c.Start("kv", "Get", nil, time.Second, nil) // want `does not propagate the request budget`
+
 	// Fire-and-forget carries no reply deadline: exempt.
 	_ = c.OneWay("kv", "Evict", nil)
 

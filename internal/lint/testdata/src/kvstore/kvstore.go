@@ -114,6 +114,12 @@ func (s *Store) napLocked() {
 	s.mu.Unlock()
 }
 
+func (s *Store) startLocked(c *transport.Client) {
+	s.mu.Lock()
+	c.Start("kv", "Get", nil, 0, nil) // want `blocking operation .*transport call Start.* while kvstore\.Store\.mu is held`
+	s.mu.Unlock()
+}
+
 func (s *Store) notifyLocked(ch chan struct{}) {
 	s.mu.Lock()
 	ch <- struct{}{} // want `blocking operation .*channel send.* while kvstore\.Store\.mu is held`

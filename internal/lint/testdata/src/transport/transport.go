@@ -54,6 +54,14 @@ func (c *Client) CallDecode(service, method string, arg Marshaler, reply Unmarsh
 	return nil
 }
 
+// Completer receives the outcome of a call begun with Start.
+type Completer interface {
+	Complete(payload []byte, err error)
+}
+
+func (c *Client) Start(service, method string, payload []byte, budget time.Duration, done Completer) {
+}
+
 func (c *Client) OneWay(service, method string, payload []byte) error { return nil }
 func (c *Client) Close() error                                        { return nil }
 

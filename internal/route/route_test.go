@@ -51,6 +51,26 @@ func TestExclusionsClearOnAdvance(t *testing.T) {
 	}
 }
 
+// TestReadmitClearsExclusionAndPenalty: a successful reply readmits its
+// member — Readmit clears both its local exclusion and its overload
+// penalty, and leaves other members' marks alone.
+func TestReadmitClearsExclusionAndPenalty(t *testing.T) {
+	s := NewState(table(1, "a:1", "b:2"))
+	s.Exclude("a:1")
+	s.MarkLoaded("b:2")
+	s.Readmit("a:1")
+	if got := s.Addrs(); len(got) != 2 {
+		t.Fatalf("addrs after Readmit of an excluded member = %v", got)
+	}
+	if s.loaded["b:2"] == 0 {
+		t.Fatal("Readmit of one member cleared another's penalty")
+	}
+	s.Readmit("b:2")
+	if len(s.excluded) != 0 || len(s.loaded) != 0 {
+		t.Fatalf("after Readmit: excluded %v, loaded %v", s.excluded, s.loaded)
+	}
+}
+
 func TestRoundRobinCyclesAndSkipsDraining(t *testing.T) {
 	tab := table(1, "a:1", "b:2", "c:3")
 	tab.Members[1].Draining = true

@@ -24,32 +24,114 @@ type Client struct {
 	onEvent func(ev Event)      // nil: server-push events dropped
 
 	mu      sync.Mutex
-	pending map[uint64]chan callResult
+	pending map[uint64]*pendingCall
 	closed  bool
 	readErr error
 
 	done chan struct{}
 }
 
-// callResult is the outcome of one call as delivered by the read loop (or by
-// failAll when the connection dies).
+// Completer receives the outcome of a call started with Client.Start,
+// exactly once and never before Start's write of the request has returned:
+// on the read loop when the reply arrives, from the budget timer, from
+// failAll when the connection dies, or on the caller's goroutine, before
+// Start returns, when the request cannot be sent or its outcome was
+// decided while the write was still under way. Complete must not block and
+// must not call back into the Client. The payload, nil on error, is the
+// receiver's (see ReleasePayload).
+type Completer interface {
+	Complete(payload []byte, err error)
+}
+
+// pendingCall is one started call awaiting its outcome, recycled through
+// pendingPool. Whoever takes it out of Client.pending — the read loop,
+// failAll, Start's failed write or the budget timer — decides the outcome,
+// but delivers it only as the last party to leave: left counts the taker,
+// Start while its write is under way, and the timer while armed. So the
+// caller never sees an outcome while its request, payload and all, may
+// still be written (a write can wait behind a flush to a stalled socket
+// for longer than the budget), and a timer function still running for one
+// call never touches the next call that reuses its pendingCall.
+type pendingCall struct {
+	c               *Client
+	seq             uint64
+	done            Completer
+	service, method string
+	// timer runs expire; made once with the pendingCall, reset per call
+	// that has a budget.
+	timer *time.Timer
+	left  atomic.Int32
+	out   []byte
+	err   error
+}
+
+var pendingPool sync.Pool // *pendingCall, between calls
+
+// getPending checks a pendingCall out of pendingPool, making one (with its
+// timer) when the pool is empty.
+func getPending() *pendingCall {
+	if p, ok := pendingPool.Get().(*pendingCall); ok {
+		return p
+	}
+	p := new(pendingCall)
+	p.timer = time.AfterFunc(time.Hour, p.expire)
+	p.timer.Stop()
+	return p
+}
+
+// settle records the outcome of p, just taken out of the pending map.
+func (p *pendingCall) settle(payload []byte, err error) {
+	p.out, p.err = payload, err
+	if p.timer.Stop() {
+		p.leave(2) // the timer will never run
+	} else {
+		p.leave(1) // unarmed, or expire is running and leaves itself
+	}
+}
+
+// expire runs when p's budget is spent: it times the call out, unless
+// another party took it first.
+func (p *pendingCall) expire() {
+	c := p.c
+	c.mu.Lock()
+	taken := c.pending[p.seq] == p
+	if taken {
+		delete(c.pending, p.seq)
+	}
+	c.mu.Unlock()
+	if !taken {
+		p.leave(1)
+		return
+	}
+	p.out, p.err = nil, fmt.Errorf("%s.%s: %w", p.service, p.method, ErrTimeout)
+	p.leave(2)
+}
+
+// leave ends n parties' part in p; the last one out delivers the outcome.
+func (p *pendingCall) leave(n int32) {
+	if p.left.Add(-n) != 0 {
+		return
+	}
+	done, out, err := p.done, p.out, p.err
+	p.c, p.done, p.out, p.err = nil, nil, nil, nil
+	pendingPool.Put(p)
+	done.Complete(out, err)
+}
+
+// callResult is a response frame as the read loop parses it.
 type callResult struct {
 	payload []byte
 	status  respStatus   // statusOK, or an admission-control refusal
 	errMsg  string       // non-empty => RemoteError
 	route   *route.Table // piggybacked route update, handed to onRoute
-	err     error        // transport-level failure
 }
 
-// asError translates the delivered result of service.method into the
+// asError translates the parsed response of service.method into the
 // caller-visible error. The status switch is exhaustive over respStatus
 // (enforced by ermi-vet): a new refusal status must decide here what
 // callers see, or the build goes red — it cannot silently fall through to
 // "success".
 func (r *callResult) asError(service, method string) error {
-	if r.err != nil {
-		return r.err
-	}
 	switch r.status {
 	case statusOverload:
 		return fmt.Errorf("%s.%s: %w", service, method, ErrOverloaded)
@@ -65,14 +147,22 @@ func (r *callResult) asError(service, method string) error {
 	return nil
 }
 
-// callPool holds the pending state of a call: a one-slot result channel,
-// made once and reused. A checkout is registered in Client.pending under
-// its seq, whoever removes the entry (the read loop or failAll) delivers
-// exactly one result, and the one caller receives it — so the channel is
-// empty whenever it goes back to the pool.
-var callPool = sync.Pool{New: func() any { return make(chan callResult, 1) }}
+// outcome is what a Completer receives.
+type outcome struct {
+	payload []byte
+	err     error
+}
 
-var timerPool sync.Pool // *time.Timer, stopped
+// waiter is Call's Completer: a one-slot channel, made once and pooled in
+// callPool. A started call completes exactly once and its caller receives
+// that one outcome, so the channel is empty whenever it goes back to the
+// pool.
+type waiter chan outcome
+
+// Complete implements Completer. The slot is free: one delivery per call.
+func (w waiter) Complete(payload []byte, err error) { w <- outcome{payload, err} }
+
+var callPool = sync.Pool{New: func() any { return make(waiter, 1) }}
 
 // Dial connects to a Server at addr with default options.
 func Dial(addr string) (*Client, error) {
@@ -116,7 +206,7 @@ func DialOpts(addr string, opts DialOptions) (*Client, error) {
 		epochFn: opts.Epoch,
 		onRoute: opts.OnRouteUpdate,
 		onEvent: opts.OnEvent,
-		pending: make(map[uint64]chan callResult),
+		pending: make(map[uint64]*pendingCall),
 		done:    make(chan struct{}),
 	}
 	// The preamble rides in the write buffer until the first frame flushes,
@@ -190,18 +280,18 @@ func (c *Client) readLoop() {
 			// corrected view rather than re-picking from the stale one.
 			c.onRoute(*res.route)
 		}
-		c.mu.Lock()
-		done, ok := c.pending[seq]
-		if ok {
-			delete(c.pending, seq)
-		}
-		c.mu.Unlock()
-		if ok {
-			done <- res
-		} else {
-			// A response for an unknown seq was abandoned by a timed-out
-			// caller that reclaimed its pending entry first; recycle it.
+		p := c.take(seq)
+		if p == nil {
+			// A response for an unknown seq was abandoned: the call's
+			// budget timer took its pending entry first; recycle it.
 			arenaPut(payload)
+			continue
+		}
+		if err := res.asError(p.service, p.method); err != nil {
+			arenaPut(res.payload)
+			p.settle(nil, err)
+		} else {
+			p.settle(res.payload, nil)
 		}
 	}
 }
@@ -214,26 +304,22 @@ func (c *Client) failAll(err error) {
 		c.readErr = err
 	}
 	pend := c.pending
-	c.pending = make(map[uint64]chan callResult)
+	c.pending = make(map[uint64]*pendingCall)
 	c.mu.Unlock()
-	res := callResult{err: fmt.Errorf("transport: connection lost: %w", ErrClosed)}
-	for _, done := range pend {
-		done <- res
+	lost := fmt.Errorf("transport: connection lost: %w", ErrClosed)
+	for _, p := range pend {
+		p.settle(nil, lost)
 	}
 }
 
-// reclaim removes seq from the pending map. It reports whether the caller
-// won the race: true means no result will ever be delivered for this call,
-// false means the read loop (or failAll) already checked the entry out and
-// delivery is imminent.
-func (c *Client) reclaim(seq uint64) bool {
+// take removes seq from the pending map and returns its call, or nil when
+// another party took it first.
+func (c *Client) take(seq uint64) *pendingCall {
 	c.mu.Lock()
-	_, present := c.pending[seq]
-	if present {
-		delete(c.pending, seq)
-	}
+	p := c.pending[seq]
+	delete(c.pending, seq)
 	c.mu.Unlock()
-	return present
+	return p
 }
 
 // OneWay invokes service.method without waiting for — or the server ever
@@ -261,76 +347,63 @@ func (c *Client) OneWay(service, method string, payload []byte) error {
 	return nil
 }
 
-// Call invokes service.method with the given payload and waits up to timeout
-// for the response payload. timeout <= 0 means wait indefinitely. A positive
-// timeout doubles as the call's deadline budget on the wire: the server
-// drops the work unexecuted if the budget expires before a worker picks it
-// up, so a timed-out caller never leaves zombie work running remotely. The
-// request frame is flushed unless another writer is queued behind it (which
-// then flushes both), and the payload is copied into the connection buffer,
-// or written to the kernel, before Call waits: concurrent callers on one
-// connection are how requests are pipelined.
-func (c *Client) Call(service, method string, payload []byte, timeout time.Duration) ([]byte, error) {
-	seq := c.seq.Add(1)
+// Start writes a request for service.method and has done receive its
+// outcome. It is the transport's one invocation primitive: Call is Start
+// plus a wait. A positive budget bounds the call: the budget travels on
+// the wire, so the server drops the work unexecuted if it expires before
+// a worker picks it up, and once it is spent done receives ErrTimeout.
+// budget <= 0 means none. The request frame is flushed unless another
+// writer is queued behind it (which then flushes both), and the payload is
+// copied into the connection buffer, or written to the kernel, before
+// Start returns: concurrent callers on one connection are how requests
+// are pipelined.
+func (c *Client) Start(service, method string, payload []byte, budget time.Duration, done Completer) {
+	p := getPending()
 	c.mu.Lock()
-	if c.closed {
+	if c.closed || c.readErr != nil {
+		err := ErrClosed
+		if !c.closed {
+			err = fmt.Errorf("transport: connection failed: %w", c.readErr)
+		}
 		c.mu.Unlock()
-		return nil, ErrClosed
+		pendingPool.Put(p)
+		done.Complete(nil, err)
+		return
 	}
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		return nil, fmt.Errorf("transport: connection failed: %w", err)
+	seq := c.seq.Add(1)
+	p.c, p.seq, p.done, p.service, p.method = c, seq, done, service, method
+	c.pending[seq] = p
+	// The taker and this write are parties from the start; the timer is
+	// armed under c.mu, so expire cannot look for the entry before it is
+	// registered.
+	if budget > 0 {
+		p.left.Store(3)
+		p.timer.Reset(budget)
+	} else {
+		p.left.Store(2)
 	}
-	done := callPool.Get().(chan callResult)
-	c.pending[seq] = done
 	c.mu.Unlock()
 
-	if err := c.w.writeRequest(frameRequest, seq, c.epoch(), budgetMicros(timeout), service, method, payload); err != nil {
-		// Fail unless the read loop got there first (connection loss), in
-		// which case its result is on the way and stands.
-		if c.reclaim(seq) {
-			callPool.Put(done)
-			return nil, fmt.Errorf("transport: write: %w", err)
+	if err := c.w.writeRequest(frameRequest, seq, c.epoch(), budgetMicros(budget), service, method, payload); err != nil {
+		// Unless another party took the call first (the read loop on
+		// connection loss, or the timer), in which case its outcome stands.
+		if q := c.take(seq); q != nil {
+			q.settle(nil, fmt.Errorf("transport: write: %w", err))
 		}
 	}
-	res, ok := c.wait(seq, done, timeout)
-	callPool.Put(done)
-	if !ok {
-		return nil, fmt.Errorf("%s.%s: %w", service, method, ErrTimeout)
-	}
-	if err := res.asError(service, method); err != nil {
-		return nil, err
-	}
-	return res.payload, nil
+	p.leave(1) // the write is done with payload; an outcome decided meanwhile goes out now
 }
 
-// wait receives the result for seq on done, giving up after timeout
-// (<= 0: never). A caller that gives up reclaims its pending entry, or, when
-// the read loop checked it out first, drains the delivery already on its
-// way, so done is empty again either way.
-func (c *Client) wait(seq uint64, done chan callResult, timeout time.Duration) (callResult, bool) {
-	if timeout <= 0 {
-		return <-done, true
-	}
-	timer, ok := timerPool.Get().(*time.Timer)
-	if ok {
-		timer.Reset(timeout)
-	} else {
-		timer = time.NewTimer(timeout)
-	}
-	select {
-	case res := <-done:
-		timer.Stop() // go1.23 timers: a stopped timer never delivers later
-		timerPool.Put(timer)
-		return res, true
-	case <-timer.C:
-		timerPool.Put(timer) // already fired; Reset on reuse rearms it
-		if !c.reclaim(seq) {
-			arenaPut((<-done).payload)
-		}
-		return callResult{}, false
-	}
+// Call invokes service.method with the given payload and waits up to timeout
+// for the response payload. timeout <= 0 means wait indefinitely; a
+// positive timeout is the call's budget (see Start), so a timed-out caller
+// never leaves zombie work running remotely.
+func (c *Client) Call(service, method string, payload []byte, timeout time.Duration) ([]byte, error) {
+	done := callPool.Get().(waiter)
+	c.Start(service, method, payload, timeout, done)
+	res := <-done
+	callPool.Put(done)
+	return res.payload, res.err
 }
 
 // CallDecode is the typed convenience around Call: it encodes arg, invokes
@@ -351,15 +424,7 @@ func (c *Client) CallDecode(service, method string, arg Marshaler, reply Unmarsh
 	if err != nil {
 		return err
 	}
-	if reply == nil {
-		arenaPut(out)
-		return nil
-	}
-	err = Decode(out, reply)
-	if !holdsViews(reply) {
-		arenaPut(out)
-	}
-	return err
+	return DecodeReply(out, reply)
 }
 
 // Close tears down the connection. Outstanding calls fail.

@@ -82,6 +82,15 @@ func (cc *ConnCache) Get(addr string) (*Client, error) {
 	return c, err
 }
 
+// Cached returns the client cached for addr, or nil when there is none. It
+// never dials, so it never blocks on a peer.
+func (cc *ConnCache) Cached(addr string) *Client {
+	cc.mu.Lock()
+	c := cc.conns[addr]
+	cc.mu.Unlock()
+	return c
+}
+
 // Drop closes and forgets the cached client for addr, if any. An in-flight
 // dial for addr is unaffected; its client will be cached when it lands.
 func (cc *ConnCache) Drop(addr string) {

@@ -239,10 +239,23 @@
 // read path parses the fixed header in place (Peek/Discard on the buffered
 // reader) and lands the payload in a recycled arena slab. Server Request
 // objects are pooled, each owning its payload slab, requests go to parked
-// workers instead of new goroutines, a client call's pending state (a
-// one-slot result channel) and its timer are pooled, and sequence numbers
-// come from an atomic counter: a steady-state 64-byte echo round trip
-// allocates nothing (TestCallAllocsNothing).
+// workers instead of new goroutines, a client call's pending state (with
+// its budget timer) and Call's one-slot result channel are pooled, and
+// sequence numbers come from an atomic counter: a steady-state 64-byte
+// echo round trip allocates nothing (TestCallAllocsNothing).
+//
+// A client has one invocation primitive, Client.Start: it writes the
+// request and registers a Completer, which receives the call's one
+// outcome — from the read loop with the reply, from the call's budget
+// timer, or from failAll when the connection dies. The pending call that
+// carries the Completer is pooled with its timer, made once; whoever takes
+// it out of the pending map decides the outcome, and the last to leave of
+// that taker, Start's own write and a timer function already running
+// delivers it, so no outcome reaches the caller while its request may
+// still be written. Call is Start
+// plus a wait on the pooled channel; the stub's invocations are Completers
+// themselves, so the read loop completes them with no goroutine in
+// between.
 //
 // A response may also be held: written into the buffer without a flush
 // even when no other writer is queued. The server holds a response while
@@ -250,8 +263,8 @@
 // reaches the kernel in one syscall. A held frame is flushed by the next
 // unheld write, by the buffer filling, or by the connection writer's
 // straggler timer at most 100µs later. Client requests are never held:
-// Client.Call writes its frame, flushes unless another writer is queued
-// behind it, and waits, so concurrent callers on one connection are how a
-// client keeps many requests in flight; Client.OneWay skips response state
-// entirely.
+// Client.Start writes its frame and flushes unless another writer is
+// queued behind it, so concurrent callers, and calls started without
+// waiting, are how a client keeps many requests in flight on one
+// connection; Client.OneWay skips response state entirely.
 package transport

@@ -61,26 +61,26 @@ func queueOne(t *testing.T, srv *Server, c *Client, method string, payload []byt
 
 // callWithBudget is Call with a wire budget shorter than the caller's
 // wait, so the caller outlasts its budget and receives the server's
-// expiry verdict (Call stamps its own timeout as the budget and gives up
-// first).
+// expiry verdict (Start arms its own timer at the budget and gives up
+// first). The call is registered unbudgeted and its frame written by hand.
 func callWithBudget(c *Client, service, method string, payload []byte, budget, wait time.Duration) ([]byte, error) {
+	done := make(waiter, 1)
+	p := getPending()
 	seq := c.seq.Add(1)
-	done := callPool.Get().(chan callResult)
+	p.c, p.seq, p.done, p.service, p.method = c, seq, done, service, method
+	p.left.Store(1)
 	c.mu.Lock()
-	c.pending[seq] = done
+	c.pending[seq] = p
 	c.mu.Unlock()
 	if err := c.w.writeRequest(frameRequest, seq, 0, budgetMicros(budget), service, method, payload); err != nil {
 		return nil, err
 	}
-	res, ok := c.wait(seq, done, wait)
-	callPool.Put(done)
-	if !ok {
+	select {
+	case res := <-done:
+		return res.payload, res.err
+	case <-time.After(wait):
 		return nil, ErrTimeout
 	}
-	if err := res.asError(service, method); err != nil {
-		return nil, err
-	}
-	return res.payload, nil
 }
 
 // TestAdmissionShedsWithOverloadStatus: with the gate and the queue full,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -396,15 +397,21 @@ func TestTimeoutRaceKeepsPooledCallsClean(t *testing.T) {
 }
 
 // TestResultChannelReuseUnderTimeouts: each call's one-slot result channel
-// is pooled and reused, so a call that times out must leave it empty — by
-// reclaiming its pending entry or draining the delivery already on its way.
-// Sixteen callers share one connection with handler delays spread around
-// the call timeout, so many calls time out while their replies land; a
-// channel pooled with a late result in it would hand that stale reply to
-// its next call, or wedge the read loop on the full slot.
+// and its pending call (with the budget timer) are pooled and reused, so a
+// call whose timer races its reply must complete exactly once — whichever
+// of the two takes the pending entry decides, and the other delivers
+// nothing. Four callers share one connection with handler delays that put
+// the replies around the call timeout, so many calls time out while their
+// replies land; a channel pooled with a late result in it would hand that
+// stale reply to its next call, or wedge the read loop on the full slot.
+// The handler spins for its delay: a time.Sleep under a millisecond can
+// wake a millisecond late, which would time nearly every delayed call out
+// and leave the reply-at-the-deadline race unexercised.
 func TestResultChannelReuseUnderTimeouts(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func(req *Request) ([]byte, error) {
-		time.Sleep(time.Duration(req.Payload[0]) * 50 * time.Microsecond)
+		for end := time.Now().Add(time.Duration(req.Payload[0]) * 25 * time.Microsecond); time.Now().Before(end); {
+			runtime.Gosched()
+		}
 		return req.Payload, nil
 	})
 	if err != nil {
@@ -413,14 +420,14 @@ func TestResultChannelReuseUnderTimeouts(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	c := dial(t, srv.Addr())
 
-	const callers, per = 16, 200
+	const callers, per = 4, 800
 	const timeout = 500 * time.Microsecond
 	errs := make(chan error, callers)
 	var timeouts atomic.Int64
 	for g := 0; g < callers; g++ {
 		go func(g int) {
 			for i := 0; i < per; i++ {
-				delay := byte(i % 20) // 0..950µs, around the timeout
+				delay := byte(i % 20) // 0..475µs: with the round trip, around the timeout
 				marker := []byte{delay, byte(g), byte(i), byte(i >> 8)}
 				out, err := c.Call("svc", "Echo", marker, timeout)
 				if errors.Is(err, ErrTimeout) {
@@ -450,11 +457,76 @@ func TestResultChannelReuseUnderTimeouts(t *testing.T) {
 			t.Fatalf("%d of %d callers hung", callers-g, callers)
 		}
 	}
+	t.Logf("%d of %d calls timed out, %d succeeded", timeouts.Load(), callers*per, callers*per-timeouts.Load())
 	if timeouts.Load() == 0 {
 		t.Fatal("no call timed out: the reuse path went unexercised")
 	}
 	if out, err := c.Call("svc", "Echo", []byte{0, 0xEE}, 5*time.Second); err != nil || !bytes.Equal(out, []byte{0, 0xEE}) {
 		t.Fatalf("connection incoherent after the storm: %v, %v", out, err)
+	}
+}
+
+// TestStartDeliversNoOutcomeDuringWrite: a call's outcome reaches its
+// Completer only once Start's write of the request has returned, whoever
+// decides it meanwhile. The caller owns the payload again the moment it
+// has an outcome — a stub releases it to the arena, and a retry hands it
+// to another write — so an outcome delivered while the first write still
+// waits for the connection writer would let that write send another
+// call's bytes under this call's sequence number. The connection writer's
+// lock is held to block the write while the budget timer fires, or while
+// the connection fails.
+func TestStartDeliversNoOutcomeDuringWrite(t *testing.T) {
+	srv := startEcho(t)
+	for _, tc := range []struct {
+		name    string
+		budget  time.Duration
+		decide  func(c *Client)
+		wantErr error
+	}{
+		{"budget timer", 200 * time.Microsecond, func(*Client) {}, ErrTimeout},
+		{"connection lost", 0, func(c *Client) { c.failAll(errors.New("injected")) }, ErrClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := dial(t, srv.Addr())
+			done := make(waiter, 1)
+			c.w.mu.Lock()
+			started := make(chan struct{})
+			go func() {
+				c.Start("svc", "Echo", []byte("payload"), tc.budget, done)
+				close(started)
+			}()
+			pending := func() int {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				return len(c.pending)
+			}
+			// Poll with sleeps: a goroutine that only yields can keep its
+			// processor from running the budget timer. The sequence number
+			// shows the call registered even once the timer has taken it.
+			for c.seq.Load() == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+			tc.decide(c)
+			for pending() != 0 { // taken by the timer or by failAll
+				time.Sleep(50 * time.Microsecond)
+			}
+			select {
+			case res := <-done:
+				c.w.mu.Unlock()
+				t.Fatalf("outcome %v delivered while the write was blocked", res.err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			c.w.mu.Unlock()
+			select {
+			case res := <-done:
+				if !errors.Is(res.err, tc.wantErr) {
+					t.Fatalf("outcome after the write = %q, %v; want %v", res.payload, res.err, tc.wantErr)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("no outcome after the write returned")
+			}
+			<-started
+		})
 	}
 }
 

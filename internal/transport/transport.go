@@ -187,13 +187,6 @@ type Unmarshaler interface {
 // decoded value may hold zero-copy views into the payload buffer.
 type viewer interface{ ERMIViews() }
 
-// holdsViews reports whether v's decoded form may alias the payload buffer
-// it was decoded from (so the buffer must not be released after decode).
-func holdsViews(v Unmarshaler) bool {
-	_, ok := v.(viewer)
-	return ok
-}
-
 // Encode marshals v into an exactly-sized payload buffer drawn from the
 // transport's arena. It cannot fail. The buffer may be handed back with
 // ReleasePayload after its last use (transport call paths that own the
@@ -210,4 +203,19 @@ func Decode(data []byte, v Unmarshaler) error {
 		return fmt.Errorf("decode payload: %w", err)
 	}
 	return nil
+}
+
+// DecodeReply decodes a reply payload into reply, then returns the payload
+// to the arena unless reply's decoded form may alias it (its type carries
+// the ERMIViews marker). A nil reply discards the payload.
+func DecodeReply(data []byte, reply Unmarshaler) error {
+	var err error
+	if reply != nil {
+		err = Decode(data, reply)
+		if _, views := reply.(viewer); views {
+			return err
+		}
+	}
+	arenaPut(data)
+	return err
 }
